@@ -7,30 +7,13 @@ schedule. Reported per step: the usual solver diagnostics plus sup of
 w = log S_1(X) restricted to points farther than a fixed distance from the
 degeneracy set, which is the quantity expected to stay bounded even when
 the global gradient bound degenerates. Ends with the volume-form floor
-check min S_n - c^(n/(n-m)) at the smallest t.
+check min S_n - c^(n/(n-m)) at the smallest t. A front-end over
+hessquot.studies.degenerate_path (acceptance criteria 8 and 9).
 """
 
 import argparse
 
-import numpy as np
-
-from hessquot.instances import boundary_degenerate_instance
-from hessquot.pointwise import eigensystem_rel, elementary_sym
-from hessquot.solver import continuation_path, volume_lower_bound_check
-from hessquot.torus import complex_hessian, distance_to_set
-
-SCHEDULE = tuple(2.0**-k for k in range(8))
-
-
-def away_sup_w(state, away_mask):
-    spec = state.spec
-    mats = spec.background.matrices() + complex_hessian(spec.grid, state.phi)
-    metric = spec.omega.const if spec.omega.is_constant else spec.omega.matrices().reshape(
-        -1, spec.n, spec.n
-    )
-    lam = eigensystem_rel(mats.reshape(-1, spec.n, spec.n), metric, check=False)[0]
-    w = np.log(elementary_sym(1, lam)).reshape(spec.grid.shape)
-    return float(w[away_mask].max())
+from hessquot.studies import SCHEDULE, degenerate_path
 
 
 def main():
@@ -39,20 +22,17 @@ def main():
     ap.add_argument("--away", type=float, default=0.2, help="distance cutoff from the slab")
     args = ap.parse_args()
 
-    inst = boundary_degenerate_instance(N=args.grid_N)
-    dist = distance_to_set(inst.grid, inst.extras["degenerate_mask"])
-    away = dist > args.away
-    print(f"c={inst.c:.12f} away region {int(away.sum())}/{away.size} points")
-
-    result = continuation_path(lambda t: inst.spec(t), SCHEDULE)
+    study = degenerate_path(args.grid_N, args.away)
+    away, result = study.away, study.path
+    print(f"c={study.instance.c:.12f} away region {int(away.sum())}/{away.size} points")
     print(f"{'t':>10} {'b':>12} {'sup_phi':>10} {'sup_w':>10} {'away_w':>10} {'min_eig':>10}")
     sups = []
-    for st in result.states:
+    for st, away_w in zip(result.states, study.away_w):
         d = st.diagnostics
         sups.append(d["sup_phi"])
         print(
             f"{st.t:10.6f} {st.b:12.6f} {d['sup_phi']:10.6f} {d['sup_w']:10.6f} "
-            f"{away_sup_w(st, away):10.6f} {d['min_eig']:10.3e}"
+            f"{away_w:10.6f} {d['min_eig']:10.3e}"
         )
     if not result.complete:
         print(f"path FAILED at t={result.failed_t}: {result.failure}")
@@ -60,8 +40,7 @@ def main():
 
     half = len(sups) // 2
     print(f"sup|phi| late/early ratio {max(sups[half:]) / max(sups[:half]):.4f}")
-    floor = volume_lower_bound_check(result.states[-1], inst.c)
-    print(f"volume floor slack at t={SCHEDULE[-1]:g}: {floor:.3e}")
+    print(f"volume floor slack at t={SCHEDULE[-1]:g}: {study.volume_slack:.3e}")
 
 
 if __name__ == "__main__":

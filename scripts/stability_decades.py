@@ -9,36 +9,15 @@ sup-vs-norm stability estimate really is uniform in the data: the linearized
 response makes both sup_diff and the norm scale like A, so the constant
 itself scales like A^(n/(n+1)), about 4.6x per decade at n = 2. Comparing
 against the flat baseline instead would be degenerate: solutions are
-max-normalized, so sup(u - 0) vanishes identically.
+max-normalized, so sup(u - 0) vanishes identically. A front-end over
+hessquot.studies.stability_decades (acceptance criterion 12).
 """
 
 import argparse
 import csv
 import os
 
-import numpy as np
-
-from hessquot.instances import TWO_PI, uniform_instance
-from hessquot.solver import newton_solve, stability_compare
-from hessquot.torus import normalize_density
-
-AMPLITUDES = (0.1, 0.01, 0.001)
-
-
-def run(grid_N, t, q):
-    inst = uniform_instance(N=grid_N)
-    coords = inst.grid.coords()
-    shape1 = np.broadcast_to(np.cos(TWO_PI * coords["x1"]), inst.grid.shape)
-    shape2 = np.broadcast_to(np.sin(TWO_PI * coords["y2"]), inst.grid.shape)
-    rows = []
-    for amp in AMPLITUDES:
-        f1 = normalize_density(1.0 + amp * shape1, inst.omega)
-        f2 = normalize_density(1.0 + amp * shape2, inst.omega)
-        run1 = newton_solve(inst.spec(t, f=f1))
-        run2 = newton_solve(inst.spec(t, f=f2))
-        rec = stability_compare(run1, run2, q)
-        rows.append((amp, rec.sup_diff, rec.positive_part_norm, rec.c_implied))
-    return rows
+from hessquot.studies import stability_decades
 
 
 def main():
@@ -49,7 +28,10 @@ def main():
     ap.add_argument("--out", help="optional CSV path")
     args = ap.parse_args()
 
-    rows = run(args.grid_N, args.t, args.q)
+    rows = [
+        (amp, rec.sup_diff, rec.positive_part_norm, rec.c_implied)
+        for amp, rec in stability_decades(args.grid_N, args.t, args.q)
+    ]
     print(f"{'A':>8} {'sup_diff':>12} {'pos_norm_q*':>12} {'C_implied':>12} {'ratio':>8}")
     prev = None
     worst = 0.0

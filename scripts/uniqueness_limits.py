@@ -6,46 +6,15 @@ differ along the path (t-proportional perturbations with different shapes),
 then solve the common limit equation (flat density, smallest t) warm-started
 from each path's endpoint. On the region where the limit background stays
 ample the two potentials must agree up to an additive constant; the reported
-gap is the sup deviation from constancy of their difference there.
+gap is the sup deviation from constancy of their difference there. A
+front-end over hessquot.studies.uniqueness_limits (acceptance criterion 12).
 """
 
 import argparse
 
 import numpy as np
 
-from hessquot.instances import TWO_PI, degenerate_instance
-from hessquot.solver import continuation_path, newton_solve, uniqueness_gap
-from hessquot.torus import normalize_density
-
-SCHEDULE = tuple(2.0**-k for k in range(8))
-
-
-def perturbed_family(inst, shape, amp):
-    # perturbation fades with t only through its amplitude; the limit
-    # equation itself is reached separately with the flat density
-    def family(t):
-        f = normalize_density(1.0 + t * amp * shape, inst.omega)
-        return inst.spec(t, f=f)
-
-    return family
-
-
-def run(grid_N, amp):
-    inst = degenerate_instance(N=grid_N)
-    coords = inst.grid.coords()
-    shapes = (
-        np.broadcast_to(np.cos(TWO_PI * coords["x1"]), inst.grid.shape),
-        np.broadcast_to(np.sin(TWO_PI * coords["y2"]), inst.grid.shape),
-    )
-    limits = []
-    for shape in shapes:
-        path = continuation_path(perturbed_family(inst, shape, amp), SCHEDULE)
-        if not path.complete:
-            raise RuntimeError(f"path failed at t={path.failed_t}: {path.failure}")
-        final = newton_solve(inst.spec(SCHEDULE[-1]), init=path.states[-1])
-        limits.append(final)
-    gap = uniqueness_gap(limits[0].phi, limits[1].phi, inst.extras["ample_mask"])
-    return limits, gap
+from hessquot.studies import uniqueness_limits
 
 
 def main():
@@ -54,7 +23,7 @@ def main():
     ap.add_argument("--amp", type=float, default=0.3)
     args = ap.parse_args()
 
-    limits, gap = run(args.grid_N, args.amp)
+    limits, gap = uniqueness_limits(args.grid_N, args.amp)
     for i, st in enumerate(limits, 1):
         print(
             f"limit {i}: b={st.b:.12f} residual={st.residual_sup:.3e} "

@@ -57,7 +57,8 @@ from .solver import (
     volume_lower_bound_check,
     write_path_csv,
 )
-from .torus import dump_fields, form_eigenvalues, normalize_density
+from .studies import SCHEDULE
+from .torus import TorusGrid, dump_fields, form_eigenvalues, normalize_density
 
 SUMMARY_SCHEMA = "hessquot-summary/1"
 SUMMARY_NAME = "summary.json"
@@ -149,12 +150,14 @@ def _require(cfg, allowed, command):
         raise UsageError(f"{command}: unknown config keys {unknown}; allowed: {sorted(allowed)}")
 
 
-def _grid_keys(cfg):
-    N = int(cfg.get("grid_N", 16))
-    if N < 2 or (N & (N - 1)) != 0:
-        raise UsageError(f"grid_N must be a power of two >= 2, got {N}")
-    m = int(cfg.get("m", 1))
-    return N, m
+def _grid_N(cfg):
+    """grid_N from the config, held to TorusGrid's rule before anything is built."""
+    try:
+        N = int(cfg.get("grid_N", 16))
+        TorusGrid(2, N)
+    except ValueError as err:
+        raise UsageError(f"grid_N: {err}") from err
+    return N
 
 
 _INSTANCES = ("uniform", "boundary", "degenerate", "boundary_degenerate", "manufactured")
@@ -162,7 +165,7 @@ _INSTANCES = ("uniform", "boundary", "degenerate", "boundary_degenerate", "manuf
 
 def build_instance(cfg):
     name = str(cfg.get("instance", "uniform"))
-    N, m = _grid_keys(cfg)
+    N, m = _grid_N(cfg), int(cfg.get("m", 1))
     if name not in _INSTANCES:
         raise UsageError(f"unknown instance {name!r}; have {_INSTANCES}")
     if name != "uniform" and "eps" in cfg:
@@ -280,12 +283,9 @@ def cmd_solve(cfg, args, outdir):
     return payload, EXIT_OK
 
 
-DEFAULT_SCHEDULE = tuple(2.0**-k for k in range(8))
-
-
 def _parse_schedule(cfg):
     if "t_schedule" not in cfg:
-        return list(DEFAULT_SCHEDULE)
+        return list(SCHEDULE)
     raw = str(cfg["t_schedule"])
     try:
         return [float(tok) for tok in raw.split(",") if tok.strip()]
@@ -405,9 +405,7 @@ def cmd_stability(cfg, args, outdir):
 
 def cmd_fake_boundary(cfg, args, outdir):
     _require(cfg, {"grid_N", "steps", "tol", "max_newton", "delta1", "dump_fields"}, "fake-boundary")
-    N = int(cfg.get("grid_N", 16))
-    if N < 2 or (N & (N - 1)) != 0:
-        raise UsageError(f"grid_N must be a power of two >= 2, got {N}")
+    N = _grid_N(cfg)
     steps = int(cfg.get("steps", 16))
     if steps < 1:
         raise UsageError(f"steps must be >= 1, got {steps}")

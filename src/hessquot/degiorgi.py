@@ -4,18 +4,15 @@ The lemma: if a nonnegative nonincreasing function phi on [s0, inf) obeys
     (s' )^alpha * phi(s + s') <= C * phi(s)^beta        (all s >= s0, s' > 0)
 with alpha > 0, beta > 1, then phi vanishes at or before
     s0 + C^(1/alpha) * phi(s0)^((beta-1)/alpha) * 2^(beta/(beta-1)).
-Here that threshold is a formula, sublevel-set masses of solver fields supply
-the phi samples, and a tolerant fit recovers (alpha, beta, C) from data.
+Here that threshold is a formula, and sublevel-set masses of solver fields
+supply the phi samples.
 """
 
 from __future__ import annotations
 
-import math
-from dataclasses import dataclass
-
 import numpy as np
 
-from .errors import DomainError, InputError
+from .errors import DomainError
 from .torus import integrate_density
 
 
@@ -36,132 +33,10 @@ def degiorgi_threshold(alpha, beta, C, phi0, s0=0.0):
 def level_set_mass(phi, density, omega, s):
     """Quadrature of density over the sublevel set {phi <= -s}.
 
-    Plain indicator quadrature: masses feed diagnostics and fits only, where
-    O(1/N) accuracy is enough.
+    Plain indicator quadrature: the lemma checks need only O(1/N) accuracy.
     """
     phi = np.asarray(phi, dtype=np.float64)
     density = np.asarray(density, dtype=np.float64)
     if np.min(density) < 0.0:
         raise DomainError("density must be nonnegative")
     return integrate_density(density * (phi <= -s), omega)
-
-
-@dataclass(frozen=True)
-class DecaySamples:
-    """Sampled (s, phi(s)) pairs; s strictly increasing, phi nonnegative nonincreasing."""
-
-    s: np.ndarray
-    phi: np.ndarray
-
-    def __post_init__(self):
-        s = np.asarray(self.s, dtype=np.float64)
-        phi = np.asarray(self.phi, dtype=np.float64)
-        if s.ndim != 1 or s.shape != phi.shape or s.size < 2:
-            raise InputError("need matching 1-d s and phi arrays with at least 2 entries")
-        if not np.all(np.diff(s) > 0.0):
-            raise InputError("s values must be strictly increasing")
-        if np.min(phi) < 0.0:
-            raise InputError("phi values must be nonnegative")
-        if np.any(np.diff(phi) > 0.0):
-            raise InputError("phi values must be nonincreasing")
-        object.__setattr__(self, "s", s)
-        object.__setattr__(self, "phi", phi)
-
-
-def sample_masses(phi, density, omega, s_values):
-    """Mass of {phi <= -s} for each s; packaged as DecaySamples."""
-    s_values = np.sort(np.asarray(s_values, dtype=np.float64))
-    masses = np.array([level_set_mass(phi, density, omega, s) for s in s_values])
-    # set inclusion makes these nonincreasing exactly; roundoff cannot break
-    # it since each is a mean of a subset of the same nonnegative terms
-    return DecaySamples(s_values, masses)
-
-
-@dataclass(frozen=True)
-class DecayFit:
-    accepted: bool
-    alpha: float
-    beta: float
-    C: float
-    violation: float
-    s0: float
-    phi0: float
-    reason: str = ""
-
-    @property
-    def threshold(self):
-        if not self.accepted:
-            raise DomainError(f"no threshold for a rejected fit ({self.reason})")
-        return degiorgi_threshold(self.alpha, self.beta, self.C, self.phi0, self.s0)
-
-
-def _rejected(samples, reason):
-    return DecayFit(
-        False, math.nan, math.nan, math.nan, math.inf,
-        float(samples.s[0]), float(samples.phi[0]), reason,
-    )
-
-
-def decay_fit(samples, reject_above=0.10):
-    """Fit (alpha, beta, C) of the iteration hypothesis to sampled masses.
-
-    alpha and beta come from least squares on the log identity over
-    consecutive pairs; C is then the smallest constant satisfying every
-    consecutive pair, and the reported violation is the worst relative excess
-    over all (not just consecutive) sample pairs. Fits with violation beyond
-    reject_above, or with fewer than 4 positive samples, are rejected rather
-    than raised: flat or noisy mass tables are normal solver outcomes.
-    """
-    s = samples.s
-    phi = samples.phi
-    npos = int(np.sum(phi > 0.0))
-    if npos < 4:
-        return _rejected(samples, f"only {npos} positive masses, need 4")
-    s = s[:npos]
-    phi = phi[:npos]
-    gaps = np.diff(s)
-    rows = np.column_stack([np.ones(npos - 1), -np.log(gaps), np.log(phi[:-1])])
-    rhs = np.log(phi[1:])
-    # uniform or purely geometric spacing makes the gap column collinear with
-    # the others and the three parameters unidentifiable
-    if np.linalg.cond(rows) > 1e10:
-        return _rejected(samples, "degenerate sample spacing, exponents not identifiable")
-    (logc, alpha, beta), *_ = np.linalg.lstsq(rows, rhs, rcond=None)
-    if alpha <= 0.0 or beta <= 1.0:
-        return _rejected(samples, f"fitted exponents out of range (alpha={alpha:.3g}, beta={beta:.3g})")
-    # smallest C consistent with all consecutive pairs
-    C = float(np.max(np.exp(np.log(gaps) * alpha + rhs - beta * np.log(phi[:-1]))))
-    # the hypothesis quantifies over every (s, s + s') pair; measure the rest
-    worst = 0.0
-    for i in range(npos - 1):
-        gap = s[i + 1 :] - s[i]
-        bound = C * phi[i] ** beta
-        excess = gap**alpha * phi[i + 1 :] / bound - 1.0
-        worst = max(worst, float(np.max(excess)))
-    if worst > reject_above:
-        return _rejected(samples, f"hypothesis violated by {worst:.1%}")
-    return DecayFit(True, float(alpha), float(beta), C, worst, float(samples.s[0]), float(samples.phi[0]))
-
-
-def write_mass_csv(path, samples):
-    """Two-column CSV (s, mass) for one run's sublevel-set table."""
-    import csv
-
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["s", "mass"])
-        for sv, mv in zip(samples.s, samples.phi):
-            writer.writerow([f"{sv:.17g}", f"{mv:.17g}"])
-
-
-def read_mass_csv(path):
-    import csv
-
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader)
-        if header != ["s", "mass"]:
-            raise InputError(f"unexpected mass table header {header}")
-        rows = [(float(a), float(b)) for a, b in reader]
-    s, phi = zip(*rows)
-    return DecaySamples(np.array(s), np.array(phi))

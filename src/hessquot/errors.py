@@ -10,7 +10,7 @@ class DomainError(ValueError):
 
 
 class ConstructionError(RuntimeError):
-    """A constructive search (bisection, band fitting, calibration) failed."""
+    """A constructive search (bisection, band fitting, boundary tuning) failed."""
 
 
 class NonconvergenceError(RuntimeError):

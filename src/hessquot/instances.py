@@ -62,6 +62,21 @@ def _grid_field(grid, expr):
     return np.ascontiguousarray(np.broadcast_to(expr, grid.shape)).astype(np.float64)
 
 
+def _boundary_chi(grid, omega, m):
+    """Tune chi = I + a*idd psi, psi = cos(2 pi x1) + cos(2 pi y1), onto the boundary.
+
+    Returns the tuning outcome and psi.
+    """
+    coords = grid.coords()
+    psi = _grid_field(grid, np.cos(TWO_PI * coords["x1"]) + np.cos(TWO_PI * coords["y1"]))
+    tuned = tune_to_boundary(
+        lambda a: FormField(grid, np.eye(2), a * psi), omega, m, (0.0, 0.05)
+    )
+    if tuned.mode != "boundary":
+        raise InputError(f"boundary tuning failed: {tuned.mode}")
+    return tuned, psi
+
+
 def uniform_instance(N=16, eps=0.1, m=1):
     """Everything proportional to the flat metric; phi = 0 and b closed-form.
 
@@ -89,19 +104,12 @@ def boundary_instance(N=16, m=1):
     """chi tuned so the cone-condition margin vanishes; chitilde = omega.
 
     The margin of I + a*idd(cos(2 pi x1) + cos(2 pi y1)) is 1/2 - 2 pi^2 a,
-    so the boundary amplitude is 1/(4 pi^2) with c = 1. The chitilde = omega
-    direction admits no calibrated scale (F(s) = s^2 + s), leaving the
-    relaxed family with limit constant b0 = 2.
+    so the boundary amplitude is 1/(4 pi^2) with c = 1. With chitilde = omega
+    the t -> 0 limit constant is b0 = 2.
     """
     grid = TorusGrid(2, N)
     omega = identity_form(grid)
-    coords = grid.coords()
-    psi = _grid_field(grid, np.cos(TWO_PI * coords["x1"]) + np.cos(TWO_PI * coords["y1"]))
-    tuned = tune_to_boundary(
-        lambda a: FormField(grid, np.eye(2), a * psi), omega, m, (0.0, 0.05)
-    )
-    if tuned.mode != "boundary":
-        raise InputError(f"boundary tuning failed: {tuned.mode}")
+    tuned, _ = _boundary_chi(grid, omega, m)
     inst = Instance(
         name="boundary",
         grid=grid,
@@ -159,14 +167,8 @@ def boundary_degenerate_instance(N=16, m=1):
     """
     grid = TorusGrid(2, N)
     omega = identity_form(grid)
-    coords = grid.coords()
-    psi = _grid_field(grid, np.cos(TWO_PI * coords["x1"]) + np.cos(TWO_PI * coords["y1"]))
-    tuned = tune_to_boundary(
-        lambda a: FormField(grid, np.eye(2), a * psi), omega, m, (0.0, 0.05)
-    )
-    if tuned.mode != "boundary":
-        raise InputError(f"boundary tuning failed: {tuned.mode}")
-    shape = _grid_field(grid, np.cos(TWO_PI * coords["x1"]))
+    tuned, psi = _boundary_chi(grid, omega, m)
+    shape = _grid_field(grid, np.cos(TWO_PI * grid.coords()["x1"]))
     degen = make_degenerate_big(grid, np.eye(2), shape)
     inst = Instance(
         name="boundary_degenerate",

@@ -183,8 +183,3 @@ def cone_margin(mu, coeff, m):
     margins = lead - (coeff[..., None] if coeff.ndim else coeff) / math.comb(n, m) * trail
     return np.min(margins, axis=-1)
 
-
-def admissible(lam, tol=0.0):
-    """True iff min lam_i > tol (strict interior of the positive cone)."""
-    lam = np.asarray(lam, dtype=np.float64)
-    return np.min(lam, axis=-1) > tol

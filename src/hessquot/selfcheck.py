@@ -32,7 +32,6 @@ from .pointwise import (
 from .symfunc import (
     elementary_sym,
     elementary_sym_all,
-    elementary_sym_excluding,
     elementary_sym_excluding_each,
     maclaurin_normalized,
     newton_maclaurin_gap,

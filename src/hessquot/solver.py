@@ -145,10 +145,16 @@ def strip_kernel_modes(grid, values, keep_mean=False):
     return np.fft.ifftn(fhat).real
 
 
-def _metric_for(spec):
-    if spec.omega.is_constant:
-        return spec.omega.const
-    return spec.omega.matrices().reshape(-1, spec.n, spec.n)
+def _eigensystem(spec, phi):
+    """Eigensystem of background + Hess(phi) relative to omega, flattened to (P, n)."""
+    mats = spec.background.matrices() + complex_hessian(spec.grid, phi)
+    flat = mats.reshape(-1, spec.n, spec.n)
+    return eigensystem_rel(flat, spec.omega.flat_matrices(), check=False)
+
+
+def state_eigenvalues(state):
+    """Descending eigenvalues (P, n) of a state's X = background + Hess(phi)."""
+    return _eigensystem(state.spec, state.phi)[0]
 
 
 @dataclass
@@ -161,15 +167,9 @@ class _Eval:
     dresid_db: np.ndarray  # (P,)
 
 
-def _evaluate(spec, phi, b, need_vectors=True):
+def _evaluate(spec, phi, b):
     grid = spec.grid
-    mats = spec.background.matrices() + complex_hessian(grid, phi)
-    flat = mats.reshape(-1, spec.n, spec.n)
-    if need_vectors:
-        lam, vecs = eigensystem_rel(flat, _metric_for(spec), check=False)
-    else:
-        lam = eigensystem_rel(flat, _metric_for(spec), check=False)[0]
-        vecs = None
+    lam, vecs = _eigensystem(spec, phi)
     bad = lam[:, -1] <= 0.0
     if np.any(bad):
         worst_flat = int(np.argmin(lam[:, -1]))
@@ -196,13 +196,9 @@ def quadrature_b(spec):
     """Integral-identity value of the scalar constant (additive mode)."""
     if spec.unknown_mode != "additive":
         raise InputError("quadrature value of b is an additive-mode notion")
-    lam = eigensystem_rel(
-        spec.background.matrices().reshape(-1, spec.n, spec.n), _metric_for(spec), check=False
-    )[0]
-    if spec.omega.is_constant:
-        detw = float(np.linalg.det(spec.omega.const).real)
-    else:
-        detw = np.linalg.det(spec.omega.matrices()).real.reshape(-1)
+    flat = spec.background.matrices().reshape(-1, spec.n, spec.n)
+    lam = eigensystem_rel(flat, spec.omega.flat_matrices(), check=False)[0]
+    detw = np.linalg.det(spec.omega.flat_matrices()).real
     coeff = spec.coefficient_field.reshape(-1)
     binom = math.comb(spec.n, spec.m)
     lhs = (elementary_sym(spec.n, lam) - coeff / binom * elementary_sym(spec.m, lam)) * detw
@@ -211,7 +207,10 @@ def quadrature_b(spec):
 
 
 def _linear_step(spec, ev, config, rsup_prev):
-    """One inexact-Newton linear solve; returns (dphi, db, krylov_iters)."""
+    """One inexact-Newton linear solve; returns (dphi, db, krylov_iters, info).
+
+    info is the LGMRES status: 0 on convergence to the forcing tolerance.
+    """
     grid = spec.grid
     P = grid.npoints
     a = linearization_coefficients(ev.lam, ev.params)
@@ -339,14 +338,11 @@ def newton_solve(spec, init=None, config=None, t=math.nan):
     return _make_state(spec, phi, b, t, ev, iters, krylov_total)
 
 
-def _gradient_sup_sq(spec, phi):
+def _gradient_sq(spec, phi):
+    """Pointwise squared omega-norm of the holomorphic gradient, shape (P,)."""
     grad = holomorphic_gradient(spec.grid, phi).reshape(-1, spec.n)
-    if spec.omega.is_constant:
-        ginv = np.linalg.inv(spec.omega.const)
-    else:
-        ginv = np.linalg.inv(spec.omega.matrices().reshape(-1, spec.n, spec.n))
-    sq = np.einsum("...kj,...j,...k->...", ginv, grad, np.conj(grad)).real
-    return float(np.max(sq))
+    ginv = np.linalg.inv(spec.omega.flat_matrices())
+    return np.einsum("...kj,...j,...k->...", ginv, grad, np.conj(grad)).real
 
 
 def _make_state(spec, phi, b, t, ev, iters, krylov_total):
@@ -357,7 +353,7 @@ def _make_state(spec, phi, b, t, ev, iters, krylov_total):
     vol_resid = residual_volume_form(lam, ev.params)
     diag = {
         "sup_phi": float(np.max(np.abs(phi_out))),
-        "sup_grad": math.sqrt(_gradient_sup_sq(spec, phi)),
+        "sup_grad": math.sqrt(float(np.max(_gradient_sq(spec, phi)))),
         "sup_w": float(np.max(np.log(elementary_sym(1, lam)))),
         "min_eig": float(np.min(lam[:, -1])),
         "min_margin": float(np.min(cone_margin(lam, coeff, spec.m))),
@@ -375,18 +371,9 @@ def diagnostics(state):
     the fitted slopes of ln|grad phi|^2 and ln w against (phi - inf phi),
     the exponent shape those bounds predict.
     """
-    spec = state.spec
-    grid = spec.grid
     phi = np.asarray(state.phi)
-    grad = holomorphic_gradient(grid, phi).reshape(-1, spec.n)
-    if spec.omega.is_constant:
-        ginv = np.linalg.inv(spec.omega.const)
-    else:
-        ginv = np.linalg.inv(spec.omega.matrices().reshape(-1, spec.n, spec.n))
-    grad_sq = np.einsum("...kj,...j,...k->...", ginv, grad, np.conj(grad)).real
-    mats = spec.background.matrices() + complex_hessian(grid, phi)
-    lam = eigensystem_rel(mats.reshape(-1, spec.n, spec.n), _metric_for(spec), check=False)[0]
-    w = np.log(elementary_sym(1, lam))
+    grad_sq = _gradient_sq(state.spec, phi)
+    w = np.log(elementary_sym(1, state_eigenvalues(state)))
     shifted = (phi - float(np.min(phi))).reshape(-1)
 
     def slope(y_log_arg, mask):
@@ -495,7 +482,5 @@ def uniqueness_gap(phi1, phi2, ample_mask):
 def volume_lower_bound_check(state, c):
     """min over the grid of S_n(lam(X)) - c^(n/(n-m)) for a converged state."""
     spec = state.spec
-    mats = spec.background.matrices() + complex_hessian(spec.grid, state.phi)
-    lam = eigensystem_rel(mats.reshape(-1, spec.n, spec.n), _metric_for(spec), check=False)[0]
     floor = c ** (spec.n / (spec.n - spec.m))
-    return float(np.min(elementary_sym(spec.n, lam)) - floor)
+    return float(np.min(elementary_sym(spec.n, state_eigenvalues(state))) - floor)

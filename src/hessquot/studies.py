@@ -1,0 +1,113 @@
+"""The boundary-case studies behind acceptance criteria 8, 9 and 12.
+
+Each study builds its instance, runs the solves and returns what it
+measured; the acceptance gate checks the results against the criteria and
+the scripts in scripts/ print them.
+"""
+
+from __future__ import annotations
+
+from dataclasses import dataclass
+
+import numpy as np
+
+from .errors import NonconvergenceError
+from .instances import (
+    TWO_PI,
+    Instance,
+    boundary_degenerate_instance,
+    degenerate_instance,
+    uniform_instance,
+)
+from .solver import (
+    PathResult,
+    continuation_path,
+    newton_solve,
+    stability_compare,
+    state_eigenvalues,
+    uniqueness_gap,
+    volume_lower_bound_check,
+)
+from .symfunc import elementary_sym
+from .torus import distance_to_set, normalize_density
+
+# dyadic t schedule 1, 1/2, ..., 2^-7; also the `continue` subcommand's default
+SCHEDULE = tuple(2.0**-k for k in range(8))
+AMPLITUDES = (0.1, 0.01, 0.001)
+
+
+def _source_shapes(grid):
+    """The two perturbation shapes cos(2 pi x1) and sin(2 pi y2) on the grid."""
+    coords = grid.coords()
+    return (
+        np.broadcast_to(np.cos(TWO_PI * coords["x1"]), grid.shape),
+        np.broadcast_to(np.sin(TWO_PI * coords["y2"]), grid.shape),
+    )
+
+
+def _sup_w_on(state, mask):
+    """sup of w = log S_1(lambda(X)) over the grid points marked in mask."""
+    w = np.log(elementary_sym(1, state_eigenvalues(state))).reshape(state.spec.grid.shape)
+    return float(w[mask].max())
+
+
+@dataclass(frozen=True)
+class DegeneratePath:
+    instance: Instance
+    away: np.ndarray            # points farther than the cutoff from the degenerate slab
+    path: PathResult
+    away_w: list                # sup of w over the away region, one per state
+    volume_slack: float | None  # min S_n - c^(n/(n-m)) at the last t; None if incomplete
+
+
+def degenerate_path(grid_N, away=0.2):
+    """Continuation of boundary_degenerate_instance down SCHEDULE.
+
+    Besides the solver diagnostics, records sup w away from the degeneracy
+    set (expected to stay bounded even where the global gradient bound
+    degenerates) and the volume-form floor slack at the smallest t.
+    """
+    inst = boundary_degenerate_instance(N=grid_N)
+    mask = distance_to_set(inst.grid, inst.extras["degenerate_mask"]) > away
+    path = continuation_path(inst.family(), SCHEDULE)
+    away_w = [_sup_w_on(st, mask) for st in path.states]
+    slack = volume_lower_bound_check(path.states[-1], inst.c) if path.complete else None
+    return DegeneratePath(inst, mask, path, away_w, slack)
+
+
+def stability_decades(grid_N, t=0.5, q=2.0):
+    """Paired solves of the uniform instance with sources 1 + A*shape, per amplitude A.
+
+    Returns (A, StabilityRecord) for each A in AMPLITUDES. The implied
+    constant scales like A^(n/(n+1)) under the linearized response, so a
+    uniform stability estimate shows as a drift below 10x per decade.
+    """
+    inst = uniform_instance(N=grid_N)
+    shape1, shape2 = _source_shapes(inst.grid)
+    out = []
+    for amp in AMPLITUDES:
+        run1 = newton_solve(inst.spec(t, f=normalize_density(1.0 + amp * shape1, inst.omega)))
+        run2 = newton_solve(inst.spec(t, f=normalize_density(1.0 + amp * shape2, inst.omega)))
+        out.append((amp, stability_compare(run1, run2, q)))
+    return out
+
+
+def uniqueness_limits(grid_N, amp=0.3):
+    """Two perturbed continuations of degenerate_instance, then the shared limit.
+
+    Each path's source is normalized 1 + t*amp*shape; the flat-density
+    equation at the smallest t is then solved warm-started from each path's
+    endpoint. Returns the two limit states and their uniqueness gap on the
+    ample region.
+    """
+    inst = degenerate_instance(N=grid_N)
+    limits = []
+    for shape in _source_shapes(inst.grid):
+        family = lambda t, s=shape: inst.spec(
+            t, f=normalize_density(1.0 + t * amp * s, inst.omega)
+        )
+        path = continuation_path(family, SCHEDULE)
+        if not path.complete:
+            raise NonconvergenceError(f"path failed at t={path.failed_t}: {path.failure}")
+        limits.append(newton_solve(inst.spec(SCHEDULE[-1]), init=path.states[-1]))
+    return limits, uniqueness_gap(limits[0].phi, limits[1].phi, inst.extras["ample_mask"])

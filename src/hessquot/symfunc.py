@@ -54,27 +54,6 @@ def elementary_sym_all(vals):
     return e
 
 
-def elementary_sym_excluding(k, vals, excluded):
-    """S_k with the listed entries zeroed out (distinct indices, any order).
-
-    Equals S_k evaluated on a copy of vals whose excluded entries are 0,
-    which is the definition; negative k gives 0.
-    """
-    vals = _as_spectrum(vals)
-    n = vals.shape[-1]
-    idx = tuple(excluded) if np.iterable(excluded) else (int(excluded),)
-    if len(set(idx)) != len(idx):
-        raise InputError(f"excluded indices must be distinct, got {idx}")
-    for i in idx:
-        if not 0 <= i < n:
-            raise InputError(f"excluded index {i} out of range for n={n}")
-    if k < 0:
-        return np.zeros(vals.shape[:-1], dtype=np.float64)
-    masked = vals.copy()
-    masked[..., list(idx)] = 0.0
-    return elementary_sym(k, masked)
-
-
 def elementary_sym_excluding_each(k, vals):
     """S_{k;i} for every single index i, shape (..., n). Negative k gives 0."""
     vals = _as_spectrum(vals)
@@ -99,18 +78,6 @@ def elementary_sym_excluding_pairs(k, vals):
     block[..., ii, :, ii] = 0.0
     block[..., :, ii, ii] = 0.0
     return elementary_sym(k, block)
-
-
-def gamma_cone_level(vals):
-    """Largest k with S_1, ..., S_k all strictly positive (0 if S_1 <= 0).
-
-    The full-cone case k = n is exactly entrywise positivity.
-    """
-    vals = _as_spectrum(vals)
-    e = elementary_sym_all(vals)
-    pos = e[..., 1:] > 0.0
-    # count leading True entries along the last axis
-    return np.minimum.accumulate(pos, axis=-1).sum(axis=-1)
 
 
 def maclaurin_normalized(k, vals):

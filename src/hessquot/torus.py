@@ -163,6 +163,15 @@ class FormField:
             self._matrices = self.const + complex_hessian(self.grid, self.potential)
         return self._matrices
 
+    def flat_matrices(self):
+        """The (n, n) matrix of a constant form, else the (P, n, n) pointwise ones.
+
+        The constant case stays one matrix, which broadcasts over any batch.
+        """
+        if self.is_constant:
+            return self.const
+        return self.matrices().reshape(-1, self.grid.n, self.grid.n)
+
     def __add__(self, other):
         if not isinstance(other, FormField):
             return NotImplemented
@@ -195,25 +204,18 @@ def form_eigenvalues(alpha, omega):
     """Eigenvalues of alpha relative to omega at every grid point, shape + (n,)."""
     grid = alpha.grid
     n = grid.n
-    if omega.is_constant:
-        metric = omega.const
-    else:
-        metric = omega.matrices().reshape(-1, n, n)
     mats = alpha.matrices().reshape(-1, n, n)
-    lam = eigenvalues_rel(mats, metric, check=False)
+    lam = eigenvalues_rel(mats, omega.flat_matrices(), check=False)
     return lam.reshape(grid.shape + (n,))
 
 
-def _metric_positive(omega):
-    """Min eigenvalue of the metric and the offending location if not PD."""
-    if omega.is_constant:
-        lam = np.linalg.eigvalsh(omega.const)
-        return float(lam[0]), None
-    mats = omega.matrices()
-    lam = np.linalg.eigvalsh(mats.reshape(-1, omega.grid.n, omega.grid.n))
-    mins = lam[:, 0]
+def _require_positive(form, name):
+    """Raise DomainError, naming the worst point, unless form is positive definite."""
+    mins = np.atleast_2d(np.linalg.eigvalsh(form.flat_matrices()))[:, 0]
     i = int(np.argmin(mins))
-    return float(mins[i]), np.unravel_index(i, omega.grid.shape)
+    if mins[i] <= 0.0:
+        where = "every point" if form.is_constant else np.unravel_index(i, form.grid.shape)
+        raise DomainError(f"{name} not positive definite (min eig {mins[i]:.3e} at {where})")
 
 
 def _omega_density(omega):
@@ -233,9 +235,7 @@ def integrate_mixed(alpha, k, omega):
     n = grid.n
     if not 0 <= k <= n:
         raise InputError(f"wedge power k={k} outside 0..{n}")
-    mineig, where = _metric_positive(omega)
-    if mineig <= 0.0:
-        raise DomainError(f"metric not positive definite (min eig {mineig:.3e} at {where})")
+    _require_positive(omega, "metric")
     binom = math.comb(n, k)
     if alpha.is_constant and omega.is_constant:
         lam = eigenvalues_rel(alpha.const, omega.const, check=False)
@@ -258,23 +258,8 @@ def total_volume(omega):
 
 def compute_c(chi, omega, m):
     """Ratio of the top self-intersection to the m-fold mixed integral."""
-    mats = chi.matrices()
-    lam = np.linalg.eigvalsh(mats.reshape(-1, chi.grid.n, chi.grid.n))
-    i = int(np.argmin(lam[:, 0]))
-    if lam[i, 0] <= 0.0:
-        where = np.unravel_index(i, chi.grid.shape)
-        raise DomainError(f"chi not positive definite (min eig {lam[i, 0]:.3e} at {where})")
+    _require_positive(chi, "chi")
     return integrate_mixed(chi, chi.grid.n, omega) / integrate_mixed(chi, m, omega)
-
-
-def compute_b(chi, chitilde, omega, t, c, m):
-    """Source constant of the t-approximation family, from its quadrature identity."""
-    if t < 0:
-        raise InputError(f"t must be >= 0, got {t}")
-    big = (1.0 + t) * chi + chitilde
-    n = chi.grid.n
-    num = integrate_mixed(big, n, omega) - c * integrate_mixed(big, m, omega)
-    return num / total_volume(omega)
 
 
 @dataclass
@@ -377,64 +362,6 @@ def normalize_density(f_raw, omega):
         raise DomainError("density must be strictly positive before normalization")
     integral = integrate_density(grid_vals, omega)
     return grid_vals * (total_volume(omega) / integral)
-
-
-@dataclass
-class CalibrationResult:
-    mode: str  # "calibrated" | "relaxed"
-    chi: FormField
-    chitilde: FormField
-    c: float
-    amplitude: float
-    scale: float
-    b0: float
-    fprime0: float
-
-
-def calibrate_instance(chi_family, chitilde_direction, omega, m, bracket, s_max=4.0, samples=33):
-    """Two-parameter instance search: boundary-case chi, then a chitilde scale.
-
-    The scale search looks for a second root of
-        F(s) = integral (chi + s*chitilde0)^n - c * integral (chi + s*chitilde0)^m wedge omega^(n-m)
-    beyond the trivial F(0) = 0. Under the cone condition F is nondecreasing at
-    0, so on generic families no second root exists and the relaxed instance
-    (scale 1, limit constant b0 = F(1)/vol > 0) is returned; that is a valid
-    outcome, not an error.
-    """
-    tuned = tune_to_boundary(chi_family, omega, m, bracket)
-    if tuned.mode != "boundary":
-        raise ConstructionError(f"family admits no boundary amplitude ({tuned.mode})")
-    chi, c = tuned.chi, tuned.c
-    n = chi.grid.n
-    vol = total_volume(omega)
-
-    def fval(s):
-        big = chi + s * chitilde_direction
-        return integrate_mixed(big, n, omega) - c * integrate_mixed(big, m, omega)
-
-    szero = abs(fval(0.0))
-    if szero > 1e-9 * (1.0 + abs(c)):
-        raise ConstructionError(f"F(0) = {szero:.3e} not zero; c inconsistent")
-    # F is a degree-n polynomial in s; n+1 samples determine it exactly
-    nodes = np.linspace(0.0, 1.0, n + 1)
-    poly = np.polynomial.Polynomial.fit(nodes, [fval(s) for s in nodes], deg=n)
-    fprime0 = float(poly.deriv()(0.0))
-    grid_s = np.linspace(0.0, s_max, samples)[1:]
-    vals = [fval(s) for s in grid_s]
-    root = None
-    for s_prev, v_prev, s_cur, v_cur in zip(
-        np.r_[0.0, grid_s[:-1]], np.r_[0.0, vals[:-1]], grid_s, vals
-    ):
-        if v_prev > 0.0 and v_cur <= 0.0:
-            root = brentq(fval, s_prev, s_cur, xtol=1e-13)
-            break
-    if root is not None:
-        return CalibrationResult(
-            "calibrated", chi, root * chitilde_direction, c, tuned.amplitude, float(root), 0.0, fprime0
-        )
-    return CalibrationResult(
-        "relaxed", chi, 1.0 * chitilde_direction, c, tuned.amplitude, 1.0, fval(1.0) / vol, fprime0
-    )
 
 
 def distance_to_set(grid, mask):

@@ -13,15 +13,7 @@ import numpy as np
 import pytest
 
 from hessquot.fakeboundary import prepare_instance, solve_b_prime, two_stage_solve
-from hessquot.instances import (
-    TWO_PI,
-    boundary_degenerate_instance,
-    degenerate_instance,
-    fake_boundary_sample,
-    manufactured_instance,
-    uniform_instance,
-)
-from hessquot.pointwise import eigensystem_rel, elementary_sym
+from hessquot.instances import fake_boundary_sample, manufactured_instance, uniform_instance
 from hessquot.selfcheck import (
     suite_cone_margin_oracle,
     suite_degiorgi,
@@ -30,18 +22,10 @@ from hessquot.selfcheck import (
     suite_strong_concavity,
     suite_symmetric_functions,
 )
-from hessquot.solver import (
-    continuation_path,
-    newton_solve,
-    quadrature_b,
-    stability_compare,
-    uniqueness_gap,
-    volume_lower_bound_check,
-)
-from hessquot.torus import complex_hessian, distance_to_set, normalize_density
+from hessquot.solver import newton_solve, quadrature_b
+from hessquot.studies import SCHEDULE, degenerate_path, stability_decades, uniqueness_limits
 
 FULL_TRIALS = 10_000
-SCHEDULE = tuple(2.0**-k for k in range(8))
 
 
 def _suite_checks(report, limit=None):
@@ -52,23 +36,11 @@ def _suite_checks(report, limit=None):
     return checks, detail
 
 
-def _sup_w_on(state, mask):
-    spec = state.spec
-    mats = spec.background.matrices() + complex_hessian(spec.grid, state.phi)
-    metric = spec.omega.const if spec.omega.is_constant else spec.omega.matrices().reshape(
-        -1, spec.n, spec.n
-    )
-    lam = eigensystem_rel(mats.reshape(-1, spec.n, spec.n), metric, check=False)[0]
-    w = np.log(elementary_sym(1, lam)).reshape(spec.grid.shape)
-    return float(w[mask].max())
-
-
 @pytest.fixture(scope="module")
 def degenerate_run():
-    inst = boundary_degenerate_instance(N=16)
     start = time.perf_counter()
-    result = continuation_path(lambda t: inst.spec(t), SCHEDULE)
-    return inst, result, time.perf_counter() - start
+    study = degenerate_path(16)
+    return study, time.perf_counter() - start
 
 
 def test_01_symmetric_function_suite(criterion):
@@ -139,11 +111,11 @@ def test_07_manufactured_solution(criterion):
 
 
 def test_08_continuation_boundedness(criterion, degenerate_run):
-    inst, result, elapsed = degenerate_run
+    study, elapsed = degenerate_run
+    result = study.path
     sups = [st.diagnostics["sup_phi"] for st in result.states]
     half = max(1, len(sups) // 2)
-    away = distance_to_set(inst.grid, inst.extras["degenerate_mask"]) > 0.2
-    away_w = [_sup_w_on(st, away) for st in result.states]
+    away_w = study.away_w
     global_w = [st.diagnostics["sup_w"] for st in result.states]
     checks = {
         "path_complete": result.complete,
@@ -158,11 +130,11 @@ def test_08_continuation_boundedness(criterion, degenerate_run):
 
 
 def test_09_volume_lower_bound(criterion, degenerate_run):
-    inst, result, _ = degenerate_run
-    assert result.complete
-    final = result.states[-1]
+    study, _ = degenerate_run
+    assert study.path.complete
+    inst = study.instance
     floor = inst.c ** (inst.grid.n / (inst.grid.n - inst.m))
-    slack = volume_lower_bound_check(final, inst.c)
+    slack = study.volume_slack
     criterion(
         9,
         "volume form lower bound at the final step",
@@ -207,33 +179,11 @@ def test_11_fake_boundary_two_stage(criterion):
 def test_12_stability_and_uniqueness(criterion):
     # decade sweep: paired source perturbations at a shared amplitude,
     # implied constant read off each pair
-    inst = uniform_instance(N=16)
-    coords = inst.grid.coords()
-    shape1 = np.broadcast_to(np.cos(TWO_PI * coords["x1"]), inst.grid.shape)
-    shape2 = np.broadcast_to(np.sin(TWO_PI * coords["y2"]), inst.grid.shape)
-    implied = []
-    for amp in (0.1, 0.01, 0.001):
-        run1 = newton_solve(inst.spec(0.5, f=normalize_density(1.0 + amp * shape1, inst.omega)))
-        run2 = newton_solve(inst.spec(0.5, f=normalize_density(1.0 + amp * shape2, inst.omega)))
-        implied.append(stability_compare(run1, run2, 2.0).c_implied)
+    implied = [rec.c_implied for _, rec in stability_decades(16, t=0.5, q=2.0)]
     ratios = [max(a / b, b / a) for a, b in zip(implied, implied[1:])]
 
     # uniqueness: two differently perturbed paths, one shared limit equation
-    deg = degenerate_instance(N=32)
-    dcoords = deg.grid.coords()
-    shapes = (
-        np.broadcast_to(np.cos(TWO_PI * dcoords["x1"]), deg.grid.shape),
-        np.broadcast_to(np.sin(TWO_PI * dcoords["y2"]), deg.grid.shape),
-    )
-    limits = []
-    for shape in shapes:
-        family = lambda t, s=shape: deg.spec(
-            t, f=normalize_density(1.0 + t * 0.3 * s, deg.omega)
-        )
-        path = continuation_path(family, SCHEDULE)
-        assert path.complete, path.failure
-        limits.append(newton_solve(deg.spec(SCHEDULE[-1]), init=path.states[-1]))
-    gap = uniqueness_gap(limits[0].phi, limits[1].phi, deg.extras["ample_mask"])
+    _, gap = uniqueness_limits(32, amp=0.3)
 
     criterion(
         12,

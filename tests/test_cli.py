@@ -261,18 +261,22 @@ class TestSelftest:
 
 class TestUsageContract:
     @pytest.mark.parametrize(
-        "cfg",
+        ("command", "cfg"),
         [
-            "instance = nope\n",
-            "bogus_key = 1\n",
-            "grid_N = 12\n",
-            "grid_N = 0\n",
-            "m = 7\n",
-            "instance = boundary\neps = 0.2\n",
-        ],
+            pytest.param("check-cone", cfg, id=cfg)
+            for cfg in (
+                "instance = nope\n",
+                "bogus_key = 1\n",
+                "grid_N = 12\n",
+                "grid_N = 0\n",
+                "m = 7\n",
+                "instance = boundary\neps = 0.2\n",
+            )
+        ]
+        + [pytest.param("fake-boundary", "grid_N = 2\n", id="fake-boundary grid_N = 2\n")],
     )
-    def test_bad_configs(self, tmp_path, cfg):
-        code, summary, _ = run_cli(tmp_path, "check-cone", cfg)
+    def test_bad_configs(self, tmp_path, command, cfg):
+        code, summary, _ = run_cli(tmp_path, command, cfg)
         assert code == EXIT_USAGE
         assert summary is None
 

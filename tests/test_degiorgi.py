@@ -1,18 +1,10 @@
-"""Iteration-lemma threshold, sublevel-set masses, and the decay fit."""
+"""Iteration-lemma threshold and sublevel-set masses."""
 
 import numpy as np
 import pytest
 
-from hessquot.degiorgi import (
-    DecaySamples,
-    decay_fit,
-    degiorgi_threshold,
-    level_set_mass,
-    read_mass_csv,
-    sample_masses,
-    write_mass_csv,
-)
-from hessquot.errors import DomainError, InputError
+from hessquot.degiorgi import degiorgi_threshold, level_set_mass
+from hessquot.errors import DomainError
 from hessquot.torus import TorusGrid, identity_form
 
 TWO_PI = 2.0 * np.pi
@@ -96,86 +88,3 @@ class TestLevelSetMass:
         with pytest.raises(DomainError):
             level_set_mass(phi, np.full(g.shape, -1.0), identity_form(g), 0.1)
 
-
-class TestDecaySamples:
-    def test_validation(self):
-        DecaySamples(np.array([0.0, 1.0, 2.0]), np.array([3.0, 1.0, 0.0]))
-        with pytest.raises(InputError):
-            DecaySamples(np.array([0.0, 0.0, 1.0]), np.array([3.0, 1.0, 0.0]))
-        with pytest.raises(InputError):
-            DecaySamples(np.array([0.0, 1.0]), np.array([-0.1, -0.2]))
-        with pytest.raises(InputError):
-            DecaySamples(np.array([0.0, 1.0, 2.0]), np.array([1.0, 2.0, 0.0]))
-
-    def test_sample_masses_packaging(self):
-        g = TorusGrid(2, 8)
-        x1 = g.coords()["x1"]
-        phi = np.ascontiguousarray(np.broadcast_to(-0.4 - 0.4 * np.cos(TWO_PI * x1), g.shape))
-        samp = sample_masses(phi, np.ones(g.shape), identity_form(g), [0.0, 0.3, 0.5, 0.7])
-        assert samp.phi[0] == pytest.approx(1.0)
-        assert np.all(np.diff(samp.phi) <= 0.0)
-
-
-SYNTH_S = np.array([0.0, 0.22, 0.35, 0.52, 0.61, 0.74, 0.85, 0.9])
-
-
-class TestDecayFit:
-    def synth(self):
-        return DecaySamples(SYNTH_S, np.maximum(1.0 - SYNTH_S, 0.0) ** 10)
-
-    def test_synthetic_accepted_and_threshold_covers_vanishing(self):
-        fit = decay_fit(self.synth())
-        assert fit.accepted
-        assert fit.violation <= 0.10
-        assert fit.alpha > 0.0 and fit.beta > 1.0
-        # the sequence vanishes at s = 1; the fitted threshold must reach it
-        assert fit.threshold >= 1.0
-        assert max(1.0 - fit.threshold, 0.0) ** 10 == 0.0
-
-    def test_constructed_C_satisfies_consecutive_pairs(self):
-        fit = decay_fit(self.synth())
-        s, phi = SYNTH_S, np.maximum(1.0 - SYNTH_S, 0.0) ** 10
-        lhs = np.diff(s) ** fit.alpha * phi[1:]
-        rhs = fit.C * phi[:-1] ** fit.beta
-        assert np.all(lhs <= rhs * (1.0 + 1e-12))
-
-    def test_all_zero_masses_rejected(self):
-        samp = DecaySamples(np.arange(5.0), np.zeros(5))
-        fit = decay_fit(samp)
-        assert not fit.accepted
-        assert "positive" in fit.reason
-        with pytest.raises(DomainError):
-            fit.threshold
-
-    def test_too_few_positive_rejected(self):
-        samp = DecaySamples(np.arange(6.0), np.array([3.0, 2.0, 1.0, 0.0, 0.0, 0.0]))
-        assert not decay_fit(samp).accepted
-
-    def test_uniform_spacing_rejected_as_degenerate(self):
-        # constant gaps make the gap column collinear with the intercept
-        s = np.linspace(0.0, 0.9, 10)
-        fit = decay_fit(DecaySamples(s, np.maximum(1.0 - s, 0.0) ** 10))
-        assert not fit.accepted
-        assert "spacing" in fit.reason
-
-    def test_slowly_decaying_rejected(self):
-        # 1/(1+s) decay admits no beta > 1 hypothesis with small constants
-        s = np.array([0.0, 0.5, 1.2, 2.1, 3.3, 4.8, 7.0, 10.0])
-        fit = decay_fit(DecaySamples(s, 1.0 / (1.0 + s)))
-        assert not fit.accepted
-
-
-class TestMassCsv:
-    def test_roundtrip(self, tmp_path):
-        samp = DecaySamples(np.array([0.0, 0.25, 0.75]), np.array([1.0, 0.125, 0.0]))
-        path = tmp_path / "masses.csv"
-        write_mass_csv(path, samp)
-        back = read_mass_csv(path)
-        assert np.array_equal(back.s, samp.s)
-        assert np.array_equal(back.phi, samp.phi)
-
-    def test_bad_header(self, tmp_path):
-        p = tmp_path / "bad.csv"
-        p.write_text("a,b\n1,2\n")
-        with pytest.raises(InputError):
-            read_mass_csv(p)

@@ -1,0 +1,42 @@
+"""Smoke runs of the study scripts at N = 8: exit status and closing line."""
+
+import os
+import subprocess
+import sys
+
+import pytest
+
+import hessquot
+
+SCRIPTS_DIR = os.path.join(os.path.dirname(os.path.dirname(__file__)), "scripts")
+SRC_DIR = os.path.dirname(os.path.dirname(hessquot.__file__))
+
+
+def run_script(name):
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (SRC_DIR, env.get("PYTHONPATH")) if p)
+    proc = subprocess.run(
+        [sys.executable, os.path.join(SCRIPTS_DIR, name), "--grid-N", "8"],
+        capture_output=True, text=True, env=env, timeout=300,
+    )
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout.strip().splitlines()[-1]
+
+
+@pytest.mark.parametrize(
+    ("name", "prefix"),
+    [
+        ("degenerate_path.py", "volume floor slack at t=0.0078125: "),
+        ("uniqueness_limits.py", "uniqueness gap on ample region: "),
+    ],
+)
+def test_closing_line(name, prefix):
+    last = run_script(name)
+    assert last.startswith(prefix)
+    float(last[len(prefix):])
+
+
+def test_stability_decades_ratio_under_10():
+    last = run_script("stability_decades.py")
+    assert last.startswith("worst consecutive-decade ratio ")
+    assert last.endswith("(< 10)")

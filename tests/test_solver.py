@@ -38,7 +38,13 @@ from hessquot.solver import (
     volume_lower_bound_check,
     write_path_csv,
 )
-from hessquot.torus import TorusGrid, complex_hessian, constant_form, identity_form
+from hessquot.torus import (
+    TorusGrid,
+    complex_hessian,
+    constant_form,
+    identity_form,
+    normalize_density,
+)
 
 TWO_PI = 2.0 * np.pi
 
@@ -290,6 +296,30 @@ class TestDeterminantOracle:
         X = spec.background.matrices() + complex_hessian(spec.grid, st.phi)
         det = (X[..., 0, 0] * X[..., 1, 1] - np.abs(X[..., 0, 1]) ** 2).real
         resid = det - 1.0 - st.b * spec.source_field
+        assert np.abs(resid).max() <= 1e-9
+
+
+class TestThreeDimensional:
+    """n = 3 on TorusGrid(3, 4): background 1.5 I, c = 1, m = 1, f varying in x1.
+
+    The quadrature identity fixes b = s^3 - s = 1.875 at s = 1.5, and the
+    residual is checked with plain 3x3 determinants and traces.
+    """
+
+    def test_closed_form_b_and_determinant_residual(self):
+        grid = TorusGrid(3, 4)
+        omega = identity_form(grid)
+        f_raw = grid_field(grid, 1.0 + 0.3 * np.cos(TWO_PI * grid.coords()["x1"]))
+        f = normalize_density(f_raw, omega)
+        spec = EquationSpec(
+            n=3, m=1, background=constant_form(grid, 1.5 * np.eye(3)), omega=omega,
+            coefficient_field=1.0, source_field=f,
+        )
+        st = newton_solve(spec)
+        assert st.diagnostics["newton_iters"] > 0
+        assert abs(st.b - 1.875) <= 1e-12
+        X = spec.background.matrices() + complex_hessian(grid, st.phi)
+        resid = np.linalg.det(X).real - np.trace(X, axis1=-2, axis2=-1).real / 3.0 - st.b * f
         assert np.abs(resid).max() <= 1e-9
 
 

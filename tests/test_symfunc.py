@@ -99,21 +99,21 @@ class TestElementarySym:
 
 class TestExcluding:
     def test_pinned(self):
-        assert sf.elementary_sym_excluding(2, [1.0, 2.0, 3.0], [0]) == 6.0
-        assert sf.elementary_sym_excluding(-1, [1.0, 2.0, 3.0], [0, 1]) == 0.0
-        assert sf.elementary_sym_excluding(0, [1.0, 2.0], [1]) == 1.0
+        assert np.array_equal(sf.elementary_sym_excluding_each(2, [1.0, 2.0, 3.0]), [6.0, 3.0, 2.0])
+        assert np.array_equal(sf.elementary_sym_excluding_each(-1, [1.0, 2.0, 3.0]), [0.0] * 3)
+        assert np.array_equal(sf.elementary_sym_excluding_each(0, [1.0, 2.0]), [1.0, 1.0])
+        assert sf.elementary_sym_excluding_pairs(1, [1.0, 2.0, 3.0])[0, 1] == 3.0
 
     def test_oracle(self):
         rng = np.random.default_rng(13)
         for _ in range(150):
             n = int(rng.integers(2, 8))
             vals = rng.uniform(-8, 8, size=n)
-            r = int(rng.integers(1, min(n, 3) + 1))
-            excl = tuple(rng.choice(n, size=r, replace=False))
             for k in range(n):
-                got = sf.elementary_sym_excluding(k, vals, excl)
-                want = oracle_excluding(k, vals, excl)
-                assert got == pytest.approx(want, rel=1e-12, abs=1e-12)
+                each = sf.elementary_sym_excluding_each(k, vals)
+                for i in range(n):
+                    want = oracle_excluding(k, vals, [i])
+                    assert each[i] == pytest.approx(want, rel=1e-12, abs=1e-12)
 
     def test_each_and_pairs_match_single(self):
         rng = np.random.default_rng(17)
@@ -122,20 +122,12 @@ class TestExcluding:
         pairs = sf.elementary_sym_excluding_pairs(1, vals)
         for b in range(10):
             for i in range(4):
-                assert each[b, i] == pytest.approx(
-                    sf.elementary_sym_excluding(2, vals[b], [i]), rel=1e-13
-                )
+                assert each[b, i] == pytest.approx(oracle_excluding(2, vals[b], [i]), rel=1e-13)
                 for j in range(4):
                     excl = [i, j] if i != j else [i]
                     assert pairs[b, i, j] == pytest.approx(
-                        sf.elementary_sym_excluding(1, vals[b], excl), rel=1e-13
+                        oracle_excluding(1, vals[b], excl), rel=1e-13
                     )
-
-    def test_duplicate_indices_rejected(self):
-        with pytest.raises(InputError):
-            sf.elementary_sym_excluding(1, [1.0, 2.0], [0, 0])
-        with pytest.raises(InputError):
-            sf.elementary_sym_excluding(1, [1.0, 2.0], [2])
 
     @given(spectra, st.integers(min_value=0, max_value=6))
     @settings(max_examples=150, deadline=None)
@@ -147,11 +139,10 @@ class TestExcluding:
             k = n
         sk = sf.elementary_sym(k, vals)
         scale = 1.0 + abs(sk) + np.max(np.abs(vals)) ** max(k, 1)
-        for i in range(n):
-            lhs = sf.elementary_sym_excluding(k, vals, [i]) + vals[i] * sf.elementary_sym_excluding(
-                k - 1, vals, [i]
-            )
-            assert abs(lhs - sk) <= 1e-12 * scale
+        lhs = sf.elementary_sym_excluding_each(k, vals) + vals * sf.elementary_sym_excluding_each(
+            k - 1, vals
+        )
+        assert np.all(np.abs(lhs - sk) <= 1e-12 * scale)
 
 
 class TestWeightedIdentities:
@@ -175,15 +166,6 @@ class TestWeightedIdentities:
 
 
 class TestConesAndMeans:
-    def test_gamma_levels(self):
-        assert sf.gamma_cone_level(np.array([1.0, 2.0, 3.0])) == 3
-        assert sf.gamma_cone_level(np.array([3.0, -1.0])) == 1
-        assert sf.gamma_cone_level(np.array([-1.0, -2.0])) == 0
-        # positive orthant is exactly the full cone
-        rng = np.random.default_rng(5)
-        lam = rng.uniform(0.01, 10, size=(50, 4))
-        assert np.all(sf.gamma_cone_level(lam) == 4)
-
     def test_maclaurin(self):
         assert sf.maclaurin_normalized(1, [1.0, 2.0, 3.0]) == 2.0
         assert sf.maclaurin_normalized(2, [1.0, 2.0, 3.0]) == pytest.approx(11.0 / 3.0)

@@ -10,9 +10,7 @@ from hessquot.torus import (
     BoundaryTuning,
     FormField,
     TorusGrid,
-    calibrate_instance,
     complex_hessian,
-    compute_b,
     compute_c,
     constant_form,
     distance_to_set,
@@ -284,16 +282,13 @@ class TestIntegration:
         om = identity_form(g)
         pot = trig_poly(g, np.random.default_rng(23), max_mode=2, amplitude=0.001)
         chi = FormField(g, 2.0 * np.eye(2), pot)
-        chit = constant_form(g, 0.1 * np.eye(2))
         raw = integrate_mixed(chi, 2, om)
         c0 = compute_c(chi, om, 1)
-        b0 = compute_b(chi, chit, om, 0.5, c0, 1)
         f = grid_field(g, 1.5 + np.sin(TWO_PI * g.coords()["x1"]))
         fn0 = normalize_density(f, om)
         monkeypatch.setattr(torus, "DENSITY_CONVENTION_SCALE", 2.7)
         assert integrate_mixed(chi, 2, om) == pytest.approx(2.7 * raw, rel=1e-14)
         assert compute_c(chi, om, 1) == pytest.approx(c0, rel=1e-14)
-        assert compute_b(chi, chit, om, 0.5, c0, 1) == pytest.approx(b0, rel=1e-14)
         assert np.allclose(normalize_density(f, om), fn0, rtol=1e-14)
 
     def test_rejects_bad_k_and_bad_metric(self):
@@ -316,13 +311,10 @@ class TestIntegration:
 
 class TestComputeCB:
     def test_uniform_instance_pinned(self):
-        # chi = omega, chitilde = 0.1 omega, t = 0.5: b = s^2 - s at s = 1.6
+        # chi = omega gives c = 1; b of the uniform family is pinned in test_solver
         g = TorusGrid(2, 8)
         om = identity_form(g)
-        c = compute_c(om, om, 1)
-        assert c == pytest.approx(1.0, rel=1e-14)
-        b = compute_b(om, constant_form(g, 0.1 * np.eye(2)), om, 0.5, c, 1)
-        assert b == pytest.approx(0.96, rel=1e-13)
+        assert compute_c(om, om, 1) == pytest.approx(1.0, rel=1e-14)
 
     def test_constant_anisotropic(self):
         g = TorusGrid(2, 8)
@@ -335,12 +327,6 @@ class TestComputeCB:
         g = TorusGrid(2, 8)
         with pytest.raises(DomainError):
             compute_c(constant_form(g, np.diag([1.0, 0.0])), identity_form(g), 1)
-
-    def test_compute_b_rejects_negative_t(self):
-        g = TorusGrid(2, 8)
-        om = identity_form(g)
-        with pytest.raises(InputError):
-            compute_b(om, om, om, -0.25, 1.0, 1)
 
     def test_ma_case_m_zero(self):
         # m = 0 turns the denominator into the plain volume
@@ -425,31 +411,6 @@ class TestNormalizeDensity:
         f = grid_field(g, np.sin(TWO_PI * g.coords()["x1"]))
         with pytest.raises(DomainError):
             normalize_density(f, identity_form(g))
-
-
-class TestCalibrate:
-    def test_boundary_family_relaxed_outcome(self):
-        # with chitilde in the omega direction F(s) = s^2 + s > 0 for s > 0,
-        # so no second root exists and the relaxed branch is the right answer
-        g = TorusGrid(2, 16)
-        om = identity_form(g)
-        c = g.coords()
-        psi = grid_field(g, np.cos(TWO_PI * c["x1"]) + np.cos(TWO_PI * c["y1"]))
-        fam = lambda a: FormField(g, np.eye(2), a * psi)
-        res = calibrate_instance(fam, om, om, 1, (0.0, 0.05))
-        assert res.mode == "relaxed"
-        assert res.c == pytest.approx(1.0, rel=1e-12)
-        assert res.amplitude == pytest.approx(1.0 / (4.0 * np.pi**2), rel=1e-10)
-        assert res.b0 == pytest.approx(2.0, rel=1e-12)
-        assert res.fprime0 == pytest.approx(1.0, abs=1e-9)
-        assert res.scale == 1.0
-
-    def test_requires_boundary_family(self):
-        g = TorusGrid(2, 16)
-        om = identity_form(g)
-        fam = lambda a: FormField(g, (1.0 + a) * np.eye(2))
-        with pytest.raises(ConstructionError, match="strict"):
-            calibrate_instance(fam, om, om, 1, (0.0, 0.05))
 
 
 class TestDistance:
