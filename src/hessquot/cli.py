@@ -150,10 +150,26 @@ def _require(cfg, allowed, command):
         raise UsageError(f"{command}: unknown config keys {unknown}; allowed: {sorted(allowed)}")
 
 
+def _number(cfg, key, default, integer=False):
+    """A numeric config value: finite, and integral for integer keys.
+
+    Every numeric key goes through here, so a bad value is a usage error,
+    never a traceback.
+    """
+    value = cfg.get(key, default)
+    ok = isinstance(value, (int, float)) and not isinstance(value, bool)
+    if isinstance(value, float):
+        ok = math.isfinite(value) and (value.is_integer() or not integer)
+    if not ok:
+        kind = "an integer" if integer else "a finite number"
+        raise UsageError(f"{key} must be {kind}, got {value!r}")
+    return int(value) if integer else float(value)
+
+
 def _grid_N(cfg):
     """grid_N from the config, held to TorusGrid's rule before anything is built."""
+    N = _number(cfg, "grid_N", 16, integer=True)
     try:
-        N = int(cfg.get("grid_N", 16))
         TorusGrid(2, N)
     except ValueError as err:
         raise UsageError(f"grid_N: {err}") from err
@@ -165,21 +181,21 @@ _INSTANCES = ("uniform", "boundary", "degenerate", "boundary_degenerate", "manuf
 
 def build_instance(cfg):
     name = str(cfg.get("instance", "uniform"))
-    N, m = _grid_N(cfg), int(cfg.get("m", 1))
+    N, m = _grid_N(cfg), _number(cfg, "m", 1, integer=True)
     if name not in _INSTANCES:
         raise UsageError(f"unknown instance {name!r}; have {_INSTANCES}")
     if name != "uniform" and "eps" in cfg:
         raise UsageError("eps only applies to the uniform instance")
     try:
         if name == "uniform":
-            return uniform_instance(N=N, eps=float(cfg.get("eps", 0.1)), m=m)
+            return uniform_instance(N=N, eps=_number(cfg, "eps", 0.1), m=m)
         if name == "boundary":
             return boundary_instance(N=N, m=m)
         if name == "degenerate":
             return degenerate_instance(N=N, m=m)
         if name == "boundary_degenerate":
             return boundary_degenerate_instance(N=N, m=m)
-        if "m" in cfg and int(cfg["m"]) != 1:
+        if m != 1:
             raise UsageError("manufactured instance fixes m = 1")
         return manufactured_instance(N=N)
     except (InputError, DomainError) as err:
@@ -187,9 +203,9 @@ def build_instance(cfg):
 
 
 def _solver_config(cfg, default_tol):
-    kwargs = {"tol": float(cfg.get("tol", default_tol))}
+    kwargs = {"tol": _number(cfg, "tol", default_tol)}
     if "max_newton" in cfg:
-        kwargs["max_newton"] = int(cfg["max_newton"])
+        kwargs["max_newton"] = _number(cfg, "max_newton", None, integer=True)
     return SolverConfig(**kwargs)
 
 
@@ -205,11 +221,11 @@ def _base_payload(command, args):
 
 def cmd_check_cone(cfg, args, outdir):
     _require(cfg, {"instance", "grid_N", "m", "eps", "scale", "margin_tol"}, "check-cone")
-    inst = build_instance(cfg)
-    scale = float(cfg.get("scale", 1.0))
+    scale = _number(cfg, "scale", 1.0)
     if scale <= 0.0:
         raise UsageError(f"scale must be positive, got {scale}")
-    tol = float(cfg.get("margin_tol", 1e-9))
+    tol = _number(cfg, "margin_tol", 1e-9)
+    inst = build_instance(cfg)
     # the scale knob moves chi against the fixed constant of the unscaled
     # instance; scaling both would leave the classification invariant
     mu = form_eigenvalues(scale * inst.chi, inst.omega)
@@ -245,9 +261,9 @@ def cmd_solve(cfg, args, outdir):
         {"instance", "grid_N", "m", "eps", "t", "tol", "max_newton", "dump_fields"},
         "solve",
     )
-    inst = build_instance(cfg)
-    t = float(cfg.get("t", 0.5))
+    t = _number(cfg, "t", 0.5)
     config = _solver_config(cfg, 1e-10)
+    inst = build_instance(cfg)
     payload = _base_payload("solve", args)
     payload["instance"] = inst.name
     payload["t"] = t
@@ -360,20 +376,21 @@ def cmd_stability(cfg, args, outdir):
     for key in ("f1_amplitude", "f2_amplitude"):
         if key not in cfg:
             raise UsageError(f"stability needs two f descriptors; missing {key}")
-    inst = build_instance(cfg)
-    t = float(cfg.get("t", 0.5))
-    q = float(cfg.get("q", 2.0))
+    t = _number(cfg, "t", 0.5)
+    q = _number(cfg, "q", 2.0)
     config = _solver_config(cfg, 1e-10)
-    f1 = _perturbed_density(inst, str(cfg.get("f1_shape", "cos_x1")), float(cfg["f1_amplitude"]))
-    f2 = _perturbed_density(inst, str(cfg.get("f2_shape", "cos_x1")), float(cfg["f2_amplitude"]))
+    amp1, amp2 = _number(cfg, "f1_amplitude", None), _number(cfg, "f2_amplitude", None)
+    inst = build_instance(cfg)
+    f1 = _perturbed_density(inst, str(cfg.get("f1_shape", "cos_x1")), amp1)
+    f2 = _perturbed_density(inst, str(cfg.get("f2_shape", "cos_x1")), amp2)
     payload = _base_payload("stability", args)
     payload.update(
         {
             "instance": inst.name,
             "t": t,
             "q": q,
-            "f1": {"shape": str(cfg.get("f1_shape", "cos_x1")), "amplitude": float(cfg["f1_amplitude"])},
-            "f2": {"shape": str(cfg.get("f2_shape", "cos_x1")), "amplitude": float(cfg["f2_amplitude"])},
+            "f1": {"shape": str(cfg.get("f1_shape", "cos_x1")), "amplitude": amp1},
+            "f2": {"shape": str(cfg.get("f2_shape", "cos_x1")), "amplitude": amp2},
         }
     )
     try:
@@ -406,9 +423,11 @@ def cmd_stability(cfg, args, outdir):
 def cmd_fake_boundary(cfg, args, outdir):
     _require(cfg, {"grid_N", "steps", "tol", "max_newton", "delta1", "dump_fields"}, "fake-boundary")
     N = _grid_N(cfg)
-    steps = int(cfg.get("steps", 16))
+    steps = _number(cfg, "steps", 16, integer=True)
     if steps < 1:
         raise UsageError(f"steps must be >= 1, got {steps}")
+    delta1 = _number(cfg, "delta1", None) if "delta1" in cfg else None
+    config = _solver_config(cfg, 1e-8)
     sample = fake_boundary_sample(N=N)
     payload = _base_payload("fake-boundary", args)
     try:
@@ -417,7 +436,7 @@ def cmd_fake_boundary(cfg, args, outdir):
             sample["chi"],
             sample["omega"],
             sample["m"],
-            delta1=float(cfg["delta1"]) if "delta1" in cfg else None,
+            delta1=delta1,
         )
     except (InputError, DomainError, ConstructionError) as err:
         raise UsageError(f"fake-boundary preparation failed: {err}") from err
@@ -431,7 +450,6 @@ def cmd_fake_boundary(cfg, args, outdir):
             "log_rescale": inst.log_rescale,
         }
     )
-    config = _solver_config(cfg, 1e-8)
     csv_name = "stages.csv"
     try:
         result = two_stage_solve(
@@ -482,8 +500,9 @@ def cmd_selftest(cfg, args, outdir):
     if "suites" in cfg:
         names = [tok.strip() for tok in str(cfg["suites"]).split(",") if tok.strip()]
     kwargs = {"seed": args.seed, "quick": bool(args.quick)}
-    if "trials" in cfg and not args.quick:
-        kwargs["trials"] = int(cfg["trials"])
+    trials = _number(cfg, "trials", None, integer=True) if "trials" in cfg else None
+    if trials is not None and not args.quick:
+        kwargs["trials"] = trials
     try:
         reports = run_suites(names=names, **kwargs)
     except KeyError as err:

@@ -20,7 +20,6 @@ from __future__ import annotations
 import csv
 import math
 from dataclasses import dataclass, field
-from itertools import product
 
 import numpy as np
 from scipy.sparse.linalg import LinearOperator, lgmres
@@ -39,8 +38,12 @@ from .torus import (
     DENSITY_CONVENTION_SCALE,
     FormField,
     complex_hessian,
+    divide_by_symbol,
+    frozen_symbol,
     holomorphic_gradient,
     integrate_density,
+    pack_hermitian,
+    packed_hessian,
     total_volume,
 )
 
@@ -136,13 +139,17 @@ def strip_kernel_modes(grid, values, keep_mean=False):
     part is matched by the scalar unknown, while the remaining kernel modes
     are invisible to the discrete Hessian, so leaving them in the rows makes
     the linear systems inconsistent and the Krylov iteration stagnates.
+
+    Those modes span the functions of period 2 along every axis, so the
+    projection subtracts the mean over each parity class of grid points.
     """
-    fhat = np.fft.fftn(values)
-    for idx in product((0, grid.N // 2), repeat=2 * grid.n):
-        if keep_mean and not any(idx):
-            continue
-        fhat[idx] = 0.0
-    return np.fft.ifftn(fhat).real
+    blocks = np.reshape(values, (grid.N // 2, 2) * (2 * grid.n))
+    means = blocks
+    for axis in range(0, blocks.ndim, 2):  # one axis at a time: contiguous sums
+        means = means.mean(axis=axis, keepdims=True)
+    if keep_mean:
+        means = means - means.mean()
+    return (blocks - means).reshape(grid.shape)
 
 
 def _eigensystem(spec, phi):
@@ -212,16 +219,22 @@ def _linear_step(spec, ev, config, rsup_prev):
     info is the LGMRES status: 0 on convergence to the forcing tolerance.
     """
     grid = spec.grid
+    n = spec.n
     P = grid.npoints
     a = linearization_coefficients(ev.lam, ev.params)
-    amat = np.einsum("pij,pj,pkj->pik", ev.vecs, a, np.conj(ev.vecs), optimize=True)
+    amat = np.einsum("pij,pj,pkj->pik", ev.vecs, a, np.conj(ev.vecs))
+    # A packed once per step, off-diagonals doubled, so that tr(A Hess) =
+    # sum_j A_jj H_jj + 2 sum_{j<k} (Re A_jk Re H_jk + Im A_jk Im H_jk)
+    # is one real contraction with the packed Hessian
+    weights = np.ascontiguousarray(np.moveaxis(pack_hermitian(amat) * (2.0 - np.eye(n)), 0, -1))
+    del amat  # the Krylov solve needs only the packed copy
     col = ev.dresid_db
 
     def matvec(u):
         dphi = u[:P].reshape(grid.shape)
         db = u[P]
-        hess = complex_hessian(grid, dphi).reshape(-1, spec.n, spec.n)
-        trace = np.einsum("pij,pji->p", amat, hess, optimize=True).real
+        hess = packed_hessian(grid, dphi).reshape(n, n, P)
+        trace = np.einsum("jkp,jkp->p", weights, hess)
         rows = strip_kernel_modes(grid, (-trace + col * db).reshape(grid.shape), keep_mean=True)
         out = np.empty(P + 1)
         out[:P] = rows.reshape(-1)
@@ -230,21 +243,15 @@ def _linear_step(spec, ev, config, rsup_prev):
 
     # constant-coefficient symbol: sum_j abar_j |p_j|^2 diagonalizes the
     # frozen operator in Fourier space; kernel modes share the Hessian's
-    abar = [max(float(np.mean(amat[:, j, j].real)), 1e-300) for j in range(spec.n)]
-    symbol = 0.0
-    for j in range(spec.n):
-        symbol = symbol + abar[j] * np.abs(grid.holomorphic_multiplier(j)) ** 2
-    symbol = np.broadcast_to(symbol, grid.shape)
-    invertible = symbol > 0.0
+    abar = [max(float(np.mean(weights[j, j])), 1e-300) for j in range(n)]
+    symbol = frozen_symbol(grid, abar)
     col_mean = float(np.mean(col))
 
     def psolve(r):
         r1 = r[:P].reshape(grid.shape)
         r2 = r[P]
         db = float(np.mean(r1)) / col_mean
-        rhat = np.fft.fftn(r1 - db * col.reshape(grid.shape))
-        rhat = np.where(invertible, rhat / np.where(invertible, symbol, 1.0), 0.0)
-        dphi = np.fft.ifftn(rhat).real + r2
+        dphi = divide_by_symbol(grid, symbol, r1 - db * col.reshape(grid.shape)) + r2
         out = np.empty(P + 1)
         out[:P] = dphi.reshape(-1)
         out[P] = db
@@ -305,7 +312,7 @@ def newton_solve(spec, init=None, config=None, t=math.nan):
                 f"no convergence in {config.max_newton} Newton steps (residual {ev.rsup:.3e})",
                 state=_make_state(spec, phi, b, t, ev, iters, krylov_total),
             )
-        dphi, db, nit, _ = _linear_step(spec, ev, config, rsup_prev)
+        dphi, db, nit, info = _linear_step(spec, ev, config, rsup_prev)
         krylov_total += nit
         tau = 1.0
         while True:
@@ -319,8 +326,10 @@ def newton_solve(spec, init=None, config=None, t=math.nan):
                 break
             tau *= 0.5
             if tau < config.damping_floor:
+                # an unconverged inner solve may give no descent direction
+                note = f" after an LGMRES solve that stopped short (info {info})" if info else ""
                 raise NonconvergenceError(
-                    f"damping floor reached at residual {ev.rsup:.3e}",
+                    f"damping floor reached at residual {ev.rsup:.3e}{note}",
                     state=_make_state(spec, phi, b, t, ev, iters, krylov_total),
                 )
         rsup_prev = ev.rsup

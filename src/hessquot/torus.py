@@ -3,8 +3,9 @@
 The torus is [0,1)^{2n} with complex coordinates z_j = x_j + i y_j and N
 grid points per real axis, axis order (x1, y1, x2, y2, ...). Differentiation
 is spectral (exact for band-limited fields, Nyquist dropped from first-order
-multipliers); integration is the periodic trapezoid rule, i.e. the plain
-grid mean, which is spectrally accurate here.
+multipliers) and runs on real FFTs: every operator is a real field times a
+real symbol cached per grid in rfftn layout; integration is the periodic
+trapezoid rule, i.e. the plain grid mean, which is spectrally accurate here.
 
 Density convention: the top form omega^n corresponds to the density
 det(omega_matrix) * dV, with one fixed multiplicative constant shared by
@@ -13,12 +14,14 @@ every integral so that all ratios (c, b_t, theta0) are convention-free.
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 import os
 from dataclasses import dataclass, field
 
 import numpy as np
+import scipy.fft
 from scipy.optimize import brentq
 from scipy.spatial import cKDTree
 
@@ -85,11 +88,37 @@ class TorusGrid:
         shape[axis] = self.N
         return k.reshape(shape)
 
-    def holomorphic_multiplier(self, j):
-        """Fourier symbol of d/dz_j = (d/dx_j - i d/dy_j)/2."""
-        kx = self.wavenumber(2 * j)
-        ky = self.wavenumber(2 * j + 1)
-        return 0.5 * (ky + 1j * kx)
+
+@functools.lru_cache(maxsize=4)
+def _symbols(grid):
+    """Per-grid wavenumbers (kx, ky) and packed Hessian symbols, rfftn layout.
+
+    rfftn keeps the nonnegative half of the last axis, whose Nyquist entry
+    wavenumber() zeroes like every other, so that axis is cut to N/2 + 1.
+    d/dz_j has symbol (ky_j + i kx_j)/2, so H_jk = d_j dbar_k has the real
+    part -(ky_j ky_k + kx_j kx_k)/4 and the imaginary part
+    -(kx_j ky_k - ky_j kx_k)/4, both even in k: each packed entry of the
+    Hessian of a real field is the inverse real FFT of one real symbol.
+    """
+    n = grid.n
+    k = [grid.wavenumber(axis) for axis in range(2 * n)]
+    k[-1] = k[-1][..., : grid.N // 2 + 1]
+    kx, ky = k[0::2], k[1::2]
+    hess = np.empty((n, n) + grid.shape[:-1] + (grid.N // 2 + 1,))
+    for i in range(n):
+        hess[i, i] = -0.25 * (kx[i] ** 2 + ky[i] ** 2)
+        for j in range(i + 1, n):
+            hess[i, j] = -0.25 * (ky[i] * ky[j] + kx[i] * kx[j])
+            hess[j, i] = -0.25 * (kx[i] * ky[j] - ky[i] * kx[j])
+    for arr in (*kx, *ky, hess):
+        arr.flags.writeable = False
+    return kx, ky, hess
+
+
+def _irfftn(grid, spectra):
+    """Real fields from a batch of rfftn-layout spectra on the trailing axes."""
+    axes = tuple(range(-2 * grid.n, 0))
+    return scipy.fft.irfftn(spectra, s=grid.shape, axes=axes, overwrite_x=True)
 
 
 def _check_scalar(grid, values):
@@ -101,35 +130,53 @@ def _check_scalar(grid, values):
     return values
 
 
+def packed_hessian(grid, phi):
+    """Spectral complex Hessian as n*n real fields, shape (n, n) + grid.shape.
+
+    The leading axes hold HERMITIAN_PACKING: [i, i] is H_ii and, for i < j,
+    [i, j] is Re H_ij and [j, i] is Im H_ij. One rfftn and one batched irfftn.
+    """
+    phi = _check_scalar(grid, phi)
+    return _irfftn(grid, scipy.fft.rfftn(phi) * _symbols(grid)[2])
+
+
 def complex_hessian(grid, phi):
     """Spectral complex Hessian (d_i dbar_j phi), shape grid.shape + (n, n).
 
     Hermitian by construction; exact for band-limited periodic fields.
     """
-    phi = _check_scalar(grid, phi)
-    n = grid.n
-    fhat = np.fft.fftn(phi)
-    mults = [grid.holomorphic_multiplier(j) for j in range(n)]
-    hess = np.empty(grid.shape + (n, n), dtype=np.complex128)
-    for j in range(n):
-        for k in range(j, n):
-            entry = np.fft.ifftn(fhat * (-mults[j] * np.conj(mults[k])))
-            if j == k:
-                entry = entry.real.astype(np.complex128)
-            hess[..., j, k] = entry
-            if j != k:
-                hess[..., k, j] = np.conj(entry)
-    return hess
+    return unpack_hermitian(np.moveaxis(packed_hessian(grid, phi), (0, 1), (-2, -1)))
 
 
 def holomorphic_gradient(grid, phi):
-    """(d phi / d z_j) for each j, shape grid.shape + (n,)."""
+    """(d phi / d z_j) for each j, shape grid.shape + (n,).
+
+    d/dz_j = (d/dx_j - i d/dy_j)/2, so the real and imaginary parts are the
+    real fields with symbols i kx_j / 2 and -i ky_j / 2.
+    """
     phi = _check_scalar(grid, phi)
-    fhat = np.fft.fftn(phi)
-    out = np.empty(grid.shape + (grid.n,), dtype=np.complex128)
-    for j in range(grid.n):
-        out[..., j] = np.fft.ifftn(fhat * grid.holomorphic_multiplier(j))
-    return out
+    kx, ky, _ = _symbols(grid)
+    fhat = scipy.fft.rfftn(phi)
+    spectra = [fhat * (0.5j * k) for k in kx] + [fhat * (-0.5j * k) for k in ky]
+    parts = _irfftn(grid, np.stack(spectra))
+    return np.moveaxis(parts[: grid.n] + 1j * parts[grid.n :], 0, -1)
+
+
+def frozen_symbol(grid, weights):
+    """Symbol of -sum_j w_j d_j dbar_j in rfftn layout, inf on the kernel modes.
+
+    With every w_j > 0 it vanishes exactly on the modes whose every axis
+    frequency is 0 or Nyquist; inf there makes divide_by_symbol drop them.
+    """
+    hess = _symbols(grid)[2]
+    symbol = -sum(w * hess[j, j] for j, w in enumerate(weights))
+    return np.where(symbol > 0.0, symbol, np.inf)
+
+
+def divide_by_symbol(grid, symbol, values):
+    """The real field whose spectrum is values' divided by a frozen_symbol."""
+    values = np.asarray(values, dtype=np.float64)
+    return _irfftn(grid, scipy.fft.rfftn(values) / symbol)
 
 
 @dataclass(eq=False)

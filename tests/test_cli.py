@@ -211,7 +211,14 @@ class TestFakeBoundary:
         lines = (outdir / "stages.csv").read_text().strip().splitlines()
         assert lines[0] == "t,b_t,residual_sup,min_band_slack,min_cone_margin"
         assert len(lines) == 1 + summary["records"]
-        check_golden("fake_boundary8", summary)
+
+    def test_golden_n16(self, tmp_path):
+        # N = 8 stalls at its aliasing floor (2e-5), where the normalized
+        # summary moves with one-ulp changes to the operators; at N = 16 and
+        # the default tol every stage converges and six digits are stable
+        code, summary, _ = run_cli(tmp_path, "fake-boundary", "grid_N = 16\n")
+        assert code == EXIT_OK
+        check_golden("fake_boundary16", summary)
 
     def test_infeasible_delta1_is_usage_error(self, tmp_path):
         code, _, _ = run_cli(tmp_path, "fake-boundary", "grid_N = 8\ndelta1 = 5.0\n")
@@ -271,9 +278,32 @@ class TestUsageContract:
                 "grid_N = 0\n",
                 "m = 7\n",
                 "instance = boundary\neps = 0.2\n",
+                "m = two\n",
+                "m = 1.5\n",
+                "m = true\n",
+                "grid_N = 8.5\n",
+                "grid_N = 8e400\n",
+                "scale = big\n",
+                "margin_tol = nan\n",
+                "eps = inf\n",
             )
         ]
-        + [pytest.param("fake-boundary", "grid_N = 2\n", id="fake-boundary grid_N = 2\n")],
+        + [
+            pytest.param(command, cfg, id=f"{command} {cfg}")
+            for command, cfg in (
+                ("fake-boundary", "grid_N = 2\n"),
+                ("fake-boundary", "steps = many\n"),
+                ("fake-boundary", "steps = 2.5\n"),
+                ("fake-boundary", "delta1 = wide\n"),
+                ("fake-boundary", "max_newton = 2.5\n"),
+                ("solve", "t = half\n"),
+                ("solve", "tol = -inf\n"),
+                ("continue", "max_newton = many\n"),
+                ("stability", "f1_amplitude = 0.1\nf2_amplitude = small\n"),
+                ("stability", "q = nan\nf1_amplitude = 0.1\nf2_amplitude = 0.05\n"),
+                ("selftest", "trials = 1.5\n"),
+            )
+        ],
     )
     def test_bad_configs(self, tmp_path, command, cfg):
         code, summary, _ = run_cli(tmp_path, command, cfg)

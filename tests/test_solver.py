@@ -380,6 +380,20 @@ class TestFailureModes:
         assert st.diagnostics["newton_iters"] == 1
         assert st.residual_sup > 1e-10
 
+    def test_damping_floor_names_unconverged_lgmres(self):
+        # away from t_star the N = 8 solution is not band-limited, so Newton
+        # stalls at the aliasing floor (6e-5) whatever the inner solves do;
+        # the message names the LGMRES status only when the last one stopped
+        # short of its forcing tolerance
+        spec = manufactured_instance(N=8).spec(1.0)
+        with pytest.raises(NonconvergenceError, match="damping floor") as err:
+            newton_solve(spec)
+        assert "LGMRES" not in str(err.value)
+        with pytest.raises(NonconvergenceError, match=r"stopped short \(info 1\)") as err:
+            newton_solve(spec, config=SolverConfig(krylov_maxiter=1, krylov_inner=1))
+        assert str(err.value).startswith("damping floor reached")
+        assert err.value.state.residual_sup > 1e-10
+
 
 class TestContinuation:
     def test_schedule_validation(self, degenerate8):

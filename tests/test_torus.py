@@ -1,10 +1,13 @@
 """Torus discretization tests: spectral derivatives, quadrature, instance tuning."""
 
+from itertools import product
+
 import numpy as np
 import pytest
 
 import hessquot.torus as torus
 from hessquot.errors import ConstructionError, DomainError, InputError
+from hessquot.solver import strip_kernel_modes
 from hessquot.symfunc import elementary_sym
 from hessquot.torus import (
     BoundaryTuning,
@@ -14,8 +17,10 @@ from hessquot.torus import (
     compute_c,
     constant_form,
     distance_to_set,
+    divide_by_symbol,
     dump_fields,
     form_eigenvalues,
+    frozen_symbol,
     holomorphic_gradient,
     identity_form,
     integrate_density,
@@ -24,6 +29,7 @@ from hessquot.torus import (
     make_degenerate_big,
     normalize_density,
     pack_hermitian,
+    packed_hessian,
     total_volume,
     tune_to_boundary,
     unpack_hermitian,
@@ -191,6 +197,116 @@ class TestGradient:
         g = TorusGrid(2, 8)
         grad = holomorphic_gradient(g, np.full(g.shape, 4.2))
         assert np.max(np.abs(grad)) < 1e-14
+
+
+# Complex-FFT reference definitions of the spectral operators: full complex
+# N-D transforms with the symbol of d/dz_j written out directly.
+def oracle_multiplier(grid, j):
+    return 0.5 * (grid.wavenumber(2 * j + 1) + 1j * grid.wavenumber(2 * j))
+
+
+def oracle_hessian(grid, phi):
+    fhat = np.fft.fftn(phi)
+    mults = [oracle_multiplier(grid, j) for j in range(grid.n)]
+    hess = np.empty(grid.shape + (grid.n, grid.n), dtype=np.complex128)
+    for j in range(grid.n):
+        for k in range(j, grid.n):
+            entry = np.fft.ifftn(fhat * (-mults[j] * np.conj(mults[k])))
+            if j == k:
+                entry = entry.real.astype(np.complex128)
+            hess[..., j, k] = entry
+            hess[..., k, j] = np.conj(entry)
+    return hess
+
+
+def oracle_gradient(grid, phi):
+    fhat = np.fft.fftn(phi)
+    return np.stack(
+        [np.fft.ifftn(fhat * oracle_multiplier(grid, j)) for j in range(grid.n)], axis=-1
+    )
+
+
+def oracle_strip(grid, values, keep_mean=False):
+    fhat = np.fft.fftn(values)
+    for idx in product((0, grid.N // 2), repeat=2 * grid.n):
+        if keep_mean and not any(idx):
+            continue
+        fhat[idx] = 0.0
+    return np.fft.ifftn(fhat).real
+
+
+def parity_classes(grid):
+    """Indicator fields of the 2^(2n) classes of grid points by index parity."""
+    idx = np.indices(grid.shape) % 2
+    for parity in product((0, 1), repeat=2 * grid.n):
+        mask = np.all(idx == np.reshape(parity, (-1,) + (1,) * (2 * grid.n)), axis=0)
+        yield mask.astype(np.float64)
+
+
+def assert_rel(got, want, rtol=1e-12):
+    assert np.max(np.abs(got - want)) <= rtol * np.max(np.abs(want))
+
+
+GRIDS = [pytest.param(2, 8, id="n2-N8"), pytest.param(3, 4, id="n3-N4")]
+
+
+class TestRealFFTLayer:
+    """The real-FFT operators against the complex-FFT oracles above, on random
+    fields that are not band-limited and carry Nyquist content."""
+
+    @pytest.mark.parametrize(("n", "N"), GRIDS)
+    def test_matches_complex_fft_oracle(self, n, N):
+        grid = TorusGrid(n, N)
+        phi = np.random.default_rng(N + n).normal(size=grid.shape)
+        want = oracle_hessian(grid, phi)
+        assert_rel(complex_hessian(grid, phi), want)
+        packed = np.moveaxis(packed_hessian(grid, phi), (0, 1), (-2, -1))
+        assert_rel(packed, pack_hermitian(want))
+        assert_rel(holomorphic_gradient(grid, phi), oracle_gradient(grid, phi))
+        for keep_mean in (False, True):
+            assert_rel(
+                strip_kernel_modes(grid, phi, keep_mean=keep_mean),
+                oracle_strip(grid, phi, keep_mean=keep_mean),
+            )
+
+    @pytest.mark.parametrize(("n", "N"), GRIDS + [pytest.param(2, 4, id="n2-N4")])
+    def test_projection_kernel_is_the_parity_classes(self, n, N):
+        grid = TorusGrid(n, N)
+        rng = np.random.default_rng(5)
+        u, v = rng.normal(size=(2,) + grid.shape)
+        for keep_mean in (False, True):
+            once = strip_kernel_modes(grid, u, keep_mean)
+            assert np.max(np.abs(strip_kernel_modes(grid, once, keep_mean) - once)) <= 1e-13
+            # symmetric and idempotent, so the null space has dimension P - trace
+            pv = strip_kernel_modes(grid, v, keep_mean)
+            assert abs(np.vdot(once, v) - np.vdot(u, pv)) <= 1e-10
+            unit = np.zeros(grid.npoints)
+            trace = 0.0
+            for i in range(grid.npoints):
+                unit[i] = 1.0
+                trace += strip_kernel_modes(grid, unit.reshape(grid.shape), keep_mean).flat[i]
+                unit[i] = 0.0
+            kernel = 4**n - (1 if keep_mean else 0)
+            assert round(trace) == grid.npoints - kernel
+            assert abs(trace - round(trace)) <= 1e-9
+        # the 2^(2n) disjoint class indicators all lie in it, so they span it
+        classes = list(parity_classes(grid))
+        assert len(classes) == 4**n
+        for ind in classes:
+            assert np.max(np.abs(strip_kernel_modes(grid, ind))) <= 1e-14
+            kept = strip_kernel_modes(grid, ind, keep_mean=True)
+            assert np.max(np.abs(kept - ind.mean())) <= 1e-14
+
+    @pytest.mark.parametrize(("n", "N"), GRIDS)
+    def test_divide_by_symbol_inverts_frozen_operator(self, n, N):
+        grid = TorusGrid(n, N)
+        rng = np.random.default_rng(9)
+        u = rng.normal(size=grid.shape)
+        weights = rng.uniform(0.5, 2.0, size=n)
+        hess = oracle_hessian(grid, u)
+        values = -sum(w * hess[..., j, j].real for j, w in enumerate(weights))
+        got = divide_by_symbol(grid, frozen_symbol(grid, weights), values)
+        assert_rel(got, strip_kernel_modes(grid, u))
 
 
 class TestFormField:
