@@ -14,7 +14,10 @@ echoes the parsed configuration and writes a versioned JSON summary into
 --out, so an output directory is a self-describing record of one
 experiment. Exit codes follow a shell contract: 0 ok, 1 boundary case
 detected, 2 cone violation or failed self-test, 64 usage error, 70 solver
-failure. Wall-clock numbers go to stdout only, never into summaries, which
+failure. A library error that no command handles maps onto the same codes:
+InputError and DomainError exit 64; NonconvergenceError, ConeViolationError
+and ConstructionError exit 70, with one line on stderr and no summary.
+Wall-clock numbers go to stdout only, never into summaries, which
 keeps the JSON reproducible byte for byte given config + seed + threads.
 """
 
@@ -565,6 +568,12 @@ def build_parser():
     return parser
 
 
+def _escaped(err, code):
+    """Report a library error no command handled: one stderr line, the contract's code."""
+    print(f"{type(err).__name__}: {' '.join(str(err).split())}", file=sys.stderr)
+    return code
+
+
 def main(argv=None):
     parser = build_parser()
     try:
@@ -589,6 +598,10 @@ def main(argv=None):
     except UsageError as err:
         print(f"usage error: {err}", file=sys.stderr)
         return EXIT_USAGE
+    except (InputError, DomainError) as err:
+        return _escaped(err, EXIT_USAGE)
+    except (NonconvergenceError, ConeViolationError, ConstructionError) as err:
+        return _escaped(err, EXIT_SOLVER)
 
 
 if __name__ == "__main__":

@@ -285,11 +285,14 @@ def two_stage_solve(instance, config=None, csv_path=None, steps=16):
     Stage 1 solves the multiplicative equation with coefficient g2 (scalar
     b_tilde < 0 since g2 strictly dominates the background density g1).
     Stage 2 walks t upward through coefficient e^{t b'} g^t g2^(1-t) on a
-    uniform grid of `steps` steps, warm starting each solve; the fixed part
-    t b' is folded into the coefficient so the solver's scalar is b_t
-    itself. Each accepted step must keep b_t negative and the effective
-    coefficient e^{b_t} (path field) strictly below g2; Newton stalls halve
-    the step down to a floor. Failures carry the stage and t in the message.
+    uniform grid of `steps` steps; the fixed part t b' is folded into the
+    coefficient so the solver's scalar is b_t itself. Each solve gets the
+    last two accepted states, so it starts from their secant prediction in
+    t (a warm start from the stage-1 state on the first step; see
+    newton_solve); after a halving the secant spans the unequal spacing.
+    Each accepted step must keep b_t negative and the effective coefficient
+    e^{b_t} (path field) strictly below g2; Newton stalls halve the step
+    down to a floor. Failures carry the stage and t in the message.
     """
     if steps < 1:
         raise InputError(f"need at least one continuation step, got {steps}")
@@ -336,24 +339,25 @@ def two_stage_solve(instance, config=None, csv_path=None, steps=16):
         raise _tagged(err, "stage 1") from err
     accept(0.0, state, slack, margin, "stage 1")
     b_stage1 = state.b
+    path = [state]  # the last two accepted states, enough for the secant
 
     todo = [k / steps for k in range(1, steps + 1)]
     min_step = 1.0 / (steps * 64.0)
-    prev_t = 0.0
     while todo:
         t = todo[0]
         try:
-            cand, slack, margin = solve_at(t, state)
+            cand, slack, margin = solve_at(t, path)
         except ConeViolationError as err:
             raise _tagged(err, f"stage 2 (t={t:g})") from err
         except NonconvergenceError as err:
-            if t - prev_t <= min_step:
+            if t - path[-1].t <= min_step:
                 raise _tagged(err, f"stage 2 (t={t:g})") from err
-            todo.insert(0, 0.5 * (prev_t + t))
+            todo.insert(0, 0.5 * (path[-1].t + t))
             continue
         accept(t, cand, slack, margin, f"stage 2 (t={t:g})")
-        prev_t, state = t, cand
+        path = [path[-1], cand]
         todo.pop(0)
+    state = path[-1]
 
     if csv_path is not None:
         write_stage_csv(csv_path, records)

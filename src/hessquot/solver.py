@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import csv
 import math
+from collections.abc import Sequence
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -164,6 +165,11 @@ def state_eigenvalues(state):
     return _eigensystem(state.spec, state.phi)[0]
 
 
+def log_trace(lam):
+    """w = log S_1(lam) per point, for eigenvalues lam of shape (P, n)."""
+    return np.log(elementary_sym(1, lam))
+
+
 @dataclass
 class _Eval:
     lam: np.ndarray       # (P, n) descending
@@ -284,24 +290,49 @@ def _linear_step(spec, ev, config, rsup_prev):
 def newton_solve(spec, init=None, config=None, t=math.nan):
     """Drive the inverse-form residual to zero; returns the converged state.
 
-    init may be a prior SolverState (warm start) or None for the zero
-    potential with the quadrature value of b (additive) or b = 0.
+    init is None (cold start: the zero potential), a prior SolverState (warm
+    start), or the path so far as a sequence of SolverStates in t order.
+    With two states at finite, distinct t and a finite target t, Newton
+    starts from the secant extrapolation in t through the last two,
+
+        r = (t - t1)/(t1 - t0),  phi = phi1 + r (phi1 - phi0),  b = b1 + r (b1 - b0),
+
+    and falls back to the warm start from the last state when that
+    prediction leaves the cone. A shorter path, or one without that spacing,
+    gives the warm start (or the cold start when empty). In additive mode
+    every start takes b from quadrature_b, the value the converged b must
+    match anyway; in multiplicative mode the cold start takes b = 0.
     """
     config = config or SolverConfig()
     grid = spec.grid
-    if init is not None:
-        phi = strip_kernel_modes(grid, np.asarray(init.phi, dtype=np.float64))
-        b = float(init.b)
-    else:
-        phi = np.zeros(grid.shape)
-        b = quadrature_b(spec) if spec.unknown_mode == "additive" else 0.0
-    try:
-        ev = _evaluate(spec, phi, b)
-    except _Inadmissible as bad:
-        raise ConeViolationError(
-            f"initial state leaves the cone: {bad}",
-            detail={"count": bad.count, "min_eig": bad.worst, "where": bad.where},
-        ) from None
+    path = init if isinstance(init, Sequence) else [] if init is None else [init]
+    bq = quadrature_b(spec) if spec.unknown_mode == "additive" else None
+    ev = None
+    if len(path) > 1 and all(map(math.isfinite, (t, path[-2].t, path[-1].t))):
+        s0, s1 = path[-2], path[-1]
+        if s0.t != s1.t:
+            r = (t - s1.t) / (s1.t - s0.t)
+            phi1 = np.asarray(s1.phi, dtype=np.float64)
+            phi = strip_kernel_modes(grid, phi1 + r * (phi1 - np.asarray(s0.phi, dtype=np.float64)))
+            b = float(s1.b + r * (s1.b - s0.b)) if bq is None else bq
+            try:
+                ev = _evaluate(spec, phi, b)
+            except _Inadmissible:
+                pass  # the prediction left the cone: warm start instead
+    if ev is None:
+        if path:
+            phi = strip_kernel_modes(grid, np.asarray(path[-1].phi, dtype=np.float64))
+            b = float(path[-1].b) if bq is None else bq
+        else:
+            phi = np.zeros(grid.shape)
+            b = 0.0 if bq is None else bq
+        try:
+            ev = _evaluate(spec, phi, b)
+        except _Inadmissible as bad:
+            raise ConeViolationError(
+                f"initial state leaves the cone: {bad}",
+                detail={"count": bad.count, "min_eig": bad.worst, "where": bad.where},
+            ) from None
 
     iters = 0
     krylov_total = 0
@@ -336,8 +367,7 @@ def newton_solve(spec, init=None, config=None, t=math.nan):
         phi, b, ev = cand_phi, cand_b, cand
         iters += 1
 
-    if spec.unknown_mode == "additive":
-        bq = quadrature_b(spec)
+    if bq is not None:
         budget = config.b_compat_factor * config.tol
         if abs(b - bq) > budget:
             raise NonconvergenceError(
@@ -363,7 +393,7 @@ def _make_state(spec, phi, b, t, ev, iters, krylov_total):
     diag = {
         "sup_phi": float(np.max(np.abs(phi_out))),
         "sup_grad": math.sqrt(float(np.max(_gradient_sq(spec, phi)))),
-        "sup_w": float(np.max(np.log(elementary_sym(1, lam)))),
+        "sup_w": float(np.max(log_trace(lam))),
         "min_eig": float(np.min(lam[:, -1])),
         "min_margin": float(np.min(cone_margin(lam, coeff, spec.m))),
         "newton_iters": iters,
@@ -382,7 +412,7 @@ def diagnostics(state):
     """
     phi = np.asarray(state.phi)
     grad_sq = _gradient_sq(state.spec, phi)
-    w = np.log(elementary_sym(1, state_eigenvalues(state)))
+    w = log_trace(state_eigenvalues(state))
     shifted = (phi - float(np.min(phi))).reshape(-1)
 
     def slope(y_log_arg, mask):
@@ -413,11 +443,13 @@ class PathResult:
 
 
 def continuation_path(spec_family, schedule, config=None):
-    """Warm-started solves along a decreasing t schedule.
+    """Solves along a decreasing t schedule, each started from the path so far.
 
-    A failing solve truncates the path: the states reached so far come back
-    with the failing t and reason recorded, since partial paths are exactly
-    what degenerate instances produce.
+    The first solve starts cold, the second warm from the first state, and
+    every later one from the secant prediction through the last two states
+    (see newton_solve). A failing solve truncates the path: the states
+    reached so far come back with the failing t and reason recorded, since
+    partial paths are exactly what degenerate instances produce.
     """
     schedule = [float(t) for t in schedule]
     if not schedule or any(b >= a for a, b in zip(schedule, schedule[1:])):
@@ -425,14 +457,12 @@ def continuation_path(spec_family, schedule, config=None):
     if schedule[0] > 1.0 or schedule[-1] <= 0.0:
         raise InputError("schedule must lie in (0, 1]")
     states = []
-    prev = None
     for t in schedule:
         spec = spec_family(t)
         try:
-            prev = newton_solve(spec, init=prev, config=config, t=t)
+            states.append(newton_solve(spec, init=states, config=config, t=t))
         except (NonconvergenceError, ConeViolationError) as err:
             return PathResult(states, failed_t=t, failure=str(err))
-        states.append(prev)
     return PathResult(states)
 
 

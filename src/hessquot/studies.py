@@ -22,13 +22,13 @@ from .instances import (
 from .solver import (
     PathResult,
     continuation_path,
+    log_trace,
     newton_solve,
     stability_compare,
     state_eigenvalues,
     uniqueness_gap,
     volume_lower_bound_check,
 )
-from .symfunc import elementary_sym
 from .torus import distance_to_set, normalize_density
 
 # dyadic t schedule 1, 1/2, ..., 2^-7; also the `continue` subcommand's default
@@ -47,7 +47,7 @@ def _source_shapes(grid):
 
 def _sup_w_on(state, mask):
     """sup of w = log S_1(lambda(X)) over the grid points marked in mask."""
-    w = np.log(elementary_sym(1, state_eigenvalues(state))).reshape(state.spec.grid.shape)
+    w = log_trace(state_eigenvalues(state)).reshape(state.spec.grid.shape)
     return float(w[mask].max())
 
 

@@ -16,6 +16,7 @@ import sys
 import numpy as np
 import pytest
 
+from hessquot import cli
 from hessquot.cli import (
     CONFIG_ECHO_NAME,
     EXIT_BOUNDARY,
@@ -27,6 +28,13 @@ from hessquot.cli import (
     UsageError,
     main,
     parse_config,
+)
+from hessquot.errors import (
+    ConeViolationError,
+    ConstructionError,
+    DomainError,
+    InputError,
+    NonconvergenceError,
 )
 from hessquot.torus import load_fields
 
@@ -335,6 +343,32 @@ class TestUsageContract:
         )
         assert proc.returncode == EXIT_USAGE
         assert "usage error" in proc.stderr
+
+
+class TestEscapedLibraryErrors:
+    """A library error that escapes a command exits with the contract's code."""
+
+    @pytest.mark.parametrize(
+        ("error", "code"),
+        [
+            (InputError, EXIT_USAGE),
+            (DomainError, EXIT_USAGE),
+            (NonconvergenceError, EXIT_SOLVER),
+            (ConeViolationError, EXIT_SOLVER),
+            (ConstructionError, EXIT_SOLVER),
+        ],
+        ids=lambda v: v.__name__ if isinstance(v, type) else str(v),
+    )
+    def test_exit_code_and_one_line(self, tmp_path, monkeypatch, capsys, error, code):
+        def raising(cfg, args, outdir):
+            raise error("synthetic failure\nsecond line")
+
+        monkeypatch.setitem(cli.COMMANDS, "solve", raising)
+        got, summary, _ = run_cli(tmp_path, "solve")
+        assert got == code
+        assert summary is None
+        err = capsys.readouterr().err
+        assert err == f"{error.__name__}: synthetic failure second line\n"
 
 
 class TestDeterminism:

@@ -466,6 +466,30 @@ class TestTwoStageMechanics:
         assert 1.0 / 32.0 in ts and 1.0 / 16.0 in ts
         assert len(res.records) == 18
 
+    def test_each_solve_starts_from_the_last_two_accepted_states(self, inst8, monkeypatch):
+        real = fakeboundary.newton_solve
+        calls, solved = [], []
+
+        def recording(spec, init=None, config=None, t=math.nan):
+            got = None if init is None else [(s.t, s.b) for s in init]
+            calls.append((t, got, solved[-2:]))
+            if t == 1.0 / 16.0 and len(calls) == 2:
+                raise NonconvergenceError("synthetic stall", state=None)
+            state = real(spec, init=init, config=config, t=t)
+            solved.append((state.t, state.b))
+            return state
+
+        monkeypatch.setattr(fakeboundary, "newton_solve", recording)
+        res = two_stage_solve(inst8, config=SolverConfig(tol=1e-4))
+        assert solved == [(r["t"], r["b_t"]) for r in res.records]  # every solve accepted
+        assert calls[0][:2] == (0.0, None)
+        for _, got, last_two in calls[1:]:
+            assert got == last_two
+        # the stall at 1/16 halves the step, so the solve at 1/8 extrapolates
+        # over the unequal spacing 1/32 -> 1/16 -> 1/8
+        at_eighth = [got for t, got, _ in calls if t == 1.0 / 8.0]
+        assert [[t for t, _ in got] for got in at_eighth] == [[1.0 / 32.0, 1.0 / 16.0]]
+
     def test_persistent_stall_propagates_with_tag(self, inst8, monkeypatch):
         real = fakeboundary.newton_solve
 

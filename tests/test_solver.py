@@ -38,6 +38,7 @@ from hessquot.solver import (
     volume_lower_bound_check,
     write_path_csv,
 )
+from hessquot.studies import SCHEDULE
 from hessquot.torus import (
     TorusGrid,
     complex_hessian,
@@ -458,6 +459,70 @@ class TestContinuation:
             assert float(row[0]) == st.t
             assert float(row[1]) == st.b
             assert int(row[8]) == st.diagnostics["newton_iters"]
+
+
+@pytest.fixture(scope="module")
+def bd8():
+    return boundary_degenerate_instance(N=8)
+
+
+@pytest.fixture(scope="module")
+def bd8_path(bd8):
+    return continuation_path(bd8.family(), SCHEDULE)
+
+
+def counts(state):
+    return state.diagnostics["newton_iters"], state.diagnostics["krylov_iters"]
+
+
+class TestSecantPredictor:
+    """Starts from the path so far: secant through the last two states, else warm or cold."""
+
+    def test_linear_potential_is_predicted_exactly(self, bd8, bd8_path):
+        # the exact potential is linear in t and additive b comes from
+        # quadrature, so every secant start is already converged
+        states = bd8_path.states
+        assert bd8_path.complete and len(states) == len(SCHEDULE)
+        assert counts(states[1])[0] > 0
+        for st in states[2:]:
+            assert counts(st) == (0, 0)
+            want = bd8.extras["potential_exact"](st.t)
+            assert np.abs(st.phi - (want - want.max())).max() <= 1e-8
+            assert abs(st.b - bd8.extras["expected_b"](st.t)) <= 1e-8
+
+    def test_prediction_outside_cone_falls_back_to_warm_start(self, bd8, bd8_path):
+        s1 = bd8_path.states[1]
+        bump = 8.0 * grid_field(bd8.grid, np.cos(TWO_PI * bd8.grid.coords()["x1"]))
+        s0 = dataclasses.replace(s1, phi=s1.phi - bump, t=1.0)
+        spec = bd8.spec(0.25)
+        # r = (0.25 - 0.5) / (0.5 - 1) = 1/2, so the secant adds half the bump
+        with pytest.raises(ConeViolationError):
+            newton_solve(spec, init=SimpleNamespace(phi=s1.phi + 0.5 * bump, b=s1.b), t=0.25)
+        got = newton_solve(spec, init=[s0, s1], t=0.25)
+        warm = newton_solve(spec, init=s1, t=0.25)
+        assert counts(got) == counts(warm)
+        assert counts(warm)[0] > 0
+        assert np.abs(got.phi - warm.phi).max() <= 1e-10
+        assert abs(got.b - warm.b) <= 1e-10
+
+    def test_short_paths_match_cold_and_warm_starts(self, bd8, bd8_path):
+        spec = bd8.spec(1.0)
+        cold = newton_solve(spec, t=1.0)
+        assert counts(newton_solve(spec, init=[], t=1.0)) == counts(cold)
+        s = bd8_path.states[0]
+        spec = bd8.spec(0.5)
+        warm = newton_solve(spec, init=s, t=0.5)
+        assert counts(warm)[0] > 0
+        assert counts(newton_solve(spec, init=[s], t=0.5)) == counts(warm)
+
+    def test_no_secant_without_finite_distinct_t(self, bd8, bd8_path):
+        s0, s1 = bd8_path.states[:2]
+        spec = bd8.spec(0.25)
+        warm = newton_solve(spec, init=s1)
+        assert counts(warm)[0] > 0
+        assert counts(newton_solve(spec, init=[s0, s1])) == counts(warm)
+        same_t = dataclasses.replace(s0, t=s1.t)
+        assert counts(newton_solve(spec, init=[same_t, s1], t=0.25)) == counts(warm)
 
 
 class TestStability:
