@@ -18,7 +18,7 @@ failure. A library error that no command handles maps onto the same codes:
 InputError and DomainError exit 64; NonconvergenceError, ConeViolationError
 and ConstructionError exit 70, with one line on stderr and no summary.
 Wall-clock numbers go to stdout only, never into summaries, which
-keeps the JSON reproducible byte for byte given config + seed + threads.
+keeps the JSON reproducible byte for byte given config + seed.
 """
 
 from __future__ import annotations
@@ -169,6 +169,14 @@ def _number(cfg, key, default, integer=False):
     return int(value) if integer else float(value)
 
 
+def _flag(cfg, key):
+    """A true/false config value, False when absent; anything else is a usage error."""
+    value = cfg.get(key, False)
+    if not isinstance(value, bool):
+        raise UsageError(f"{key} must be true or false, got {value!r}")
+    return value
+
+
 def _grid_N(cfg):
     """grid_N from the config, held to TorusGrid's rule before anything is built."""
     N = _number(cfg, "grid_N", 16, integer=True)
@@ -217,7 +225,6 @@ def _base_payload(command, args):
         "schema": SUMMARY_SCHEMA,
         "command": command,
         "seed": args.seed,
-        "threads": args.threads,
         "quick": bool(args.quick),
     }
 
@@ -266,6 +273,7 @@ def cmd_solve(cfg, args, outdir):
     )
     t = _number(cfg, "t", 0.5)
     config = _solver_config(cfg, 1e-10)
+    dump = _flag(cfg, "dump_fields")
     inst = build_instance(cfg)
     payload = _base_payload("solve", args)
     payload["instance"] = inst.name
@@ -295,7 +303,7 @@ def cmd_solve(cfg, args, outdir):
             "exit_code": EXIT_OK,
         }
     )
-    if bool(cfg.get("dump_fields", False)):
+    if dump:
         dump_fields(os.path.join(outdir, "fields"), inst.grid, {"phi": state.phi})
         payload["field_dump"] = "fields"
     print(f"solve: b {state.b:.12g}, residual {state.residual_sup:.3e}")
@@ -321,6 +329,7 @@ def cmd_continue(cfg, args, outdir):
     inst = build_instance(cfg)
     schedule = _parse_schedule(cfg)
     config = _solver_config(cfg, 1e-8)
+    dump = _flag(cfg, "dump_fields")
     payload = _base_payload("continue", args)
     payload["instance"] = inst.name
     payload["schedule"] = schedule
@@ -339,7 +348,7 @@ def cmd_continue(cfg, args, outdir):
         payload["final_b"] = final.b
         payload["final_residual"] = final.residual_sup
         payload["sup_phi_path"] = max(st.diagnostics["sup_phi"] for st in result.states)
-        if bool(cfg.get("dump_fields", False)):
+        if dump:
             dump_fields(os.path.join(outdir, "fields"), inst.grid, {"phi_final": final.phi})
             payload["field_dump"] = "fields"
     if result.complete:
@@ -431,6 +440,7 @@ def cmd_fake_boundary(cfg, args, outdir):
         raise UsageError(f"steps must be >= 1, got {steps}")
     delta1 = _number(cfg, "delta1", None) if "delta1" in cfg else None
     config = _solver_config(cfg, 1e-8)
+    dump = _flag(cfg, "dump_fields")
     sample = fake_boundary_sample(N=N)
     payload = _base_payload("fake-boundary", args)
     try:
@@ -487,7 +497,7 @@ def cmd_fake_boundary(cfg, args, outdir):
             "exit_code": EXIT_OK,
         }
     )
-    if bool(cfg.get("dump_fields", False)):
+    if dump:
         dump_fields(os.path.join(outdir, "fields"), inst.grid, {"phi": result.phi, "g2": inst.g2})
         payload["field_dump"] = "fields"
     print(
@@ -504,6 +514,8 @@ def cmd_selftest(cfg, args, outdir):
         names = [tok.strip() for tok in str(cfg["suites"]).split(",") if tok.strip()]
     kwargs = {"seed": args.seed, "quick": bool(args.quick)}
     trials = _number(cfg, "trials", None, integer=True) if "trials" in cfg else None
+    if trials is not None and trials < 1:
+        raise UsageError(f"trials must be >= 1, got {trials}")
     if trials is not None and not args.quick:
         kwargs["trials"] = trials
     try:
@@ -540,30 +552,12 @@ COMMANDS = {
     "selftest": cmd_selftest,
 }
 
-_thread_limiter = None
-
-
-def _apply_threads(threads):
-    global _thread_limiter
-    if threads is None:
-        return
-    if threads < 1:
-        raise UsageError(f"--threads must be >= 1, got {threads}")
-    try:
-        import threadpoolctl
-
-        _thread_limiter = threadpoolctl.threadpool_limits(threads)
-    except ImportError:
-        os.environ["OMP_NUM_THREADS"] = str(threads)
-
-
 def build_parser():
     parser = _Parser(prog="hessquot", description=__doc__.splitlines()[0])
     parser.add_argument("command", choices=sorted(COMMANDS))
     parser.add_argument("--config", default=None, help="flat key=value config file")
     parser.add_argument("--out", default=None, help="output directory for artifacts")
     parser.add_argument("--seed", type=int, default=DEFAULT_SEED, help="u64 seed for random suites")
-    parser.add_argument("--threads", type=int, default=None, help="thread cap for internal pools")
     parser.add_argument("--quick", action="store_true", help="self-test with 10^2 trials, not 10^4")
     return parser
 
@@ -580,15 +574,12 @@ def main(argv=None):
         args = parser.parse_args(argv)
         if not 0 <= args.seed < 2**64:
             raise UsageError(f"--seed must fit in u64, got {args.seed}")
-        _apply_threads(args.threads)
         cfg = load_config(args.config)
         if args.out is None:
             raise UsageError("--out DIR is required")
         os.makedirs(args.out, exist_ok=True)
         echo_config(
-            cfg,
-            args.out,
-            {"command": args.command, "seed": args.seed, "threads": args.threads, "quick": args.quick},
+            cfg, args.out, {"command": args.command, "seed": args.seed, "quick": args.quick}
         )
         start = time.perf_counter()
         payload, code = COMMANDS[args.command](cfg, args, args.out)

@@ -54,8 +54,8 @@ class Instance:
             unknown_mode="additive",
         )
 
-    def family(self, f=None):
-        return lambda t: self.spec(t, f=f)
+    def family(self):
+        return self.spec
 
 
 def _grid_field(grid, expr):
@@ -65,15 +65,13 @@ def _grid_field(grid, expr):
 def _boundary_chi(grid, omega, m):
     """Tune chi = I + a*idd psi, psi = cos(2 pi x1) + cos(2 pi y1), onto the boundary.
 
-    Returns the tuning outcome and psi.
+    Returns (amplitude, c, chi) and psi.
     """
     coords = grid.coords()
     psi = _grid_field(grid, np.cos(TWO_PI * coords["x1"]) + np.cos(TWO_PI * coords["y1"]))
     tuned = tune_to_boundary(
         lambda a: FormField(grid, np.eye(2), a * psi), omega, m, (0.0, 0.05)
     )
-    if tuned.mode != "boundary":
-        raise InputError(f"boundary tuning failed: {tuned.mode}")
     return tuned, psi
 
 
@@ -109,18 +107,18 @@ def boundary_instance(N=16, m=1):
     """
     grid = TorusGrid(2, N)
     omega = identity_form(grid)
-    tuned, _ = _boundary_chi(grid, omega, m)
+    (amp, c, chi), _ = _boundary_chi(grid, omega, m)
     inst = Instance(
         name="boundary",
         grid=grid,
         m=m,
-        chi=tuned.chi,
+        chi=chi,
         chitilde=omega,
         omega=omega,
-        c=tuned.c,
+        c=c,
         f=np.ones(grid.shape),
     )
-    inst.extras["amplitude"] = tuned.amplitude
+    inst.extras["amplitude"] = amp
     inst.extras["b_limit"] = 2.0
     return inst
 
@@ -167,22 +165,20 @@ def boundary_degenerate_instance(N=16, m=1):
     """
     grid = TorusGrid(2, N)
     omega = identity_form(grid)
-    tuned, psi = _boundary_chi(grid, omega, m)
+    (a, c, chi), psi = _boundary_chi(grid, omega, m)
     shape = _grid_field(grid, np.cos(TWO_PI * grid.coords()["x1"]))
     degen = make_degenerate_big(grid, np.eye(2), shape)
     inst = Instance(
         name="boundary_degenerate",
         grid=grid,
         m=m,
-        chi=tuned.chi,
+        chi=chi,
         chitilde=degen.form,
         omega=omega,
-        c=tuned.c,
+        c=c,
         f=np.ones(grid.shape),
     )
-    c = inst.c
     amp = degen.amplitude
-    a = tuned.amplitude
     inst.extras["amplitude"] = a
     inst.extras["degenerate_mask"] = degen.degenerate_mask
     inst.extras["ample_mask"] = degen.ample_mask

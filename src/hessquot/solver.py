@@ -40,6 +40,7 @@ from .torus import (
     FormField,
     complex_hessian,
     divide_by_symbol,
+    form_eigenvalues,
     frozen_symbol,
     holomorphic_gradient,
     integrate_density,
@@ -99,15 +100,17 @@ class EquationSpec:
         return self.background.grid
 
 
+DAMPING_FLOOR = 2.0**-30
+KRYLOV_INNER = 20
+KRYLOV_MAXITER = 400
+FORCING_MAX = 0.1       # loosest inner relative tolerance
+B_COMPAT_FACTOR = 10.0
+
+
 @dataclass(frozen=True)
 class SolverConfig:
     tol: float = 1e-10            # sup-norm residual target
     max_newton: int = 50
-    damping_floor: float = 2.0**-30
-    krylov_inner: int = 20
-    krylov_maxiter: int = 400
-    forcing_max: float = 0.1      # loosest inner relative tolerance
-    b_compat_factor: float = 10.0
 
 
 @dataclass(frozen=True)
@@ -209,8 +212,7 @@ def quadrature_b(spec):
     """Integral-identity value of the scalar constant (additive mode)."""
     if spec.unknown_mode != "additive":
         raise InputError("quadrature value of b is an additive-mode notion")
-    flat = spec.background.matrices().reshape(-1, spec.n, spec.n)
-    lam = eigensystem_rel(flat, spec.omega.flat_matrices(), check=False)[0]
+    lam = form_eigenvalues(spec.background, spec.omega).reshape(-1, spec.n)
     detw = np.linalg.det(spec.omega.flat_matrices()).real
     coeff = spec.coefficient_field.reshape(-1)
     binom = math.comb(spec.n, spec.m)
@@ -269,10 +271,10 @@ def _linear_step(spec, ev, config, rsup_prev):
     rhs = np.concatenate([rhs_rows.reshape(-1), [0.0]])
     # Eisenstat-Walker style forcing, floored so inner error cannot block
     # the outer target
-    eta = config.forcing_max
+    eta = FORCING_MAX
     if np.isfinite(rsup_prev) and rsup_prev > 0.0:
-        eta = min(config.forcing_max, 0.5 * (ev.rsup / rsup_prev) ** 2)
-    eta = max(eta, min(config.forcing_max, 0.25 * config.tol / ev.rsup))
+        eta = min(FORCING_MAX, 0.5 * (ev.rsup / rsup_prev) ** 2)
+    eta = max(eta, min(FORCING_MAX, 0.25 * config.tol / ev.rsup))
     nit = 0
 
     def count(_):
@@ -281,7 +283,7 @@ def _linear_step(spec, ev, config, rsup_prev):
 
     sol, info = lgmres(
         op, rhs, M=pre, rtol=eta, atol=0.0,
-        inner_m=config.krylov_inner, maxiter=config.krylov_maxiter, callback=count,
+        inner_m=KRYLOV_INNER, maxiter=KRYLOV_MAXITER, callback=count,
     )
     dphi = strip_kernel_modes(grid, sol[:P].reshape(grid.shape))
     return dphi, float(sol[P]), nit, info
@@ -356,7 +358,7 @@ def newton_solve(spec, init=None, config=None, t=math.nan):
             if cand is not None and cand.rsup < ev.rsup:
                 break
             tau *= 0.5
-            if tau < config.damping_floor:
+            if tau < DAMPING_FLOOR:
                 # an unconverged inner solve may give no descent direction
                 note = f" after an LGMRES solve that stopped short (info {info})" if info else ""
                 raise NonconvergenceError(
@@ -368,7 +370,7 @@ def newton_solve(spec, init=None, config=None, t=math.nan):
         iters += 1
 
     if bq is not None:
-        budget = config.b_compat_factor * config.tol
+        budget = B_COMPAT_FACTOR * config.tol
         if abs(b - bq) > budget:
             raise NonconvergenceError(
                 f"converged b={b!r} disagrees with quadrature value {bq!r} beyond {budget:.1e}",

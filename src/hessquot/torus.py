@@ -320,12 +320,13 @@ class DegenerateBig:
     ample_mask: np.ndarray
 
 
-def make_degenerate_big(grid, base, psi_shape, zero_tol=1e-10, mask_tol=1e-6):
+def make_degenerate_big(grid, base, psi_shape):
     """Scale a potential until base + a * i d dbar psi has min eigenvalue 0.
 
     The minimum over the grid of the smallest (plain) eigenvalue of the form
     is concave in a, so bisection on the bracket [0, a_hi] is sound. Returns
-    the form, the amplitude, and the degenerate/ample grid masks.
+    the form, the amplitude, and the degenerate/ample grid masks; a point is
+    degenerate where its smallest eigenvalue is below 1e-6.
     """
     base = np.asarray(base, dtype=np.complex128)
     if np.min(np.linalg.eigvalsh(base)) <= 0.0:
@@ -350,24 +351,13 @@ def make_degenerate_big(grid, base, psi_shape, zero_tol=1e-10, mask_tol=1e-6):
             raise ConstructionError("no amplitude degenerates the form on this grid")
     amp = brentq(min_eig, 0.0, hi, xtol=1e-15, rtol=8.9e-16)
     val = min_eig(amp)
-    if abs(val) > zero_tol:
+    if abs(val) > 1e-10:
         raise ConstructionError(f"bisection stalled: min eigenvalue {val:.3e} at amplitude {amp}")
     form = FormField(grid, base, amp * psi)
     eigs = eigenvalues_rel(form.matrices().reshape(-1, grid.n, grid.n), np.eye(grid.n), check=False)
     min_field = eigs[:, -1].reshape(grid.shape)
-    degenerate = min_field < mask_tol
+    degenerate = min_field < 1e-6
     return DegenerateBig(form, amp, min_field, degenerate, ~degenerate)
-
-
-@dataclass
-class BoundaryTuning:
-    """Outcome of driving the cone-condition margin to zero in one amplitude."""
-
-    mode: str  # "boundary" | "strict" | "violated"
-    amplitude: float | None
-    c: float | None
-    margin: float
-    chi: FormField | None
 
 
 def _min_margin(chi, omega, m):
@@ -376,12 +366,12 @@ def _min_margin(chi, omega, m):
     return float(np.min(cone_margin(mu, c, m))), c
 
 
-def tune_to_boundary(chi_family, omega, m, bracket, tol=1e-8):
+def tune_to_boundary(chi_family, omega, m, bracket):
     """Find the family amplitude putting the minimum cone margin at zero.
 
-    chi_family maps an amplitude to a Kaehler FormField. When the margin never
-    changes sign on the bracket the strict/violated diagnosis is returned
-    instead of an error, since both are legitimate instances.
+    chi_family maps an amplitude to a Kaehler FormField. Returns
+    (amplitude, c, chi); raises DomainError when the margin keeps one sign
+    on the bracket, naming the diagnosis (strict or violated) and the margin.
     """
     lo, hi = bracket
 
@@ -390,16 +380,16 @@ def tune_to_boundary(chi_family, omega, m, bracket, tol=1e-8):
 
     mlo = margin(lo)
     if mlo < 0.0:
-        return BoundaryTuning("violated", None, None, mlo, None)
+        raise DomainError(f"cone condition violated at amplitude {lo} (margin {mlo:.3e})")
     mhi = margin(hi)
     if mhi > 0.0:
-        return BoundaryTuning("strict", None, None, mhi, None)
+        raise DomainError(f"cone condition strict at amplitude {hi} (margin {mhi:.3e})")
     amp = brentq(margin, lo, hi, xtol=1e-14, rtol=8.9e-16)
     chi = chi_family(amp)
     mval, c = _min_margin(chi, omega, m)
-    if abs(mval) > tol:
+    if abs(mval) > 1e-8:
         raise ConstructionError(f"margin bisection stalled at {mval:.3e}")
-    return BoundaryTuning("boundary", float(amp), c, mval, chi)
+    return float(amp), c, chi
 
 
 def normalize_density(f_raw, omega):

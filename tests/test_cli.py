@@ -310,6 +310,15 @@ class TestUsageContract:
                 ("stability", "f1_amplitude = 0.1\nf2_amplitude = small\n"),
                 ("stability", "q = nan\nf1_amplitude = 0.1\nf2_amplitude = 0.05\n"),
                 ("selftest", "trials = 1.5\n"),
+                ("selftest", "trials = 0\n"),
+                ("selftest", "trials = -5\n"),
+                ("selftest", "suites = degiorgi\ntrials = 0\n"),
+                ("solve", "dump_fields = no\n"),
+                ("solve", "dump_fields = 1\n"),
+                ("continue", "dump_fields = no\n"),
+                ("continue", "dump_fields = 1\n"),
+                ("fake-boundary", "dump_fields = no\n"),
+                ("fake-boundary", "dump_fields = 1\n"),
             )
         ],
     )
@@ -331,9 +340,12 @@ class TestUsageContract:
         code = main(["selftest", "--quick", "--out", str(tmp_path / "o"), "--seed", "-3"])
         assert code == EXIT_USAGE
 
-    def test_bad_threads(self, tmp_path):
-        code = main(["selftest", "--quick", "--out", str(tmp_path / "o"), "--threads", "0"])
+    def test_threads_flag_rejected(self, tmp_path):
+        code, summary, _ = run_cli(
+            tmp_path, "check-cone", "instance = uniform\n", flags=("--threads", "1")
+        )
         assert code == EXIT_USAGE
+        assert summary is None
 
     def test_bad_command_via_module_entry(self, tmp_path):
         proc = subprocess.run(
@@ -376,10 +388,3 @@ class TestDeterminism:
         _, _, out1 = run_cli(tmp_path / "a", "solve", "instance = uniform\n")
         _, _, out2 = run_cli(tmp_path / "b", "solve", "instance = uniform\n")
         assert (out1 / SUMMARY_NAME).read_bytes() == (out2 / SUMMARY_NAME).read_bytes()
-
-    def test_threads_flag_recorded(self, tmp_path):
-        code, summary, _ = run_cli(
-            tmp_path, "check-cone", "instance = uniform\n", flags=("--threads", "1")
-        )
-        assert code == EXIT_OK
-        assert summary["threads"] == 1

@@ -16,6 +16,7 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
+import hessquot.solver as solver
 from hessquot.errors import ConeViolationError, InputError, NonconvergenceError
 from hessquot.instances import (
     boundary_degenerate_instance,
@@ -381,7 +382,7 @@ class TestFailureModes:
         assert st.diagnostics["newton_iters"] == 1
         assert st.residual_sup > 1e-10
 
-    def test_damping_floor_names_unconverged_lgmres(self):
+    def test_damping_floor_names_unconverged_lgmres(self, monkeypatch):
         # away from t_star the N = 8 solution is not band-limited, so Newton
         # stalls at the aliasing floor (6e-5) whatever the inner solves do;
         # the message names the LGMRES status only when the last one stopped
@@ -390,8 +391,10 @@ class TestFailureModes:
         with pytest.raises(NonconvergenceError, match="damping floor") as err:
             newton_solve(spec)
         assert "LGMRES" not in str(err.value)
+        monkeypatch.setattr(solver, "KRYLOV_MAXITER", 1)
+        monkeypatch.setattr(solver, "KRYLOV_INNER", 1)
         with pytest.raises(NonconvergenceError, match=r"stopped short \(info 1\)") as err:
-            newton_solve(spec, config=SolverConfig(krylov_maxiter=1, krylov_inner=1))
+            newton_solve(spec)
         assert str(err.value).startswith("damping floor reached")
         assert err.value.state.residual_sup > 1e-10
 

@@ -7,10 +7,10 @@ import pytest
 
 import hessquot.torus as torus
 from hessquot.errors import ConstructionError, DomainError, InputError
+from hessquot.pointwise import cone_margin
 from hessquot.solver import strip_kernel_modes
 from hessquot.symfunc import elementary_sym
 from hessquot.torus import (
-    BoundaryTuning,
     FormField,
     TorusGrid,
     complex_hessian,
@@ -490,27 +490,22 @@ class TestTuneToBoundary:
         # margin(a) = 1/2 - 2 pi^2 a for this family, root at 1/(4 pi^2)
         g = TorusGrid(2, 16)
         om = identity_form(g)
-        res = tune_to_boundary(self.family(g), om, 1, (0.0, 0.05))
-        assert res.mode == "boundary"
-        assert res.amplitude == pytest.approx(1.0 / (4.0 * np.pi**2), rel=1e-10)
-        assert res.c == pytest.approx(1.0, rel=1e-12)
-        assert abs(res.margin) <= 1e-8
+        amplitude, c, chi = tune_to_boundary(self.family(g), om, 1, (0.0, 0.05))
+        assert amplitude == pytest.approx(1.0 / (4.0 * np.pi**2), rel=1e-10)
+        assert c == pytest.approx(1.0, rel=1e-12)
+        margin = cone_margin(form_eigenvalues(chi, om).reshape(-1, 2), c, 1)
+        assert abs(float(np.min(margin))) <= 1e-8
 
     def test_strict_diagnosis(self):
         g = TorusGrid(2, 16)
-        res = tune_to_boundary(self.family(g), identity_form(g), 1, (0.0, 0.01))
-        assert res.mode == "strict"
-        assert res.margin > 0.0
-        assert res.chi is None
+        with pytest.raises(DomainError, match=r"strict .*margin [0-9]"):
+            tune_to_boundary(self.family(g), identity_form(g), 1, (0.0, 0.01))
 
     def test_violated_diagnosis(self):
         g = TorusGrid(2, 16)
         base = self.family(g)
-        res = tune_to_boundary(
-            lambda a: base(a + 0.04), identity_form(g), 1, (0.0, 0.05)
-        )
-        assert res.mode == "violated"
-        assert res.margin < 0.0
+        with pytest.raises(DomainError, match=r"violated .*margin -[0-9]"):
+            tune_to_boundary(lambda a: base(a + 0.04), identity_form(g), 1, (0.0, 0.05))
 
 
 class TestNormalizeDensity:
