@@ -177,13 +177,34 @@ def _flag(cfg, key):
     return value
 
 
+# Peak RSS of the heaviest command, `continue` on boundary_degenerate over
+# the default schedule, measured at n = 2 (the only n the CLI builds) for
+# N = 8, 16 and 32: 87, 161 and 1287 MiB. The interpreter and libraries take
+# a fixed part, the rest grows with the grid's points, 2^(2n) per doubling.
+_RSS_BASE_BYTES = 86 * 2**20
+_RSS_BYTES_PER_POINT = 1200
+
+
+def _physical_memory():
+    """Bytes of physical memory on this machine."""
+    return os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+
+
 def _grid_N(cfg):
-    """grid_N from the config, held to TorusGrid's rule before anything is built."""
+    """grid_N from the config, held to TorusGrid's rule and to the machine's
+    memory before anything is built."""
     N = _number(cfg, "grid_N", 16, integer=True)
     try:
-        TorusGrid(2, N)
+        grid = TorusGrid(2, N)
     except ValueError as err:
         raise UsageError(f"grid_N: {err}") from err
+    need = _RSS_BASE_BYTES + _RSS_BYTES_PER_POINT * grid.npoints
+    have = _physical_memory()
+    if need > have:
+        raise UsageError(
+            f"grid_N = {N} needs an estimated {need / 1e9:.3g} GB of memory,"
+            f" more than the {have / 1e9:.3g} GB of this machine"
+        )
     return N
 
 

@@ -12,7 +12,9 @@ back to the coordinate frame and Hess is the spectral complex Hessian.
 Backtracking keeps every accepted iterate admissible (X > 0 pointwise) and
 strictly decreases the sup residual. Potentials live in the Fourier subspace
 complementary to the Hessian's kernel (modes with every axis frequency at 0
-or Nyquist), where the linearized systems are nonsingular.
+or Nyquist), where the linearized systems are nonsingular. Above
+COARSEST_N points per axis, each solve starts from the solve of the same
+problem on the grid with half the points per axis (nested iteration).
 """
 
 from __future__ import annotations
@@ -20,7 +22,7 @@ from __future__ import annotations
 import csv
 import math
 from collections.abc import Sequence
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 from scipy.sparse.linalg import LinearOperator, lgmres
@@ -46,6 +48,8 @@ from .torus import (
     integrate_density,
     pack_hermitian,
     packed_hessian,
+    prolong,
+    restrict,
     total_volume,
 )
 
@@ -99,7 +103,27 @@ class EquationSpec:
     def grid(self):
         return self.background.grid
 
+    def restricted(self):
+        """This spec on the grid with N/2 points per axis, every field restricted.
 
+        In additive mode the restricted source is renormalized to the coarse
+        volume, since the coarse spec checks the normalization too.
+        """
+        omega = self.omega.restricted()
+        source = restrict(self.grid, self.source_field)
+        if self.unknown_mode == "additive":
+            source = source * (total_volume(omega) / integrate_density(source, omega))
+        return replace(
+            self,
+            background=self.background.restricted(),
+            omega=omega,
+            coefficient_field=restrict(self.grid, self.coefficient_field),
+            source_field=source,
+        )
+
+
+# grids above this N start Newton from the solve on the grid with N/2
+COARSEST_N = 16
 DAMPING_FLOOR = 2.0**-30
 KRYLOV_INNER = 20
 KRYLOV_MAXITER = 400
@@ -289,13 +313,58 @@ def _linear_step(spec, ev, config, rsup_prev):
     return dphi, float(sol[P]), nit, info
 
 
+def _coarse_solution(spec, path, config, t):
+    """The solve on the grid with N/2 points per axis, or None if it left the cone.
+
+    The spec and the path states are restricted by injection (a path state
+    is read for phi, b and t only) and solved through the module-level
+    newton_solve, which recurses down to COARSEST_N. A coarse solve that
+    stops short still hands over its last iterate.
+    """
+    coarse_path = [replace(s, phi=restrict(spec.grid, s.phi)) for s in path]
+    try:
+        return newton_solve(spec.restricted(), init=coarse_path, config=config, t=t)
+    except NonconvergenceError as err:
+        return err.state
+    except ConeViolationError:
+        return None
+
+
+def _predictions(spec, path, config, t):
+    """Starts (phi, b) to try before the warm or cold one, best first.
+
+    The prolonged coarse solution (N > COARSEST_N), then the secant in t
+    through the last two path states. Each is computed only once the one
+    before it has left the cone.
+    """
+    grid = spec.grid
+    if grid.N > COARSEST_N:
+        coarse = _coarse_solution(spec, path, config, t)
+        if coarse is not None:
+            yield strip_kernel_modes(grid, prolong(coarse.spec.grid, coarse.phi)), coarse.b
+    if len(path) > 1 and all(map(math.isfinite, (t, path[-2].t, path[-1].t))):
+        s0, s1 = path[-2], path[-1]
+        if s0.t != s1.t:
+            r = (t - s1.t) / (s1.t - s0.t)
+            phi1 = np.asarray(s1.phi, dtype=np.float64)
+            phi = strip_kernel_modes(grid, phi1 + r * (phi1 - np.asarray(s0.phi, dtype=np.float64)))
+            yield phi, float(s1.b + r * (s1.b - s0.b))
+
+
 def newton_solve(spec, init=None, config=None, t=math.nan):
     """Drive the inverse-form residual to zero; returns the converged state.
 
     init is None (cold start: the zero potential), a prior SolverState (warm
     start), or the path so far as a sequence of SolverStates in t order.
-    With two states at finite, distinct t and a finite target t, Newton
-    starts from the secant extrapolation in t through the last two,
+
+    On a grid with N > COARSEST_N, Newton first solves the same problem on
+    the grid with N/2 points per axis (spec and path restricted by
+    injection, recursing down to COARSEST_N) and starts from that solution,
+    prolonged by spectral interpolation; a coarse solve that stops short
+    still hands over its last iterate. Otherwise, or when the coarse solve
+    or its prolongation leaves the cone: with two states at finite, distinct
+    t and a finite target t, Newton starts from the secant extrapolation in
+    t through the last two,
 
         r = (t - t1)/(t1 - t0),  phi = phi1 + r (phi1 - phi0),  b = b1 + r (b1 - b0),
 
@@ -304,23 +373,22 @@ def newton_solve(spec, init=None, config=None, t=math.nan):
     gives the warm start (or the cold start when empty). In additive mode
     every start takes b from quadrature_b, the value the converged b must
     match anyway; in multiplicative mode the cold start takes b = 0.
+
+    The state's newton_iters and krylov_iters count the work on this grid
+    only, not the coarse solves'.
     """
     config = config or SolverConfig()
     grid = spec.grid
     path = init if isinstance(init, Sequence) else [] if init is None else [init]
     bq = quadrature_b(spec) if spec.unknown_mode == "additive" else None
     ev = None
-    if len(path) > 1 and all(map(math.isfinite, (t, path[-2].t, path[-1].t))):
-        s0, s1 = path[-2], path[-1]
-        if s0.t != s1.t:
-            r = (t - s1.t) / (s1.t - s0.t)
-            phi1 = np.asarray(s1.phi, dtype=np.float64)
-            phi = strip_kernel_modes(grid, phi1 + r * (phi1 - np.asarray(s0.phi, dtype=np.float64)))
-            b = float(s1.b + r * (s1.b - s0.b)) if bq is None else bq
-            try:
-                ev = _evaluate(spec, phi, b)
-            except _Inadmissible:
-                pass  # the prediction left the cone: warm start instead
+    for phi, b in _predictions(spec, path, config, t):
+        b = b if bq is None else bq
+        try:
+            ev = _evaluate(spec, phi, b)
+            break
+        except _Inadmissible:
+            pass  # the prediction left the cone: try the next start
     if ev is None:
         if path:
             phi = strip_kernel_modes(grid, np.asarray(path[-1].phi, dtype=np.float64))

@@ -162,6 +162,34 @@ def holomorphic_gradient(grid, phi):
     return np.moveaxis(parts[: grid.n] + 1j * parts[grid.n :], 0, -1)
 
 
+def restrict(grid, values):
+    """Injection of a field on grid onto the grid with N/2 points per axis.
+
+    Keeps every other point, so it is exact for fields band-limited below
+    the coarse Nyquist frequency.
+    """
+    values = _check_scalar(grid, values)
+    return np.ascontiguousarray(values[(slice(None, None, 2),) * (2 * grid.n)])
+
+
+def prolong(grid, values):
+    """Spectral interpolation of a field on grid onto the grid with 2N points per axis.
+
+    Zero-pads the rfftn spectrum, dropping the Nyquist modes of grid, so it
+    reproduces a field band-limited below that frequency exactly and
+    restrict(prolong(grid, v)) returns any v without Nyquist content.
+    """
+    values = _check_scalar(grid, values)
+    N, ndim = grid.N, 2 * grid.n
+    fine = TorusGrid(grid.n, 2 * N)
+    src = [np.r_[0 : N // 2, N // 2 + 1 : N]] * (ndim - 1) + [np.arange(N // 2)]
+    dst = [np.r_[0 : N // 2, 3 * N // 2 + 1 : 2 * N]] * (ndim - 1) + [np.arange(N // 2)]
+    spectrum = np.zeros(fine.shape[:-1] + (N + 1,), dtype=np.complex128)
+    # rfftn is unnormalized and irfftn divides by the point count, 2^ndim times larger
+    spectrum[np.ix_(*dst)] = scipy.fft.rfftn(values)[np.ix_(*src)] * 2.0**ndim
+    return _irfftn(fine, spectrum)
+
+
 def frozen_symbol(grid, weights):
     """Symbol of -sum_j w_j d_j dbar_j in rfftn layout, inf on the kernel modes.
 
@@ -218,6 +246,12 @@ class FormField:
         if self.is_constant:
             return self.const
         return self.matrices().reshape(-1, self.grid.n, self.grid.n)
+
+    def restricted(self):
+        """This form on the grid with N/2 points per axis, its potential restricted."""
+        coarse = TorusGrid(self.grid.n, self.grid.N // 2)
+        pot = None if self.potential is None else restrict(self.grid, self.potential)
+        return FormField(coarse, self.const, pot)
 
     def __add__(self, other):
         if not isinstance(other, FormField):

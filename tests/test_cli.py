@@ -291,6 +291,7 @@ class TestUsageContract:
                 "m = true\n",
                 "grid_N = 8.5\n",
                 "grid_N = 8e400\n",
+                "instance = uniform\ngrid_N = 1048576\n",
                 "scale = big\n",
                 "margin_tol = nan\n",
                 "eps = inf\n",
@@ -326,6 +327,18 @@ class TestUsageContract:
         code, summary, _ = run_cli(tmp_path, command, cfg)
         assert code == EXIT_USAGE
         assert summary is None
+
+    def test_grid_beyond_memory_refused(self, tmp_path, monkeypatch, capsys):
+        # a machine with room for N = 16 only: N = 32 is refused before any
+        # field is built, N = 16 still runs
+        room = cli._RSS_BASE_BYTES + cli._RSS_BYTES_PER_POINT * 16**4
+        monkeypatch.setattr(cli, "_physical_memory", lambda: room)
+        code, summary, _ = run_cli(tmp_path / "a", "check-cone", "instance = uniform\ngrid_N = 32\n")
+        assert code == EXIT_USAGE
+        assert summary is None
+        assert "grid_N = 32 needs an estimated 1.35 GB" in capsys.readouterr().err
+        code, _, _ = run_cli(tmp_path / "b", "check-cone", "instance = uniform\ngrid_N = 16\n")
+        assert code == EXIT_OK
 
     def test_missing_out(self):
         assert main(["selftest", "--quick"]) == EXIT_USAGE

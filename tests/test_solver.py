@@ -46,6 +46,7 @@ from hessquot.torus import (
     constant_form,
     identity_form,
     normalize_density,
+    prolong,
 )
 
 TWO_PI = 2.0 * np.pi
@@ -526,6 +527,113 @@ class TestSecantPredictor:
         assert counts(newton_solve(spec, init=[s0, s1])) == counts(warm)
         same_t = dataclasses.replace(s0, t=s1.t)
         assert counts(newton_solve(spec, init=[same_t, s1], t=0.25)) == counts(warm)
+
+
+@pytest.fixture
+def newton_calls(monkeypatch):
+    """The grid N of every newton_solve call made through the module-level name."""
+    calls = []
+    original = solver.newton_solve
+
+    def counted(spec, *args, **kwargs):
+        calls.append(spec.grid.N)
+        return original(spec, *args, **kwargs)
+
+    monkeypatch.setattr(solver, "newton_solve", counted)
+    return calls
+
+
+@pytest.fixture(scope="module")
+def manufactured32():
+    return manufactured_instance(N=32)
+
+
+def mean_free_sup(values):
+    return float(np.abs(values - values.mean()).max())
+
+
+def fine_start(spec, coarse_solve, monkeypatch, init=None):
+    """The state a zero-step N = 32 solve starts from, with its N = 16 solve replaced."""
+    original = solver.newton_solve
+
+    def replaced(sub, *args, **kwargs):
+        if sub.grid.N == spec.grid.N:
+            return original(sub, *args, **kwargs)
+        return coarse_solve(original, sub, *args, **kwargs)
+
+    monkeypatch.setattr(solver, "newton_solve", replaced)
+    with pytest.raises(NonconvergenceError) as err:
+        solver.newton_solve(spec, init=init, config=SolverConfig(max_newton=0))
+    assert err.value.state.diagnostics["newton_iters"] == 0
+    return err.value.state
+
+
+class TestNestedIteration:
+    """Above N = 16 every solve starts from the solve on the grid with N/2."""
+
+    def test_manufactured_n32_takes_no_fine_steps(self, manufactured32, newton_calls):
+        spec = manufactured32.spec(manufactured32.extras["t_star"])
+        st = solver.newton_solve(spec)
+        assert newton_calls == [32, 16]
+        assert st.diagnostics["newton_iters"] == 0
+        assert st.residual_sup <= 1e-10
+        assert mean_free_sup(st.phi - manufactured32.extras["phi_star"]) <= 1e-10
+        assert abs(st.b - quadrature_b(spec)) <= 1e-9
+
+    def test_path_n32_meets_closed_forms(self, newton_calls):
+        inst = boundary_degenerate_instance(N=32)
+        res = solver.continuation_path(inst.family(), SCHEDULE)
+        assert res.complete and len(res.states) == len(SCHEDULE)
+        assert newton_calls == [32, 16] * len(SCHEDULE)
+        for st in res.states:
+            want = inst.extras["potential_exact"](st.t)
+            assert mean_free_sup(st.phi - want) <= 1e-8
+            assert abs(st.b - inst.extras["expected_b"](st.t)) <= 1e-8
+
+    def test_one_call_per_solve_up_to_n16(self, newton_calls, bd8, manufactured16):
+        res = solver.continuation_path(bd8.family(), SCHEDULE)
+        assert res.complete
+        solver.newton_solve(manufactured16.spec(0.5))
+        assert newton_calls == [8] * len(SCHEDULE) + [16]
+
+    def test_coarse_nonconvergence_hands_over_its_state(self, manufactured32, monkeypatch):
+        stopped = []
+
+        def one_step(original, sub, *args, **kwargs):
+            try:
+                return original(sub, *args, **dict(kwargs, config=SolverConfig(max_newton=1)))
+            except NonconvergenceError as err:
+                stopped.append(err.state)
+                raise
+
+        start = fine_start(manufactured32.spec(0.5), one_step, monkeypatch)
+        (coarse,) = stopped
+        assert coarse.diagnostics["newton_iters"] == 1
+        assert mean_free_sup(coarse.phi) > 1e-3
+        assert mean_free_sup(start.phi - prolong(coarse.spec.grid, coarse.phi)) <= 1e-12
+
+    @pytest.mark.parametrize("how", ["coarse-raises", "prolongation-leaves"])
+    @pytest.mark.parametrize("warm", [False, True], ids=["cold", "warm"])
+    def test_coarse_outside_cone_falls_back(self, manufactured32, monkeypatch, how, warm):
+        spec = manufactured32.spec(0.5)
+        grid = spec.grid
+        bump = 4.0 * grid_field(grid, np.cos(TWO_PI * grid.coords()["x1"]))
+
+        def outside(original, sub, *args, **kwargs):
+            if how == "coarse-raises":
+                raise ConeViolationError("initial state leaves the cone")
+            # a converged coarse solve, not the zero-step one the fine solve asks for
+            st = original(sub, *args, **dict(kwargs, config=None))
+            return dataclasses.replace(st, phi=st.phi + bump[::2, ::2, ::2, ::2])
+
+        prior = None
+        if warm:
+            phi = 0.5 * manufactured32.extras["phi_star"]
+            prior = solver.SolverState(phi, quadrature_b(spec), 0.5, math.nan, {}, spec)
+        start = fine_start(spec, outside, monkeypatch, init=prior)
+        want = np.zeros(grid.shape) if prior is None else prior.phi
+        assert mean_free_sup(start.phi - want) <= 1e-12
+        assert start.b == quadrature_b(spec)
 
 
 class TestStability:

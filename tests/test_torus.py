@@ -1,5 +1,6 @@
 """Torus discretization tests: spectral derivatives, quadrature, instance tuning."""
 
+import dataclasses
 from itertools import product
 
 import numpy as np
@@ -7,8 +8,9 @@ import pytest
 
 import hessquot.torus as torus
 from hessquot.errors import ConstructionError, DomainError, InputError
+from hessquot.instances import manufactured_instance
 from hessquot.pointwise import cone_margin
-from hessquot.solver import strip_kernel_modes
+from hessquot.solver import EquationSpec, strip_kernel_modes
 from hessquot.symfunc import elementary_sym
 from hessquot.torus import (
     FormField,
@@ -307,6 +309,69 @@ class TestRealFFTLayer:
         values = -sum(w * hess[..., j, j].real for j, w in enumerate(weights))
         got = divide_by_symbol(grid, frozen_symbol(grid, weights), values)
         assert_rel(got, strip_kernel_modes(grid, u))
+
+
+def drop_nyquist(grid, values):
+    """The field without the modes at the Nyquist frequency of any axis."""
+    spectrum = np.fft.fftn(values)
+    for axis in range(2 * grid.n):
+        index = [slice(None)] * (2 * grid.n)
+        index[axis] = grid.N // 2
+        spectrum[tuple(index)] = 0.0
+    return np.fft.ifftn(spectrum).real
+
+
+# (n, coarse N): prolongation goes to 2N, restriction comes back
+TRANSFERS = [pytest.param(2, 8, id="n2-N16to8"), pytest.param(3, 4, id="n3-N8to4")]
+
+
+class TestGridTransfer:
+    @pytest.mark.parametrize(("n", "N"), TRANSFERS)
+    def test_prolongation_is_exact_for_band_limited_fields(self, n, N):
+        coarse, fine = TorusGrid(n, N), TorusGrid(n, 2 * N)
+        phi_c = trig_poly(coarse, np.random.default_rng(13), max_mode=N // 2 - 1)
+        phi_f = trig_poly(fine, np.random.default_rng(13), max_mode=N // 2 - 1)
+        assert np.max(np.abs(torus.prolong(coarse, phi_c) - phi_f)) <= 1e-13
+        assert np.array_equal(torus.restrict(fine, phi_f), phi_f[(slice(None, None, 2),) * (2 * n)])
+        form = FormField(fine, np.eye(n), 0.01 * phi_f).restricted()
+        assert form.grid == coarse
+        want = FormField(coarse, np.eye(n), 0.01 * phi_c).matrices()
+        assert np.max(np.abs(form.matrices() - want)) <= 1e-13
+
+    @pytest.mark.parametrize(("n", "N"), TRANSFERS)
+    def test_restriction_inverts_prolongation(self, n, N):
+        coarse, fine = TorusGrid(n, N), TorusGrid(n, 2 * N)
+        v = drop_nyquist(coarse, np.random.default_rng(17).normal(size=coarse.shape))
+        assert np.max(np.abs(torus.restrict(fine, torus.prolong(coarse, v)) - v)) <= 1e-13
+
+    def test_restricted_spec_matches_the_coarse_instance(self):
+        got = manufactured_instance(N=32).spec(0.5).restricted()
+        want = manufactured_instance(N=16).spec(0.5)
+        assert got.grid == want.grid
+        assert (got.n, got.m, got.unknown_mode) == (want.n, want.m, want.unknown_mode)
+        for name in ("background", "omega"):
+            a, b = getattr(got, name), getattr(want, name)
+            assert np.array_equal(a.const, b.const)
+            assert a.is_constant == b.is_constant
+            assert np.max(np.abs(a.matrices() - b.matrices())) <= 1e-13
+        for name in ("coefficient_field", "source_field"):
+            assert np.max(np.abs(getattr(got, name) - getattr(want, name))) <= 1e-13
+
+    def test_restricted_additive_source_is_renormalized(self):
+        # 1 + (-1)^j along x1 has mean 1 on the fine grid but is 2 on every
+        # coarse point, so injection alone would break the normalization
+        grid = TorusGrid(2, 8)
+        sign = (-1.0) ** np.arange(8).reshape(8, 1, 1, 1)
+        spec = EquationSpec(
+            n=2, m=1, background=constant_form(grid, 3.0 * np.eye(2)),
+            omega=identity_form(grid), coefficient_field=1.0,
+            source_field=grid_field(grid, 1.0 + 0.5 * sign),
+        )
+        coarse = spec.restricted()
+        assert coarse.grid == TorusGrid(2, 4)
+        assert np.max(np.abs(coarse.source_field - 1.0)) <= 1e-15
+        mult = dataclasses.replace(spec, unknown_mode="multiplicative").restricted()
+        assert np.max(np.abs(mult.source_field - 1.5)) == 0.0
 
 
 class TestFormField:
