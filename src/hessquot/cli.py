@@ -238,7 +238,10 @@ def _solver_config(cfg, default_tol):
     kwargs = {"tol": _number(cfg, "tol", default_tol)}
     if "max_newton" in cfg:
         kwargs["max_newton"] = _number(cfg, "max_newton", None, integer=True)
-    return SolverConfig(**kwargs)
+    try:
+        return SolverConfig(**kwargs)
+    except InputError as err:
+        raise UsageError(str(err)) from err
 
 
 def _base_payload(command, args):
@@ -347,9 +350,9 @@ def cmd_continue(cfg, args, outdir):
         {"instance", "grid_N", "m", "eps", "t_schedule", "tol", "max_newton", "dump_fields"},
         "continue",
     )
+    config = _solver_config(cfg, 1e-8)
     inst = build_instance(cfg)
     schedule = _parse_schedule(cfg)
-    config = _solver_config(cfg, 1e-8)
     dump = _flag(cfg, "dump_fields")
     payload = _base_payload("continue", args)
     payload["instance"] = inst.name

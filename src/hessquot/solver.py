@@ -2,15 +2,15 @@
 
 The iteration works on the inverse-eigenvalue residual, which is concave in
 admissible directions, with the potential (mean-zero) and the scalar constant
-solved jointly: each step solves the bordered linear system
+solved jointly: each step solves the linear system
 
     -tr(A(x) Hess(dphi)(x)) + (dR/db)(x) db = -R(x)    at every grid point
-    mean(dphi) = 0
 
-by preconditioned LGMRES, where A rotates the per-eigendirection coefficients
-back to the coordinate frame and Hess is the spectral complex Hessian.
-Backtracking keeps every accepted iterate admissible (X > 0 pointwise) and
-strictly decreases the sup residual. Potentials live in the Fourier subspace
+by LGMRES, right-preconditioned by the constant-coefficient inverse, which
+gives mean(dphi) = 0; A rotates the per-eigendirection coefficients back to
+the coordinate frame and Hess is the spectral complex Hessian. Backtracking
+keeps every accepted iterate admissible (X > 0 pointwise) and strictly
+decreases the sup residual. Potentials live in the Fourier subspace
 complementary to the Hessian's kernel (modes with every axis frequency at 0
 or Nyquist), where the linearized systems are nonsingular. Above
 COARSEST_N points per axis, each solve starts from the solve of the same
@@ -136,6 +136,10 @@ class SolverConfig:
     tol: float = 1e-10            # sup-norm residual target
     max_newton: int = 50
 
+    def __post_init__(self):
+        if not (self.tol > 0.0 and self.max_newton >= 0):
+            raise InputError(f"need tol > 0 and max_newton >= 0, got {self}")
+
 
 @dataclass(frozen=True)
 class SolverState:
@@ -162,9 +166,9 @@ def strip_kernel_modes(grid, values, keep_mean=False):
 
     The kernel is exactly the modes whose every axis frequency is 0 or
     Nyquist: all holomorphic multipliers vanish there. Potentials are kept
-    orthogonal to all of them (the mean is pinned by the bordered row), and
-    the Newton equation rows are projected with keep_mean=True: the mean
-    part is matched by the scalar unknown, while the remaining kernel modes
+    orthogonal to all of them, the mean included, and the Newton equation
+    rows are projected with keep_mean=True: the mean part is matched by the
+    scalar unknown, while the remaining kernel modes
     are invisible to the discrete Hessian, so leaving them in the rows makes
     the linear systems inconsistent and the Krylov iteration stagnates.
 
@@ -248,6 +252,12 @@ def quadrature_b(spec):
 def _linear_step(spec, ev, config, rsup_prev):
     """One inexact-Newton linear solve; returns (dphi, db, krylov_iters, info).
 
+    LGMRES solves (A M^-1) y = -R, both sides stripped of the kernel modes but
+    the mean, and the step is (dphi, db) = M^-1 y: db = mean(y)/mean(dR/db)
+    and dphi = S^-1 (y - db dR/db), with S the frozen symbol, which zeroes
+    the kernel modes and so the mean of dphi. The residual LGMRES reduces is
+    then the Newton residual that the forcing term bounds.
+
     info is the LGMRES status: 0 on convergence to the forcing tolerance.
     """
     grid = spec.grid
@@ -260,39 +270,22 @@ def _linear_step(spec, ev, config, rsup_prev):
     # is one real contraction with the packed Hessian
     weights = np.ascontiguousarray(np.moveaxis(pack_hermitian(amat) * (2.0 - np.eye(n)), 0, -1))
     del amat  # the Krylov solve needs only the packed copy
-    col = ev.dresid_db
-
-    def matvec(u):
-        dphi = u[:P].reshape(grid.shape)
-        db = u[P]
-        hess = packed_hessian(grid, dphi).reshape(n, n, P)
-        trace = np.einsum("jkp,jkp->p", weights, hess)
-        rows = strip_kernel_modes(grid, (-trace + col * db).reshape(grid.shape), keep_mean=True)
-        out = np.empty(P + 1)
-        out[:P] = rows.reshape(-1)
-        out[P] = float(np.mean(dphi))
-        return out
-
+    col = ev.dresid_db.reshape(grid.shape)
+    col_mean = float(np.mean(col))
     # constant-coefficient symbol: sum_j abar_j |p_j|^2 diagonalizes the
     # frozen operator in Fourier space; kernel modes share the Hessian's
     abar = [max(float(np.mean(weights[j, j])), 1e-300) for j in range(n)]
     symbol = frozen_symbol(grid, abar)
-    col_mean = float(np.mean(col))
 
-    def psolve(r):
-        r1 = r[:P].reshape(grid.shape)
-        r2 = r[P]
-        db = float(np.mean(r1)) / col_mean
-        dphi = divide_by_symbol(grid, symbol, r1 - db * col.reshape(grid.shape)) + r2
-        out = np.empty(P + 1)
-        out[:P] = dphi.reshape(-1)
-        out[P] = db
-        return out
+    def matvec(y):
+        y = y.reshape(grid.shape)
+        db = float(np.mean(y)) / col_mean
+        hess = packed_hessian(grid, y - db * col, symbol).reshape(n, n, P)
+        trace = np.einsum("jkp,jkp->p", weights, hess).reshape(grid.shape)
+        return strip_kernel_modes(grid, col * db - trace, keep_mean=True).reshape(-1)
 
-    op = LinearOperator((P + 1, P + 1), matvec=matvec, dtype=np.float64)
-    pre = LinearOperator((P + 1, P + 1), matvec=psolve, dtype=np.float64)
-    rhs_rows = strip_kernel_modes(grid, -ev.resid.reshape(grid.shape), keep_mean=True)
-    rhs = np.concatenate([rhs_rows.reshape(-1), [0.0]])
+    op = LinearOperator((P, P), matvec=matvec, dtype=np.float64)
+    rhs = strip_kernel_modes(grid, -ev.resid.reshape(grid.shape), keep_mean=True).reshape(-1)
     # Eisenstat-Walker style forcing, floored so inner error cannot block
     # the outer target
     eta = FORCING_MAX
@@ -305,12 +298,14 @@ def _linear_step(spec, ev, config, rsup_prev):
         nonlocal nit
         nit += 1
 
-    sol, info = lgmres(
-        op, rhs, M=pre, rtol=eta, atol=0.0,
+    y, info = lgmres(
+        op, rhs, rtol=eta, atol=0.0,
         inner_m=KRYLOV_INNER, maxiter=KRYLOV_MAXITER, callback=count,
     )
-    dphi = strip_kernel_modes(grid, sol[:P].reshape(grid.shape))
-    return dphi, float(sol[P]), nit, info
+    y = y.reshape(grid.shape)
+    db = float(np.mean(y)) / col_mean
+    dphi = strip_kernel_modes(grid, divide_by_symbol(grid, symbol, y - db * col))
+    return dphi, db, nit, info
 
 
 def _coarse_solution(spec, path, config, t):
@@ -331,11 +326,12 @@ def _coarse_solution(spec, path, config, t):
 
 
 def _predictions(spec, path, config, t):
-    """Starts (phi, b) to try before the warm or cold one, best first.
+    """Starts (phi, b) to try in order, best first.
 
     The prolonged coarse solution (N > COARSEST_N), then the secant in t
-    through the last two path states. Each is computed only once the one
-    before it has left the cone.
+    through the last two path states, then the warm start from the last
+    state, or the cold one (phi = 0, b = 0) on an empty path. Each is
+    computed only once the one before it has left the cone.
     """
     grid = spec.grid
     if grid.N > COARSEST_N:
@@ -349,6 +345,10 @@ def _predictions(spec, path, config, t):
             phi1 = np.asarray(s1.phi, dtype=np.float64)
             phi = strip_kernel_modes(grid, phi1 + r * (phi1 - np.asarray(s0.phi, dtype=np.float64)))
             yield phi, float(s1.b + r * (s1.b - s0.b))
+    if path:
+        yield strip_kernel_modes(grid, np.asarray(path[-1].phi, dtype=np.float64)), float(path[-1].b)
+    else:
+        yield np.zeros(grid.shape), 0.0
 
 
 def newton_solve(spec, init=None, config=None, t=math.nan):
@@ -378,31 +378,20 @@ def newton_solve(spec, init=None, config=None, t=math.nan):
     only, not the coarse solves'.
     """
     config = config or SolverConfig()
-    grid = spec.grid
     path = init if isinstance(init, Sequence) else [] if init is None else [init]
     bq = quadrature_b(spec) if spec.unknown_mode == "additive" else None
-    ev = None
     for phi, b in _predictions(spec, path, config, t):
         b = b if bq is None else bq
         try:
             ev = _evaluate(spec, phi, b)
             break
-        except _Inadmissible:
-            pass  # the prediction left the cone: try the next start
-    if ev is None:
-        if path:
-            phi = strip_kernel_modes(grid, np.asarray(path[-1].phi, dtype=np.float64))
-            b = float(path[-1].b) if bq is None else bq
-        else:
-            phi = np.zeros(grid.shape)
-            b = 0.0 if bq is None else bq
-        try:
-            ev = _evaluate(spec, phi, b)
-        except _Inadmissible as bad:
-            raise ConeViolationError(
-                f"initial state leaves the cone: {bad}",
-                detail={"count": bad.count, "min_eig": bad.worst, "where": bad.where},
-            ) from None
+        except _Inadmissible as err:
+            bad = err  # this start left the cone: try the next one
+    else:
+        raise ConeViolationError(
+            f"initial state leaves the cone: {bad}",
+            detail={"count": bad.count, "min_eig": bad.worst, "where": bad.where},
+        )
 
     iters = 0
     krylov_total = 0

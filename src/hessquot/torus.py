@@ -130,14 +130,19 @@ def _check_scalar(grid, values):
     return values
 
 
-def packed_hessian(grid, phi):
+def packed_hessian(grid, phi, symbol=None):
     """Spectral complex Hessian as n*n real fields, shape (n, n) + grid.shape.
 
     The leading axes hold HERMITIAN_PACKING: [i, i] is H_ii and, for i < j,
     [i, j] is Re H_ij and [j, i] is Im H_ij. One rfftn and one batched irfftn.
+    Given a frozen_symbol, it is the Hessian of divide_by_symbol(grid,
+    symbol, phi), with the division done on the one spectrum.
     """
     phi = _check_scalar(grid, phi)
-    return _irfftn(grid, scipy.fft.rfftn(phi) * _symbols(grid)[2])
+    spectrum = scipy.fft.rfftn(phi)
+    if symbol is not None:
+        spectrum /= symbol
+    return _irfftn(grid, spectrum * _symbols(grid)[2])
 
 
 def complex_hessian(grid, phi):

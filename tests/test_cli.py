@@ -307,6 +307,10 @@ class TestUsageContract:
                 ("fake-boundary", "max_newton = 2.5\n"),
                 ("solve", "t = half\n"),
                 ("solve", "tol = -inf\n"),
+                ("solve", "tol = -1\n"),
+                ("solve", "tol = 0\n"),
+                ("continue", "tol = 0\n"),
+                ("solve", "max_newton = -3\n"),
                 ("continue", "max_newton = many\n"),
                 ("stability", "f1_amplitude = 0.1\nf2_amplitude = small\n"),
                 ("stability", "q = nan\nf1_amplitude = 0.1\nf2_amplitude = 0.05\n"),

@@ -400,6 +400,43 @@ class TestFailureModes:
         assert err.value.state.residual_sup > 1e-10
 
 
+class TestSolverConfig:
+    @pytest.mark.parametrize(
+        "kwargs", [{"tol": 0.0}, {"tol": -1.0}, {"tol": math.nan}, {"max_newton": -3}], ids=str
+    )
+    def test_bad_values_rejected(self, kwargs):
+        with pytest.raises(InputError):
+            SolverConfig(**kwargs)
+
+
+class TestNewtonStep:
+    """The step (dphi, db) against finite differences of the residual R.
+
+    With P the kernel projection keeping the mean, the Newton equation is
+    P J d = -P R(x); the directional derivative J d is taken by a forward
+    difference, so the check holds to the forcing tolerance plus O(eps).
+    """
+
+    @pytest.mark.parametrize(("ratio", "bound"), [(1e3, 1e-5), (math.inf, 0.1)])
+    def test_step_solves_linearization(self, manufactured16, ratio, bound):
+        spec = manufactured16.spec(0.5)
+        grid = spec.grid
+        phi, b = np.zeros(grid.shape), quadrature_b(spec)
+        ev = solver._evaluate(spec, phi, b)
+        dphi, db, _, info = solver._linear_step(spec, ev, SolverConfig(), ratio * ev.rsup)
+        assert info == 0
+
+        def proj(r):
+            return strip_kernel_modes(grid, r.reshape(grid.shape), keep_mean=True)
+
+        eps = 1e-6
+        moved = solver._evaluate(spec, phi + eps * dphi, b + eps * db).resid
+        lin = proj((moved - ev.resid) / eps) + proj(ev.resid)
+        assert np.linalg.norm(lin) <= bound * np.linalg.norm(proj(ev.resid))
+        assert abs(np.mean(dphi)) <= 1e-14
+        assert np.max(np.abs(dphi - strip_kernel_modes(grid, dphi))) <= 1e-14
+
+
 class TestContinuation:
     def test_schedule_validation(self, degenerate8):
         for bad in ([], [0.5, 0.6], [1.5, 0.5], [0.5, 0.0]):

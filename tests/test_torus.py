@@ -307,8 +307,13 @@ class TestRealFFTLayer:
         weights = rng.uniform(0.5, 2.0, size=n)
         hess = oracle_hessian(grid, u)
         values = -sum(w * hess[..., j, j].real for j, w in enumerate(weights))
-        got = divide_by_symbol(grid, frozen_symbol(grid, weights), values)
+        symbol = frozen_symbol(grid, weights)
+        got = divide_by_symbol(grid, symbol, values)
         assert_rel(got, strip_kernel_modes(grid, u))
+        # fused: the Hessian of S^-1 u from one transform pair, kernel and
+        # Nyquist content of u included
+        want = packed_hessian(grid, divide_by_symbol(grid, symbol, u))
+        assert_rel(packed_hessian(grid, u, symbol), want)
 
 
 def drop_nyquist(grid, values):
