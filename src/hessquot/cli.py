@@ -53,7 +53,6 @@ from .selfcheck import DEFAULT_SEED, run_suites
 from .solver import (
     SolverConfig,
     continuation_path,
-    diagnostics,
     newton_solve,
     stability_compare,
     uniqueness_gap,
@@ -179,10 +178,11 @@ def _flag(cfg, key):
 
 # Peak RSS of the heaviest command, `continue` on boundary_degenerate over
 # the default schedule, measured at n = 2 (the only n the CLI builds) for
-# N = 8, 16 and 32: 87, 161 and 1287 MiB. The interpreter and libraries take
-# a fixed part, the rest grows with the grid's points, 2^(2n) per doubling.
-_RSS_BASE_BYTES = 86 * 2**20
-_RSS_BYTES_PER_POINT = 1200
+# N = 8, 16 and 32: at most 84, 124 and 708 MiB over repeated runs. The
+# interpreter and libraries take a fixed part, the rest grows with the
+# grid's points, 2^(2n) per doubling.
+_RSS_BASE_BYTES = 85 * 2**20
+_RSS_BYTES_PER_POINT = 625
 
 
 def _physical_memory():
@@ -308,16 +308,16 @@ def cmd_solve(cfg, args, outdir):
         payload.update({"stage": "solve", "failure": str(err), "exit_code": EXIT_SOLVER})
         print(f"solve: failed ({err})")
         return payload, EXIT_SOLVER
-    diag = diagnostics(state)
+    diag = state.diagnostics
     volume_slack = volume_lower_bound_check(state, inst.c)
     floor = inst.c ** (inst.grid.n / (inst.grid.n - inst.m))
     payload.update(
         {
             "b": state.b,
             "residual_sup": state.residual_sup,
-            "newton_iters": state.diagnostics["newton_iters"],
+            "newton_iters": diag["newton_iters"],
             "sup_phi": diag["sup_phi"],
-            "sup_grad_sq": diag["sup_grad_sq"],
+            "sup_grad_sq": diag["sup_grad"] ** 2,
             "sup_w": diag["sup_w"],
             "volume_bound_slack": volume_slack,
             "assertions": {
@@ -358,7 +358,7 @@ def cmd_continue(cfg, args, outdir):
     payload["instance"] = inst.name
     payload["schedule"] = schedule
     try:
-        result = continuation_path(inst.family(), schedule, config)
+        result = continuation_path(inst.spec, schedule, config)
     except InputError as err:
         raise UsageError(f"continue: {err}") from err
     csv_name = "path.csv"

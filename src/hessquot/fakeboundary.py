@@ -126,15 +126,12 @@ def g1_field(chi, omega, m):
     return math.comb(n, m) * elementary_sym(n, mu) / elementary_sym(m, mu)
 
 
-def g2_field(g, g1, b_prime, delta1, chi=None, omega=None, m=None):
+def g2_field(g, g1, b_prime, delta1):
     """Strictly solvable stand-in coefficient just above the required floor.
 
     Returns softmax_kappa(e^{b'} g, g1) + delta1/2, escalating the sharpness
     kappa until the output lies strictly inside the band
     (max{e^{b'} g, g1}, max{e^{b'} g, g1} + delta1) at every grid point.
-    When the background fields are supplied, the strict cone condition with
-    the widened coefficient g2 + delta1 is also verified pointwise; failing
-    it means delta1 is too large for this background.
     """
     g = np.asarray(g, dtype=np.float64)
     g1 = np.asarray(g1, dtype=np.float64)
@@ -156,14 +153,6 @@ def g2_field(g, g1, b_prime, delta1, chi=None, omega=None, m=None):
         raise ConstructionError(
             f"no sharpness in [{1.0 / delta1:g}, {kappa:g}] puts the smooth max in its band"
         )
-    if chi is not None:
-        mu = form_eigenvalues(chi, omega).reshape(-1, chi.grid.n)
-        margin = float(np.min(cone_margin(mu, (g2 + delta1).reshape(-1), m)))
-        if margin <= 0.0:
-            raise ConstructionError(
-                f"delta1={delta1:g} too large: cone margin {margin:.3e} "
-                "with the widened coefficient"
-            )
     return g2
 
 
@@ -240,13 +229,21 @@ def prepare_instance(g, chi, omega, m, delta1=None):
         b_prime = solve_b_prime(theta0, grid.n, m)
 
     g1 = g1_field(chi, omega, m)
+    mu = form_eigenvalues(chi, omega).reshape(-1, grid.n)
     candidates = [delta1] if delta1 is not None else [c / 2.0**k for k in range(1, 41)]
     err = None
     for d1 in candidates:
         try:
-            g2 = g2_field(g, g1, b_prime, d1, chi=chi, omega=omega, m=m)
+            g2 = g2_field(g, g1, b_prime, d1)
         except ConstructionError as bad:
             err = bad
+            continue
+        # the strict cone condition must hold with the widened coefficient g2 + delta1
+        margin = float(np.min(cone_margin(mu, (g2 + d1).reshape(-1), m)))
+        if margin <= 0.0:
+            err = ConstructionError(
+                f"delta1={d1:g} too large: cone margin {margin:.3e} with the widened coefficient"
+            )
             continue
         return FakeBoundaryInstance(
             g, g_max, g_min, theta0, b_prime, d1, g1, g2,

@@ -54,9 +54,6 @@ class Instance:
             unknown_mode="additive",
         )
 
-    def family(self):
-        return self.spec
-
 
 def _grid_field(grid, expr):
     return np.ascontiguousarray(np.broadcast_to(expr, grid.shape)).astype(np.float64)

@@ -40,7 +40,6 @@ from .symfunc import elementary_sym
 from .torus import (
     DENSITY_CONVENTION_SCALE,
     FormField,
-    complex_hessian,
     divide_by_symbol,
     form_eigenvalues,
     frozen_symbol,
@@ -186,8 +185,7 @@ def strip_kernel_modes(grid, values, keep_mean=False):
 
 def _eigensystem(spec, phi):
     """Eigensystem of background + Hess(phi) relative to omega, flattened to (P, n)."""
-    mats = spec.background.matrices() + complex_hessian(spec.grid, phi)
-    flat = mats.reshape(-1, spec.n, spec.n)
+    flat = spec.background.matrices(phi).reshape(-1, spec.n, spec.n)
     return eigensystem_rel(flat, spec.omega.flat_matrices(), check=False)
 
 
@@ -460,34 +458,6 @@ def _make_state(spec, phi, b, t, ev, iters, krylov_total):
         "volume_resid_rel": float(np.max(np.abs(vol_resid) / sn)),
     }
     return SolverState(phi_out, float(b), float(t), ev.rsup, diag, spec)
-
-
-def diagnostics(state):
-    """A priori estimate monitors for one converged state.
-
-    Reports the sup norms entering the gradient and second-order bounds and
-    the fitted slopes of ln|grad phi|^2 and ln w against (phi - inf phi),
-    the exponent shape those bounds predict.
-    """
-    phi = np.asarray(state.phi)
-    grad_sq = _gradient_sq(state.spec, phi)
-    w = log_trace(state_eigenvalues(state))
-    shifted = (phi - float(np.min(phi))).reshape(-1)
-
-    def slope(y_log_arg, mask):
-        if int(np.sum(mask)) < 2 or np.ptp(shifted[mask]) == 0.0:
-            return math.nan
-        return float(np.polyfit(shifted[mask], np.log(y_log_arg[mask]), 1)[0])
-
-    return {
-        "sup_phi": float(np.max(np.abs(phi))),
-        "sup_grad_sq": float(np.max(grad_sq)),
-        "sup_w": float(np.max(w)),
-        "slope_grad_sq": slope(grad_sq, grad_sq > 1e-300),
-        "slope_w": slope(w, w > 0.0),
-        "residual_sup": state.residual_sup,
-        "b": state.b,
-    }
 
 
 @dataclass(frozen=True)

@@ -69,7 +69,7 @@ def degenerate_path(grid_N, away=0.2):
     """
     inst = boundary_degenerate_instance(N=grid_N)
     mask = distance_to_set(inst.grid, inst.extras["degenerate_mask"]) > away
-    path = continuation_path(inst.family(), SCHEDULE)
+    path = continuation_path(inst.spec, SCHEDULE)
     away_w = [_sup_w_on(st, mask) for st in path.states]
     slack = volume_lower_bound_check(path.states[-1], inst.c) if path.complete else None
     return DegeneratePath(inst, mask, path, away_w, slack)

@@ -18,7 +18,7 @@ import functools
 import json
 import math
 import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 import scipy.fft
@@ -60,10 +60,6 @@ class TorusGrid:
     @property
     def npoints(self):
         return self.N ** (2 * self.n)
-
-    @property
-    def spacing(self):
-        return 1.0 / self.N
 
     def axis_coord(self, axis):
         """Coordinate values along one real axis, shaped for broadcasting."""
@@ -212,36 +208,41 @@ def divide_by_symbol(grid, symbol, values):
     return _irfftn(grid, scipy.fft.rfftn(values) / symbol)
 
 
-@dataclass(eq=False)
+@dataclass(frozen=True, eq=False)
 class FormField:
     """Closed real (1,1) form: constant Hermitian part plus i d dbar of a potential."""
 
     grid: TorusGrid
     const: np.ndarray
     potential: np.ndarray | None = None
-    _matrices: np.ndarray | None = field(default=None, repr=False)
 
     def __post_init__(self):
-        self.const = np.asarray(self.const, dtype=np.complex128)
-        if self.const.shape != (self.grid.n, self.grid.n):
+        const = np.asarray(self.const, dtype=np.complex128)
+        if const.shape != (self.grid.n, self.grid.n):
             raise InputError(f"constant part must be {self.grid.n} x {self.grid.n}")
-        check_hermitian(self.const, rtol=1e-12)
+        check_hermitian(const, rtol=1e-12)
+        object.__setattr__(self, "const", const)
         if self.potential is not None:
-            self.potential = _check_scalar(self.grid, self.potential)
-            if np.max(np.abs(self.potential)) == 0.0:
-                self.potential = None
+            pot = _check_scalar(self.grid, self.potential)
+            object.__setattr__(self, "potential", None if np.max(np.abs(pot)) == 0.0 else pot)
 
     @property
     def is_constant(self):
         return self.potential is None
 
-    def matrices(self):
-        """Pointwise form coefficients, shape grid.shape + (n, n)."""
-        if self.is_constant:
+    def matrices(self, phi=None):
+        """Pointwise coefficients of this form plus i d dbar phi, shape grid.shape + (n, n).
+
+        Built on each call from one Hessian, of the potential plus phi.
+        """
+        pot = self.potential
+        if phi is not None:
+            pot = phi if pot is None else pot + phi
+        if pot is None:
             return np.broadcast_to(self.const, self.grid.shape + self.const.shape)
-        if self._matrices is None:
-            self._matrices = self.const + complex_hessian(self.grid, self.potential)
-        return self._matrices
+        mats = complex_hessian(self.grid, pot)
+        mats += self.const  # in place: a fresh (P, n, n) array costs more than the sum
+        return mats
 
     def flat_matrices(self):
         """The (n, n) matrix of a constant form, else the (P, n, n) pointwise ones.
@@ -295,9 +296,13 @@ def form_eigenvalues(alpha, omega):
     return lam.reshape(grid.shape + (n,))
 
 
-def _require_positive(form, name):
-    """Raise DomainError, naming the worst point, unless form is positive definite."""
-    mins = np.atleast_2d(np.linalg.eigvalsh(form.flat_matrices()))[:, 0]
+def _require_positive(mins, form, name):
+    """Raise DomainError, naming the worst point, unless every value in mins is > 0.
+
+    mins holds form's smallest eigenvalue at each point, or one value when
+    form is constant.
+    """
+    mins = np.atleast_1d(mins)
     i = int(np.argmin(mins))
     if mins[i] <= 0.0:
         where = "every point" if form.is_constant else np.unravel_index(i, form.grid.shape)
@@ -305,10 +310,27 @@ def _require_positive(form, name):
 
 
 def _omega_density(omega):
-    """det(omega matrix), scalar for constant omega, else a grid field."""
-    if omega.is_constant:
-        return float(np.linalg.det(omega.const).real)
-    return np.linalg.det(omega.matrices()).real
+    """det(omega matrix): a scalar for constant omega, else one value per point."""
+    return np.linalg.det(omega.flat_matrices()).real
+
+
+def _relative_eigenvalues(alpha, omega):
+    """Eigenvalues of alpha relative to a positive definite omega.
+
+    Shape (n,) when both forms are constant, else (P, n) over the flat grid.
+    """
+    metric = omega.flat_matrices()
+    _require_positive(np.linalg.eigvalsh(metric)[..., 0], omega, "metric")
+    return eigenvalues_rel(alpha.flat_matrices(), metric, check=False)
+
+
+def _mixed(lam, k, omega):
+    """integrate_mixed from alpha's eigenvalues lam relative to omega."""
+    n = lam.shape[-1]
+    if not 0 <= k <= n:
+        raise InputError(f"wedge power k={k} outside 0..{n}")
+    integrand = elementary_sym(k, lam) / math.comb(n, k) * _omega_density(omega)
+    return float(np.mean(integrand)) * DENSITY_CONVENTION_SCALE
 
 
 def integrate_mixed(alpha, k, omega):
@@ -317,24 +339,12 @@ def integrate_mixed(alpha, k, omega):
     Computes the grid mean of S_k(lambda_omega(alpha))/C(n,k) * det(omega),
     times the shared convention constant.
     """
-    grid = alpha.grid
-    n = grid.n
-    if not 0 <= k <= n:
-        raise InputError(f"wedge power k={k} outside 0..{n}")
-    _require_positive(omega, "metric")
-    binom = math.comb(n, k)
-    if alpha.is_constant and omega.is_constant:
-        lam = eigenvalues_rel(alpha.const, omega.const, check=False)
-        val = elementary_sym(k, lam) / binom * _omega_density(omega)
-        return float(val) * DENSITY_CONVENTION_SCALE
-    lam = form_eigenvalues(alpha, omega)
-    integrand = elementary_sym(k, lam) / binom * _omega_density(omega)
-    return float(np.mean(integrand)) * DENSITY_CONVENTION_SCALE
+    return _mixed(_relative_eigenvalues(alpha, omega), k, omega)
 
 
 def integrate_density(values, omega):
     """Quadrature of a scalar density against omega^n (same convention)."""
-    integrand = np.asarray(values, dtype=np.float64) * _omega_density(omega)
+    integrand = np.reshape(np.asarray(values, dtype=np.float64), -1) * _omega_density(omega)
     return float(np.mean(integrand)) * DENSITY_CONVENTION_SCALE
 
 
@@ -342,10 +352,15 @@ def total_volume(omega):
     return integrate_mixed(omega, 0, omega)
 
 
+def _quotient_constant(mu, chi, omega, m):
+    """compute_c from chi's eigenvalues mu relative to omega."""
+    _require_positive(mu[..., -1], chi, "chi")
+    return _mixed(mu, chi.grid.n, omega) / _mixed(mu, m, omega)
+
+
 def compute_c(chi, omega, m):
     """Ratio of the top self-intersection to the m-fold mixed integral."""
-    _require_positive(chi, "chi")
-    return integrate_mixed(chi, chi.grid.n, omega) / integrate_mixed(chi, m, omega)
+    return _quotient_constant(_relative_eigenvalues(chi, omega), chi, omega, m)
 
 
 @dataclass
@@ -400,8 +415,9 @@ def make_degenerate_big(grid, base, psi_shape):
 
 
 def _min_margin(chi, omega, m):
-    c = compute_c(chi, omega, m)
-    mu = form_eigenvalues(chi, omega).reshape(-1, chi.grid.n)
+    """Minimum cone margin of chi and its constant c, from one eigenvalue pass."""
+    mu = _relative_eigenvalues(chi, omega)
+    c = _quotient_constant(mu, chi, omega, m)
     return float(np.min(cone_margin(mu, c, m))), c
 
 

@@ -340,7 +340,7 @@ class TestUsageContract:
         code, summary, _ = run_cli(tmp_path / "a", "check-cone", "instance = uniform\ngrid_N = 32\n")
         assert code == EXIT_USAGE
         assert summary is None
-        assert "grid_N = 32 needs an estimated 1.35 GB" in capsys.readouterr().err
+        assert "grid_N = 32 needs an estimated 0.744 GB" in capsys.readouterr().err
         code, _, _ = run_cli(tmp_path / "b", "check-cone", "instance = uniform\ngrid_N = 16\n")
         assert code == EXIT_OK
 

@@ -295,18 +295,15 @@ class TestG2Field:
         g1 = g1_field(chi, omega, 1)
         x1 = np.broadcast_to(grid.coords()["x1"], grid.shape)
         g = np.ascontiguousarray(2.5 + 0.3 * np.cos(TWO_PI * x1))
-        g2 = g2_field(g, g1, -0.1, 0.3, chi=chi, omega=omega, m=1)
+        g2 = g2_field(g, g1, -0.1, 0.3)
         mu = form_eigenvalues(chi, omega)
         lhs = elementary_sym(2, mu)
         rhs = g2 * elementary_sym(1, mu) / 2.0
         assert np.all(lhs < rhs)
 
-    def test_cone_check_rejects_large_delta(self, sample8, inst8):
+    def test_cone_check_rejects_large_delta(self, sample8):
         with pytest.raises(ConstructionError, match="too large"):
-            g2_field(
-                inst8.g, inst8.g1, inst8.b_prime, 5.0,
-                chi=sample8["chi"], omega=sample8["omega"], m=1,
-            )
+            prepare_instance(sample8["g"], sample8["chi"], sample8["omega"], 1, delta1=5.0)
 
     def test_unrepresentable_band_rejected(self):
         g = np.full((4, 4, 4, 4), 1.3)

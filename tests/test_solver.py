@@ -30,7 +30,6 @@ from hessquot.solver import (
     EquationSpec,
     SolverConfig,
     continuation_path,
-    diagnostics,
     newton_solve,
     quadrature_b,
     stability_compare,
@@ -205,6 +204,8 @@ class TestBackgroundCancellation:
         want -= want.max()
         assert np.abs(st.phi - want).max() <= 1e-9
         assert st.b == pytest.approx(2.25 * 1.25, abs=1e-9)
+        # X = 2.25 * identity everywhere, so w = ln S_1(X) = ln 4.5
+        assert st.diagnostics["sup_w"] == pytest.approx(math.log(4.5), abs=1e-8)
 
     def test_boundary_instance_closed_form(self):
         inst = boundary_instance(N=16)
@@ -441,10 +442,10 @@ class TestContinuation:
     def test_schedule_validation(self, degenerate8):
         for bad in ([], [0.5, 0.6], [1.5, 0.5], [0.5, 0.0]):
             with pytest.raises(InputError):
-                continuation_path(degenerate8.family(), bad)
+                continuation_path(degenerate8.spec, bad)
 
     def test_complete_path_and_warm_start(self, degenerate8):
-        res = continuation_path(degenerate8.family(), [1.0, 0.5, 0.25])
+        res = continuation_path(degenerate8.spec, [1.0, 0.5, 0.25])
         assert res.complete
         assert res.failed_t is None
         assert [st.t for st in res.states] == [1.0, 0.5, 0.25]
@@ -453,8 +454,8 @@ class TestContinuation:
         assert all(st.residual_sup <= 1e-10 for st in res.states)
 
     def test_deterministic_rerun(self, degenerate8):
-        first = continuation_path(degenerate8.family(), [1.0, 0.5, 0.25])
-        second = continuation_path(degenerate8.family(), [1.0, 0.5, 0.25])
+        first = continuation_path(degenerate8.spec, [1.0, 0.5, 0.25])
+        second = continuation_path(degenerate8.spec, [1.0, 0.5, 0.25])
         for a, b in zip(first.states, second.states):
             assert np.array_equal(a.phi, b.phi)
             assert a.b == b.b
@@ -489,7 +490,7 @@ class TestContinuation:
         assert "cone" in res.failure
 
     def test_csv_roundtrip(self, degenerate8, tmp_path):
-        res = continuation_path(degenerate8.family(), [1.0, 0.5])
+        res = continuation_path(degenerate8.spec, [1.0, 0.5])
         out = tmp_path / "path.csv"
         write_path_csv(out, res)
         with open(out, newline="") as fh:
@@ -509,7 +510,7 @@ def bd8():
 
 @pytest.fixture(scope="module")
 def bd8_path(bd8):
-    return continuation_path(bd8.family(), SCHEDULE)
+    return continuation_path(bd8.spec, SCHEDULE)
 
 
 def counts(state):
@@ -619,7 +620,7 @@ class TestNestedIteration:
 
     def test_path_n32_meets_closed_forms(self, newton_calls):
         inst = boundary_degenerate_instance(N=32)
-        res = solver.continuation_path(inst.family(), SCHEDULE)
+        res = solver.continuation_path(inst.spec, SCHEDULE)
         assert res.complete and len(res.states) == len(SCHEDULE)
         assert newton_calls == [32, 16] * len(SCHEDULE)
         for st in res.states:
@@ -628,7 +629,7 @@ class TestNestedIteration:
             assert abs(st.b - inst.extras["expected_b"](st.t)) <= 1e-8
 
     def test_one_call_per_solve_up_to_n16(self, newton_calls, bd8, manufactured16):
-        res = solver.continuation_path(bd8.family(), SCHEDULE)
+        res = solver.continuation_path(bd8.spec, SCHEDULE)
         assert res.complete
         solver.newton_solve(manufactured16.spec(0.5))
         assert newton_calls == [8] * len(SCHEDULE) + [16]
@@ -732,31 +733,6 @@ class TestUniquenessGap:
         phi = np.zeros((4, 4, 4, 4))
         with pytest.raises(InputError, match="mask"):
             uniqueness_gap(phi, phi, np.zeros(phi.shape, dtype=bool))
-
-
-class TestDiagnosticsReport:
-    def test_flat_state(self, uniform16_state):
-        d = diagnostics(uniform16_state)
-        assert d["sup_grad_sq"] == 0.0
-        assert math.isnan(d["slope_grad_sq"])
-        assert math.isnan(d["slope_w"])
-        assert d["sup_w"] == pytest.approx(math.log(3.2), rel=1e-12)
-        assert d["b"] == pytest.approx(0.96, abs=1e-12)
-
-    def test_consistency_with_state_diagnostics(self, manufactured16_state):
-        d = diagnostics(manufactured16_state)
-        st = manufactured16_state.diagnostics
-        assert math.sqrt(d["sup_grad_sq"]) == pytest.approx(st["sup_grad"], rel=1e-10)
-        assert d["sup_phi"] == pytest.approx(st["sup_phi"], rel=1e-12)
-        assert np.isfinite(d["slope_grad_sq"])
-
-    def test_constant_w_has_zero_slope(self, degenerate8):
-        # the closed-form solution makes X constant, so w is constant while
-        # phi varies: the fitted slope must vanish
-        st = newton_solve(degenerate8.spec(0.25))
-        d = diagnostics(st)
-        assert d["sup_w"] == pytest.approx(math.log(4.5), abs=1e-8)
-        assert abs(d["slope_w"]) <= 1e-6
 
 
 class TestStripKernelModes:

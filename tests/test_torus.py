@@ -8,7 +8,7 @@ import pytest
 
 import hessquot.torus as torus
 from hessquot.errors import ConstructionError, DomainError, InputError
-from hessquot.instances import manufactured_instance
+from hessquot.instances import boundary_degenerate_instance, manufactured_instance
 from hessquot.pointwise import cone_margin
 from hessquot.solver import EquationSpec, strip_kernel_modes
 from hessquot.symfunc import elementary_sym
@@ -62,7 +62,6 @@ class TestGrid:
         g = TorusGrid(2, 8)
         assert g.shape == (8, 8, 8, 8)
         assert g.npoints == 8**4
-        assert g.spacing == 0.125
 
     def test_validation(self):
         with pytest.raises(InputError):
@@ -117,7 +116,7 @@ class TestComplexHessian:
         c = g.coords()
         phi = grid_field(g, np.sin(TWO_PI * c["x1"]) * np.sin(TWO_PI * c["y2"]))
         entry = complex_hessian(g, phi)[..., 0, 1].copy()
-        h = g.spacing
+        h = 1.0 / g.N
 
         def diff(f, axis):
             return (
@@ -408,6 +407,18 @@ class TestFormField:
         g = TorusGrid(2, 8)
         with pytest.raises(InputError):
             FormField(g, np.array([[1.0, 1.0], [0.0, 1.0]]))
+
+    def test_is_immutable(self):
+        f = FormField(TorusGrid(2, 8), np.eye(2))
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            f.potential = np.ones(f.grid.shape)
+
+    def test_matrices_with_phi_take_one_hessian(self):
+        # const + Hess(potential + phi) against the background's matrices plus Hess(phi)
+        spec = boundary_degenerate_instance(N=8).spec(0.5)
+        phi = trig_poly(spec.grid, np.random.default_rng(7), amplitude=0.02)
+        want = spec.background.matrices() + complex_hessian(spec.grid, phi)
+        assert np.max(np.abs(spec.background.matrices(phi) - want)) <= 1e-13
 
     def test_rejects_wrong_grid_addition(self):
         a = identity_form(TorusGrid(2, 8))
