@@ -30,9 +30,11 @@ from hessquot.solver import (
     EquationSpec,
     SolverConfig,
     continuation_path,
+    log_trace,
     newton_solve,
     quadrature_b,
     stability_compare,
+    state_eigenvalues,
     strip_kernel_modes,
     uniqueness_gap,
     volume_lower_bound_check,
@@ -733,6 +735,17 @@ class TestUniquenessGap:
         phi = np.zeros((4, 4, 4, 4))
         with pytest.raises(InputError, match="mask"):
             uniqueness_gap(phi, phi, np.zeros(phi.shape, dtype=bool))
+
+
+class TestDiagnosticsReport:
+    def test_constant_w_has_zero_slope(self, degenerate8):
+        # the closed-form solution makes X constant, so w is constant while
+        # phi varies: sup_w is ln 4.5 and w has no spread over the grid
+        st = newton_solve(degenerate8.spec(0.25))
+        assert st.diagnostics["sup_w"] == pytest.approx(math.log(4.5), abs=1e-8)
+        assert np.ptp(st.phi) > 0.0
+        w = log_trace(state_eigenvalues(st))
+        assert float(w.max() - w.min()) <= 1e-10
 
 
 class TestStripKernelModes:
