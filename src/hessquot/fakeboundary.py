@@ -45,8 +45,9 @@ from .solver import EquationSpec, SolverConfig, SolverState, newton_solve
 from .symfunc import elementary_sym
 from .torus import (
     FormField,
+    _relative_eigenvalues,
+    _require_positive,
     compute_c,
-    form_eigenvalues,
     integrate_density,
     integrate_mixed,
 )
@@ -110,20 +111,17 @@ def g1_field(chi, omega, m):
     """Quotient density of the background: chi^n = g1 chi^m wedge omega^(n-m).
 
     Pointwise g1 = C(n,m) S_n(mu) / S_m(mu) with mu the eigenvalues of chi
-    relative to omega.
+    relative to omega; one value broadcast over the grid when chi and omega
+    are constant.
     """
     grid = chi.grid
     n = grid.n
     if not 0 <= m < n:
         raise InputError(f"need 0 <= m < n, got m={m}, n={n}")
-    mu = form_eigenvalues(chi, omega)
-    mins = np.min(mu, axis=-1)
-    if np.min(mins) <= 0.0:
-        where = np.unravel_index(int(np.argmin(mins)), grid.shape)
-        raise DomainError(
-            f"background not positive definite (min eig {np.min(mins):.3e} at {where})"
-        )
-    return math.comb(n, m) * elementary_sym(n, mu) / elementary_sym(m, mu)
+    mu = _relative_eigenvalues(chi, omega)
+    _require_positive(mu[..., -1], chi, "background")
+    g1 = math.comb(n, m) * elementary_sym(n, mu) / elementary_sym(m, mu)
+    return np.full(grid.shape, g1) if mu.ndim == 1 else g1.reshape(grid.shape)
 
 
 def g2_field(g, g1, b_prime, delta1):
@@ -229,7 +227,7 @@ def prepare_instance(g, chi, omega, m, delta1=None):
         b_prime = solve_b_prime(theta0, grid.n, m)
 
     g1 = g1_field(chi, omega, m)
-    mu = form_eigenvalues(chi, omega).reshape(-1, grid.n)
+    mu = _relative_eigenvalues(chi, omega)
     candidates = [delta1] if delta1 is not None else [c / 2.0**k for k in range(1, 41)]
     err = None
     for d1 in candidates:
@@ -299,7 +297,7 @@ def two_stage_solve(instance, config=None, csv_path=None, steps=16):
     config = config or SolverConfig(tol=1e-8)
     grid = inst.grid
     n = grid.n
-    mu_chi = form_eigenvalues(inst.chi, inst.omega).reshape(-1, n)
+    mu_chi = _relative_eigenvalues(inst.chi, inst.omega)
 
     def solve_at(t, init):
         coeff = np.exp(t * inst.b_prime) * inst.g**t * inst.g2 ** (1.0 - t)

@@ -17,7 +17,6 @@ from .solver import EquationSpec
 from .torus import (
     FormField,
     TorusGrid,
-    complex_hessian,
     compute_c,
     constant_form,
     identity_form,
@@ -198,12 +197,9 @@ def manufactured_instance(N=32):
     phi_star = _grid_field(
         grid, 0.1 * np.sin(TWO_PI * coords["x1"]) * np.cos(TWO_PI * coords["y2"])
     )
-    hess = complex_hessian(grid, phi_star).reshape(-1, 2, 2)
-    xstar = 3.0 * np.eye(2) + hess
+    (x11, re), (im, x22) = FormField(grid, 3.0 * np.eye(2), phi_star).packed()
     # c = 1 for chi = omega; S_2 = det, S_1 = trace relative to the identity
-    f_raw = (np.linalg.det(xstar).real - 0.5 * np.trace(xstar.real, axis1=-2, axis2=-1)).reshape(
-        grid.shape
-    )
+    f_raw = (x11 * x22 - re * re - im * im) - 0.5 * (x11 + x22)
     if np.min(f_raw) <= 0.0:
         raise InputError("manufactured defect lost positivity; background too small")
     b_star = float(np.mean(f_raw))

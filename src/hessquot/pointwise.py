@@ -1,7 +1,8 @@
 """Per-point Hermitian algebra for the quotient operator.
 
 Matrices are numpy arrays of shape (..., n, n); every function maps over
-leading batch axes. The metric omega is either a single (n, n) matrix
+leading batch axes. Packed fields (HERMITIAN_PACKING) are real and carry
+the matrix on their leading (n, n) axes instead. The metric omega is either a single (n, n) matrix
 (constant over the batch, the common case) or batched alongside.
 Eigenvalues relative to omega solve det(X - lam*omega) = 0 and come back
 descending, so index 0 is the largest.
@@ -18,6 +19,10 @@ from .errors import DomainError, InputError
 from .symfunc import elementary_sym, elementary_sym_excluding_each
 
 HERMITIAN_RTOL = 1e-14
+HERMITIAN_PACKING = (
+    "real n x n block per point: diagonal holds Re A[i,i]; for i<j the entry"
+    " [i,j] holds Re A[i,j] and [j,i] holds Im A[i,j]"
+)
 
 
 @dataclass(frozen=True)
@@ -66,6 +71,78 @@ def _whiten(metric):
     return np.linalg.solve(lo, eye)
 
 
+def pack_hermitian(mats):
+    """Real-packed representation (HERMITIAN_PACKING) of a Hermitian matrix field."""
+    mats = np.asarray(mats)
+    n = mats.shape[-1]
+    out = np.empty(mats.shape, dtype=np.float64)
+    for i in range(n):
+        out[..., i, i] = mats[..., i, i].real
+        for j in range(i + 1, n):
+            out[..., i, j] = mats[..., i, j].real
+            out[..., j, i] = mats[..., i, j].imag
+    return out
+
+
+def unpack_hermitian(packed):
+    packed = np.asarray(packed, dtype=np.float64)
+    n = packed.shape[-1]
+    out = np.zeros(packed.shape, dtype=np.complex128)
+    for i in range(n):
+        out[..., i, i] = packed[..., i, i]
+        for j in range(i + 1, n):
+            val = packed[..., i, j] + 1j * packed[..., j, i]
+            out[..., i, j] = val
+            out[..., j, i] = np.conj(val)
+    return out
+
+
+def _congruence(w, fields):
+    """Packed fields of w X w^H from packed fields of X, both (n, n) + batch.
+
+    pack(w X w^H) is real-linear in pack(X): one real (n*n, n*n) matrix,
+    built from the images of the n*n packed basis matrices.
+    """
+    n = w.shape[-1]
+    basis = unpack_hermitian(np.eye(n * n).reshape(n * n, n, n))
+    mat = pack_hermitian(w @ basis @ np.conj(w.T)).reshape(n * n, n * n).T
+    return (mat @ fields.reshape(n * n, -1)).reshape(fields.shape)
+
+
+def packed_eigensystem2(fields, metric):
+    """Closed-form eigensystem of 2x2 Hermitian fields relative to a constant metric.
+
+    fields holds X packed (HERMITIAN_PACKING) on its leading (2, 2) axes,
+    over any batch. Returns (lam, coefficients): lam, shape batch + (2,), is
+    descending, half +- sqrt(((a - d)/2)^2 + re^2 + im^2) of the whitened
+    Y = W X W^H (W = inv(cholesky(metric)), skipped for the identity), and
+    coefficients(a), for weights a shaped like lam, packs
+    A = sum_i a_i v_i v_i^H over the metric-orthonormal eigenvectors v_i as
+    (2, 2) + batch fields. A = W^H (a_2 I + s (Y - lam_2 I)) W with the
+    divided difference s = (a_1 - a_2)/(lam_1 - lam_2), and s = 0 where
+    lam_1 = lam_2 (a_1 = a_2 there), so no eigenvector is formed.
+    """
+    metric = np.asarray(metric, dtype=np.complex128)
+    w = None if np.array_equal(metric, np.eye(2)) else _whiten(metric)
+    y = fields if w is None else _congruence(w, fields)
+    a, d = y[0, 0], y[1, 1]
+    half = 0.5 * (a + d)
+    disc = np.sqrt((0.5 * (a - d)) ** 2 + (y[0, 1] * y[0, 1] + y[1, 0] * y[1, 0]))
+    lam = np.stack([half + disc, half - disc], axis=-1)
+
+    def coefficients(weights):
+        gap = lam[..., 0] - lam[..., 1]
+        s = np.divide(
+            weights[..., 0] - weights[..., 1], gap, out=np.zeros_like(gap), where=gap > 0.0
+        )
+        out = s * y
+        for j in range(2):
+            out[j, j] = weights[..., 1] + s * (y[j, j] - lam[..., 1])
+        return out if w is None else _congruence(np.conj(w.T), out)
+
+    return lam, coefficients
+
+
 def _eig2x2(ymat):
     """Closed-form descending eigensystem of batched 2x2 Hermitian matrices."""
     a = ymat[..., 0, 0].real
@@ -74,8 +151,15 @@ def _eig2x2(ymat):
     half = 0.5 * (a + d)
     disc = np.sqrt((0.5 * (a - d)) ** 2 + (b * np.conj(b)).real)
     lam = np.stack([half + disc, half - disc], axis=-1)
-    # eigenvector for the larger eigenvalue: (b, lam1 - a), orthocomplement for the other
-    u1 = np.stack([b, (lam[..., 0] - a).astype(np.complex128)], axis=-1)
+    # eigenvector for the larger eigenvalue: (lam1 - d, conj b) where a >= d,
+    # else (b, lam1 - a), so its free entry never cancels (at b = 0 and a > d,
+    # lam1 - a rounds to +-1 ulp and would pick e2); orthocomplement for the other
+    top = (a >= d)[..., None]
+    u1 = np.where(
+        top,
+        np.stack([(lam[..., 0] - d).astype(np.complex128), np.conj(b)], axis=-1),
+        np.stack([b, (lam[..., 0] - a).astype(np.complex128)], axis=-1),
+    )
     norm = np.linalg.norm(u1, axis=-1)
     scale = np.abs(a) + np.abs(d) + np.abs(b) + 1.0
     degenerate = norm <= 1e-150 + 1e-18 * scale

@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import csv
 import math
-from collections.abc import Sequence
+from collections.abc import Callable, Sequence
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -31,7 +31,6 @@ from .errors import ConeViolationError, InputError, NonconvergenceError
 from .pointwise import (
     EquationParams,
     cone_margin,
-    eigensystem_rel,
     linearization_coefficients,
     residual_inverse_form,
     residual_volume_form,
@@ -45,9 +44,9 @@ from .torus import (
     frozen_symbol,
     holomorphic_gradient,
     integrate_density,
-    pack_hermitian,
     packed_hessian,
     prolong,
+    relative_eigensystem,
     restrict,
     total_volume,
 )
@@ -183,15 +182,10 @@ def strip_kernel_modes(grid, values, keep_mean=False):
     return (blocks - means).reshape(grid.shape)
 
 
-def _eigensystem(spec, phi):
-    """Eigensystem of background + Hess(phi) relative to omega, flattened to (P, n)."""
-    flat = spec.background.matrices(phi).reshape(-1, spec.n, spec.n)
-    return eigensystem_rel(flat, spec.omega.flat_matrices(), check=False)
-
-
 def state_eigenvalues(state):
     """Descending eigenvalues (P, n) of a state's X = background + Hess(phi)."""
-    return _eigensystem(state.spec, state.phi)[0]
+    spec = state.spec
+    return relative_eigensystem(spec.background, spec.omega, state.phi)[0]
 
 
 def log_trace(lam):
@@ -202,7 +196,7 @@ def log_trace(lam):
 @dataclass
 class _Eval:
     lam: np.ndarray       # (P, n) descending
-    vecs: np.ndarray      # (P, n, n) omega-orthonormal columns
+    coefficients: Callable  # weights (P, n) -> packed (n, n, P) A, see relative_eigensystem
     resid: np.ndarray     # (P,) inverse-form residual
     rsup: float
     params: EquationParams
@@ -211,7 +205,7 @@ class _Eval:
 
 def _evaluate(spec, phi, b):
     grid = spec.grid
-    lam, vecs = _eigensystem(spec, phi)
+    lam, coefficients = relative_eigensystem(spec.background, spec.omega, phi)
     bad = lam[:, -1] <= 0.0
     if np.any(bad):
         worst_flat = int(np.argmin(lam[:, -1]))
@@ -231,7 +225,7 @@ def _evaluate(spec, phi, b):
             * elementary_sym(spec.n - spec.m, 1.0 / lam)
         )
     resid = residual_inverse_form(lam, params)
-    return _Eval(lam, vecs, resid, float(np.max(np.abs(resid))), params, dresid_db)
+    return _Eval(lam, coefficients, resid, float(np.max(np.abs(resid))), params, dresid_db)
 
 
 def quadrature_b(spec):
@@ -261,13 +255,11 @@ def _linear_step(spec, ev, config, rsup_prev):
     grid = spec.grid
     n = spec.n
     P = grid.npoints
-    a = linearization_coefficients(ev.lam, ev.params)
-    amat = np.einsum("pij,pj,pkj->pik", ev.vecs, a, np.conj(ev.vecs))
     # A packed once per step, off-diagonals doubled, so that tr(A Hess) =
     # sum_j A_jj H_jj + 2 sum_{j<k} (Re A_jk Re H_jk + Im A_jk Im H_jk)
     # is one real contraction with the packed Hessian
-    weights = np.ascontiguousarray(np.moveaxis(pack_hermitian(amat) * (2.0 - np.eye(n)), 0, -1))
-    del amat  # the Krylov solve needs only the packed copy
+    weights = ev.coefficients(linearization_coefficients(ev.lam, ev.params))
+    weights *= (2.0 - np.eye(n))[..., None]
     col = ev.dresid_db.reshape(grid.shape)
     col_mean = float(np.mean(col))
     # constant-coefficient symbol: sum_j abar_j |p_j|^2 diagonalizes the

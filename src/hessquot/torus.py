@@ -26,7 +26,16 @@ from scipy.optimize import brentq
 from scipy.spatial import cKDTree
 
 from .errors import ConstructionError, DomainError, InputError
-from .pointwise import check_hermitian, cone_margin, eigenvalues_rel
+from .pointwise import (
+    HERMITIAN_PACKING,
+    check_hermitian,
+    cone_margin,
+    eigensystem_rel,
+    eigenvalues_rel,
+    pack_hermitian,
+    packed_eigensystem2,
+    unpack_hermitian,
+)
 from .symfunc import elementary_sym
 
 # shared constant of the omega^n <-> det(omega) dV identification; every
@@ -34,10 +43,6 @@ from .symfunc import elementary_sym
 DENSITY_CONVENTION_SCALE = 1.0
 
 FIELD_DUMP_VERSION = 1
-HERMITIAN_PACKING = (
-    "real n x n block per point: diagonal holds Re A[i,i]; for i<j the entry"
-    " [i,j] holds Re A[i,j] and [j,i] holds Im A[i,j]"
-)
 
 
 @dataclass(frozen=True)
@@ -230,19 +235,28 @@ class FormField:
     def is_constant(self):
         return self.potential is None
 
-    def matrices(self, phi=None):
-        """Pointwise coefficients of this form plus i d dbar phi, shape grid.shape + (n, n).
+    def packed(self, phi=None):
+        """This form plus i d dbar phi as real fields packed on the leading (n, n) axes.
 
-        Built on each call from one Hessian, of the potential plus phi.
+        Shape (n, n) + grid.shape in HERMITIAN_PACKING, built on each call
+        from one Hessian, of the potential plus phi, with the packed constant
+        added; a constant form with phi None gives its packed (n, n) constant.
         """
         pot = self.potential
         if phi is not None:
             pot = phi if pot is None else pot + phi
+        const = pack_hermitian(self.const)
         if pot is None:
+            return const
+        fields = packed_hessian(self.grid, pot)
+        fields += const.reshape(const.shape + (1,) * (2 * self.grid.n))
+        return fields
+
+    def matrices(self, phi=None):
+        """Pointwise coefficients of this form plus i d dbar phi, shape grid.shape + (n, n)."""
+        if self.is_constant and phi is None:
             return np.broadcast_to(self.const, self.grid.shape + self.const.shape)
-        mats = complex_hessian(self.grid, pot)
-        mats += self.const  # in place: a fresh (P, n, n) array costs more than the sum
-        return mats
+        return unpack_hermitian(np.moveaxis(self.packed(phi), (0, 1), (-2, -1)))
 
     def flat_matrices(self):
         """The (n, n) matrix of a constant form, else the (P, n, n) pointwise ones.
@@ -287,13 +301,40 @@ def identity_form(grid):
     return FormField(grid, np.eye(grid.n))
 
 
+def relative_eigensystem(alpha, omega, phi=None):
+    """Descending eigenvalues of alpha + i d dbar phi relative to omega, and its coefficient map.
+
+    Returns (lam, coefficients). lam has shape (n,) when alpha and omega are
+    constant and phi is None, else (P, n) over the flat grid.
+    coefficients(a), for weights a shaped like lam, packs
+    A = sum_i a_i v_i v_i^H over the omega-orthonormal eigenvectors v_i as
+    (n, n) + lam.shape[:-1] fields (HERMITIAN_PACKING). At n = 2 with a
+    constant omega both come in closed form from the packed fields
+    (packed_eigensystem2); otherwise the fields are unpacked once for
+    eigensystem_rel.
+    """
+    n = alpha.grid.n
+    if n == 2 and omega.is_constant:
+        fields = alpha.packed(phi)
+        if fields.ndim > 2:
+            fields = fields.reshape(n, n, -1)
+        return packed_eigensystem2(fields, omega.const)
+    mats = alpha.flat_matrices() if phi is None else alpha.matrices(phi).reshape(-1, n, n)
+    lam, vecs = eigensystem_rel(mats, omega.flat_matrices(), check=False)
+
+    def coefficients(a):
+        amat = np.einsum("...ij,...j,...kj->...ik", vecs, a, np.conj(vecs))
+        return np.ascontiguousarray(np.moveaxis(pack_hermitian(amat), (-2, -1), (0, 1)))
+
+    return lam, coefficients
+
+
 def form_eigenvalues(alpha, omega):
     """Eigenvalues of alpha relative to omega at every grid point, shape + (n,)."""
     grid = alpha.grid
-    n = grid.n
-    mats = alpha.matrices().reshape(-1, n, n)
-    lam = eigenvalues_rel(mats, omega.flat_matrices(), check=False)
-    return lam.reshape(grid.shape + (n,))
+    lam = relative_eigensystem(alpha, omega)[0]
+    shape = grid.shape + (grid.n,)
+    return lam.reshape(shape) if lam.ndim > 1 else np.broadcast_to(lam, shape)
 
 
 def _require_positive(mins, form, name):
@@ -319,9 +360,8 @@ def _relative_eigenvalues(alpha, omega):
 
     Shape (n,) when both forms are constant, else (P, n) over the flat grid.
     """
-    metric = omega.flat_matrices()
-    _require_positive(np.linalg.eigvalsh(metric)[..., 0], omega, "metric")
-    return eigenvalues_rel(alpha.flat_matrices(), metric, check=False)
+    _require_positive(np.linalg.eigvalsh(omega.flat_matrices())[..., 0], omega, "metric")
+    return relative_eigensystem(alpha, omega)[0]
 
 
 def _mixed(lam, k, omega):
@@ -476,32 +516,6 @@ def distance_to_set(grid, mask):
     tree = cKDTree(images)
     dist, _ = tree.query(coords.reshape(-1, ndim), k=1)
     return dist.reshape(grid.shape)
-
-
-def pack_hermitian(mats):
-    """Real-packed representation of a Hermitian matrix field (see header docs)."""
-    mats = np.asarray(mats)
-    n = mats.shape[-1]
-    out = np.empty(mats.shape, dtype=np.float64)
-    for i in range(n):
-        out[..., i, i] = mats[..., i, i].real
-        for j in range(i + 1, n):
-            out[..., i, j] = mats[..., i, j].real
-            out[..., j, i] = mats[..., i, j].imag
-    return out
-
-
-def unpack_hermitian(packed):
-    packed = np.asarray(packed, dtype=np.float64)
-    n = packed.shape[-1]
-    out = np.zeros(packed.shape, dtype=np.complex128)
-    for i in range(n):
-        out[..., i, i] = packed[..., i, i]
-        for j in range(i + 1, n):
-            val = packed[..., i, j] + 1j * packed[..., j, i]
-            out[..., i, j] = val
-            out[..., j, i] = np.conj(val)
-    return out
 
 
 def dump_fields(dirpath, grid, fields):

@@ -68,6 +68,12 @@ class TestEigen:
         rng = np.random.default_rng(13)
         xs = rng.normal(size=(500, 2, 2)) + 1j * rng.normal(size=(500, 2, 2))
         xs = 0.5 * (xs + np.conj(np.swapaxes(xs, -1, -2)))
+        # exactly diagonal rows with X11 > X22, where lam1 - X11 rounds to
+        # +-1 ulp, and one with b = 0 and X11 < X22
+        diag = np.zeros((200, 2, 2), dtype=complex)
+        diag[:, 1, 1] = rng.uniform(0.5, 2.0, size=200)
+        diag[:, 0, 0] = diag[:, 1, 1] + rng.uniform(0.01, 1.0, size=200)
+        xs = np.concatenate([xs, diag, np.diag([0.7, 1.9])[None].astype(complex)])
         lam, vecs = pw.eigensystem_rel(xs, np.eye(2))
         want = np.linalg.eigvalsh(xs)[..., ::-1]
         assert np.allclose(lam, want, atol=1e-12)
@@ -83,6 +89,54 @@ class TestEigen:
         bad = np.array([[1.0, 1.0], [0.0, 1.0]], dtype=complex)
         with pytest.raises(InputError):
             pw.eigenvalues_rel(bad, np.eye(2))
+
+
+def packed_fields(mats):
+    """(P, n, n) Hermitian matrices as packed (n, n, P) fields."""
+    return np.moveaxis(pw.pack_hermitian(mats), 0, -1)
+
+
+def kernel_inputs(rng, metric):
+    """Positive definite 2x2 batches: exactly diagonal (either order), and
+    L Y L^H (L the Cholesky factor of metric) for random Y and for Y with
+    repeated or near-degenerate (lam1 - lam2 ~ 1e-12) eigenvalues."""
+    diag = np.zeros((40, 2, 2), dtype=complex)
+    diag[:, 0, 0] = rng.uniform(1.0, 5.0, size=40)
+    diag[:, 1, 1] = rng.uniform(1.0, 5.0, size=40)
+    rand = np.array([random_hermitian(rng, 2) + 4.0 * np.eye(2) for _ in range(100)])
+    repeated = rng.uniform(1.0, 5.0, size=(20, 1, 1)) * np.eye(2)
+    unitary = np.linalg.qr(rng.normal(size=(20, 2, 2)) + 1j * rng.normal(size=(20, 2, 2)))[0]
+    lam = rng.uniform(1.0, 5.0, size=(20, 1)) + np.array([1e-12, 0.0])
+    near = np.einsum("pij,pj,pkj->pik", unitary, lam, np.conj(unitary))
+    lo = np.linalg.cholesky(metric)
+    ys = lo @ np.concatenate([rand, repeated, near]) @ np.conj(lo.T)
+    return np.concatenate([diag, 0.5 * (ys + np.conj(np.swapaxes(ys, -1, -2)))])
+
+
+class TestPackedKernel:
+    """packed_eigensystem2 against the eigenvector algebra it replaces."""
+
+    @pytest.mark.parametrize("which", ["identity", "metric"])
+    def test_coefficients_match_eigh(self, which):
+        rng = np.random.default_rng(29)
+        metric = np.eye(2, dtype=complex) if which == "identity" else random_metric(rng, 2)
+        xs = kernel_inputs(rng, metric)
+        params = pw.EquationParams(n=2, m=1, coefficient=0.7, source=0.3)
+        lam, coefficients = pw.packed_eigensystem2(packed_fields(xs), metric)
+        got = coefficients(pw.linearization_coefficients(lam, params))
+        got = np.moveaxis(got, -1, 0) * (2.0 - np.eye(2))
+
+        # reference: V omega-orthonormal from eigh of the whitened matrices
+        white = np.linalg.inv(np.linalg.cholesky(metric))
+        ref_lam, u = np.linalg.eigh(white @ xs @ np.conj(white.T))
+        vecs = np.conj(white.T) @ u
+        a = pw.linearization_coefficients(ref_lam, params)
+        amat = np.einsum("pij,pj,pkj->pik", vecs, a, np.conj(vecs))
+        want = pw.pack_hermitian(amat) * (2.0 - np.eye(2))
+
+        np.testing.assert_allclose(lam, ref_lam[:, ::-1], rtol=1e-13)
+        scale = np.max(np.abs(want), axis=(-2, -1), keepdims=True)
+        assert np.max(np.abs(got - want) / scale) <= 1e-12
 
 
 class TestParams:

@@ -18,10 +18,12 @@ import pytest
 
 import hessquot.solver as solver
 from hessquot.errors import ConeViolationError, InputError, NonconvergenceError
+from hessquot.fakeboundary import prepare_instance
 from hessquot.instances import (
     boundary_degenerate_instance,
     boundary_instance,
     degenerate_instance,
+    fake_boundary_sample,
     manufactured_instance,
     uniform_instance,
 )
@@ -420,11 +422,9 @@ class TestNewtonStep:
     difference, so the check holds to the forcing tolerance plus O(eps).
     """
 
-    @pytest.mark.parametrize(("ratio", "bound"), [(1e3, 1e-5), (math.inf, 0.1)])
-    def test_step_solves_linearization(self, manufactured16, ratio, bound):
-        spec = manufactured16.spec(0.5)
+    @staticmethod
+    def check_step(spec, phi, b, ratio, bound):
         grid = spec.grid
-        phi, b = np.zeros(grid.shape), quadrature_b(spec)
         ev = solver._evaluate(spec, phi, b)
         dphi, db, _, info = solver._linear_step(spec, ev, SolverConfig(), ratio * ev.rsup)
         assert info == 0
@@ -438,6 +438,30 @@ class TestNewtonStep:
         assert np.linalg.norm(lin) <= bound * np.linalg.norm(proj(ev.resid))
         assert abs(np.mean(dphi)) <= 1e-14
         assert np.max(np.abs(dphi - strip_kernel_modes(grid, dphi))) <= 1e-14
+
+    @pytest.mark.parametrize(("ratio", "bound"), [(1e3, 1e-5), (math.inf, 0.1)])
+    def test_step_solves_linearization(self, manufactured16, ratio, bound):
+        spec = manufactured16.spec(0.5)
+        self.check_step(spec, np.zeros(spec.grid.shape), quadrature_b(spec), ratio, bound)
+
+    def test_step_at_diagonal_fake_boundary_state(self):
+        # stage 1 of the fake-boundary sample after one Newton step: g2 and
+        # so phi vary in x1 alone, X = diag(1 + phi_x1x1/4, 1) exactly, and
+        # X11 > X22 on part of the grid, where the top eigenvector is e1
+        sample = fake_boundary_sample(N=16)
+        inst = prepare_instance(sample["g"], sample["chi"], sample["omega"], sample["m"])
+        spec = EquationSpec(
+            n=2, m=inst.m, background=inst.chi, omega=inst.omega,
+            coefficient_field=inst.g2, source_field=0.0, unknown_mode="multiplicative",
+        )
+        ev = solver._evaluate(spec, np.zeros(spec.grid.shape), 0.0)
+        phi, b, _, _ = solver._linear_step(spec, ev, SolverConfig(), math.inf)
+        # the full step is newton_solve's first iterate: it lowers the residual
+        assert solver._evaluate(spec, phi, b).rsup < ev.rsup
+        x = spec.background.matrices(phi)
+        assert np.all(x[..., 0, 1] == 0.0)
+        assert np.any(x[..., 0, 0].real > x[..., 1, 1].real)
+        self.check_step(spec, phi, b, 1e3, 1e-5)
 
 
 class TestContinuation:
