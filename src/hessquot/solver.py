@@ -248,7 +248,9 @@ def _linear_step(spec, ev, config, rsup_prev):
     the mean, and the step is (dphi, db) = M^-1 y: db = mean(y)/mean(dR/db)
     and dphi = S^-1 (y - db dR/db), with S the frozen symbol, which zeroes
     the kernel modes and so the mean of dphi. The residual LGMRES reduces is
-    then the Newton residual that the forcing term bounds.
+    then the Newton residual that the forcing term bounds. LGMRES starts
+    from y = 0, so the operator maps an all-zero y to zeros without a
+    transform; it is linear, so that is exact.
 
     info is the LGMRES status: 0 on convergence to the forcing tolerance.
     """
@@ -268,6 +270,8 @@ def _linear_step(spec, ev, config, rsup_prev):
     symbol = frozen_symbol(grid, abar)
 
     def matvec(y):
+        if not y.any():
+            return np.zeros(P)
         y = y.reshape(grid.shape)
         db = float(np.mean(y)) / col_mean
         hess = packed_hessian(grid, y - db * col, symbol).reshape(n, n, P)

@@ -60,6 +60,8 @@ def elementary_sym_excluding_each(k, vals):
     n = vals.shape[-1]
     if k < 0:
         return np.zeros(vals.shape, dtype=np.float64)
+    if k == 0:
+        return np.ones(vals.shape)
     # row i of the (n, n) block is vals with entry i zeroed
     block = np.broadcast_to(vals[..., None, :], vals.shape[:-1] + (n, n)).copy()
     ii = np.arange(n)

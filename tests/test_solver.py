@@ -463,6 +463,33 @@ class TestNewtonStep:
         assert np.any(x[..., 0, 0].real > x[..., 1, 1].real)
         self.check_step(spec, phi, b, 1e3, 1e-5)
 
+    def test_zero_start_takes_no_transform(self, manufactured16, monkeypatch):
+        # every LGMRES call applies the operator to its zero start once; the
+        # matvec answers that with zeros and transforms only nonzero inputs
+        zero_fields, zero_inputs = [], []
+        packed_hessian, operator = solver.packed_hessian, solver.LinearOperator
+
+        def spy_hessian(grid, phi, symbol=None):
+            zero_fields.append(not np.any(phi))
+            return packed_hessian(grid, phi, symbol)
+
+        def spy_operator(*args, matvec, **kwargs):
+            def spied(y):
+                zero_inputs.append(not np.any(y))
+                out = matvec(y)
+                assert np.any(y) or np.array_equal(out, np.zeros_like(y))
+                return out
+            return operator(*args, matvec=spied, **kwargs)
+
+        monkeypatch.setattr(solver, "packed_hessian", spy_hessian)
+        monkeypatch.setattr(solver, "LinearOperator", spy_operator)
+        state = newton_solve(manufactured16.spec(manufactured16.extras["t_star"]))
+        steps = state.diagnostics["newton_iters"]
+        assert steps > 0
+        assert zero_inputs.count(True) >= steps
+        assert len(zero_fields) == zero_inputs.count(False)
+        assert not any(zero_fields)
+
 
 class TestContinuation:
     def test_schedule_validation(self, degenerate8):

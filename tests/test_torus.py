@@ -622,6 +622,16 @@ class TestDistance:
         assert np.all(np.isinf(distance_to_set(g, np.zeros(g.shape, bool))))
         assert np.all(distance_to_set(g, np.ones(g.shape, bool)) == 0.0)
 
+    @pytest.mark.parametrize(("n", "N"), [(2, 8), (3, 4)])
+    def test_matches_minimum_image_oracle(self, n, N):
+        g = TorusGrid(n, N)
+        mask = np.random.default_rng(37).random(g.shape) < 0.02
+        pts = np.argwhere(np.ones(g.shape, bool)) / N
+        delta = np.abs(pts[:, None, :] - (np.argwhere(mask) / N)[None, :, :])
+        oracle = np.sqrt(np.sum(np.minimum(delta, 1.0 - delta) ** 2, axis=-1)).min(axis=1)
+        assert 0 < mask.sum() < g.npoints
+        np.testing.assert_allclose(distance_to_set(g, mask).reshape(-1), oracle, rtol=1e-15, atol=0)
+
 
 class TestFieldDump:
     def test_pack_unpack_roundtrip(self):
