@@ -307,7 +307,10 @@ def two_stage_solve(instance, config=None, csv_path=None, steps=16):
         state = newton_solve(spec, init=init, config=config, t=t)
         effective = math.exp(state.b) * coeff
         slack = float(np.min(inst.g2 - effective))
-        margin = float(np.min(cone_margin(mu_chi, effective.reshape(-1), inst.m)))
+        # the margin falls as the coefficient grows (S_{m-1;i}(mu) >= 0), so
+        # one spectrum mu_chi needs only the largest coefficient
+        worst = effective.reshape(-1) if mu_chi.ndim > 1 else np.max(effective)
+        margin = float(np.min(cone_margin(mu_chi, worst, inst.m)))
         return state, slack, margin
 
     records = []

@@ -5,7 +5,10 @@ leading batch axes. Packed fields (HERMITIAN_PACKING) are real and carry
 the matrix on their leading (n, n) axes instead. The metric omega is either a single (n, n) matrix
 (constant over the batch, the common case) or batched alongside.
 Eigenvalues relative to omega solve det(X - lam*omega) = 0 and come back
-descending, so index 0 is the largest.
+descending, so index 0 is the largest. The solver's kernel takes none: it
+works on packed fields through the adjugate and the S_m gradients, and the
+eigenvalue-side forms below (residual_inverse_form,
+linearization_coefficients) are its oracle.
 """
 
 from __future__ import annotations
@@ -109,100 +112,92 @@ def _congruence(w, fields):
     return (mat @ fields.reshape(n * n, -1)).reshape(fields.shape)
 
 
-def packed_eigensystem2(fields, metric):
-    """Closed-form eigensystem of 2x2 Hermitian fields relative to a constant metric.
+def packed_eigenvalues(fields, metric):
+    """Descending eigenvalues of packed Hermitian fields relative to a metric.
 
-    fields holds X packed (HERMITIAN_PACKING) on its leading (2, 2) axes,
-    over any batch. Returns (lam, coefficients): lam, shape batch + (2,), is
-    descending, half +- sqrt(((a - d)/2)^2 + re^2 + im^2) of the whitened
-    Y = W X W^H (W = inv(cholesky(metric)), skipped for the identity), and
-    coefficients(a), for weights a shaped like lam, packs
-    A = sum_i a_i v_i v_i^H over the metric-orthonormal eigenvectors v_i as
-    (2, 2) + batch fields. A = W^H (a_2 I + s (Y - lam_2 I)) W with the
-    divided difference s = (a_1 - a_2)/(lam_1 - lam_2), and s = 0 where
-    lam_1 = lam_2 (a_1 = a_2 there), so no eigenvector is formed.
+    fields holds X packed (HERMITIAN_PACKING) on its leading (n, n) axes,
+    over any batch; metric is one (n, n) matrix or a batch of them. Returns
+    shape batch + (n,). At n = 2 with a constant metric they come in closed
+    form, half +- sqrt(((a - d)/2)^2 + re^2 + im^2) of the whitened
+    Y = W X W^H (W = inv(cholesky(metric)), skipped for the identity);
+    otherwise the fields are unpacked once for eigenvalues_rel.
     """
     metric = np.asarray(metric, dtype=np.complex128)
-    w = None if np.array_equal(metric, np.eye(2)) else _whiten(metric)
-    y = fields if w is None else _congruence(w, fields)
+    n = fields.shape[0]
+    if n != 2 or metric.ndim > 2:
+        mats = unpack_hermitian(np.moveaxis(fields, (0, 1), (-2, -1)))
+        return eigenvalues_rel(mats, metric, check=False)
+    y = fields if np.array_equal(metric, np.eye(2)) else _congruence(_whiten(metric), fields)
     a, d = y[0, 0], y[1, 1]
     half = 0.5 * (a + d)
     disc = np.sqrt((0.5 * (a - d)) ** 2 + (y[0, 1] * y[0, 1] + y[1, 0] * y[1, 0]))
-    lam = np.stack([half + disc, half - disc], axis=-1)
-
-    def coefficients(weights):
-        gap = lam[..., 0] - lam[..., 1]
-        s = np.divide(
-            weights[..., 0] - weights[..., 1], gap, out=np.zeros_like(gap), where=gap > 0.0
-        )
-        out = s * y
-        for j in range(2):
-            out[j, j] = weights[..., 1] + s * (y[j, j] - lam[..., 1])
-        return out if w is None else _congruence(np.conj(w.T), out)
-
-    return lam, coefficients
+    return np.stack([half + disc, half - disc], axis=-1)
 
 
-def _eig2x2(ymat):
-    """Closed-form descending eigensystem of batched 2x2 Hermitian matrices."""
-    a = ymat[..., 0, 0].real
-    d = ymat[..., 1, 1].real
-    b = ymat[..., 0, 1]
-    half = 0.5 * (a + d)
-    disc = np.sqrt((0.5 * (a - d)) ** 2 + (b * np.conj(b)).real)
-    lam = np.stack([half + disc, half - disc], axis=-1)
-    # eigenvector for the larger eigenvalue: (lam1 - d, conj b) where a >= d,
-    # else (b, lam1 - a), so its free entry never cancels (at b = 0 and a > d,
-    # lam1 - a rounds to +-1 ulp and would pick e2); orthocomplement for the other
-    top = (a >= d)[..., None]
-    u1 = np.where(
-        top,
-        np.stack([(lam[..., 0] - d).astype(np.complex128), np.conj(b)], axis=-1),
-        np.stack([b, (lam[..., 0] - a).astype(np.complex128)], axis=-1),
-    )
-    norm = np.linalg.norm(u1, axis=-1)
-    scale = np.abs(a) + np.abs(d) + np.abs(b) + 1.0
-    degenerate = norm <= 1e-150 + 1e-18 * scale
-    u1 = np.where(degenerate[..., None], np.array([1.0 + 0j, 0.0]), u1 / np.where(degenerate, 1.0, norm)[..., None])
-    u2 = np.stack([-np.conj(u1[..., 1]), np.conj(u1[..., 0])], axis=-1)
-    vecs = np.stack([u1, u2], axis=-1)  # columns are eigenvectors
-    return lam, vecs
+def eigenvalues_rel(matrix, metric, check=True):
+    """Descending solutions of det(X - lam*omega) = 0; all real.
 
-
-def eigensystem_rel(matrix, metric, check=True):
-    """Eigenvalues (descending) and omega-orthonormal eigenvectors of X rel omega.
-
-    Returns (lam, vecs) with matrix @ v_i = lam_i * metric @ v_i and
-    v_i^H metric v_j = delta_ij; vecs has the v_i as columns.
+    matrix is (..., n, n), metric one (n, n) matrix or batched alongside.
     """
     matrix = np.asarray(matrix, dtype=np.complex128)
     if check:
         check_hermitian(matrix)
     metric = np.asarray(metric, dtype=np.complex128)
-    n = matrix.shape[-1]
-    is_identity = metric.ndim == 2 and np.array_equal(metric, np.eye(n))
-    if is_identity:
-        ymat = matrix
-    else:
+    ymat = matrix
+    if not (metric.ndim == 2 and np.array_equal(metric, np.eye(matrix.shape[-1]))):
         w = _whiten(metric)
         ymat = w @ matrix @ np.conj(np.swapaxes(w, -1, -2))
         ymat = 0.5 * (ymat + np.conj(np.swapaxes(ymat, -1, -2)))
+    return np.linalg.eigvalsh(ymat)[..., ::-1]
+
+
+def packed_adjugate(x):
+    """Adjugate and determinant of packed Hermitian fields, n = 2 or 3.
+
+    x holds X packed (HERMITIAN_PACKING) on its leading (n, n) axes over any
+    batch; adj X comes back packed the same way. At n = 3 the columns of
+    adj X are the cross products of X's rows, each entry a 2x2 minor. The
+    leading principal minors of X are x[0, 0], adj[-1, -1] (n = 3) and det.
+    """
+    n = x.shape[0]
     if n == 2:
-        lam, u = _eig2x2(ymat)
+        (a, re), (im, d) = x
+        adj = np.array([[d, -re], [-im, a]])
     else:
-        lam, u = np.linalg.eigh(ymat)
-        lam = lam[..., ::-1]
-        u = u[..., ::-1]
-    if is_identity:
-        vecs = u
-    else:
-        vecs = np.conj(np.swapaxes(w, -1, -2)) @ u
-    return lam, vecs
+        rows = np.moveaxis(unpack_hermitian(np.moveaxis(x, (0, 1), (-2, -1))), -2, 0)
+        cols = [np.cross(rows[(j + 1) % 3], rows[(j + 2) % 3]) for j in range(3)]
+        adj = np.moveaxis(pack_hermitian(np.stack(cols, axis=-1)), (-2, -1), (0, 1))
+    # det = sum_j X_0j adj_j0, whose real part pairs the packed entries
+    det = x[0, 0] * adj[0, 0]
+    for j in range(1, n):
+        det = det + x[0, j] * adj[0, j] + x[j, 0] * adj[j, 0]
+    return adj, det
 
 
-def eigenvalues_rel(matrix, metric, check=True):
-    """Descending solutions of det(X - lam*omega) = 0; all real."""
-    return eigensystem_rel(matrix, metric, check=check)[0]
+def _packed_trace(a, x):
+    """tr(A X) of packed Hermitian fields, contracted over the leading (n, n) axes."""
+    return np.einsum("ij,ij...,ij...->...", 2.0 - np.eye(x.shape[0]), a, x)
+
+
+def packed_sym_gradient(m, x, inv_metric):
+    """S_m of X's eigenvalues relative to omega and its matrix gradient, m <= 2.
+
+    x and inv_metric hold X and omega^-1 packed on their leading (n, n)
+    axes (inv_metric broadcasts over x's batch). The gradient G satisfies
+    dS_m = tr(G dX): 0 for m = 0, omega^-1 for m = 1 and
+    S_1 omega^-1 - omega^-1 X omega^-1 for m = 2; S_m = tr(G X)/m by
+    homogeneity (S_0 = 1). Returns (S_m, G).
+    """
+    if m == 0:
+        return 1.0, 0.0
+    grad = inv_metric
+    if m == 2:
+        g, xm = (unpack_hermitian(np.moveaxis(v, (0, 1), (-2, -1))) for v in (inv_metric, x))
+        sandwich = np.moveaxis(pack_hermitian(g @ xm @ g), (-2, -1), (0, 1))
+        grad = _packed_trace(inv_metric, x) * inv_metric - sandwich
+    elif m != 1:
+        raise InputError(f"packed_sym_gradient needs m <= 2, got {m}")
+    return _packed_trace(grad, x) / m, grad
 
 
 def residual_volume_form(lam, params):
@@ -219,7 +214,8 @@ def residual_inverse_form(lam, params):
     """(coefficient/C(n,m)) S_{n-m}(1/lam) + source S_n(1/lam) - 1.
 
     Vanishes exactly where the volume form does; this is the concave form the
-    solver iterates on, and it needs the full positive cone.
+    solver iterates on (as (coefficient/C(n,m)) S_m / S_n + source / S_n - 1,
+    from polynomials of X), and it needs the full positive cone.
     """
     lam = np.asarray(lam, dtype=np.float64)
     if np.any(lam <= 0.0):

@@ -7,9 +7,11 @@ solved jointly: each step solves the linear system
     -tr(A(x) Hess(dphi)(x)) + (dR/db)(x) db = -R(x)    at every grid point
 
 by LGMRES, right-preconditioned by the constant-coefficient inverse, which
-gives mean(dphi) = 0; A rotates the per-eigendirection coefficients back to
-the coordinate frame and Hess is the spectral complex Hessian. Backtracking
-keeps every accepted iterate admissible (X > 0 pointwise) and strictly
+gives mean(dphi) = 0; Hess is the spectral complex Hessian. R, dR/db and A
+are polynomials of X's packed fields: S_n = det X, S_1 = tr X and, at n = 3,
+S_2 = tr adj X (relative to omega), and A is R's matrix gradient, built from
+adj X with no eigenvalue or eigenvector. Backtracking keeps every accepted
+iterate admissible (X > 0 pointwise, by Sylvester's minors) and strictly
 decreases the sup residual. Potentials live in the Fourier subspace
 complementary to the Hessian's kernel (modes with every axis frequency at 0
 or Nyquist), where the linearized systems are nonsingular. Above
@@ -21,7 +23,7 @@ from __future__ import annotations
 
 import csv
 import math
-from collections.abc import Callable, Sequence
+from collections.abc import Callable, Mapping, Sequence
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -31,8 +33,9 @@ from .errors import ConeViolationError, InputError, NonconvergenceError
 from .pointwise import (
     EquationParams,
     cone_margin,
-    linearization_coefficients,
-    residual_inverse_form,
+    pack_hermitian,
+    packed_adjugate,
+    packed_sym_gradient,
     residual_volume_form,
 )
 from .symfunc import elementary_sym
@@ -147,16 +150,59 @@ class SolverState:
     b: float
     t: float
     residual_sup: float
-    diagnostics: dict
+    diagnostics: Mapping
     spec: EquationSpec = field(repr=False)
 
 
+DIAGNOSTIC_KEYS = (
+    "sup_phi", "sup_grad", "sup_w", "min_eig", "min_margin",
+    "newton_iters", "krylov_iters", "volume_resid_rel",
+)
+
+
+class Diagnostics(Mapping):
+    """A state's diagnostics, keyed by DIAGNOSTIC_KEYS; read-only.
+
+    sup_phi and the two counts are set at once. The first read of any other
+    key computes the five eigenvalue and gradient diagnostics together from
+    the state's spec, phi (as reported) and b, and keeps them.
+    """
+
+    def __init__(self, spec, phi, b, newton_iters, krylov_iters):
+        self.spec, self.phi, self.b = spec, phi, b
+        self._values = {
+            "sup_phi": float(np.max(np.abs(phi))),
+            "newton_iters": newton_iters,
+            "krylov_iters": krylov_iters,
+        }
+
+    def __getitem__(self, key):
+        if key not in self._values and key in DIAGNOSTIC_KEYS:
+            spec = self.spec
+            lam = state_eigenvalues(self)
+            params = _params(spec, self.b)
+            vol_resid = residual_volume_form(lam, params)
+            self._values.update({
+                "sup_grad": math.sqrt(float(np.max(_gradient_sq(spec, self.phi)))),
+                "sup_w": float(np.max(log_trace(lam))),
+                "min_eig": float(np.min(lam[:, -1])),
+                "min_margin": float(np.min(cone_margin(lam, params.coefficient, spec.m))),
+                "volume_resid_rel": float(np.max(np.abs(vol_resid) / elementary_sym(spec.n, lam))),
+            })
+        return self._values[key]
+
+    def __contains__(self, key):
+        return key in DIAGNOSTIC_KEYS
+
+    def __iter__(self):
+        return iter(DIAGNOSTIC_KEYS)
+
+    def __len__(self):
+        return len(DIAGNOSTIC_KEYS)
+
+
 class _Inadmissible(Exception):
-    def __init__(self, count, worst, where):
-        self.count = count
-        self.worst = worst
-        self.where = where
-        super().__init__(f"{count} points outside the cone, min eigenvalue {worst:.3e} at {where}")
+    """A trial point outside the cone."""
 
 
 def strip_kernel_modes(grid, values, keep_mean=False):
@@ -183,9 +229,9 @@ def strip_kernel_modes(grid, values, keep_mean=False):
 
 
 def state_eigenvalues(state):
-    """Descending eigenvalues (P, n) of a state's X = background + Hess(phi)."""
+    """Descending eigenvalues (P, n) of X = background + Hess(phi) of a state or its Diagnostics."""
     spec = state.spec
-    return relative_eigensystem(spec.background, spec.omega, state.phi)[0]
+    return relative_eigensystem(spec.background, spec.omega, state.phi)
 
 
 def log_trace(lam):
@@ -195,37 +241,62 @@ def log_trace(lam):
 
 @dataclass
 class _Eval:
-    lam: np.ndarray       # (P, n) descending
-    coefficients: Callable  # weights (P, n) -> packed (n, n, P) A, see relative_eigensystem
-    resid: np.ndarray     # (P,) inverse-form residual
+    resid: np.ndarray       # (P,) inverse-form residual
     rsup: float
-    params: EquationParams
-    dresid_db: np.ndarray  # (P,)
+    dresid_db: np.ndarray   # (P,)
+    coefficients: Callable  # () -> packed (n, n, P) coefficient matrix A
 
 
-def _evaluate(spec, phi, b):
-    grid = spec.grid
-    lam, coefficients = relative_eigensystem(spec.background, spec.omega, phi)
-    bad = lam[:, -1] <= 0.0
-    if np.any(bad):
-        worst_flat = int(np.argmin(lam[:, -1]))
-        raise _Inadmissible(
-            int(np.sum(bad)), float(lam[worst_flat, -1]),
-            np.unravel_index(worst_flat, grid.shape),
-        )
+def _params(spec, b):
+    """EquationParams of spec at the scalar b, over the flat grid."""
     coeff = spec.coefficient_field.reshape(-1)
     source = spec.source_field.reshape(-1)
     if spec.unknown_mode == "additive":
-        params = EquationParams(spec.n, spec.m, coeff, b * source)
-        dresid_db = source * elementary_sym(spec.n, 1.0 / lam)
+        return EquationParams(spec.n, spec.m, coeff, b * source)
+    return EquationParams(spec.n, spec.m, math.exp(b) * coeff, source)
+
+
+def _inverse_metric(omega):
+    """omega^-1 packed on the leading (n, n) axes, and det omega.
+
+    The packed fields span the flat grid, or one point when omega is constant
+    (then det omega is one value), so they broadcast over any X.
+    """
+    mats = omega.flat_matrices()
+    inv = np.moveaxis(pack_hermitian(np.linalg.inv(mats)), (-2, -1), (0, 1))
+    return inv.reshape(inv.shape[:2] + (-1,)), np.linalg.det(mats).real
+
+
+def _evaluate(spec, phi, b):
+    """Residual, dR/db and the Newton coefficients at (phi, b), from polynomials of X.
+
+    With S_k of X's eigenvalues relative to omega (S_n = det X / det omega)
+    and kappa = coefficient / C(n, m): R = (kappa S_m + f) / S_n - 1 and
+    A = (R + 1) adj X / det X - kappa grad S_m / S_n, so that -dR = tr(A dX).
+    X's leading principal minors are checked first (Sylvester): a point
+    outside the cone raises _Inadmissible before any division by det X.
+    """
+    n = spec.n
+    x = spec.background.packed(phi).reshape(n, n, -1)
+    adj, det = packed_adjugate(x)
+    if not min(np.min(x[0, 0]), np.min(adj[-1, -1]), np.min(det)) > 0.0:
+        raise _Inadmissible
+    inv_metric, det_metric = _inverse_metric(spec.omega)
+    s_n = det / det_metric
+    s_m, grad = packed_sym_gradient(spec.m, x, inv_metric)
+    params = _params(spec, b)
+    kappa = params.coefficient / params.binom
+    ratio = (kappa * s_m + params.source) / s_n
+    resid = ratio - 1.0
+    if spec.unknown_mode == "additive":
+        dresid_db = spec.source_field.reshape(-1) / s_n
     else:
-        params = EquationParams(spec.n, spec.m, math.exp(b) * coeff, source)
-        dresid_db = (
-            math.exp(b) * coeff / params.binom
-            * elementary_sym(spec.n - spec.m, 1.0 / lam)
-        )
-    resid = residual_inverse_form(lam, params)
-    return _Eval(lam, coefficients, resid, float(np.max(np.abs(resid))), params, dresid_db)
+        dresid_db = kappa * s_m / s_n
+
+    def coefficients():
+        return ratio / det * adj - kappa / s_n * grad
+
+    return _Eval(resid, float(np.max(np.abs(resid))), dresid_db, coefficients)
 
 
 def quadrature_b(spec):
@@ -260,7 +331,7 @@ def _linear_step(spec, ev, config, rsup_prev):
     # A packed once per step, off-diagonals doubled, so that tr(A Hess) =
     # sum_j A_jj H_jj + 2 sum_{j<k} (Re A_jk Re H_jk + Im A_jk Im H_jk)
     # is one real contraction with the packed Hessian
-    weights = ev.coefficients(linearization_coefficients(ev.lam, ev.params))
+    weights = ev.coefficients()
     weights *= (2.0 - np.eye(n))[..., None]
     col = ev.dresid_db.reshape(grid.shape)
     col_mean = float(np.mean(col))
@@ -379,12 +450,17 @@ def newton_solve(spec, init=None, config=None, t=math.nan):
         try:
             ev = _evaluate(spec, phi, b)
             break
-        except _Inadmissible as err:
-            bad = err  # this start left the cone: try the next one
+        except _Inadmissible:
+            pass  # this start left the cone: try the next one
     else:
+        # eigenvalues only here, to name the last start's worst point
+        lam = relative_eigensystem(spec.background, spec.omega, phi)[:, -1]
+        i = int(np.argmin(lam))
+        count, where = int(np.sum(lam <= 0.0)), np.unravel_index(i, spec.grid.shape)
         raise ConeViolationError(
-            f"initial state leaves the cone: {bad}",
-            detail={"count": bad.count, "min_eig": bad.worst, "where": bad.where},
+            f"initial state leaves the cone: {count} points outside the cone,"
+            f" min eigenvalue {lam[i]:.3e} at {where}",
+            detail={"count": count, "min_eig": float(lam[i]), "where": where},
         )
 
     iters = 0
@@ -394,7 +470,7 @@ def newton_solve(spec, init=None, config=None, t=math.nan):
         if iters >= config.max_newton:
             raise NonconvergenceError(
                 f"no convergence in {config.max_newton} Newton steps (residual {ev.rsup:.3e})",
-                state=_make_state(spec, phi, b, t, ev, iters, krylov_total),
+                state=_make_state(spec, phi, b, t, ev.rsup, iters, krylov_total),
             )
         dphi, db, nit, info = _linear_step(spec, ev, config, rsup_prev)
         krylov_total += nit
@@ -414,7 +490,7 @@ def newton_solve(spec, init=None, config=None, t=math.nan):
                 note = f" after an LGMRES solve that stopped short (info {info})" if info else ""
                 raise NonconvergenceError(
                     f"damping floor reached at residual {ev.rsup:.3e}{note}",
-                    state=_make_state(spec, phi, b, t, ev, iters, krylov_total),
+                    state=_make_state(spec, phi, b, t, ev.rsup, iters, krylov_total),
                 )
         rsup_prev = ev.rsup
         phi, b, ev = cand_phi, cand_b, cand
@@ -425,9 +501,9 @@ def newton_solve(spec, init=None, config=None, t=math.nan):
         if abs(b - bq) > budget:
             raise NonconvergenceError(
                 f"converged b={b!r} disagrees with quadrature value {bq!r} beyond {budget:.1e}",
-                state=_make_state(spec, phi, b, t, ev, iters, krylov_total),
+                state=_make_state(spec, phi, b, t, ev.rsup, iters, krylov_total),
             )
-    return _make_state(spec, phi, b, t, ev, iters, krylov_total)
+    return _make_state(spec, phi, b, t, ev.rsup, iters, krylov_total)
 
 
 def _gradient_sq(spec, phi):
@@ -437,23 +513,10 @@ def _gradient_sq(spec, phi):
     return np.einsum("...kj,...j,...k->...", ginv, grad, np.conj(grad)).real
 
 
-def _make_state(spec, phi, b, t, ev, iters, krylov_total):
+def _make_state(spec, phi, b, t, rsup, iters, krylov_total):
     phi_out = phi - float(np.max(phi))
-    lam = ev.lam
-    coeff = ev.params.coefficient
-    sn = elementary_sym(spec.n, lam)
-    vol_resid = residual_volume_form(lam, ev.params)
-    diag = {
-        "sup_phi": float(np.max(np.abs(phi_out))),
-        "sup_grad": math.sqrt(float(np.max(_gradient_sq(spec, phi)))),
-        "sup_w": float(np.max(log_trace(lam))),
-        "min_eig": float(np.min(lam[:, -1])),
-        "min_margin": float(np.min(cone_margin(lam, coeff, spec.m))),
-        "newton_iters": iters,
-        "krylov_iters": krylov_total,
-        "volume_resid_rel": float(np.max(np.abs(vol_resid) / sn)),
-    }
-    return SolverState(phi_out, float(b), float(t), ev.rsup, diag, spec)
+    diagnostics = Diagnostics(spec, phi_out, float(b), iters, krylov_total)
+    return SolverState(phi_out, float(b), float(t), rsup, diagnostics, spec)
 
 
 @dataclass(frozen=True)

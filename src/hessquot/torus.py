@@ -30,10 +30,8 @@ from .pointwise import (
     HERMITIAN_PACKING,
     check_hermitian,
     cone_margin,
-    eigensystem_rel,
-    eigenvalues_rel,
     pack_hermitian,
-    packed_eigensystem2,
+    packed_eigenvalues,
     unpack_hermitian,
 )
 from .symfunc import elementary_sym
@@ -318,37 +316,23 @@ def identity_form(grid):
 
 
 def relative_eigensystem(alpha, omega, phi=None):
-    """Descending eigenvalues of alpha + i d dbar phi relative to omega, and its coefficient map.
+    """Descending eigenvalues of alpha + i d dbar phi relative to omega.
 
-    Returns (lam, coefficients). lam has shape (n,) when alpha and omega are
-    constant and phi is None, else (P, n) over the flat grid.
-    coefficients(a), for weights a shaped like lam, packs
-    A = sum_i a_i v_i v_i^H over the omega-orthonormal eigenvectors v_i as
-    (n, n) + lam.shape[:-1] fields (HERMITIAN_PACKING). At n = 2 with a
-    constant omega both come in closed form from the packed fields
-    (packed_eigensystem2); otherwise the fields are unpacked once for
-    eigensystem_rel.
+    Shape (n,) when alpha and omega are constant and phi is None, else
+    (P, n) over the flat grid: packed_eigenvalues of alpha.packed(phi), in
+    closed form at n = 2 with a constant omega.
     """
     n = alpha.grid.n
-    if n == 2 and omega.is_constant:
-        fields = alpha.packed(phi)
-        if fields.ndim > 2:
-            fields = fields.reshape(n, n, -1)
-        return packed_eigensystem2(fields, omega.const)
-    mats = alpha.flat_matrices() if phi is None else alpha.matrices(phi).reshape(-1, n, n)
-    lam, vecs = eigensystem_rel(mats, omega.flat_matrices(), check=False)
-
-    def coefficients(a):
-        amat = np.einsum("...ij,...j,...kj->...ik", vecs, a, np.conj(vecs))
-        return np.ascontiguousarray(np.moveaxis(pack_hermitian(amat), (-2, -1), (0, 1)))
-
-    return lam, coefficients
+    fields = alpha.packed(phi)
+    if fields.ndim > 2:
+        fields = fields.reshape(n, n, -1)
+    return packed_eigenvalues(fields, omega.flat_matrices())
 
 
 def form_eigenvalues(alpha, omega):
     """Eigenvalues of alpha relative to omega at every grid point, shape + (n,)."""
     grid = alpha.grid
-    lam = relative_eigensystem(alpha, omega)[0]
+    lam = relative_eigensystem(alpha, omega)
     shape = grid.shape + (grid.n,)
     return lam.reshape(shape) if lam.ndim > 1 else np.broadcast_to(lam, shape)
 
@@ -377,7 +361,7 @@ def _relative_eigenvalues(alpha, omega):
     Shape (n,) when both forms are constant, else (P, n) over the flat grid.
     """
     _require_positive(np.linalg.eigvalsh(omega.flat_matrices())[..., 0], omega, "metric")
-    return relative_eigensystem(alpha, omega)[0]
+    return relative_eigensystem(alpha, omega)
 
 
 def _mixed(lam, k, omega):
@@ -442,15 +426,14 @@ def make_degenerate_big(grid, base, psi_shape):
     if np.min(np.linalg.eigvalsh(base)) <= 0.0:
         raise InputError("base must be positive definite")
     psi = _check_scalar(grid, psi_shape)
-    hess = complex_hessian(grid, psi)
-    hscale = float(np.max(np.abs(hess)))
-    if hscale < 1e-13 * (1.0 + float(np.max(np.abs(psi)))):
+    hess = packed_hessian(grid, psi).reshape(grid.n, grid.n, -1)
+    if np.max(np.abs(hess)) < 1e-13 * (1.0 + float(np.max(np.abs(psi)))):
         raise ConstructionError("potential shape has (numerically) zero complex Hessian")
-    flat = hess.reshape(-1, grid.n, grid.n)
+    packed_base = pack_hermitian(base)[..., None]
+    eye = np.eye(grid.n)
 
     def min_eig(a):
-        mats = base + a * flat
-        return float(np.min(eigenvalues_rel(mats, np.eye(grid.n), check=False)[:, -1]))
+        return float(np.min(packed_eigenvalues(packed_base + a * hess, eye)[:, -1]))
 
     if min_eig(0.0) <= 0.0:
         raise InputError("base must start strictly inside the positive cone")
@@ -464,8 +447,7 @@ def make_degenerate_big(grid, base, psi_shape):
     if abs(val) > 1e-10:
         raise ConstructionError(f"bisection stalled: min eigenvalue {val:.3e} at amplitude {amp}")
     form = FormField(grid, base, amp * psi)
-    eigs = eigenvalues_rel(form.matrices().reshape(-1, grid.n, grid.n), np.eye(grid.n), check=False)
-    min_field = eigs[:, -1].reshape(grid.shape)
+    min_field = relative_eigensystem(form, identity_form(grid))[:, -1].reshape(grid.shape)
     degenerate = min_field < 1e-6
     return DegenerateBig(form, amp, min_field, degenerate, ~degenerate)
 

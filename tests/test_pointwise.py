@@ -9,7 +9,7 @@ import scipy.linalg
 
 from hessquot import pointwise as pw
 from hessquot.errors import DomainError, InputError
-from hessquot.symfunc import elementary_sym
+from hessquot.symfunc import elementary_sym, elementary_sym_excluding_each
 from test_symfunc import oracle_excluding
 
 
@@ -39,13 +39,12 @@ class TestEigen:
             for _ in range(40):
                 x = random_hermitian(rng, n, scale=3.0)
                 omega = random_metric(rng, n)
-                lam, vecs = pw.eigensystem_rel(x, omega)
+                lam = pw.eigenvalues_rel(x, omega)
                 want = scipy.linalg.eigh(x, omega, eigvals_only=True)[::-1]
                 assert np.allclose(lam, want, rtol=1e-10, atol=1e-10)
-                # generalized eigenvector relations and omega-orthonormality
-                assert np.allclose(x @ vecs, omega @ vecs * lam[None, :], atol=1e-9)
-                gram = np.conj(vecs.T) @ omega @ vecs
-                assert np.allclose(gram, np.eye(n), atol=1e-9)
+                # and the packed form, in closed form at n = 2
+                packed = pw.packed_eigenvalues(pw.pack_hermitian(x), omega)
+                assert np.allclose(packed, want, rtol=1e-10, atol=1e-10)
 
     def test_similarity_transform_oracle(self):
         rng = np.random.default_rng(7)
@@ -74,16 +73,15 @@ class TestEigen:
         diag[:, 1, 1] = rng.uniform(0.5, 2.0, size=200)
         diag[:, 0, 0] = diag[:, 1, 1] + rng.uniform(0.01, 1.0, size=200)
         xs = np.concatenate([xs, diag, np.diag([0.7, 1.9])[None].astype(complex)])
-        lam, vecs = pw.eigensystem_rel(xs, np.eye(2))
+        lam = pw.packed_eigenvalues(packed_fields(xs), np.eye(2))
         want = np.linalg.eigvalsh(xs)[..., ::-1]
         assert np.allclose(lam, want, atol=1e-12)
-        resid = xs @ vecs - vecs * lam[:, None, :]
-        assert np.max(np.abs(resid)) < 1e-12
 
     def test_repeated_eigenvalue_safe(self):
-        lam, vecs = pw.eigensystem_rel(np.eye(2, dtype=complex) * 3.0, np.eye(2))
-        assert np.allclose(lam, [3.0, 3.0])
-        assert np.allclose(np.conj(vecs.T) @ vecs, np.eye(2), atol=1e-14)
+        x = np.eye(2, dtype=complex) * 3.0
+        assert pw.packed_eigenvalues(pw.pack_hermitian(x), np.eye(2)).tolist() == [3.0, 3.0]
+        adj, det = pw.packed_adjugate(pw.pack_hermitian(x))
+        assert det == 9.0 and np.array_equal(adj, 3.0 * np.eye(2))
 
     def test_non_hermitian_rejected(self):
         bad = np.array([[1.0, 1.0], [0.0, 1.0]], dtype=complex)
@@ -114,29 +112,47 @@ def kernel_inputs(rng, metric):
 
 
 class TestPackedKernel:
-    """packed_eigensystem2 against the eigenvector algebra it replaces."""
+    """The adjugate and S_m gradients against the eigenvector algebra they replace.
+
+    The gradient of a symmetric function of the eigenvalues relative to omega
+    is sum_i dS/dlam_i v_i v_i^H over omega-orthonormal eigenvectors v_i
+    (Lewis), with dS_k/dlam_i = S_{k-1;i}: adj X / det omega for S_n.
+    """
 
     @pytest.mark.parametrize("which", ["identity", "metric"])
     def test_coefficients_match_eigh(self, which):
         rng = np.random.default_rng(29)
         metric = np.eye(2, dtype=complex) if which == "identity" else random_metric(rng, 2)
         xs = kernel_inputs(rng, metric)
-        params = pw.EquationParams(n=2, m=1, coefficient=0.7, source=0.3)
-        lam, coefficients = pw.packed_eigensystem2(packed_fields(xs), metric)
-        got = coefficients(pw.linearization_coefficients(lam, params))
-        got = np.moveaxis(got, -1, 0) * (2.0 - np.eye(2))
+        fields = packed_fields(xs)
+        inv_metric = pw.pack_hermitian(np.linalg.inv(metric))[..., None]
+        det_metric = np.linalg.det(metric).real
 
         # reference: V omega-orthonormal from eigh of the whitened matrices
         white = np.linalg.inv(np.linalg.cholesky(metric))
-        ref_lam, u = np.linalg.eigh(white @ xs @ np.conj(white.T))
+        lam, u = np.linalg.eigh(white @ xs @ np.conj(white.T))
         vecs = np.conj(white.T) @ u
-        a = pw.linearization_coefficients(ref_lam, params)
-        amat = np.einsum("pij,pj,pkj->pik", vecs, a, np.conj(vecs))
-        want = pw.pack_hermitian(amat) * (2.0 - np.eye(2))
 
-        np.testing.assert_allclose(lam, ref_lam[:, ::-1], rtol=1e-13)
-        scale = np.max(np.abs(want), axis=(-2, -1), keepdims=True)
-        assert np.max(np.abs(got - want) / scale) <= 1e-12
+        def spectral(k):
+            a = elementary_sym_excluding_each(k - 1, lam)
+            amat = np.einsum("pij,pj,pkj->pik", vecs, a, np.conj(vecs))
+            return pw.pack_hermitian(amat) * (2.0 - np.eye(2)), elementary_sym(k, lam)
+
+        adj, det = pw.packed_adjugate(fields)
+        got = [(np.moveaxis(adj, -1, 0) / det_metric * (2.0 - np.eye(2)), det / det_metric)]
+        want = [spectral(2)]
+        for m in (0, 1):
+            s_m, grad = pw.packed_sym_gradient(m, fields, inv_metric)
+            grad = np.broadcast_to(grad, fields.shape)
+            got.append((np.moveaxis(grad, -1, 0) * (2.0 - np.eye(2)), s_m))
+            want.append(spectral(m))
+        for (g_grad, g_val), (w_grad, w_val) in zip(got, want):
+            np.testing.assert_allclose(g_val, w_val, rtol=1e-13)
+            scale = np.max(np.abs(w_grad), axis=(-2, -1), keepdims=True)
+            if np.any(scale):
+                assert np.max(np.abs(g_grad - w_grad) / scale) <= 1e-12
+            else:
+                assert not np.any(g_grad)
 
 
 class TestParams:

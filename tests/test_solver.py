@@ -11,6 +11,7 @@ for every solver branch (m = 1, m = 0, additive and multiplicative unknowns).
 import csv
 import dataclasses
 import math
+from collections import Counter
 from types import SimpleNamespace
 
 import numpy as np
@@ -27,7 +28,17 @@ from hessquot.instances import (
     manufactured_instance,
     uniform_instance,
 )
+from hessquot.pointwise import (
+    EquationParams,
+    cone_margin,
+    linearization_coefficients,
+    pack_hermitian,
+    residual_inverse_form,
+    residual_volume_form,
+)
 from hessquot.solver import (
+    DIAGNOSTIC_KEYS,
+    MODES,
     PATH_CSV_COLUMNS,
     EquationSpec,
     SolverConfig,
@@ -43,14 +54,19 @@ from hessquot.solver import (
     write_path_csv,
 )
 from hessquot.studies import SCHEDULE
+from hessquot.symfunc import elementary_sym
 from hessquot.torus import (
+    FormField,
     TorusGrid,
     complex_hessian,
     constant_form,
+    holomorphic_gradient,
     identity_form,
     normalize_density,
+    packed_hessian,
     prolong,
 )
+from test_pointwise import random_metric
 
 TWO_PI = 2.0 * np.pi
 
@@ -331,6 +347,75 @@ class TestThreeDimensional:
         assert np.abs(resid).max() <= 1e-9
 
 
+    def test_m2_closed_form_b_and_determinant_residual(self):
+        # m = 2 is the S_2 = tr adj X branch, gradient S_1 I - X: the
+        # quadrature identity fixes b = s^3 - s^2 = 1.125 at s = 1.5
+        grid = TorusGrid(3, 4)
+        omega = identity_form(grid)
+        f_raw = grid_field(grid, 1.0 + 0.3 * np.cos(TWO_PI * grid.coords()["x1"]))
+        f = normalize_density(f_raw, omega)
+        spec = EquationSpec(
+            n=3, m=2, background=constant_form(grid, 1.5 * np.eye(3)), omega=omega,
+            coefficient_field=1.0, source_field=f,
+        )
+        st = newton_solve(spec)
+        assert st.diagnostics["newton_iters"] > 0
+        assert abs(st.b - 1.125) <= 1e-12
+        X = spec.background.matrices() + complex_hessian(grid, st.phi)
+        trace = np.trace(X, axis1=-2, axis2=-1).real
+        s2 = 0.5 * (trace**2 - np.trace(X @ X, axis1=-2, axis2=-1).real)
+        resid = np.linalg.det(X).real - s2 / 3.0 - st.b * f
+        assert np.abs(resid).max() <= 1e-9
+
+
+class TestPolynomialKernel:
+    """_evaluate's polynomial R, dR/db and packed A against the eigenvalue side.
+
+    The oracle takes X's eigenvalues and omega-orthonormal eigenvectors from
+    LAPACK, then R from residual_inverse_form, dR/db from S_k(1/lam) and
+    A = sum_i a_i v_i v_i^H with a from linearization_coefficients.
+    """
+
+    @pytest.mark.parametrize("metric", ["identity", "constant"])
+    @pytest.mark.parametrize("mode", MODES)
+    @pytest.mark.parametrize("n", [2, 3])
+    def test_matches_eigenvalue_side(self, n, mode, metric):
+        rng = np.random.default_rng(41)
+        grid = TorusGrid(n, 8 if n == 2 else 4)
+        omega_mat = np.eye(n) if metric == "identity" else random_metric(rng, n)
+        omega = constant_form(grid, omega_mat)
+        raw = rng.normal(size=grid.shape)
+        phi = raw * (0.3 / np.max(np.abs(packed_hessian(grid, raw))))
+        background = constant_form(grid, 3.0 * omega_mat)
+        g = 1.0 + 0.5 * rng.uniform(size=grid.shape)
+        f = 0.5 + rng.uniform(size=grid.shape)
+        b = 0.7 if mode == "additive" else -0.2
+        if mode == "additive":
+            f = normalize_density(f, omega)
+
+        x = background.matrices(phi).reshape(-1, n, n)
+        white = np.linalg.inv(np.linalg.cholesky(omega_mat))
+        lam, u = np.linalg.eigh(white @ x @ np.conj(white.T))
+        vecs = np.conj(white.T) @ u
+        for m in range(n):
+            spec = EquationSpec(n, m, background, omega, g, f, unknown_mode=mode)
+            ev = solver._evaluate(spec, phi, b)
+            if mode == "additive":
+                params = EquationParams(n, m, g.reshape(-1), b * f.reshape(-1))
+                dresid_db = f.reshape(-1) * elementary_sym(n, 1.0 / lam)
+            else:
+                params = EquationParams(n, m, math.exp(b) * g.reshape(-1), f.reshape(-1))
+                dresid_db = params.coefficient / params.binom * elementary_sym(n - m, 1.0 / lam)
+            resid = residual_inverse_form(lam, params)
+            a = linearization_coefficients(lam, params)
+            want = pack_hermitian(np.einsum("pij,pj,pkj->pik", vecs, a, np.conj(vecs)))
+            got = np.moveaxis(ev.coefficients(), -1, 0)
+            assert np.max(np.abs(ev.resid - resid) / (1.0 + resid)) <= 1e-13
+            assert np.max(np.abs(ev.dresid_db - dresid_db) / dresid_db) <= 1e-13
+            scale = np.max(np.abs(want), axis=(-2, -1), keepdims=True)
+            assert np.max(np.abs(got - want) / scale) <= 1e-13
+
+
 class TestMultiplicative:
     def test_constant_coefficient_closed_form(self):
         # S_2 = (e^b/2) S_1 + 1 at X = 2I forces e^b = 3/2
@@ -378,6 +463,26 @@ class TestFailureModes:
         assert detail["count"] >= 1
         assert detail["min_eig"] < 0
         assert len(detail["where"]) == 4
+
+    def test_cold_start_outside_cone_names_worst_point(self, uniform16):
+        # pinned: the same count, worst eigenvalue and point as the
+        # eigenvalue-based admissibility test gave
+        grid = uniform16.grid
+        c = grid.coords()
+        bad = grid_field(
+            grid,
+            0.3 * np.cos(TWO_PI * c["x1"]) * np.sin(TWO_PI * c["y2"])
+            + 0.2 * np.sin(TWO_PI * (c["y1"] + c["x2"])),
+        )
+        spec = uniform16.spec(0.5)
+        spec = dataclasses.replace(spec, background=FormField(grid, spec.background.const, bad))
+        with pytest.raises(ConeViolationError) as err:
+            newton_solve(spec)
+        detail = err.value.detail
+        assert detail["count"] == 34784
+        assert detail["min_eig"] == pytest.approx(-5.308723080762606, rel=1e-14)
+        assert detail["where"] == (1, 15, 5, 5)
+        assert "34784 points outside the cone, min eigenvalue -5.309e+00" in str(err.value)
 
     def test_max_newton_carries_last_state(self):
         inst = manufactured_instance(N=8)
@@ -797,6 +902,68 @@ class TestDiagnosticsReport:
         assert np.ptp(st.phi) > 0.0
         w = log_trace(state_eigenvalues(st))
         assert float(w.max() - w.min()) <= 1e-10
+
+
+class TestLazyDiagnostics:
+    """sup_phi and the counts are set with the state; the rest on first read."""
+
+    @staticmethod
+    def counted(monkeypatch):
+        calls = Counter()
+        for name in ("relative_eigensystem", "holomorphic_gradient"):
+            def spy(*args, _name=name, _fn=getattr(solver, name), **kwargs):
+                calls[_name] += 1
+                return _fn(*args, **kwargs)
+            monkeypatch.setattr(solver, name, spy)
+        return calls
+
+    def test_counts_take_no_eigenvalues_then_one_pass(self, manufactured16, monkeypatch):
+        calls = self.counted(monkeypatch)
+        st = newton_solve(manufactured16.spec(manufactured16.extras["t_star"]))
+        d = st.diagnostics
+        assert d["newton_iters"] > 0 and d["krylov_iters"] > 0 and d["sup_phi"] > 0.0
+        assert not calls
+        assert list(d) == list(DIAGNOSTIC_KEYS) and "min_eig" in d
+        assert not calls
+        values = dict(d)
+        values.update((k, d[k]) for k in DIAGNOSTIC_KEYS)
+        assert calls == {"relative_eigensystem": 1, "holomorphic_gradient": 1}
+        assert all(math.isfinite(v) for v in values.values())
+
+    def test_values_match_eager_computation(self, manufactured16):
+        st = newton_solve(manufactured16.spec(manufactured16.extras["t_star"]))
+        spec = st.spec
+        lam = state_eigenvalues(st)
+        params = EquationParams(
+            spec.n, spec.m, spec.coefficient_field.reshape(-1), st.b * spec.source_field.reshape(-1)
+        )
+        grad = holomorphic_gradient(spec.grid, st.phi)
+        want = {
+            "sup_grad": math.sqrt(float(np.max(np.sum(np.abs(grad) ** 2, axis=-1)))),
+            "sup_w": float(np.max(log_trace(lam))),
+            "min_eig": float(np.min(lam[:, -1])),
+            "min_margin": float(np.min(cone_margin(lam, params.coefficient, spec.m))),
+            "volume_resid_rel": float(
+                np.max(np.abs(residual_volume_form(lam, params)) / elementary_sym(spec.n, lam))
+            ),
+        }
+        for key, value in want.items():
+            assert st.diagnostics[key] == pytest.approx(value, rel=1e-14, abs=1e-300), key
+
+    def test_nonconvergence_state_is_readable(self):
+        with pytest.raises(NonconvergenceError) as err:
+            newton_solve(manufactured_instance(N=8).spec(0.5), config=SolverConfig(max_newton=1))
+        d = err.value.state.diagnostics
+        assert len(d) == len(DIAGNOSTIC_KEYS)
+        assert d["newton_iters"] == 1
+        assert d["min_eig"] > 0.0 and d["min_margin"] > 0.0
+        assert all(math.isfinite(d[k]) for k in DIAGNOSTIC_KEYS)
+
+    def test_read_only(self, uniform16_state):
+        with pytest.raises(TypeError):
+            uniform16_state.diagnostics["sup_phi"] = 1.0
+        with pytest.raises(KeyError):
+            uniform16_state.diagnostics["sup_psi"]
 
 
 class TestStripKernelModes:
