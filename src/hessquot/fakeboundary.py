@@ -45,11 +45,12 @@ from .solver import EquationSpec, SolverConfig, SolverState, newton_solve
 from .symfunc import elementary_sym
 from .torus import (
     FormField,
-    _relative_eigenvalues,
+    _require_metric,
     _require_positive,
     compute_c,
     integrate_density,
     integrate_mixed,
+    relative_eigenvalues,
 )
 
 
@@ -118,7 +119,8 @@ def g1_field(chi, omega, m):
     n = grid.n
     if not 0 <= m < n:
         raise InputError(f"need 0 <= m < n, got m={m}, n={n}")
-    mu = _relative_eigenvalues(chi, omega)
+    _require_metric(omega)
+    mu = relative_eigenvalues(chi, omega)
     _require_positive(mu[..., -1], chi, "background")
     g1 = math.comb(n, m) * elementary_sym(n, mu) / elementary_sym(m, mu)
     return np.full(grid.shape, g1) if mu.ndim == 1 else g1.reshape(grid.shape)
@@ -227,7 +229,7 @@ def prepare_instance(g, chi, omega, m, delta1=None):
         b_prime = solve_b_prime(theta0, grid.n, m)
 
     g1 = g1_field(chi, omega, m)
-    mu = _relative_eigenvalues(chi, omega)
+    mu = relative_eigenvalues(chi, omega)
     candidates = [delta1] if delta1 is not None else [c / 2.0**k for k in range(1, 41)]
     err = None
     for d1 in candidates:
@@ -297,7 +299,8 @@ def two_stage_solve(instance, config=None, csv_path=None, steps=16):
     config = config or SolverConfig(tol=1e-8)
     grid = inst.grid
     n = grid.n
-    mu_chi = _relative_eigenvalues(inst.chi, inst.omega)
+    _require_metric(inst.omega)
+    mu_chi = relative_eigenvalues(inst.chi, inst.omega)
 
     def solve_at(t, init):
         coeff = np.exp(t * inst.b_prime) * inst.g**t * inst.g2 ** (1.0 - t)

@@ -49,7 +49,7 @@ from .torus import (
     integrate_density,
     packed_hessian,
     prolong,
-    relative_eigensystem,
+    relative_eigenvalues,
     restrict,
     total_volume,
 )
@@ -231,7 +231,7 @@ def strip_kernel_modes(grid, values, keep_mean=False):
 def state_eigenvalues(state):
     """Descending eigenvalues (P, n) of X = background + Hess(phi) of a state or its Diagnostics."""
     spec = state.spec
-    return relative_eigensystem(spec.background, spec.omega, state.phi)
+    return relative_eigenvalues(spec.background, spec.omega, state.phi)
 
 
 def log_trace(lam):
@@ -454,7 +454,7 @@ def newton_solve(spec, init=None, config=None, t=math.nan):
             pass  # this start left the cone: try the next one
     else:
         # eigenvalues only here, to name the last start's worst point
-        lam = relative_eigensystem(spec.background, spec.omega, phi)[:, -1]
+        lam = relative_eigenvalues(spec.background, spec.omega, phi)[:, -1]
         i = int(np.argmin(lam))
         count, where = int(np.sum(lam <= 0.0)), np.unravel_index(i, spec.grid.shape)
         raise ConeViolationError(

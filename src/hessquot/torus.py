@@ -161,14 +161,6 @@ def packed_hessian(grid, phi, symbol=None):
     return fields.reshape(hess.shape[:2] + grid.shape)
 
 
-def complex_hessian(grid, phi):
-    """Spectral complex Hessian (d_i dbar_j phi), shape grid.shape + (n, n).
-
-    Hermitian by construction; exact for band-limited periodic fields.
-    """
-    return unpack_hermitian(np.moveaxis(packed_hessian(grid, phi), (0, 1), (-2, -1)))
-
-
 def holomorphic_gradient(grid, phi):
     """(d phi / d z_j) for each j, shape grid.shape + (n,).
 
@@ -315,7 +307,7 @@ def identity_form(grid):
     return FormField(grid, np.eye(grid.n))
 
 
-def relative_eigensystem(alpha, omega, phi=None):
+def relative_eigenvalues(alpha, omega, phi=None):
     """Descending eigenvalues of alpha + i d dbar phi relative to omega.
 
     Shape (n,) when alpha and omega are constant and phi is None, else
@@ -332,7 +324,7 @@ def relative_eigensystem(alpha, omega, phi=None):
 def form_eigenvalues(alpha, omega):
     """Eigenvalues of alpha relative to omega at every grid point, shape + (n,)."""
     grid = alpha.grid
-    lam = relative_eigensystem(alpha, omega)
+    lam = relative_eigenvalues(alpha, omega)
     shape = grid.shape + (grid.n,)
     return lam.reshape(shape) if lam.ndim > 1 else np.broadcast_to(lam, shape)
 
@@ -355,13 +347,9 @@ def _omega_density(omega):
     return np.linalg.det(omega.flat_matrices()).real
 
 
-def _relative_eigenvalues(alpha, omega):
-    """Eigenvalues of alpha relative to a positive definite omega.
-
-    Shape (n,) when both forms are constant, else (P, n) over the flat grid.
-    """
+def _require_metric(omega):
+    """Raise DomainError unless omega is positive definite at every point."""
     _require_positive(np.linalg.eigvalsh(omega.flat_matrices())[..., 0], omega, "metric")
-    return relative_eigensystem(alpha, omega)
 
 
 def _mixed(lam, k, omega):
@@ -379,7 +367,8 @@ def integrate_mixed(alpha, k, omega):
     Computes the grid mean of S_k(lambda_omega(alpha))/C(n,k) * det(omega),
     times the shared convention constant.
     """
-    return _mixed(_relative_eigenvalues(alpha, omega), k, omega)
+    _require_metric(omega)
+    return _mixed(relative_eigenvalues(alpha, omega), k, omega)
 
 
 def integrate_density(values, omega):
@@ -400,7 +389,8 @@ def _quotient_constant(mu, chi, omega, m):
 
 def compute_c(chi, omega, m):
     """Ratio of the top self-intersection to the m-fold mixed integral."""
-    return _quotient_constant(_relative_eigenvalues(chi, omega), chi, omega, m)
+    _require_metric(omega)
+    return _quotient_constant(relative_eigenvalues(chi, omega), chi, omega, m)
 
 
 @dataclass
@@ -447,14 +437,15 @@ def make_degenerate_big(grid, base, psi_shape):
     if abs(val) > 1e-10:
         raise ConstructionError(f"bisection stalled: min eigenvalue {val:.3e} at amplitude {amp}")
     form = FormField(grid, base, amp * psi)
-    min_field = relative_eigensystem(form, identity_form(grid))[:, -1].reshape(grid.shape)
+    min_field = relative_eigenvalues(form, identity_form(grid))[:, -1].reshape(grid.shape)
     degenerate = min_field < 1e-6
     return DegenerateBig(form, amp, min_field, degenerate, ~degenerate)
 
 
 def _min_margin(chi, omega, m):
     """Minimum cone margin of chi and its constant c, from one eigenvalue pass."""
-    mu = _relative_eigenvalues(chi, omega)
+    _require_metric(omega)
+    mu = relative_eigenvalues(chi, omega)
     c = _quotient_constant(mu, chi, omega, m)
     return float(np.min(cone_margin(mu, c, m))), c
 

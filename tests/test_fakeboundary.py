@@ -404,7 +404,7 @@ class TestTwoStagePath:
         assert path16.final_state.residual_sup <= 1e-8
 
     def test_final_equation_recomputed_independently(self, inst16, path16):
-        from hessquot.torus import complex_hessian
+        from test_torus import complex_hessian
 
         mats = inst16.chi.matrices() + complex_hessian(inst16.grid, path16.final_state.phi)
         lam = np.linalg.eigvalsh(mats)

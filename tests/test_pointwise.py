@@ -138,6 +138,7 @@ class TestPackedKernel:
             amat = np.einsum("pij,pj,pkj->pik", vecs, a, np.conj(vecs))
             return pw.pack_hermitian(amat) * (2.0 - np.eye(2)), elementary_sym(k, lam)
 
+        np.testing.assert_allclose(pw.packed_eigenvalues(fields, metric), lam[:, ::-1], rtol=1e-13)
         adj, det = pw.packed_adjugate(fields)
         got = [(np.moveaxis(adj, -1, 0) / det_metric * (2.0 - np.eye(2)), det / det_metric)]
         want = [spectral(2)]

@@ -15,7 +15,6 @@ from hessquot.symfunc import elementary_sym
 from hessquot.torus import (
     FormField,
     TorusGrid,
-    complex_hessian,
     compute_c,
     constant_form,
     distance_to_set,
@@ -55,6 +54,11 @@ def trig_poly(grid, rng, max_mode=3, terms=6, amplitude=0.3):
         phase = TWO_PI * sum(int(k) * c[nm] for k, nm in zip(modes, names))
         out = out + rng.normal() * amplitude * np.cos(phase + rng.uniform(0, TWO_PI))
     return grid_field(grid, out)
+
+
+def complex_hessian(grid, phi):
+    """Spectral complex Hessian (d_i dbar_j phi), shape grid.shape + (n, n), unpacked."""
+    return unpack_hermitian(np.moveaxis(packed_hessian(grid, phi), (0, 1), (-2, -1)))
 
 
 class TestGrid:
