@@ -43,11 +43,10 @@ from .torus import (
     DENSITY_CONVENTION_SCALE,
     FormField,
     divide_by_symbol,
-    form_eigenvalues,
     frozen_symbol,
+    hessian_trace,
     holomorphic_gradient,
     integrate_density,
-    packed_hessian,
     prolong,
     relative_eigenvalues,
     restrict,
@@ -303,7 +302,8 @@ def quadrature_b(spec):
     """Integral-identity value of the scalar constant (additive mode)."""
     if spec.unknown_mode != "additive":
         raise InputError("quadrature value of b is an additive-mode notion")
-    lam = form_eigenvalues(spec.background, spec.omega).reshape(-1, spec.n)
+    # one (n,) spectrum when background and omega are constant, not one per point
+    lam = relative_eigenvalues(spec.background, spec.omega)
     detw = np.linalg.det(spec.omega.flat_matrices()).real
     coeff = spec.coefficient_field.reshape(-1)
     binom = math.comb(spec.n, spec.m)
@@ -345,15 +345,18 @@ def _linear_step(spec, ev, config, rsup_prev):
             return np.zeros(P)
         y = y.reshape(grid.shape)
         db = float(np.mean(y)) / col_mean
-        hess = packed_hessian(grid, y - db * col, symbol).reshape(n, n, P)
-        trace = np.einsum("jkp,jkp->p", weights, hess).reshape(grid.shape)
+        trace = hessian_trace(grid, weights, y - db * col, symbol)
         return strip_kernel_modes(grid, col * db - trace, keep_mean=True).reshape(-1)
 
     op = LinearOperator((P, P), matvec=matvec, dtype=np.float64)
     rhs = strip_kernel_modes(grid, -ev.resid.reshape(grid.shape), keep_mean=True).reshape(-1)
-    # Eisenstat-Walker style forcing, floored so inner error cannot block
-    # the outer target
-    eta = FORCING_MAX
+    # forcing term: the residual-scaled eta = min(eta_max, |R|) of Dembo,
+    # Eisenstat & Steihaug (SIAM J. Numer. Anal. 19, 1982) on a solve's first
+    # step, where there is no previous residual, so that a warm start near
+    # the solution is finished in one step; then Eisenstat & Walker's ratio
+    # (SIAM J. Sci. Comput. 17, 1996). Floored so inner error cannot block
+    # the outer target.
+    eta = min(FORCING_MAX, ev.rsup)
     if np.isfinite(rsup_prev) and rsup_prev > 0.0:
         eta = min(FORCING_MAX, 0.5 * (ev.rsup / rsup_prev) ** 2)
     eta = max(eta, min(FORCING_MAX, 0.25 * config.tol / ev.rsup))

@@ -115,23 +115,45 @@ def _symbols(grid):
 
 
 def _irfftn(grid, spectrum):
-    """The real field of one rfftn-layout spectrum, which it may overwrite."""
-    return scipy.fft.irfftn(spectrum, s=grid.shape, overwrite_x=True)
+    """The real field of one rfftn-layout spectrum, which it may overwrite.
+
+    Complex transforms over the leading axes, in place, then one inverse
+    real transform along the last: the 1-D transforms scipy's irfftn runs,
+    in the same order, so the result is bit-identical. irfftn does not use
+    overwrite_x, so it cannot transform the leading axes in place.
+    """
+    spectrum = scipy.fft.ifftn(spectrum, axes=range(2 * grid.n - 1), overwrite_x=True)
+    return scipy.fft.irfft(spectrum, n=grid.N, axis=-1)
 
 
 def _irfftn_each(grid, spectrum, symbols):
-    """Real fields of spectrum times each symbol, shape (len(symbols),) + grid.shape.
+    """Yield the real field of spectrum times each symbol in turn.
 
     One inverse transform per field, each on its own product, keeps the
     transformed array to one field's spectrum: at N = 16 that fits a 2 MB
     L2 cache where a stack of the n^2 Hessian spectra does not.
     """
-    out = np.empty((len(symbols),) + grid.shape)
     buf = np.empty_like(spectrum)
-    for field, symbol in zip(out, symbols):
+    for symbol in symbols:
         np.multiply(spectrum, symbol, out=buf)
-        field[...] = _irfftn(grid, buf)
+        yield _irfftn(grid, buf)
+
+
+def _stacked(grid, fields, count):
+    """The first count fields of an iterator in one (count,) + grid.shape array.
+
+    Each field is copied in and dropped before the next one is made.
+    """
+    out = np.empty((count,) + grid.shape)
+    for row in out:
+        row[...] = next(fields)
     return out
+
+
+def _hessian_symbols(grid):
+    """The n^2 packed Hessian symbols of _symbols, stacked on one leading axis."""
+    hess = _symbols(grid)[2]
+    return hess.reshape((-1,) + hess.shape[2:])
 
 
 def _check_scalar(grid, values):
@@ -143,22 +165,36 @@ def _check_scalar(grid, values):
     return values
 
 
-def packed_hessian(grid, phi, symbol=None):
+def packed_hessian(grid, phi):
     """Spectral complex Hessian as n*n real fields, shape (n, n) + grid.shape.
 
     The leading axes hold HERMITIAN_PACKING: [i, i] is H_ii and, for i < j,
     [i, j] is Re H_ij and [j, i] is Im H_ij. One rfftn, then one irfftn per
-    packed field. Given a frozen_symbol, it is the Hessian of
-    divide_by_symbol(grid, symbol, phi), with the division done on the one
-    spectrum.
+    packed field.
     """
     phi = _check_scalar(grid, phi)
-    spectrum = scipy.fft.rfftn(phi)
-    if symbol is not None:
-        spectrum /= symbol
-    hess = _symbols(grid)[2]
-    fields = _irfftn_each(grid, spectrum, hess.reshape(-1, *hess.shape[2:]))
-    return fields.reshape(hess.shape[:2] + grid.shape)
+    fields = _irfftn_each(grid, scipy.fft.rfftn(phi), _hessian_symbols(grid))
+    return _stacked(grid, fields, grid.n**2).reshape((grid.n, grid.n) + grid.shape)
+
+
+def hessian_trace(grid, weights, values, symbol):
+    """sum_jk weights[j, k] H_jk, H the packed Hessian of divide_by_symbol(grid, symbol, values).
+
+    weights holds real fields packed like packed_hessian's, shape (n, n, P),
+    and symbol is a frozen_symbol; the trace has grid.shape. The division is
+    done on the one spectrum, and each packed field is added into the trace
+    as soon as it is transformed, in row-major (j, k) order, so no stack of
+    the n^2 Hessian fields is built.
+    """
+    values = _check_scalar(grid, values)
+    spectrum = scipy.fft.rfftn(values)
+    spectrum /= symbol
+    fields = _irfftn_each(grid, spectrum, _hessian_symbols(grid))
+    trace = np.zeros(grid.shape)
+    for weight, field in zip(weights.reshape((-1,) + grid.shape), fields):
+        field *= weight
+        trace += field
+    return trace
 
 
 def holomorphic_gradient(grid, phi):
@@ -170,7 +206,7 @@ def holomorphic_gradient(grid, phi):
     phi = _check_scalar(grid, phi)
     kx, ky, _ = _symbols(grid)
     symbols = [0.5j * k for k in kx] + [-0.5j * k for k in ky]
-    parts = _irfftn_each(grid, scipy.fft.rfftn(phi), symbols)
+    parts = _stacked(grid, _irfftn_each(grid, scipy.fft.rfftn(phi), symbols), 2 * grid.n)
     return np.moveaxis(parts[: grid.n] + 1j * parts[grid.n :], 0, -1)
 
 

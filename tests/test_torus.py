@@ -22,6 +22,7 @@ from hessquot.torus import (
     dump_fields,
     form_eigenvalues,
     frozen_symbol,
+    hessian_trace,
     holomorphic_gradient,
     identity_form,
     integrate_density,
@@ -274,6 +275,17 @@ class TestRealFFTLayer:
                 oracle_strip(grid, phi, keep_mean=keep_mean),
             )
 
+    @pytest.mark.parametrize(("n", "N"), GRIDS)
+    def test_inverse_transform_matches_numpy(self, n, N):
+        # complex transforms over the leading axes, then a real one along the
+        # last, on a spectrum with Nyquist content along every axis
+        grid = TorusGrid(n, N)
+        rng = np.random.default_rng(n * N)
+        spectrum = np.fft.rfftn(rng.normal(size=grid.shape))
+        assert all(np.max(np.abs(np.take(spectrum, N // 2, axis=a))) > 0.0 for a in range(2 * n))
+        want = np.fft.irfftn(spectrum, s=grid.shape, axes=range(2 * n))
+        assert_rel(torus._irfftn(grid, spectrum.copy()), want, rtol=1e-13)
+
     @pytest.mark.parametrize(("n", "N"), GRIDS + [pytest.param(2, 4, id="n2-N4")])
     def test_projection_kernel_is_the_parity_classes(self, n, N):
         grid = TorusGrid(n, N)
@@ -313,10 +325,12 @@ class TestRealFFTLayer:
         symbol = frozen_symbol(grid, weights)
         got = divide_by_symbol(grid, symbol, values)
         assert_rel(got, strip_kernel_modes(grid, u))
-        # fused: the Hessian of S^-1 u from one transform pair, kernel and
-        # Nyquist content of u included
-        want = packed_hessian(grid, divide_by_symbol(grid, symbol, u))
-        assert_rel(packed_hessian(grid, u, symbol), want)
+        # fused: the weighted packed trace of the Hessian of S^-1 u from one
+        # forward transform, kernel and Nyquist content of u included
+        w = rng.normal(size=(n, n, grid.npoints))
+        hess = packed_hessian(grid, divide_by_symbol(grid, symbol, u)).reshape(n, n, -1)
+        want = np.einsum("jkp,jkp->p", w, hess).reshape(grid.shape)
+        assert_rel(hessian_trace(grid, w, u, symbol), want)
 
 
 def drop_nyquist(grid, values):
