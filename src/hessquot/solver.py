@@ -6,8 +6,9 @@ solved jointly: each step solves the linear system
 
     -tr(A(x) Hess(dphi)(x)) + (dR/db)(x) db = -R(x)    at every grid point
 
-by LGMRES, right-preconditioned by the constant-coefficient inverse, which
-gives mean(dphi) = 0; Hess is the spectral complex Hessian. R, dR/db and A
+by one GMRES cycle (LGMRES restarts it when the cycle falls short),
+right-preconditioned by the constant-coefficient inverse, which gives
+mean(dphi) = 0; Hess is the spectral complex Hessian. R, dR/db and A
 are polynomials of X's packed fields: S_n = det X, S_1 = tr X and, at n = 3,
 S_2 = tr adj X (relative to omega), and A is R's matrix gradient, built from
 adj X with no eigenvalue or eigenvector. Backtracking keeps every accepted
@@ -312,18 +313,72 @@ def quadrature_b(spec):
     return num / integrate_density(spec.source_field, spec.omega)
 
 
+def _gmres_cycle(op, rhs, rtol):
+    """One GMRES cycle for op y = rhs from y = 0; returns (y, converged).
+
+    Arnoldi with modified Gram-Schmidt runs for up to KRYLOV_INNER steps.
+    Givens rotations keep the small least-squares problem triangular, so its
+    residual norm, which is the true residual's in exact arithmetic, is known
+    after every step without another product (Saad & Schultz, SIAM J. Sci.
+    Stat. Comput. 7, 1986). The cycle stops once that norm is at most
+    rtol |rhs|, the test LGMRES's inner loop applies, or when the basis
+    breaks down; y is summed in place from the basis.
+    """
+    beta = float(np.linalg.norm(rhs))
+    if beta == 0.0:
+        return np.zeros_like(rhs), True
+    target = rtol * beta
+    m = KRYLOV_INNER
+    basis = [rhs / beta]
+    hess = np.zeros((m + 1, m))
+    rotations = []
+    g = np.zeros(m + 1)
+    g[0] = beta
+    for j in range(m):
+        w = op.matvec(basis[j])
+        w_norm = np.linalg.norm(w)
+        h = hess[:, j]
+        for i, v in enumerate(basis):
+            h[i] = v @ w
+            w -= h[i] * v
+        h[j + 1] = np.linalg.norm(w)
+        breakdown = not h[j + 1] > np.finfo(np.float64).eps * w_norm
+        if not breakdown:
+            w /= h[j + 1]
+            basis.append(w)
+        for i, (c, s) in enumerate(rotations):
+            h[i], h[i + 1] = c * h[i] + s * h[i + 1], c * h[i + 1] - s * h[i]
+        r = math.hypot(h[j], h[j + 1])
+        c, s = (h[j] / r, h[j + 1] / r) if r > 0.0 else (1.0, 0.0)
+        rotations.append((c, s))
+        h[j], h[j + 1] = r, 0.0
+        g[j], g[j + 1] = c * g[j], -s * g[j]
+        if abs(g[j + 1]) <= target or breakdown:
+            break
+    k = len(rotations)
+    # triangular; lstsq, as in LGMRES, also copes with a zero pivot
+    coef = np.linalg.lstsq(hess[:k, :k], g[:k])[0]
+    y = basis[0]
+    y *= coef[0]
+    for v, a in zip(basis[1:k], coef[1:]):
+        y += a * v
+    return y, abs(g[k]) <= target
+
+
 def _linear_step(spec, ev, config, rsup_prev):
     """One inexact-Newton linear solve; returns (dphi, db, krylov_iters, info).
 
-    LGMRES solves (A M^-1) y = -R, both sides stripped of the kernel modes but
-    the mean, and the step is (dphi, db) = M^-1 y: db = mean(y)/mean(dR/db)
-    and dphi = S^-1 (y - db dR/db), with S the frozen symbol, which zeroes
-    the kernel modes and so the mean of dphi. The residual LGMRES reduces is
-    then the Newton residual that the forcing term bounds. LGMRES starts
-    from y = 0, so the operator maps an all-zero y to zeros without a
-    transform; it is linear, so that is exact.
+    One GMRES cycle from y = 0 solves (A M^-1) y = -R, both sides stripped of
+    the kernel modes but the mean, and the step is (dphi, db) = M^-1 y:
+    db = mean(y)/mean(dR/db) and dphi = S^-1 (y - db dR/db), with S the
+    frozen symbol, which zeroes the kernel modes and so the mean of dphi. The
+    residual the cycle reduces is then the Newton residual that the forcing
+    term bounds. Only a cycle that stops short hands its y to LGMRES, whose
+    augmented restarts (Baker, Jessup & Manteuffel, SIAM J. Matrix Anal.
+    Appl. 26, 2005) go on from there.
 
-    info is the LGMRES status: 0 on convergence to the forcing tolerance.
+    krylov_iters counts operator applications. info is the LGMRES status: 0
+    when the cycle or LGMRES met the forcing tolerance.
     """
     grid = spec.grid
     n = spec.n
@@ -339,10 +394,11 @@ def _linear_step(spec, ev, config, rsup_prev):
     # frozen operator in Fourier space; kernel modes share the Hessian's
     abar = [max(float(np.mean(weights[j, j])), 1e-300) for j in range(n)]
     symbol = frozen_symbol(grid, abar)
+    products = 0
 
     def matvec(y):
-        if not y.any():
-            return np.zeros(P)
+        nonlocal products
+        products += 1
         y = y.reshape(grid.shape)
         db = float(np.mean(y)) / col_mean
         trace = hessian_trace(grid, weights, y - db * col, symbol)
@@ -360,20 +416,16 @@ def _linear_step(spec, ev, config, rsup_prev):
     if np.isfinite(rsup_prev) and rsup_prev > 0.0:
         eta = min(FORCING_MAX, 0.5 * (ev.rsup / rsup_prev) ** 2)
     eta = max(eta, min(FORCING_MAX, 0.25 * config.tol / ev.rsup))
-    nit = 0
-
-    def count(_):
-        nonlocal nit
-        nit += 1
-
-    y, info = lgmres(
-        op, rhs, rtol=eta, atol=0.0,
-        inner_m=KRYLOV_INNER, maxiter=KRYLOV_MAXITER, callback=count,
-    )
+    y, converged = _gmres_cycle(op, rhs, eta)
+    info = 0
+    if not converged:
+        y, info = lgmres(
+            op, rhs, x0=y, rtol=eta, atol=0.0, inner_m=KRYLOV_INNER, maxiter=KRYLOV_MAXITER,
+        )
     y = y.reshape(grid.shape)
     db = float(np.mean(y)) / col_mean
     dphi = strip_kernel_modes(grid, divide_by_symbol(grid, symbol, y - db * col))
-    return dphi, db, nit, info
+    return dphi, db, products, info
 
 
 def _coarse_solution(spec, path, config, t):

@@ -554,10 +554,27 @@ class TestNewtonStep:
         assert abs(np.mean(dphi)) <= 1e-14
         assert np.max(np.abs(dphi - strip_kernel_modes(grid, dphi))) <= 1e-14
 
-    @pytest.mark.parametrize(("ratio", "bound"), [(1e3, 1e-5), (math.inf, 0.1)])
-    def test_step_solves_linearization(self, manufactured16, ratio, bound):
+    @pytest.mark.parametrize(
+        ("ratio", "bound", "inner"),
+        [(1e3, 1e-5, solver.KRYLOV_INNER), (math.inf, 0.1, solver.KRYLOV_INNER), (1e3, 1e-5, 4)],
+        ids=["1000.0-1e-05", "inf-0.1", "1000.0-1e-05-inner4"],
+    )
+    def test_step_solves_linearization(self, manufactured16, monkeypatch, ratio, bound, inner):
+        # the ratio-1e3 step takes 13 products, so a 4-step cycle stops short
+        # and LGMRES finishes the solve from the cycle's y
+        starts = []
+        lgmres = solver.lgmres
+
+        def spy(*args, **kwargs):
+            starts.append(kwargs["x0"])
+            return lgmres(*args, **kwargs)
+
+        monkeypatch.setattr(solver, "lgmres", spy)
+        monkeypatch.setattr(solver, "KRYLOV_INNER", inner)
         spec = manufactured16.spec(0.5)
         self.check_step(spec, np.zeros(spec.grid.shape), quadrature_b(spec), ratio, bound)
+        assert len(starts) == (inner == 4)
+        assert all(np.any(x0) for x0 in starts)
 
     def test_step_at_diagonal_fake_boundary_state(self):
         # stage 1 of the fake-boundary sample after one Newton step: g2 and
@@ -594,32 +611,54 @@ class TestNewtonStep:
         assert state.diagnostics["newton_iters"] == 1
         assert state.residual_sup <= 1e-8
 
-    def test_zero_start_takes_no_transform(self, manufactured16, monkeypatch):
-        # every LGMRES call applies the operator to its zero start once; the
-        # matvec answers that with zeros and transforms only nonzero inputs
-        zero_fields, zero_inputs = [], []
-        hessian_trace, operator = solver.hessian_trace, solver.LinearOperator
-
-        def spy_trace(grid, weights, values, symbol):
-            zero_fields.append(not np.any(values))
-            return hessian_trace(grid, weights, values, symbol)
+    def test_every_product_is_an_arnoldi_step(self, manufactured16, monkeypatch):
+        # the cycle starts from y = 0 and reads its residual off the Arnoldi
+        # relation, so no product takes a zero start or confirms convergence
+        nonzero_inputs, restarts = [], []
+        operator, lgmres = solver.LinearOperator, solver.lgmres
 
         def spy_operator(*args, matvec, **kwargs):
             def spied(y):
-                zero_inputs.append(not np.any(y))
-                out = matvec(y)
-                assert np.any(y) or np.array_equal(out, np.zeros_like(y))
-                return out
+                nonzero_inputs.append(bool(np.any(y)))
+                return matvec(y)
             return operator(*args, matvec=spied, **kwargs)
 
-        monkeypatch.setattr(solver, "hessian_trace", spy_trace)
+        def spy_lgmres(*args, **kwargs):
+            restarts.append(kwargs)
+            return lgmres(*args, **kwargs)
+
         monkeypatch.setattr(solver, "LinearOperator", spy_operator)
+        monkeypatch.setattr(solver, "lgmres", spy_lgmres)
         state = newton_solve(manufactured16.spec(manufactured16.extras["t_star"]))
-        steps = state.diagnostics["newton_iters"]
-        assert steps > 0
-        assert zero_inputs.count(True) >= steps
-        assert len(zero_fields) == zero_inputs.count(False)
-        assert not any(zero_fields)
+        assert state.diagnostics["newton_iters"] > 0
+        assert all(nonzero_inputs)
+        assert len(nonzero_inputs) == state.diagnostics["krylov_iters"]
+        assert not restarts
+
+    @pytest.mark.parametrize("spectrum", ["distinct", "three-valued"])
+    def test_gmres_cycle_on_small_systems(self, spectrum):
+        # a three-valued spectrum makes the Krylov space invariant after three
+        # steps: the cycle stops at that breakdown with the exact solution
+        rng = np.random.default_rng(5)
+        q, _ = np.linalg.qr(rng.standard_normal((40, 40)))
+        eig = np.linspace(1.0, 4.0, 40) if spectrum == "distinct" else np.repeat([1.0, 2.0, 3.0], [10, 10, 20])
+        mat = q @ np.diag(eig) @ q.T
+        rhs = rng.standard_normal(40)
+        products = []
+
+        def matvec(y):
+            products.append(y)
+            return mat @ y
+
+        op = solver.LinearOperator((40, 40), matvec=matvec, dtype=np.float64)
+        y, converged = solver._gmres_cycle(op, rhs, 1e-8)
+        assert converged
+        assert np.linalg.norm(mat @ y - rhs) <= 1e-8 * np.linalg.norm(rhs)
+        if spectrum == "three-valued":
+            assert len(products) == 3
+            assert np.linalg.norm(mat @ y - rhs) <= 1e-12 * np.linalg.norm(rhs)
+        y, converged = solver._gmres_cycle(op, np.zeros(40), 1e-8)
+        assert converged and not np.any(y)
 
 
 class TestContinuation:
@@ -801,6 +840,28 @@ class TestNestedIteration:
         assert st.residual_sup <= 1e-10
         assert mean_free_sup(st.phi - manufactured32.extras["phi_star"]) <= 1e-10
         assert abs(st.b - quadrature_b(spec)) <= 1e-9
+
+    def test_fine_newton_work_at_n32(self, newton_calls):
+        # phi* = 0.03 e^{sin 2 pi x1} cos 2 pi y2 is not band-limited, so the
+        # prolonged N = 16 solution misses it and the N = 32 solve takes its
+        # own Newton step, with Krylov vectors of 2^20 points
+        grid = TorusGrid(2, 32)
+        c = grid.coords()
+        phi_star = grid_field(grid, 0.03 * np.exp(np.sin(TWO_PI * c["x1"])) * np.cos(TWO_PI * c["y2"]))
+        (x11, re), (im, x22) = FormField(grid, 3.0 * np.eye(2), phi_star).packed()
+        # S_2 - S_1/2 of X* = 3I + Hess(phi*), as manufactured_instance builds it
+        f_raw = (x11 * x22 - re * re - im * im) - 0.5 * (x11 + x22)
+        omega = identity_form(grid)
+        spec = EquationSpec(
+            n=2, m=1, background=constant_form(grid, 3.0 * np.eye(2)), omega=omega,
+            coefficient_field=1.0, source_field=normalize_density(f_raw, omega),
+        )
+        st = solver.newton_solve(spec)
+        assert newton_calls == [32, 16]
+        assert st.diagnostics["newton_iters"] == 1
+        assert st.diagnostics["krylov_iters"] > 0
+        assert mean_free_sup(st.phi - phi_star) <= 1e-10
+        assert abs(st.b - float(np.mean(f_raw))) <= 1e-9
 
     def test_path_n32_meets_closed_forms(self, newton_calls):
         inst = boundary_degenerate_instance(N=32)
