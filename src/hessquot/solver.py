@@ -15,9 +15,12 @@ adj X with no eigenvalue or eigenvector. Backtracking keeps every accepted
 iterate admissible (X > 0 pointwise, by Sylvester's minors) and strictly
 decreases the sup residual. Potentials live in the Fourier subspace
 complementary to the Hessian's kernel (modes with every axis frequency at 0
-or Nyquist), where the linearized systems are nonsingular. Above
-COARSEST_N points per axis, each solve starts from the solve of the same
-problem on the grid with half the points per axis (nested iteration).
+or Nyquist), where the linearized systems are nonsingular. Newton can
+reduce only the residual's part in the Hessian's range; a solve whose
+residual is above tol while that part is within it stops there, at its
+aliasing floor. Above COARSEST_N points per axis, each solve starts from the
+solve of the same problem on the grid with half the points per axis (nested
+iteration), which hands over its state even when it stopped at its floor.
 """
 
 from __future__ import annotations
@@ -26,6 +29,8 @@ import csv
 import math
 from collections.abc import Callable, Mapping, Sequence
 from dataclasses import dataclass, field, replace
+from functools import cached_property
+from types import SimpleNamespace
 
 import numpy as np
 from scipy.sparse.linalg import LinearOperator, lgmres
@@ -124,7 +129,7 @@ class EquationSpec:
 
 
 # grids above this N start Newton from the solve on the grid with N/2
-COARSEST_N = 16
+COARSEST_N = 8
 DAMPING_FLOOR = 2.0**-30
 KRYLOV_INNER = 20
 KRYLOV_MAXITER = 400
@@ -245,6 +250,13 @@ class _Eval:
     rsup: float
     dresid_db: np.ndarray   # (P,)
     coefficients: Callable  # () -> packed (n, n, P) coefficient matrix A
+    grid: object            # the TorusGrid of the fields
+
+    @cached_property
+    def range_resid(self):
+        """(P,) residual part in the Hessian's range, all Newton can reduce; on first read."""
+        grid = self.grid
+        return strip_kernel_modes(grid, self.resid.reshape(grid.shape), keep_mean=True).reshape(-1)
 
 
 def _params(spec, b):
@@ -296,7 +308,7 @@ def _evaluate(spec, phi, b):
     def coefficients():
         return ratio / det * adj - kappa / s_n * grad
 
-    return _Eval(resid, float(np.max(np.abs(resid))), dresid_db, coefficients)
+    return _Eval(resid, float(np.max(np.abs(resid))), dresid_db, coefficients, spec.grid)
 
 
 def quadrature_b(spec):
@@ -405,7 +417,7 @@ def _linear_step(spec, ev, config, rsup_prev):
         return strip_kernel_modes(grid, col * db - trace, keep_mean=True).reshape(-1)
 
     op = LinearOperator((P, P), matvec=matvec, dtype=np.float64)
-    rhs = strip_kernel_modes(grid, -ev.resid.reshape(grid.shape), keep_mean=True).reshape(-1)
+    rhs = -ev.range_resid
     # forcing term: the residual-scaled eta = min(eta_max, |R|) of Dembo,
     # Eisenstat & Steihaug (SIAM J. Numer. Anal. 19, 1982) on a solve's first
     # step, where there is no previous residual, so that a warm start near
@@ -432,11 +444,15 @@ def _coarse_solution(spec, path, config, t):
     """The solve on the grid with N/2 points per axis, or None if it left the cone.
 
     The spec and the path states are restricted by injection (a path state
-    is read for phi, b and t only) and solved through the module-level
-    newton_solve, which recurses down to COARSEST_N. A coarse solve that
-    stops short still hands over its last iterate.
+    is read for phi, b and t only; a missing t reads as nan, which gives the
+    warm start) and solved through the module-level newton_solve, which
+    recurses down to COARSEST_N. A coarse solve that stops short, at its
+    aliasing floor or otherwise, still hands over its last iterate.
     """
-    coarse_path = [replace(s, phi=restrict(spec.grid, s.phi)) for s in path]
+    coarse_path = [
+        SimpleNamespace(phi=restrict(spec.grid, s.phi), b=s.b, t=getattr(s, "t", math.nan))
+        for s in path
+    ]
     try:
         return newton_solve(spec.restricted(), init=coarse_path, config=config, t=t)
     except NonconvergenceError as err:
@@ -494,6 +510,12 @@ def newton_solve(spec, init=None, config=None, t=math.nan):
     every start takes b from quadrature_b, the value the converged b must
     match anyway; in multiplicative mode the cold start takes b = 0.
 
+    Newton stops with NonconvergenceError, carrying the state, at its
+    aliasing floor: the residual is above config.tol while its part in the
+    Hessian's range (kernel modes but the mean stripped), all a step can
+    lower, is within it. It does so too after config.max_newton steps or at
+    the damping floor.
+
     The state's newton_iters and krylov_iters count the work on this grid
     only, not the coarse solves'.
     """
@@ -522,6 +544,13 @@ def newton_solve(spec, init=None, config=None, t=math.nan):
     krylov_total = 0
     rsup_prev = math.inf
     while ev.rsup > config.tol:
+        range_sup = float(np.max(np.abs(ev.range_resid)))
+        if range_sup <= config.tol:
+            raise NonconvergenceError(
+                f"aliasing floor reached at residual {ev.rsup:.3e}: its part in the"
+                f" Hessian's range, all Newton can reduce, is {range_sup:.3e}",
+                state=_make_state(spec, phi, b, t, ev.rsup, iters, krylov_total),
+            )
         if iters >= config.max_newton:
             raise NonconvergenceError(
                 f"no convergence in {config.max_newton} Newton steps (residual {ev.rsup:.3e})",

@@ -418,6 +418,22 @@ class TestTwoStagePath:
         slack = volume_lower_bound_check(path16.final_state, level)
         assert slack >= -1e-6 * level**2
 
+    def test_each_solve_takes_at_most_one_n16_step(self, inst16, monkeypatch):
+        # each N = 16 solve starts from its N = 8 solve, which stops at its
+        # aliasing floor, far above tol, and hands that state over
+        fine = []
+        solve = fakeboundary.newton_solve
+
+        def counted(spec, *args, **kwargs):
+            state = solve(spec, *args, **kwargs)
+            fine.append(state.diagnostics["newton_iters"])
+            return state
+
+        monkeypatch.setattr(fakeboundary, "newton_solve", counted)
+        res = two_stage_solve(inst16)
+        assert len(fine) == len(res.records) == 17
+        assert max(fine) <= 1
+
 
 class TestTwoStageMechanics:
     def test_csv_roundtrip(self, inst8, tmp_path):

@@ -97,6 +97,12 @@ def manufactured16():
 
 
 @pytest.fixture(scope="module")
+def manufactured8():
+    # N = COARSEST_N: its solves run on their own grid and take Newton steps
+    return manufactured_instance(N=8)
+
+
+@pytest.fixture(scope="module")
 def manufactured16_state(manufactured16):
     return newton_solve(manufactured16.spec(manufactured16.extras["t_star"]))
 
@@ -503,21 +509,48 @@ class TestFailureModes:
         assert st.diagnostics["newton_iters"] == 1
         assert st.residual_sup > 1e-10
 
-    def test_damping_floor_names_unconverged_lgmres(self, monkeypatch):
-        # away from t_star the N = 8 solution is not band-limited, so Newton
-        # stalls at the aliasing floor (6e-5) whatever the inner solves do;
-        # the message names the LGMRES status only when the last one stopped
-        # short of its forcing tolerance
-        spec = manufactured_instance(N=8).spec(1.0)
-        with pytest.raises(NonconvergenceError, match="damping floor") as err:
+    def test_aliasing_floor_stops_newton(self, manufactured8):
+        # away from t_star the N = 8 solution is not band-limited: the sup
+        # residual stays at 6.3e-5, in the kernel modes Newton cannot reach,
+        # once its part in the Hessian's range is below tol. Newton stops
+        # there, before the 11 steps that reach the damping floor
+        spec = manufactured8.spec(1.0)
+        with pytest.raises(NonconvergenceError, match="aliasing floor reached at residual 6.33") as err:
             newton_solve(spec)
-        assert "LGMRES" not in str(err.value)
-        monkeypatch.setattr(solver, "KRYLOV_MAXITER", 1)
+        assert "Hessian's range, all Newton can reduce, is" in str(err.value)
+        st = err.value.state
+        assert 0 < st.diagnostics["newton_iters"] < 11
+        assert st.residual_sup > 1e-5
+        ev = solver._evaluate(spec, st.phi, st.b)
+        assert ev.rsup == pytest.approx(st.residual_sup, rel=1e-12)
+        assert np.max(np.abs(ev.range_resid)) <= 1e-10
+        # the range part is the Krylov rhs, up to its sign
+        rhs = strip_kernel_modes(spec.grid, -ev.resid.reshape(spec.grid.shape), keep_mean=True)
+        assert np.array_equal(-ev.range_resid, rhs.reshape(-1))
+
+    def test_damping_floor_names_unconverged_lgmres(self, manufactured8, monkeypatch):
+        # a one-product cycle stops short and hands its y to LGMRES; one that
+        # gives back no descent direction leaves the line search at the
+        # damping floor, and the message names the LGMRES status only when
+        # LGMRES too stopped short of its forcing tolerance
         monkeypatch.setattr(solver, "KRYLOV_INNER", 1)
-        with pytest.raises(NonconvergenceError, match=r"stopped short \(info 1\)") as err:
-            newton_solve(spec)
-        assert str(err.value).startswith("damping floor reached")
-        assert err.value.state.residual_sup > 1e-10
+        for info in (0, 1):
+            calls = []
+
+            def no_descent(*args, _info=info, **kwargs):
+                calls.append(kwargs["x0"])
+                return np.zeros_like(kwargs["x0"]), _info
+
+            monkeypatch.setattr(solver, "lgmres", no_descent)
+            with pytest.raises(NonconvergenceError, match="^damping floor reached") as err:
+                newton_solve(manufactured8.spec(1.0))
+            if info:
+                assert str(err.value).endswith("after an LGMRES solve that stopped short (info 1)")
+            else:
+                assert "LGMRES" not in str(err.value)
+            assert len(calls) == 1
+            assert err.value.state.diagnostics["newton_iters"] == 0
+            assert err.value.state.residual_sup > 1e-10
 
 
 class TestSolverConfig:
@@ -611,7 +644,7 @@ class TestNewtonStep:
         assert state.diagnostics["newton_iters"] == 1
         assert state.residual_sup <= 1e-8
 
-    def test_every_product_is_an_arnoldi_step(self, manufactured16, monkeypatch):
+    def test_every_product_is_an_arnoldi_step(self, manufactured8, monkeypatch):
         # the cycle starts from y = 0 and reads its residual off the Arnoldi
         # relation, so no product takes a zero start or confirms convergence
         nonzero_inputs, restarts = [], []
@@ -629,7 +662,7 @@ class TestNewtonStep:
 
         monkeypatch.setattr(solver, "LinearOperator", spy_operator)
         monkeypatch.setattr(solver, "lgmres", spy_lgmres)
-        state = newton_solve(manufactured16.spec(manufactured16.extras["t_star"]))
+        state = newton_solve(manufactured8.spec(manufactured8.extras["t_star"]))
         assert state.diagnostics["newton_iters"] > 0
         assert all(nonzero_inputs)
         assert len(nonzero_inputs) == state.diagnostics["krylov_iters"]
@@ -814,11 +847,14 @@ def mean_free_sup(values):
 
 
 def fine_start(spec, coarse_solve, monkeypatch, init=None):
-    """The state a zero-step N = 32 solve starts from, with its N = 16 solve replaced."""
+    """The state a zero-step N = 32 solve starts from, with its N = 16 solve replaced.
+
+    The N = 16 solve's own N = 8 solve runs unreplaced.
+    """
     original = solver.newton_solve
 
     def replaced(sub, *args, **kwargs):
-        if sub.grid.N == spec.grid.N:
+        if sub.grid.N != spec.grid.N // 2:
             return original(sub, *args, **kwargs)
         return coarse_solve(original, sub, *args, **kwargs)
 
@@ -830,12 +866,12 @@ def fine_start(spec, coarse_solve, monkeypatch, init=None):
 
 
 class TestNestedIteration:
-    """Above N = 16 every solve starts from the solve on the grid with N/2."""
+    """Above N = 8 every solve starts from the solve on the grid with N/2."""
 
     def test_manufactured_n32_takes_no_fine_steps(self, manufactured32, newton_calls):
         spec = manufactured32.spec(manufactured32.extras["t_star"])
         st = solver.newton_solve(spec)
-        assert newton_calls == [32, 16]
+        assert newton_calls == [32, 16, 8]
         assert st.diagnostics["newton_iters"] == 0
         assert st.residual_sup <= 1e-10
         assert mean_free_sup(st.phi - manufactured32.extras["phi_star"]) <= 1e-10
@@ -857,7 +893,7 @@ class TestNestedIteration:
             coefficient_field=1.0, source_field=normalize_density(f_raw, omega),
         )
         st = solver.newton_solve(spec)
-        assert newton_calls == [32, 16]
+        assert newton_calls == [32, 16, 8]
         assert st.diagnostics["newton_iters"] == 1
         assert st.diagnostics["krylov_iters"] > 0
         assert mean_free_sup(st.phi - phi_star) <= 1e-10
@@ -867,17 +903,43 @@ class TestNestedIteration:
         inst = boundary_degenerate_instance(N=32)
         res = solver.continuation_path(inst.spec, SCHEDULE)
         assert res.complete and len(res.states) == len(SCHEDULE)
-        assert newton_calls == [32, 16] * len(SCHEDULE)
+        assert newton_calls == [32, 16, 8] * len(SCHEDULE)
         for st in res.states:
             want = inst.extras["potential_exact"](st.t)
             assert mean_free_sup(st.phi - want) <= 1e-8
             assert abs(st.b - inst.extras["expected_b"](st.t)) <= 1e-8
 
-    def test_one_call_per_solve_up_to_n16(self, newton_calls, bd8, manufactured16):
+    def test_one_call_per_n8_solve(self, newton_calls, bd8):
         res = solver.continuation_path(bd8.spec, SCHEDULE)
         assert res.complete
-        solver.newton_solve(manufactured16.spec(0.5))
-        assert newton_calls == [8] * len(SCHEDULE) + [16]
+        assert newton_calls == [8] * len(SCHEDULE)
+
+    def test_n16_solve_starts_from_n8(self, newton_calls, manufactured16):
+        st = solver.newton_solve(manufactured16.spec(manufactured16.extras["t_star"]))
+        assert newton_calls == [16, 8]
+        assert st.diagnostics["newton_iters"] == 0
+        assert st.residual_sup <= 1e-10
+
+    def test_path_n16_takes_no_fine_steps(self, newton_calls):
+        # the exact potential is band-limited, so every prolonged N = 8 solve
+        # already solves the N = 16 problem, the cold t = 1 solve included
+        inst = boundary_degenerate_instance(N=16)
+        res = solver.continuation_path(inst.spec, SCHEDULE)
+        assert res.complete and len(res.states) == len(SCHEDULE)
+        assert newton_calls == [16, 8] * len(SCHEDULE)
+        for st in res.states:
+            assert st.diagnostics["newton_iters"] == 0
+            want = inst.extras["potential_exact"](st.t)
+            assert mean_free_sup(st.phi - want) <= 1e-8
+            assert abs(st.b - inst.extras["expected_b"](st.t)) <= 1e-8
+
+    def test_duck_typed_start_above_n16(self, manufactured32):
+        # a start is read for phi and b alone, on every grid level
+        spec = manufactured32.spec(manufactured32.extras["t_star"])
+        start = SimpleNamespace(phi=manufactured32.extras["phi_star"], b=quadrature_b(spec))
+        st = solver.newton_solve(spec, init=start)
+        assert st.diagnostics["newton_iters"] == 0
+        assert mean_free_sup(st.phi - manufactured32.extras["phi_star"]) <= 1e-10
 
     def test_coarse_nonconvergence_hands_over_its_state(self, manufactured32, monkeypatch):
         stopped = []
@@ -1007,9 +1069,9 @@ class TestLazyDiagnostics:
             monkeypatch.setattr(solver, name, spy)
         return calls
 
-    def test_counts_take_no_eigenvalues_then_one_pass(self, manufactured16, monkeypatch):
+    def test_counts_take_no_eigenvalues_then_one_pass(self, manufactured8, monkeypatch):
         calls = self.counted(monkeypatch)
-        st = newton_solve(manufactured16.spec(manufactured16.extras["t_star"]))
+        st = newton_solve(manufactured8.spec(manufactured8.extras["t_star"]))
         d = st.diagnostics
         assert d["newton_iters"] > 0 and d["krylov_iters"] > 0 and d["sup_phi"] > 0.0
         assert not calls
