@@ -65,10 +65,7 @@ def _boundary_chi(grid, omega, m):
     """
     coords = grid.coords()
     psi = _grid_field(grid, np.cos(TWO_PI * coords["x1"]) + np.cos(TWO_PI * coords["y1"]))
-    tuned = tune_to_boundary(
-        lambda a: FormField(grid, np.eye(2), a * psi), omega, m, (0.0, 0.05)
-    )
-    return tuned, psi
+    return tune_to_boundary(grid, np.eye(2), psi, omega, m, (0.0, 0.05)), psi
 
 
 def uniform_instance(N=16, eps=0.1, m=1):

@@ -39,20 +39,19 @@ from .errors import ConeViolationError, InputError, NonconvergenceError
 from .pointwise import (
     EquationParams,
     cone_margin,
-    pack_hermitian,
     packed_adjugate,
     packed_sym_gradient,
     residual_volume_form,
 )
 from .symfunc import elementary_sym
 from .torus import (
-    DENSITY_CONVENTION_SCALE,
     FormField,
     divide_by_symbol,
     frozen_symbol,
     hessian_trace,
     holomorphic_gradient,
     integrate_density,
+    integrate_mixed,
     prolong,
     relative_eigenvalues,
     restrict,
@@ -269,14 +268,14 @@ def _params(spec, b):
 
 
 def _inverse_metric(omega):
-    """omega^-1 packed on the leading (n, n) axes, and det omega.
+    """omega^-1 packed on the leading (n, n) axes, and det omega, from the adjugate.
 
-    The packed fields span the flat grid, or one point when omega is constant
-    (then det omega is one value), so they broadcast over any X.
+    The fields span the flat grid, or one point when omega is constant, so
+    they broadcast over any X.
     """
-    mats = omega.flat_matrices()
-    inv = np.moveaxis(pack_hermitian(np.linalg.inv(mats)), (-2, -1), (0, 1))
-    return inv.reshape(inv.shape[:2] + (-1,)), np.linalg.det(mats).real
+    n = omega.grid.n
+    adj, det = packed_adjugate(omega.packed().reshape(n, n, -1))
+    return adj / det, det
 
 
 def _evaluate(spec, phi, b):
@@ -312,17 +311,28 @@ def _evaluate(spec, phi, b):
 
 
 def quadrature_b(spec):
-    """Integral-identity value of the scalar constant (additive mode)."""
+    """The scalar constant of the integral identity (additive mode).
+
+    Integrating S_n(X) = kappa S_m(X) + b f against omega^n over the torus
+    gives b. With a constant coefficient both X terms are class integrals,
+    the same for X as for the closed background (Stokes), so b is
+    (int bg^n - c int bg^m wedge omega^(n-m)) / int f omega^n with no
+    transform and no eigenvalue. A varying coefficient keeps the grid sum of
+    kappa S_m of the background, from its packed fields; there the identity
+    holds only up to the potential's share of that term.
+    """
     if spec.unknown_mode != "additive":
         raise InputError("quadrature value of b is an additive-mode notion")
-    # one (n,) spectrum when background and omega are constant, not one per point
-    lam = relative_eigenvalues(spec.background, spec.omega)
-    detw = np.linalg.det(spec.omega.flat_matrices()).real
+    bg, omega, m = spec.background, spec.omega, spec.m
     coeff = spec.coefficient_field.reshape(-1)
-    binom = math.comb(spec.n, spec.m)
-    lhs = (elementary_sym(spec.n, lam) - coeff / binom * elementary_sym(spec.m, lam)) * detw
-    num = float(np.mean(lhs)) * DENSITY_CONVENTION_SCALE
-    return num / integrate_density(spec.source_field, spec.omega)
+    if np.all(coeff == coeff[0]):
+        trail = float(coeff[0]) * integrate_mixed(bg, m, omega)
+    else:
+        x = bg.packed().reshape(spec.n, spec.n, -1)
+        s_m = packed_sym_gradient(m, x, _inverse_metric(omega)[0])[0]
+        trail = integrate_density(coeff * s_m / math.comb(spec.n, m), omega)
+    top = integrate_mixed(bg, spec.n, omega)
+    return (top - trail) / integrate_density(spec.source_field, omega)
 
 
 def _gmres_cycle(op, rhs, rtol):
@@ -508,7 +518,9 @@ def newton_solve(spec, init=None, config=None, t=math.nan):
     prediction leaves the cone. A shorter path, or one without that spacing,
     gives the warm start (or the cold start when empty). In additive mode
     every start takes b from quadrature_b, the value the converged b must
-    match anyway; in multiplicative mode the cold start takes b = 0.
+    match anyway: at a constant coefficient the class integral, by Stokes,
+    which the grid sum of the converged state meets up to aliasing; in
+    multiplicative mode the cold start takes b = 0.
 
     Newton stops with NonconvergenceError, carrying the state, at its
     aliasing floor: the residual is above config.tol while its part in the

@@ -62,11 +62,17 @@ def elementary_sym_excluding_each(k, vals):
         return np.zeros(vals.shape, dtype=np.float64)
     if k == 0:
         return np.ones(vals.shape)
-    # row i of the (n, n) block is vals with entry i zeroed
-    block = np.broadcast_to(vals[..., None, :], vals.shape[:-1] + (n, n)).copy()
-    ii = np.arange(n)
-    block[..., ii, ii] = 0.0
-    return elementary_sym(k, block)
+    # elementary_sym's recurrence over the other entries, one contiguous
+    # column at a time; a zeroed entry i would add only zeros to it
+    cols = np.moveaxis(vals, -1, 0)
+    out = np.empty(vals.shape)
+    for i in range(n):
+        e = [np.ones(vals.shape[:-1])] + [np.zeros(vals.shape[:-1]) for _ in range(k)]
+        for count, v in enumerate(c for idx, c in enumerate(cols) if idx != i):
+            for j in range(min(count + 1, k), 0, -1):
+                e[j] += v * e[j - 1]
+        out[..., i] = e[k]
+    return out
 
 
 def elementary_sym_excluding_pairs(k, vals):

@@ -4,8 +4,10 @@ The torus is [0,1)^{2n} with complex coordinates z_j = x_j + i y_j and N
 grid points per real axis, axis order (x1, y1, x2, y2, ...). Differentiation
 is spectral (exact for band-limited fields, Nyquist dropped from first-order
 multipliers) and runs on real FFTs: every operator is a real field times a
-real symbol cached per grid in rfftn layout; integration is the periodic
-trapezoid rule, i.e. the plain grid mean, which is spectrally accurate here.
+real symbol cached per grid in rfftn layout; integration of a density is
+the periodic trapezoid rule, i.e. the plain grid mean, which is spectrally
+accurate here. Every form is closed, so a mixed integral of forms is that of
+their constant parts (Stokes) and takes no grid point.
 
 Density convention: the top form omega^n corresponds to the density
 det(omega_matrix) * dV, with one fixed multiplicative constant shared by
@@ -388,23 +390,32 @@ def _require_metric(omega):
     _require_positive(np.linalg.eigvalsh(omega.flat_matrices())[..., 0], omega, "metric")
 
 
-def _mixed(lam, k, omega):
-    """integrate_mixed from alpha's eigenvalues lam relative to omega."""
-    n = lam.shape[-1]
+def _form_class(form):
+    """The class of a closed form, which fixes its integrals: its constant part as a FormField."""
+    return form if form.is_constant else FormField(form.grid, form.const)
+
+
+def _mixed(alpha, k, omega):
+    """integrate_mixed without the metric check."""
+    n = alpha.grid.n
     if not 0 <= k <= n:
         raise InputError(f"wedge power k={k} outside 0..{n}")
-    integrand = elementary_sym(k, lam) / math.comb(n, k) * _omega_density(omega)
-    return float(np.mean(integrand)) * DENSITY_CONVENTION_SCALE
+    metric = _form_class(omega)
+    lam = relative_eigenvalues(_form_class(alpha), metric)
+    mixed = elementary_sym(k, lam) / math.comb(n, k) * _omega_density(metric)
+    return float(mixed) * DENSITY_CONVENTION_SCALE
 
 
 def integrate_mixed(alpha, k, omega):
-    """Quadrature of alpha^k wedge omega^(n-k) in the fixed density convention.
+    """Integral of alpha^k wedge omega^(n-k) in the fixed density convention.
 
-    Computes the grid mean of S_k(lambda_omega(alpha))/C(n,k) * det(omega),
-    times the shared convention constant.
+    Both forms are closed, so the integral is that of their classes:
+    S_k(lambda)/C(n,k) * det(omega0), with lambda the eigenvalues of alpha's
+    constant part relative to omega's, omega0, times the shared convention
+    constant. No grid point enters but the pointwise metric check.
     """
     _require_metric(omega)
-    return _mixed(relative_eigenvalues(alpha, omega), k, omega)
+    return _mixed(alpha, k, omega)
 
 
 def integrate_density(values, omega):
@@ -417,16 +428,15 @@ def total_volume(omega):
     return integrate_mixed(omega, 0, omega)
 
 
-def _quotient_constant(mu, chi, omega, m):
-    """compute_c from chi's eigenvalues mu relative to omega."""
-    _require_positive(mu[..., -1], chi, "chi")
-    return _mixed(mu, chi.grid.n, omega) / _mixed(mu, m, omega)
-
-
 def compute_c(chi, omega, m):
-    """Ratio of the top self-intersection to the m-fold mixed integral."""
+    """Ratio of the top self-intersection to the m-fold mixed integral.
+
+    Both integrals are class values; chi must still be positive definite at
+    every point relative to omega.
+    """
     _require_metric(omega)
-    return _quotient_constant(relative_eigenvalues(chi, omega), chi, omega, m)
+    _require_positive(relative_eigenvalues(chi, omega)[..., -1], chi, "chi")
+    return _mixed(chi, chi.grid.n, omega) / _mixed(chi, m, omega)
 
 
 @dataclass
@@ -478,38 +488,43 @@ def make_degenerate_big(grid, base, psi_shape):
     return DegenerateBig(form, amp, min_field, degenerate, ~degenerate)
 
 
-def _min_margin(chi, omega, m):
-    """Minimum cone margin of chi and its constant c, from one eigenvalue pass."""
-    _require_metric(omega)
-    mu = relative_eigenvalues(chi, omega)
-    c = _quotient_constant(mu, chi, omega, m)
-    return float(np.min(cone_margin(mu, c, m))), c
+def tune_to_boundary(grid, base, psi_shape, omega, m, bracket):
+    """Find the amplitude a putting the minimum cone margin of base + a i d dbar psi at zero.
 
-
-def tune_to_boundary(chi_family, omega, m, bracket):
-    """Find the family amplitude putting the minimum cone margin at zero.
-
-    chi_family maps an amplitude to a Kaehler FormField. Returns
+    The family stays in the class of base, so its constant c is one number,
+    and its packed fields are linear in a: psi's Hessian is built once and
+    each iterate takes one eigenvalue pass and the cone margin. Returns
     (amplitude, c, chi); raises DomainError when the margin keeps one sign
-    on the bracket, naming the diagnosis (strict or violated) and the margin.
+    on the bracket, naming the diagnosis (strict or violated) and the
+    margin, or when the tuned chi is not positive definite.
     """
-    lo, hi = bracket
+    c = compute_c(FormField(grid, base), omega, m)
+    psi = _check_scalar(grid, psi_shape)
+    hess = packed_hessian(grid, psi).reshape(grid.n, grid.n, -1)
+    packed_base = pack_hermitian(np.asarray(base, dtype=np.complex128))[..., None]
+    metric = omega.flat_matrices()
+
+    def eigenvalues(a):
+        return packed_eigenvalues(packed_base + a * hess, metric)
 
     def margin(a):
-        return _min_margin(chi_family(a), omega, m)[0]
+        return float(np.min(cone_margin(eigenvalues(a), c, m)))
 
+    lo, hi = bracket
     mlo = margin(lo)
     if mlo < 0.0:
         raise DomainError(f"cone condition violated at amplitude {lo} (margin {mlo:.3e})")
     mhi = margin(hi)
     if mhi > 0.0:
         raise DomainError(f"cone condition strict at amplitude {hi} (margin {mhi:.3e})")
-    amp = brentq(margin, lo, hi, xtol=1e-14, rtol=8.9e-16)
-    chi = chi_family(amp)
-    mval, c = _min_margin(chi, omega, m)
+    amp = float(brentq(margin, lo, hi, xtol=1e-14, rtol=8.9e-16))
+    chi = FormField(grid, base, amp * psi)
+    mu = eigenvalues(amp)
+    _require_positive(mu[:, -1], chi, "chi")
+    mval = float(np.min(cone_margin(mu, c, m)))
     if abs(mval) > 1e-8:
         raise ConstructionError(f"margin bisection stalled at {mval:.3e}")
-    return float(amp), c, chi
+    return amp, c, chi
 
 
 def normalize_density(f_raw, omega):

@@ -115,6 +115,18 @@ class TestExcluding:
                     want = oracle_excluding(k, vals, [i])
                     assert each[i] == pytest.approx(want, rel=1e-12, abs=1e-12)
 
+    def test_each_matches_zeroed_entry_rows_exactly(self):
+        # reference: elementary_sym over the (n, n) block whose row i is vals
+        # with entry i zeroed; skipping the entry adds the same values
+        rng = np.random.default_rng(19)
+        for n in range(2, 8):
+            vals = rng.uniform(-8, 8, size=(5, 3, n))
+            block = np.broadcast_to(vals[..., None, :], vals.shape[:-1] + (n, n)).copy()
+            block[..., np.arange(n), np.arange(n)] = 0.0
+            for k in range(1, n + 1):
+                want = sf.elementary_sym(k, block)
+                assert np.array_equal(sf.elementary_sym_excluding_each(k, vals), want)
+
     def test_each_and_pairs_match_single(self):
         rng = np.random.default_rng(17)
         vals = rng.uniform(0.2, 5.0, size=(10, 4))

@@ -1,6 +1,7 @@
 """Torus discretization tests: spectral derivatives, quadrature, instance tuning."""
 
 import dataclasses
+import math
 from itertools import product
 
 import numpy as np
@@ -32,6 +33,7 @@ from hessquot.torus import (
     normalize_density,
     pack_hermitian,
     packed_hessian,
+    relative_eigenvalues,
     total_volume,
     tune_to_boundary,
     unpack_hermitian,
@@ -60,6 +62,20 @@ def trig_poly(grid, rng, max_mode=3, terms=6, amplitude=0.3):
 def complex_hessian(grid, phi):
     """Spectral complex Hessian (d_i dbar_j phi), shape grid.shape + (n, n), unpacked."""
     return unpack_hermitian(np.moveaxis(packed_hessian(grid, phi), (0, 1), (-2, -1)))
+
+
+def pointwise_mixed(alpha, k, omega, lam=None):
+    """Grid quadrature of alpha^k wedge omega^(n-k): the mean of S_k(lambda)/C(n,k) det omega.
+
+    lambda are alpha's eigenvalues relative to omega at every grid point
+    (computed unless given); the integrand is the one the class value
+    integrates exactly (Stokes).
+    """
+    n = alpha.grid.n
+    lam = relative_eigenvalues(alpha, omega) if lam is None else lam
+    det = np.linalg.det(omega.flat_matrices()).real
+    integrand = elementary_sym(k, lam) / math.comb(n, k) * det
+    return float(np.mean(np.broadcast_to(integrand, lam.shape[:-1])))
 
 
 class TestGrid:
@@ -120,15 +136,20 @@ class TestComplexHessian:
         g = TorusGrid(2, 64)
         c = g.coords()
         phi = grid_field(g, np.sin(TWO_PI * c["x1"]) * np.sin(TWO_PI * c["y2"]))
-        entry = complex_hessian(g, phi)[..., 0, 1].copy()
+        # H_01 from its packed real and imaginary fields, no unpacked complex stack
+        hess = packed_hessian(g, phi)
+        entry = hess[0, 1] + 1j * hess[1, 0]
+        del hess
         h = 1.0 / g.N
+        idx = np.arange(g.N)
+        stencil = np.zeros((g.N, g.N))
+        for k, w in ((1, 45.0), (2, -9.0), (3, 1.0)):
+            stencil[idx, (idx + k) % g.N] += w / (60.0 * h)
+            stencil[idx, (idx - k) % g.N] -= w / (60.0 * h)
 
         def diff(f, axis):
-            return (
-                45.0 * (np.roll(f, -1, axis) - np.roll(f, 1, axis))
-                - 9.0 * (np.roll(f, -2, axis) - np.roll(f, 2, axis))
-                + (np.roll(f, -3, axis) - np.roll(f, 3, axis))
-            ) / (60.0 * h)
+            # the periodic stencil along one axis, as one circulant matrix product
+            return np.moveaxis(np.moveaxis(f, axis, -1) @ stencil.T, -1, axis)
 
         dbar2 = 0.5 * (diff(phi, 2) + 1j * diff(phi, 3))
         fd = 0.5 * (diff(dbar2, 0) - 1j * diff(dbar2, 1))
@@ -468,27 +489,44 @@ class TestIntegration:
         assert integrate_mixed(alpha, 2, om) == pytest.approx(3.75 * 4.0, rel=1e-14)
         assert total_volume(om) == pytest.approx(4.0, rel=1e-14)
 
+    @staticmethod
+    def check_hessian_part_integrates_away(g, om, rng):
+        # the grid quadrature of the bumped forms matches the class value of
+        # the constant ones
+        pot = trig_poly(g, rng, max_mode=3, amplitude=0.002)
+        base = constant_form(g, np.diag([2.0, 1.0]))
+        bumped = FormField(g, np.diag([2.0, 1.0]), pot)
+        for k in (0, 1, 2):
+            a = integrate_mixed(base, k, identity_form(g))
+            assert integrate_mixed(bumped, k, om) == a
+            b = pointwise_mixed(bumped, k, om)
+            assert abs(a - b) < 1e-12 * abs(a)
+
     def test_hessian_part_integrates_away(self):
         # adding i d dbar of a potential must not change any mixed integral
         g = TorusGrid(2, 16)
-        om = identity_form(g)
-        pot = trig_poly(g, np.random.default_rng(17), max_mode=3, amplitude=0.002)
-        base = constant_form(g, np.diag([2.0, 1.0]))
-        bumped = FormField(g, np.diag([2.0, 1.0]), pot)
-        for k in (1, 2):
-            a = integrate_mixed(base, k, om)
-            b = integrate_mixed(bumped, k, om)
-            assert abs(a - b) < 1e-12 * abs(a)
+        self.check_hessian_part_integrates_away(g, identity_form(g), np.random.default_rng(17))
+
+    def test_hessian_part_of_the_metric_integrates_away(self):
+        g = TorusGrid(2, 16)
+        rng = np.random.default_rng(17)
+        om = FormField(g, np.eye(2), trig_poly(g, rng, max_mode=3, amplitude=0.001))
+        assert not om.is_constant
+        self.check_hessian_part_integrates_away(g, om, rng)
 
     def test_refinement_agreement_smooth_field(self):
+        # exp(0.2 cos) is not band-limited: the grid quadrature converges
+        # spectrally to the class value
         vals = []
         for N in (16, 32):
             g = TorusGrid(2, N)
             x1 = g.coords()["x1"]
             pot = grid_field(g, 0.002 * np.exp(0.2 * np.cos(TWO_PI * x1)))
             alpha = FormField(g, np.eye(2), pot)
-            vals.append(integrate_mixed(alpha, 2, identity_form(g)))
+            vals.append(pointwise_mixed(alpha, 2, identity_form(g)))
+            assert integrate_mixed(alpha, 2, identity_form(g)) == 1.0
         assert abs(vals[0] - vals[1]) < 1e-8 * abs(vals[1])
+        assert abs(vals[1] - 1.0) < 1e-8
 
     def test_convention_scale_cancels_in_ratios(self, monkeypatch):
         # the density convention constant must scale raw integrals linearly
@@ -580,31 +618,34 @@ class TestDegenerate:
 
 
 class TestTuneToBoundary:
-    def family(self, g):
+    @staticmethod
+    def psi(g):
         c = g.coords()
-        psi = grid_field(g, np.cos(TWO_PI * c["x1"]) + np.cos(TWO_PI * c["y1"]))
-        return lambda a: FormField(g, np.eye(2), a * psi)
+        return grid_field(g, np.cos(TWO_PI * c["x1"]) + np.cos(TWO_PI * c["y1"]))
 
     def test_boundary_amplitude_pinned(self):
-        # margin(a) = 1/2 - 2 pi^2 a for this family, root at 1/(4 pi^2)
+        # margin(a) = 1/2 - 2 pi^2 a for I + a idd psi, root at 1/(4 pi^2)
         g = TorusGrid(2, 16)
         om = identity_form(g)
-        amplitude, c, chi = tune_to_boundary(self.family(g), om, 1, (0.0, 0.05))
+        psi = self.psi(g)
+        amplitude, c, chi = tune_to_boundary(g, np.eye(2), psi, om, 1, (0.0, 0.05))
         assert amplitude == pytest.approx(1.0 / (4.0 * np.pi**2), rel=1e-10)
         assert c == pytest.approx(1.0, rel=1e-12)
+        assert np.array_equal(chi.const, np.eye(2))
+        assert np.array_equal(chi.potential, amplitude * psi)
         margin = cone_margin(form_eigenvalues(chi, om).reshape(-1, 2), c, 1)
         assert abs(float(np.min(margin))) <= 1e-8
 
     def test_strict_diagnosis(self):
         g = TorusGrid(2, 16)
         with pytest.raises(DomainError, match=r"strict .*margin [0-9]"):
-            tune_to_boundary(self.family(g), identity_form(g), 1, (0.0, 0.01))
+            tune_to_boundary(g, np.eye(2), self.psi(g), identity_form(g), 1, (0.0, 0.01))
 
     def test_violated_diagnosis(self):
+        # the family shifted by 0.04 on (0, 0.05) is the family on (0.04, 0.09)
         g = TorusGrid(2, 16)
-        base = self.family(g)
         with pytest.raises(DomainError, match=r"violated .*margin -[0-9]"):
-            tune_to_boundary(lambda a: base(a + 0.04), identity_form(g), 1, (0.0, 0.05))
+            tune_to_boundary(g, np.eye(2), self.psi(g), identity_form(g), 1, (0.04, 0.09))
 
 
 class TestNormalizeDensity:
