@@ -317,20 +317,20 @@ def quadrature_b(spec):
     gives b. With a constant coefficient both X terms are class integrals,
     the same for X as for the closed background (Stokes), so b is
     (int bg^n - c int bg^m wedge omega^(n-m)) / int f omega^n with no
-    transform and no eigenvalue. A varying coefficient keeps the grid sum of
-    kappa S_m of the background, from its packed fields; there the identity
-    holds only up to the potential's share of that term.
+    transform and no eigenvalue. A varying coefficient raises InputError:
+    int kappa S_m(X) omega^n then moves with the potential, so no value
+    computed before the solve fixes b.
     """
     if spec.unknown_mode != "additive":
         raise InputError("quadrature value of b is an additive-mode notion")
-    bg, omega, m = spec.background, spec.omega, spec.m
     coeff = spec.coefficient_field.reshape(-1)
-    if np.all(coeff == coeff[0]):
-        trail = float(coeff[0]) * integrate_mixed(bg, m, omega)
-    else:
-        x = bg.packed().reshape(spec.n, spec.n, -1)
-        s_m = packed_sym_gradient(m, x, _inverse_metric(omega)[0])[0]
-        trail = integrate_density(coeff * s_m / math.comb(spec.n, m), omega)
+    if not np.all(coeff == coeff[0]):
+        raise InputError(
+            "additive mode needs a constant coefficient: with a varying one the"
+            " integral of its S_m term moves with the potential, so b has no quadrature value"
+        )
+    bg, omega = spec.background, spec.omega
+    trail = float(coeff[0]) * integrate_mixed(bg, spec.m, omega)
     top = integrate_mixed(bg, spec.n, omega)
     return (top - trail) / integrate_density(spec.source_field, omega)
 
@@ -518,9 +518,10 @@ def newton_solve(spec, init=None, config=None, t=math.nan):
     prediction leaves the cone. A shorter path, or one without that spacing,
     gives the warm start (or the cold start when empty). In additive mode
     every start takes b from quadrature_b, the value the converged b must
-    match anyway: at a constant coefficient the class integral, by Stokes,
-    which the grid sum of the converged state meets up to aliasing; in
-    multiplicative mode the cold start takes b = 0.
+    match anyway: the class integral, by Stokes, which the grid sum of the
+    converged state meets up to aliasing; quadrature_b runs before any
+    Newton work, so a varying coefficient, which it rejects, raises
+    InputError up front. In multiplicative mode the cold start takes b = 0.
 
     Newton stops with NonconvergenceError, carrying the state, at its
     aliasing floor: the residual is above config.tol while its part in the

@@ -4,10 +4,12 @@ The torus is [0,1)^{2n} with complex coordinates z_j = x_j + i y_j and N
 grid points per real axis, axis order (x1, y1, x2, y2, ...). Differentiation
 is spectral (exact for band-limited fields, Nyquist dropped from first-order
 multipliers) and runs on real FFTs: every operator is a real field times a
-real symbol cached per grid in rfftn layout; integration of a density is
-the periodic trapezoid rule, i.e. the plain grid mean, which is spectrally
-accurate here. Every form is closed, so a mixed integral of forms is that of
-their constant parts (Stokes) and takes no grid point.
+real symbol cached per grid in rfftn layout, and a product spectrum that
+is identically zero is not inverse transformed (a potential of z1 alone
+has one nonzero Hessian field). Integration of a density is the periodic
+trapezoid rule, i.e. the plain grid mean, which is spectrally accurate
+here. Every form is closed, so a mixed integral of forms is that of their
+constant parts (Stokes) and takes no grid point.
 
 Density convention: the top form omega^n corresponds to the density
 det(omega_matrix) * dV, with one fixed multiplicative constant shared by
@@ -129,26 +131,30 @@ def _irfftn(grid, spectrum):
 
 
 def _irfftn_each(grid, spectrum, symbols):
-    """Yield the real field of spectrum times each symbol in turn.
+    """Yield the real field of spectrum times each symbol in turn, None for a zero product.
 
     One inverse transform per field, each on its own product, keeps the
     transformed array to one field's spectrum: at N = 16 that fits a 2 MB
-    L2 cache where a stack of the n^2 Hessian spectra does not.
+    L2 cache where a stack of the n^2 Hessian spectra does not. A product
+    with no nonzero entry (tested exactly; NaN counts as nonzero) is the
+    zero field, so it is not transformed.
     """
     buf = np.empty_like(spectrum)
     for symbol in symbols:
         np.multiply(spectrum, symbol, out=buf)
-        yield _irfftn(grid, buf)
+        yield _irfftn(grid, buf) if buf.any() else None
 
 
 def _stacked(grid, fields, count):
     """The first count fields of an iterator in one (count,) + grid.shape array.
 
-    Each field is copied in and dropped before the next one is made.
+    Each field is copied in and dropped before the next one is made; a None
+    field is written as zeros.
     """
     out = np.empty((count,) + grid.shape)
     for row in out:
-        row[...] = next(fields)
+        field = next(fields)
+        row[...] = 0.0 if field is None else field
     return out
 
 
@@ -172,7 +178,8 @@ def packed_hessian(grid, phi):
 
     The leading axes hold HERMITIAN_PACKING: [i, i] is H_ii and, for i < j,
     [i, j] is Re H_ij and [j, i] is Im H_ij. One rfftn, then one irfftn per
-    packed field.
+    packed field whose spectrum is not identically zero; the others are
+    written as exact zeros.
     """
     phi = _check_scalar(grid, phi)
     fields = _irfftn_each(grid, scipy.fft.rfftn(phi), _hessian_symbols(grid))
@@ -186,7 +193,8 @@ def hessian_trace(grid, weights, values, symbol):
     and symbol is a frozen_symbol; the trace has grid.shape. The division is
     done on the one spectrum, and each packed field is added into the trace
     as soon as it is transformed, in row-major (j, k) order, so no stack of
-    the n^2 Hessian fields is built.
+    the n^2 Hessian fields is built. A field whose spectrum is identically
+    zero is neither transformed nor weighted.
     """
     values = _check_scalar(grid, values)
     spectrum = scipy.fft.rfftn(values)
@@ -194,8 +202,9 @@ def hessian_trace(grid, weights, values, symbol):
     fields = _irfftn_each(grid, spectrum, _hessian_symbols(grid))
     trace = np.zeros(grid.shape)
     for weight, field in zip(weights.reshape((-1,) + grid.shape), fields):
-        field *= weight
-        trace += field
+        if field is not None:
+            field *= weight
+            trace += field
     return trace
 
 
@@ -203,7 +212,8 @@ def holomorphic_gradient(grid, phi):
     """(d phi / d z_j) for each j, shape grid.shape + (n,).
 
     d/dz_j = (d/dx_j - i d/dy_j)/2, so the real and imaginary parts are the
-    real fields with symbols i kx_j / 2 and -i ky_j / 2.
+    real fields with symbols i kx_j / 2 and -i ky_j / 2; a part whose
+    spectrum is identically zero is not transformed.
     """
     phi = _check_scalar(grid, phi)
     kx, ky, _ = _symbols(grid)

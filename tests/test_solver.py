@@ -217,13 +217,22 @@ class TestQuadratureB:
                     got = integrate_mixed(spec.background, k, spec.omega)
                     assert abs(got - want) <= 4 * np.spacing(want), (inst.name, t, k)
 
-    def test_varying_coefficient_keeps_the_grid_sum(self, bd8):
+    def test_varying_coefficient_is_rejected(self, bd8, monkeypatch):
+        # int kappa S_m(X) omega^n moves with phi when kappa varies, so no
+        # b computed before the solve can pass the solver's quadrature check
         spec = bd8.spec(0.5)
         x1 = spec.grid.coords()["x1"]
         coeff = grid_field(spec.grid, bd8.c * (1.0 + 0.5 * np.cos(TWO_PI * x1) ** 2))
         varying = dataclasses.replace(spec, coefficient_field=coeff)
-        assert quadrature_b(varying) == pytest.approx(pointwise_b(varying), rel=1e-14)
-        assert quadrature_b(varying) < quadrature_b(spec)
+        with pytest.raises(InputError, match="constant coefficient"):
+            quadrature_b(varying)
+
+        def evaluate(*args):
+            raise AssertionError("Newton work before the coefficient check")
+
+        monkeypatch.setattr(solver, "_evaluate", evaluate)
+        with pytest.raises(InputError, match="constant coefficient"):
+            newton_solve(varying)
 
     def test_varying_metric_solve_meets_the_class_value(self, bd8):
         # with a varying omega the class value and the grid sum of the solved

@@ -277,6 +277,12 @@ def assert_rel(got, want, rtol=1e-12):
 GRIDS = [pytest.param(2, 8, id="n2-N8"), pytest.param(3, 4, id="n3-N4")]
 
 
+def z1_potential(grid, rng):
+    """A random field of x1 and y1 alone, whose complex Hessian is H_11 alone."""
+    vals = rng.normal(size=(grid.N, grid.N) + (1,) * (2 * grid.n - 2))
+    return np.broadcast_to(vals, grid.shape).copy()
+
+
 class TestRealFFTLayer:
     """The real-FFT operators against the complex-FFT oracles above, on random
     fields that are not band-limited and carry Nyquist content."""
@@ -284,17 +290,56 @@ class TestRealFFTLayer:
     @pytest.mark.parametrize(("n", "N"), GRIDS)
     def test_matches_complex_fft_oracle(self, n, N):
         grid = TorusGrid(n, N)
-        phi = np.random.default_rng(N + n).normal(size=grid.shape)
-        want = oracle_hessian(grid, phi)
-        assert_rel(complex_hessian(grid, phi), want)
-        packed = np.moveaxis(packed_hessian(grid, phi), (0, 1), (-2, -1))
-        assert_rel(packed, pack_hermitian(want))
-        assert_rel(holomorphic_gradient(grid, phi), oracle_gradient(grid, phi))
-        for keep_mean in (False, True):
-            assert_rel(
-                strip_kernel_modes(grid, phi, keep_mean=keep_mean),
-                oracle_strip(grid, phi, keep_mean=keep_mean),
-            )
+        rng = np.random.default_rng(N + n)
+        phi = rng.normal(size=grid.shape)
+        z1 = z1_potential(grid, rng)
+        for phi in (phi, z1):
+            want = oracle_hessian(grid, phi)
+            assert_rel(complex_hessian(grid, phi), want)
+            packed = np.moveaxis(packed_hessian(grid, phi), (0, 1), (-2, -1))
+            assert_rel(packed, pack_hermitian(want))
+            assert_rel(holomorphic_gradient(grid, phi), oracle_gradient(grid, phi))
+            for keep_mean in (False, True):
+                assert_rel(
+                    strip_kernel_modes(grid, phi, keep_mean=keep_mean),
+                    oracle_strip(grid, phi, keep_mean=keep_mean),
+                )
+        # the z1 potential's skipped fields are exact zeros
+        packed = packed_hessian(grid, z1).reshape(n * n, -1)
+        assert np.any(packed[0]) and np.all(packed[1:] == 0.0)
+        grad = holomorphic_gradient(grid, z1)
+        assert np.any(grad[..., 0]) and np.all(grad[..., 1:] == 0.0)
+
+    @pytest.mark.parametrize(("n", "N"), GRIDS)
+    def test_zero_spectra_are_not_transformed(self, n, N, monkeypatch):
+        grid = TorusGrid(n, N)
+        rng = np.random.default_rng(3)
+        calls = []
+
+        def spy(grid, spectrum):
+            calls.append(spectrum.shape)
+            return irfftn(grid, spectrum)
+
+        irfftn = torus._irfftn
+        monkeypatch.setattr(torus, "_irfftn", spy)
+        packed_hessian(grid, z1_potential(grid, rng))
+        assert len(calls) == 1
+        calls.clear()
+        packed_hessian(grid, rng.normal(size=grid.shape))
+        assert len(calls) == n * n
+
+    def test_skip_is_exact(self):
+        # only a product with no nonzero entry is skipped: a NaN or the
+        # smallest subnormal still takes its transform, and -0.0 does not
+        grid = TorusGrid(2, 4)
+        spectrum = np.zeros(grid.shape[:-1] + (grid.N // 2 + 1,), dtype=np.complex128)
+        ones = np.ones(spectrum.shape)
+        for entry in (np.nan, 5e-324, 1j * 5e-324):
+            spectrum[1, 2, 3, 1] = entry
+            (field,) = torus._irfftn_each(grid, spectrum, [ones])
+            assert field is not None
+        spectrum[1, 2, 3, 1] = -0.0
+        assert list(torus._irfftn_each(grid, spectrum, [ones, -ones])) == [None, None]
 
     @pytest.mark.parametrize(("n", "N"), GRIDS)
     def test_inverse_transform_matches_numpy(self, n, N):
@@ -349,9 +394,17 @@ class TestRealFFTLayer:
         # fused: the weighted packed trace of the Hessian of S^-1 u from one
         # forward transform, kernel and Nyquist content of u included
         w = rng.normal(size=(n, n, grid.npoints))
-        hess = packed_hessian(grid, divide_by_symbol(grid, symbol, u)).reshape(n, n, -1)
-        want = np.einsum("jkp,jkp->p", w, hess).reshape(grid.shape)
-        assert_rel(hessian_trace(grid, w, u, symbol), want)
+        z1 = z1_potential(grid, rng)
+        for u in (u, z1):
+            hess = pack_hermitian(oracle_hessian(grid, divide_by_symbol(grid, symbol, u)))
+            hess = np.moveaxis(hess, (-2, -1), (0, 1)).reshape(n, n, -1)
+            want = np.einsum("jkp,jkp->p", w, hess).reshape(grid.shape)
+            assert_rel(hessian_trace(grid, w, u, symbol), want)
+        # a z1 potential reads no weight but that of H_11
+        nan_w = w.copy()
+        nan_w.reshape(n * n, -1)[1:] = np.nan
+        got = hessian_trace(grid, nan_w, z1, symbol)
+        assert np.array_equal(got, hessian_trace(grid, w, z1, symbol))
 
 
 def drop_nyquist(grid, values):
