@@ -6,7 +6,13 @@ is spectral (exact for band-limited fields, Nyquist dropped from first-order
 multipliers) and runs on real FFTs: every operator is a real field times a
 real symbol cached per grid in rfftn layout, and a product spectrum that
 is identically zero is not inverse transformed (a potential of z1 alone
-has one nonzero Hessian field). Integration of a density is the periodic
+has one nonzero Hessian field). A field constant along some real axes (bit
+for bit) is transformed along the others only, on its slab at index 0 of
+the constant axes, with the symbols taken at their zero frequency, and the
+result is broadcast back. Along a constant axis every butterfly difference
+is an exact zero and every sum and normalization a power-of-two scaling, so
+the slab gives the full transform's bits, but for the sign of an output
+that is exactly zero. Integration of a density is the periodic
 trapezoid rule, i.e. the plain grid mean, which is spectrally accurate
 here. Every form is closed, so a mixed integral of forms is that of their
 constant parts (Stokes) and takes no grid point.
@@ -118,16 +124,56 @@ def _symbols(grid):
     return kx, ky, hess
 
 
+def _varying_slab(values):
+    """values at index 0 along every axis on which it is constant, and that index.
+
+    The index holds slice(0, 1) on each such axis and slice(None) on the
+    others, so the slab keeps every axis, at size 1 where it was reduced.
+    Constancy is tested on the bits: a field that mixes 0.0 and -0.0 along
+    an axis varies along it. A field with a non-finite value is not reduced,
+    since a transform along an axis where it is constant spreads it. Each
+    axis is first tested on its line through index 0 of the others, so a
+    field that varies along every axis costs one line per axis and no copy.
+    """
+    ndim = values.ndim
+    bits = values.view(np.uint64)
+    index = [slice(None)] * ndim
+    for axis in range(ndim):
+        line = bits[(0,) * axis + (slice(None),) + (0,) * (ndim - axis - 1)]
+        if np.any(line != line[0]):
+            continue
+        first = bits[(slice(None),) * axis + (slice(0, 1),)]
+        if np.all(bits == first):
+            bits = first
+            index[axis] = slice(0, 1)
+    index = tuple(index)
+    slab = values[index]
+    if slab.shape == values.shape or not np.all(np.isfinite(slab)):
+        return values, (slice(None),) * ndim
+    return slab, index
+
+
+def _full(shape, field):
+    """field itself if it has shape, else a new array of shape it broadcasts into."""
+    if field.shape == shape:
+        return field
+    out = np.empty(shape)
+    out[...] = field
+    return out
+
+
 def _irfftn(grid, spectrum):
     """The real field of one rfftn-layout spectrum, which it may overwrite.
 
     Complex transforms over the leading axes, in place, then one inverse
     real transform along the last: the 1-D transforms scipy's irfftn runs,
     in the same order, so the result is bit-identical. irfftn does not use
-    overwrite_x, so it cannot transform the leading axes in place.
+    overwrite_x, so it cannot transform the leading axes in place. The
+    spectrum may be a slab of _varying_slab's: an axis of size 1 stays one
+    point, the last one included.
     """
     spectrum = scipy.fft.ifftn(spectrum, axes=range(2 * grid.n - 1), overwrite_x=True)
-    return scipy.fft.irfft(spectrum, n=grid.N, axis=-1)
+    return scipy.fft.irfft(spectrum, n=grid.N if spectrum.shape[-1] > 1 else 1, axis=-1)
 
 
 def _irfftn_each(grid, spectrum, symbols):
@@ -137,7 +183,8 @@ def _irfftn_each(grid, spectrum, symbols):
     transformed array to one field's spectrum: at N = 16 that fits a 2 MB
     L2 cache where a stack of the n^2 Hessian spectra does not. A product
     with no nonzero entry (tested exactly; NaN counts as nonzero) is the
-    zero field, so it is not transformed.
+    zero field, so it is not transformed. On a slab spectrum each symbol is
+    restricted to the same slab, and the fields come back slab-shaped.
     """
     buf = np.empty_like(spectrum)
     for symbol in symbols:
@@ -148,8 +195,8 @@ def _irfftn_each(grid, spectrum, symbols):
 def _stacked(grid, fields, count):
     """The first count fields of an iterator in one (count,) + grid.shape array.
 
-    Each field is copied in and dropped before the next one is made; a None
-    field is written as zeros.
+    Each field, full or slab-shaped, is broadcast in and dropped before the
+    next one is made; a None field is written as zeros.
     """
     out = np.empty((count,) + grid.shape)
     for row in out:
@@ -158,10 +205,10 @@ def _stacked(grid, fields, count):
     return out
 
 
-def _hessian_symbols(grid):
-    """The n^2 packed Hessian symbols of _symbols, stacked on one leading axis."""
+def _hessian_symbols(grid, index):
+    """The n^2 packed Hessian symbols of _symbols, stacked on one leading axis, on a slab."""
     hess = _symbols(grid)[2]
-    return hess.reshape((-1,) + hess.shape[2:])
+    return hess.reshape((-1,) + hess.shape[2:])[(slice(None),) + index]
 
 
 def _check_scalar(grid, values):
@@ -179,10 +226,10 @@ def packed_hessian(grid, phi):
     The leading axes hold HERMITIAN_PACKING: [i, i] is H_ii and, for i < j,
     [i, j] is Re H_ij and [j, i] is Im H_ij. One rfftn, then one irfftn per
     packed field whose spectrum is not identically zero; the others are
-    written as exact zeros.
+    written as exact zeros. The transforms run on phi's _varying_slab.
     """
-    phi = _check_scalar(grid, phi)
-    fields = _irfftn_each(grid, scipy.fft.rfftn(phi), _hessian_symbols(grid))
+    phi, index = _varying_slab(_check_scalar(grid, phi))
+    fields = _irfftn_each(grid, scipy.fft.rfftn(phi), _hessian_symbols(grid, index))
     return _stacked(grid, fields, grid.n**2).reshape((grid.n, grid.n) + grid.shape)
 
 
@@ -194,17 +241,17 @@ def hessian_trace(grid, weights, values, symbol):
     done on the one spectrum, and each packed field is added into the trace
     as soon as it is transformed, in row-major (j, k) order, so no stack of
     the n^2 Hessian fields is built. A field whose spectrum is identically
-    zero is neither transformed nor weighted.
+    zero is neither transformed nor weighted. The transforms run on values'
+    _varying_slab, and a slab field is weighted into a new full field.
     """
-    values = _check_scalar(grid, values)
+    values, index = _varying_slab(_check_scalar(grid, values))
     spectrum = scipy.fft.rfftn(values)
-    spectrum /= symbol
-    fields = _irfftn_each(grid, spectrum, _hessian_symbols(grid))
+    spectrum /= symbol[index]
+    fields = _irfftn_each(grid, spectrum, _hessian_symbols(grid, index))
     trace = np.zeros(grid.shape)
     for weight, field in zip(weights.reshape((-1,) + grid.shape), fields):
         if field is not None:
-            field *= weight
-            trace += field
+            trace += np.multiply(field, weight, out=field if field.shape == trace.shape else None)
     return trace
 
 
@@ -213,11 +260,13 @@ def holomorphic_gradient(grid, phi):
 
     d/dz_j = (d/dx_j - i d/dy_j)/2, so the real and imaginary parts are the
     real fields with symbols i kx_j / 2 and -i ky_j / 2; a part whose
-    spectrum is identically zero is not transformed.
+    spectrum is identically zero is not transformed. The transforms run on
+    phi's _varying_slab, so a part along an axis where phi is constant is
+    never transformed.
     """
-    phi = _check_scalar(grid, phi)
+    phi, index = _varying_slab(_check_scalar(grid, phi))
     kx, ky, _ = _symbols(grid)
-    symbols = [0.5j * k for k in kx] + [-0.5j * k for k in ky]
+    symbols = [0.5j * k[index] for k in kx] + [-0.5j * k[index] for k in ky]
     parts = _stacked(grid, _irfftn_each(grid, scipy.fft.rfftn(phi), symbols), 2 * grid.n)
     return np.moveaxis(parts[: grid.n] + 1j * parts[grid.n :], 0, -1)
 
@@ -237,17 +286,27 @@ def prolong(grid, values):
 
     Zero-pads the rfftn spectrum, dropping the Nyquist modes of grid, so it
     reproduces a field band-limited below that frequency exactly and
-    restrict(prolong(grid, v)) returns any v without Nyquist content.
+    restrict(prolong(grid, v)) returns any v without Nyquist content. Only
+    the axes of values' _varying_slab are transformed and padded; the others
+    keep their one DC mode, and the result is broadcast onto the fine grid.
     """
-    values = _check_scalar(grid, values)
+    values, _ = _varying_slab(_check_scalar(grid, values))
     N, ndim = grid.N, 2 * grid.n
     fine = TorusGrid(grid.n, 2 * N)
     src = [np.r_[0 : N // 2, N // 2 + 1 : N]] * (ndim - 1) + [np.arange(N // 2)]
     dst = [np.r_[0 : N // 2, 3 * N // 2 + 1 : 2 * N]] * (ndim - 1) + [np.arange(N // 2)]
-    spectrum = np.zeros(fine.shape[:-1] + (N + 1,), dtype=np.complex128)
-    # rfftn is unnormalized and irfftn divides by the point count, 2^ndim times larger
-    spectrum[np.ix_(*dst)] = scipy.fft.rfftn(values)[np.ix_(*src)] * 2.0**ndim
-    return _irfftn(fine, spectrum)
+    shape = fine.shape[:-1] + (N + 1,)
+    # an axis of size 1 in the slab keeps its one DC mode
+    src, dst, shape = zip(*[
+        ([0], [0], 1) if size == 1 else axis
+        for size, axis in zip(values.shape, zip(src, dst, shape))
+    ])
+    spectrum = np.zeros(shape, dtype=np.complex128)
+    # rfftn is unnormalized and irfftn divides by the point count, which is
+    # 2 times larger on the fine grid for each transformed axis
+    scale = 2.0 ** sum(size > 1 for size in values.shape)
+    spectrum[np.ix_(*dst)] = scipy.fft.rfftn(values)[np.ix_(*src)] * scale
+    return _full(fine.shape, _irfftn(fine, spectrum))
 
 
 def frozen_symbol(grid, weights):
@@ -262,9 +321,13 @@ def frozen_symbol(grid, weights):
 
 
 def divide_by_symbol(grid, symbol, values):
-    """The real field whose spectrum is values' divided by a frozen_symbol."""
-    values = np.asarray(values, dtype=np.float64)
-    return _irfftn(grid, scipy.fft.rfftn(values) / symbol)
+    """The real field whose spectrum is values' divided by a frozen_symbol.
+
+    The transforms run on values' _varying_slab, with the symbol restricted
+    to it, and the result is broadcast onto the grid.
+    """
+    values, index = _varying_slab(np.asarray(values, dtype=np.float64))
+    return _full(grid.shape, _irfftn(grid, scipy.fft.rfftn(values) / symbol[index]))
 
 
 @dataclass(frozen=True, eq=False)
@@ -460,26 +523,39 @@ class DegenerateBig:
     ample_mask: np.ndarray
 
 
+def _on_varying_slab(fields, values):
+    """Packed fields, constant wherever values is, at the points of values' _varying_slab.
+
+    Shape (n, n, points): a pointwise function of the fields takes its grid
+    minimum there.
+    """
+    index = _varying_slab(values)[1]
+    return fields[(slice(None), slice(None)) + index].reshape(fields.shape[:2] + (-1,))
+
+
 def make_degenerate_big(grid, base, psi_shape):
     """Scale a potential until base + a * i d dbar psi has min eigenvalue 0.
 
     The minimum over the grid of the smallest (plain) eigenvalue of the form
-    is concave in a, so bisection on the bracket [0, a_hi] is sound. Returns
-    the form, the amplitude, and the degenerate/ample grid masks; a point is
-    degenerate where its smallest eigenvalue is below 1e-6.
+    is concave in a, so bisection on the bracket [0, a_hi] is sound. It runs
+    on psi's varying slab, whose minimum is the grid's; the final check and
+    the masks take every point. Returns the form, the amplitude, and the
+    degenerate/ample grid masks; a point is degenerate where its smallest
+    eigenvalue is below 1e-6.
     """
     base = np.asarray(base, dtype=np.complex128)
     if np.min(np.linalg.eigvalsh(base)) <= 0.0:
         raise InputError("base must be positive definite")
     psi = _check_scalar(grid, psi_shape)
-    hess = packed_hessian(grid, psi).reshape(grid.n, grid.n, -1)
-    if np.max(np.abs(hess)) < 1e-13 * (1.0 + float(np.max(np.abs(psi)))):
+    hess = packed_hessian(grid, psi)
+    slab = _on_varying_slab(hess, psi)
+    if np.max(np.abs(slab)) < 1e-13 * (1.0 + float(np.max(np.abs(psi)))):
         raise ConstructionError("potential shape has (numerically) zero complex Hessian")
     packed_base = pack_hermitian(base)[..., None]
     eye = np.eye(grid.n)
 
-    def min_eig(a):
-        return float(np.min(packed_eigenvalues(packed_base + a * hess, eye)[:, -1]))
+    def min_eig(a, fields=slab):
+        return float(np.min(packed_eigenvalues(packed_base + a * fields, eye)[:, -1]))
 
     if min_eig(0.0) <= 0.0:
         raise InputError("base must start strictly inside the positive cone")
@@ -489,7 +565,7 @@ def make_degenerate_big(grid, base, psi_shape):
         if hi > 2.0**40:
             raise ConstructionError("no amplitude degenerates the form on this grid")
     amp = brentq(min_eig, 0.0, hi, xtol=1e-15, rtol=8.9e-16)
-    val = min_eig(amp)
+    val = min_eig(amp, hess.reshape(grid.n, grid.n, -1))
     if abs(val) > 1e-10:
         raise ConstructionError(f"bisection stalled: min eigenvalue {val:.3e} at amplitude {amp}")
     form = FormField(grid, base, amp * psi)
@@ -503,19 +579,23 @@ def tune_to_boundary(grid, base, psi_shape, omega, m, bracket):
 
     The family stays in the class of base, so its constant c is one number,
     and its packed fields are linear in a: psi's Hessian is built once and
-    each iterate takes one eigenvalue pass and the cone margin. Returns
+    each iterate takes one eigenvalue pass and the cone margin, on psi's
+    varying slab when omega is constant (the margin's minimum is the
+    grid's). The final positivity and margin checks take every point. Returns
     (amplitude, c, chi); raises DomainError when the margin keeps one sign
     on the bracket, naming the diagnosis (strict or violated) and the
     margin, or when the tuned chi is not positive definite.
     """
     c = compute_c(FormField(grid, base), omega, m)
     psi = _check_scalar(grid, psi_shape)
-    hess = packed_hessian(grid, psi).reshape(grid.n, grid.n, -1)
+    hess = packed_hessian(grid, psi)
+    full = hess.reshape(grid.n, grid.n, -1)
+    slab = _on_varying_slab(hess, psi) if omega.is_constant else full
     packed_base = pack_hermitian(np.asarray(base, dtype=np.complex128))[..., None]
     metric = omega.flat_matrices()
 
-    def eigenvalues(a):
-        return packed_eigenvalues(packed_base + a * hess, metric)
+    def eigenvalues(a, fields=slab):
+        return packed_eigenvalues(packed_base + a * fields, metric)
 
     def margin(a):
         return float(np.min(cone_margin(eigenvalues(a), c, m)))
@@ -529,7 +609,7 @@ def tune_to_boundary(grid, base, psi_shape, omega, m, bracket):
         raise DomainError(f"cone condition strict at amplitude {hi} (margin {mhi:.3e})")
     amp = float(brentq(margin, lo, hi, xtol=1e-14, rtol=8.9e-16))
     chi = FormField(grid, base, amp * psi)
-    mu = eigenvalues(amp)
+    mu = eigenvalues(amp, full)
     _require_positive(mu[:, -1], chi, "chi")
     mval = float(np.min(cone_margin(mu, c, m)))
     if abs(mval) > 1e-8:

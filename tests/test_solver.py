@@ -35,6 +35,7 @@ from hessquot.pointwise import (
     cone_margin,
     linearization_coefficients,
     pack_hermitian,
+    packed_adjugate,
     residual_inverse_form,
     residual_volume_form,
 )
@@ -472,6 +473,31 @@ class TestThreeDimensional:
         s2 = 0.5 * (trace**2 - np.trace(X @ X, axis1=-2, axis2=-1).real)
         resid = np.linalg.det(X).real - s2 / 3.0 - st.b * f
         assert np.abs(resid).max() <= 1e-9
+
+    @pytest.mark.parametrize("m", [1, 2])
+    def test_manufactured_at_n8(self, m):
+        # phi* = 0.1 sin(2 pi x1) cos(2 pi y2) and b* solve the equation
+        # exactly when f is the defect det X* - S_m(X*)/3 of X* = 3I +
+        # Hess(phi*) divided by its mean b*, with S_1 = tr and S_2 = tr adj
+        grid = TorusGrid(3, 8)
+        coords = grid.coords()
+        phi_star = grid_field(
+            grid, 0.1 * np.sin(TWO_PI * coords["x1"]) * np.cos(TWO_PI * coords["y2"])
+        )
+        background = constant_form(grid, 3.0 * np.eye(3))
+        x = background.packed(phi_star)
+        adj, det = packed_adjugate(x)
+        f_raw = det - np.trace(x if m == 1 else adj) / 3.0
+        assert f_raw.min() > 0.0
+        b_star = float(np.mean(f_raw))
+        spec = EquationSpec(
+            n=3, m=m, background=background, omega=identity_form(grid),
+            coefficient_field=1.0, source_field=f_raw / b_star,
+        )
+        st = newton_solve(spec)
+        assert st.diagnostics["newton_iters"] > 0
+        assert np.max(np.abs(st.phi - (phi_star - phi_star.max()))) <= 1e-10
+        assert abs(st.b - b_star) <= 1e-11 * b_star
 
 
 class TestPolynomialKernel:

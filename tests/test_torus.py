@@ -2,15 +2,17 @@
 
 import dataclasses
 import math
-from itertools import product
+from itertools import combinations, product
 
 import numpy as np
 import pytest
+import scipy.fft
+from scipy.optimize import brentq
 
 import hessquot.torus as torus
 from hessquot.errors import ConstructionError, DomainError, InputError
 from hessquot.instances import boundary_degenerate_instance, manufactured_instance
-from hessquot.pointwise import cone_margin
+from hessquot.pointwise import cone_margin, packed_eigenvalues
 from hessquot.solver import EquationSpec, strip_kernel_modes
 from hessquot.symfunc import elementary_sym
 from hessquot.torus import (
@@ -407,6 +409,164 @@ class TestRealFFTLayer:
         assert np.array_equal(got, hessian_trace(grid, w, z1, symbol))
 
 
+# Full-array real-FFT references of the five operators: one rfftn of the whole
+# field, each product spectrum inverse transformed by irfftn unless it has no
+# nonzero entry, in which case the field is written as exact zeros.
+def full_fields(grid, spectrum, symbols):
+    for symbol in symbols:
+        field = spectrum * symbol
+        yield scipy.fft.irfftn(field, s=grid.shape) if field.any() else np.zeros(grid.shape)
+
+
+def hessian_symbols(grid):
+    hess = torus._symbols(grid)[2]
+    return hess.reshape((-1,) + hess.shape[2:])
+
+
+def full_hessian(grid, phi):
+    fields = full_fields(grid, scipy.fft.rfftn(phi), hessian_symbols(grid))
+    return np.stack(list(fields)).reshape((grid.n, grid.n) + grid.shape)
+
+
+def full_trace(grid, weights, values, symbol):
+    fields = full_fields(grid, scipy.fft.rfftn(values) / symbol, hessian_symbols(grid))
+    trace = np.zeros(grid.shape)
+    for weight, field in zip(weights.reshape((-1,) + grid.shape), fields):
+        if field.any():
+            trace += field * weight
+    return trace
+
+
+def full_gradient(grid, phi):
+    kx, ky, _ = torus._symbols(grid)
+    symbols = [0.5j * k for k in kx] + [-0.5j * k for k in ky]
+    parts = np.stack(list(full_fields(grid, scipy.fft.rfftn(phi), symbols)))
+    return np.moveaxis(parts[: grid.n] + 1j * parts[grid.n :], 0, -1)
+
+
+def full_divide(grid, symbol, values):
+    return scipy.fft.irfftn(scipy.fft.rfftn(values) / symbol, s=grid.shape)
+
+
+def full_prolong(grid, values):
+    N, ndim = grid.N, 2 * grid.n
+    src = [np.r_[0 : N // 2, N // 2 + 1 : N]] * (ndim - 1) + [np.arange(N // 2)]
+    dst = [np.r_[0 : N // 2, 3 * N // 2 + 1 : 2 * N]] * (ndim - 1) + [np.arange(N // 2)]
+    spectrum = np.zeros((2 * N,) * (ndim - 1) + (N + 1,), dtype=np.complex128)
+    spectrum[np.ix_(*dst)] = scipy.fft.rfftn(values)[np.ix_(*src)] * 2.0**ndim
+    return scipy.fft.irfftn(spectrum, s=(2 * N,) * ndim)
+
+
+def assert_bits(got, want):
+    """got and want have one dtype, one shape and the same bits, but for the
+    sign of an exact zero: a transform along an axis where its input is
+    constant sums signed zeros that the slab never forms."""
+    got, want = np.asarray(got), np.asarray(want)
+    assert (got.dtype, got.shape) == (want.dtype, want.shape)
+    assert (got + 0.0).tobytes() == (want + 0.0).tobytes()
+
+
+def assert_operators_exact(grid, phi, rng):
+    """The five operators on phi, bit for bit against the full-array references."""
+    n = grid.n
+    symbol = frozen_symbol(grid, rng.uniform(0.5, 2.0, size=n))
+    weights = rng.normal(size=(n, n, grid.npoints))
+    assert_bits(packed_hessian(grid, phi), full_hessian(grid, phi))
+    assert_bits(hessian_trace(grid, weights, phi, symbol), full_trace(grid, weights, phi, symbol))
+    assert_bits(holomorphic_gradient(grid, phi), full_gradient(grid, phi))
+    assert_bits(divide_by_symbol(grid, symbol, phi), full_divide(grid, symbol, phi))
+    assert_bits(torus.prolong(grid, phi), full_prolong(grid, phi))
+
+
+def constant_along(grid, rng, axes):
+    """A random field constant along the given axes and varying along the others."""
+    size = [1 if axis in axes else grid.N for axis in range(2 * grid.n)]
+    return np.broadcast_to(rng.normal(size=size), grid.shape).copy()
+
+
+def slab_shape(values):
+    return torus._varying_slab(values)[0].shape
+
+
+class TestVaryingSlab:
+    """The operators transform a field only along the axes on which it varies,
+    and give the bits of the full transforms."""
+
+    @pytest.mark.parametrize(("n", "N"), GRIDS)
+    def test_every_subset_of_constant_axes_is_exact(self, n, N):
+        # the empty subset, the last axis alone and all axes are among them
+        grid = TorusGrid(n, N)
+        rng = np.random.default_rng(23)
+        for count in range(2 * n + 1):
+            for axes in combinations(range(2 * n), count):
+                phi = constant_along(grid, rng, axes)
+                slab, _ = torus._varying_slab(phi)
+                assert slab.shape == tuple(1 if axis in axes else N for axis in range(2 * n))
+                # a field that varies along every axis is transformed uncopied
+                assert (slab is phi) == (count == 0)
+                assert_operators_exact(grid, phi, rng)
+
+    def test_signed_zeros_vary(self):
+        # 0.0 == -0.0, but a field that mixes them along an axis varies there
+        grid = TorusGrid(2, 8)
+        phi = np.zeros(grid.shape)
+        phi[:, 0] = -0.0
+        assert slab_shape(phi) == (1, 8, 1, 1)
+        assert slab_shape(np.full(grid.shape, -0.0)) == (1, 1, 1, 1)
+        assert_operators_exact(grid, phi, np.random.default_rng(0))
+
+    def test_one_ulp_makes_an_axis_vary(self):
+        grid = TorusGrid(2, 8)
+        rng = np.random.default_rng(29)
+        z1 = constant_along(grid, rng, (2, 3))
+        # a whole slice along x2, which the line through index 0 shows
+        phi = z1.copy()
+        phi[:, :, 1] = np.nextafter(phi[:, :, 1], np.inf)
+        assert slab_shape(phi) == (8, 8, 8, 1)
+        assert_operators_exact(grid, phi, rng)
+        # one point off every line through index 0, which only the full test shows
+        phi = z1.copy()
+        phi[3, 5, 2, 7] = np.nextafter(phi[3, 5, 2, 7], -np.inf)
+        assert slab_shape(phi) == grid.shape
+        assert_operators_exact(grid, phi, rng)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_field_is_not_reduced(self, bad):
+        grid = TorusGrid(2, 8)
+        rng = np.random.default_rng(31)
+        phi = constant_along(grid, rng, (2, 3))
+        phi[1, 2] = bad
+        slab, index = torus._varying_slab(phi)
+        assert slab is phi and index == (slice(None),) * 4
+        symbol = frozen_symbol(grid, [1.0, 1.5])
+        with np.errstate(invalid="ignore"):
+            got = divide_by_symbol(grid, symbol, phi)
+            assert_bits(got, full_divide(grid, symbol, phi))
+
+    def test_forward_transforms_run_on_the_slab(self, monkeypatch):
+        grid = TorusGrid(2, 8)
+        rng = np.random.default_rng(37)
+        shapes = []
+
+        def spy(x, *args, **kwargs):
+            shapes.append(np.shape(x))
+            return rfftn(x, *args, **kwargs)
+
+        rfftn = scipy.fft.rfftn
+        monkeypatch.setattr(scipy.fft, "rfftn", spy)
+        symbol = frozen_symbol(grid, [1.0, 1.5])
+        weights = rng.normal(size=(2, 2, grid.npoints))
+        z1, random = z1_potential(grid, rng), rng.normal(size=grid.shape)
+        for phi, want in ((z1, (8, 8, 1, 1)), (random, grid.shape)):
+            packed_hessian(grid, phi)
+            hessian_trace(grid, weights, phi, symbol)
+            holomorphic_gradient(grid, phi)
+            divide_by_symbol(grid, symbol, phi)
+            torus.prolong(grid, phi)
+            assert shapes == [want] * 5
+            shapes.clear()
+
+
 def drop_nyquist(grid, values):
     """The field without the modes at the Nyquist frequency of any axis."""
     spectrum = np.fft.fftn(values)
@@ -658,6 +818,20 @@ class TestDegenerate:
         assert np.array_equal(res.ample_mask, ~want_mask)
         assert np.min(res.min_eig[res.ample_mask]) > 1e-6
 
+    def test_slab_bisection_matches_the_full_grid(self):
+        # cos(2 pi x1) is constant along three axes; bisecting on its slab
+        # gives the amplitude that bisecting on every point gives
+        g = TorusGrid(2, 16)
+        shape = grid_field(g, np.cos(TWO_PI * g.coords()["x1"]))
+        hess = packed_hessian(g, shape).reshape(2, 2, -1)
+        base = pack_hermitian(np.eye(2))[..., None]
+
+        def min_eig(a):
+            return float(np.min(packed_eigenvalues(base + a * hess, np.eye(2))[:, -1]))
+
+        want = brentq(min_eig, 0.0, 1.0, xtol=1e-15, rtol=8.9e-16)
+        assert make_degenerate_big(g, np.eye(2), shape).amplitude == want
+
     def test_rejects_indefinite_base(self):
         g = TorusGrid(2, 8)
         shape = grid_field(g, np.cos(TWO_PI * g.coords()["x1"]))
@@ -688,6 +862,25 @@ class TestTuneToBoundary:
         assert np.array_equal(chi.potential, amplitude * psi)
         margin = cone_margin(form_eigenvalues(chi, om).reshape(-1, 2), c, 1)
         assert abs(float(np.min(margin))) <= 1e-8
+
+    @pytest.mark.parametrize("metric", ["constant", "varying"])
+    def test_slab_tuning_matches_the_full_grid(self, metric):
+        # psi is constant along x2 and y2, so with a constant omega the
+        # bisection runs on its slab; an omega varying in x2 takes every point
+        g = TorusGrid(2, 8)
+        om = identity_form(g)
+        if metric == "varying":
+            om = FormField(g, np.eye(2), grid_field(g, 0.002 * np.cos(TWO_PI * g.coords()["x2"])))
+        psi = self.psi(g)
+        amplitude, c, _ = tune_to_boundary(g, np.eye(2), psi, om, 1, (0.0, 0.05))
+        hess = packed_hessian(g, psi).reshape(2, 2, -1)
+        base = pack_hermitian(np.eye(2))[..., None]
+
+        def margin(a):
+            lam = packed_eigenvalues(base + a * hess, om.flat_matrices())
+            return float(np.min(cone_margin(lam, c, 1)))
+
+        assert amplitude == brentq(margin, 0.0, 0.05, xtol=1e-14, rtol=8.9e-16)
 
     def test_strict_diagnosis(self):
         g = TorusGrid(2, 16)
