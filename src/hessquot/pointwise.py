@@ -1,14 +1,15 @@
 """Per-point Hermitian algebra for the quotient operator.
 
-Matrices are numpy arrays of shape (..., n, n); every function maps over
-leading batch axes. Packed fields (HERMITIAN_PACKING) are real and carry
-the matrix on their leading (n, n) axes instead. The metric omega is either a single (n, n) matrix
-(constant over the batch, the common case) or batched alongside.
-Eigenvalues relative to omega solve det(X - lam*omega) = 0 and come back
-descending, so index 0 is the largest. The solver's kernel takes none: it
-works on packed fields through the adjugate and the S_m gradients, and the
-eigenvalue-side forms below (residual_inverse_form,
-linearization_coefficients) are its oracle.
+Hermitian form fields and the metric omega are packed (HERMITIAN_PACKING):
+real arrays that carry the matrix on their leading (n, n) axes over any
+batch; pack_hermitian and unpack_hermitian convert from and to complex
+(..., n, n) matrices. omega is one (n, n) matrix (constant over the batch,
+the common case) or one per point. Eigenvalues relative to omega solve
+det(X - lam*omega) = 0 and come back descending, so index 0 is the
+largest; eigenvalue arrays carry them on the last axis. The solver's
+kernel takes none: it works on packed fields through the adjugate and the
+S_m gradients, and the eigenvalue-side forms below
+(residual_inverse_form, linearization_coefficients) are its oracle.
 """
 
 from __future__ import annotations
@@ -67,11 +68,13 @@ def check_hermitian(mat, rtol=HERMITIAN_RTOL):
 
 
 def _whiten(metric):
-    """Factor W with W omega W^H = I, i.e. W = inv(cholesky(omega))."""
-    metric = np.asarray(metric, dtype=np.complex128)
-    lo = np.linalg.cholesky(metric)
-    eye = np.broadcast_to(np.eye(metric.shape[-1]), metric.shape)
-    return np.linalg.solve(lo, eye)
+    """W with W omega W^H = I, i.e. W = inv(cholesky(omega)), from omega packed.
+
+    metric is packed on its leading (n, n) axes, one matrix or one per
+    point; W comes back (n, n) or (P, n, n).
+    """
+    lo = np.linalg.cholesky(unpack_hermitian(np.moveaxis(metric, (0, 1), (-2, -1))))
+    return np.linalg.solve(lo, np.broadcast_to(np.eye(lo.shape[-1]), lo.shape))
 
 
 def pack_hermitian(mats):
@@ -101,54 +104,41 @@ def unpack_hermitian(packed):
 
 
 def _congruence(w, fields):
-    """Packed fields of w X w^H from packed fields of X, both (n, n) + batch.
+    """Packed fields of w X w^H from packed fields of X, on the leading (n, n) axes.
 
-    pack(w X w^H) is real-linear in pack(X): one real (n*n, n*n) matrix,
-    built from the images of the n*n packed basis matrices.
+    w is one (n, n) matrix or one per point of fields' flat batch, (P, n, n)
+    or (1, n, n).
+    pack(w X w^H) is real-linear in pack(X): one real (n*n, n*n) matrix per
+    w, built from the images of the n*n packed basis matrices.
     """
     n = w.shape[-1]
     basis = unpack_hermitian(np.eye(n * n).reshape(n * n, n, n))
-    mat = pack_hermitian(w @ basis @ np.conj(w.T)).reshape(n * n, n * n).T
-    return (mat @ fields.reshape(n * n, -1)).reshape(fields.shape)
+    wh = np.conj(np.swapaxes(w, -1, -2))
+    images = pack_hermitian(w[..., None, :, :] @ basis @ wh[..., None, :, :])
+    mat = images.reshape(w.shape[:-2] + (n * n, n * n))
+    out = np.einsum("...ij,i...->j...", mat, fields.reshape(n * n, -1))
+    return out.reshape((n, n) + np.broadcast_shapes(fields.shape[2:], w.shape[:-2]))
 
 
 def packed_eigenvalues(fields, metric):
-    """Descending eigenvalues of packed Hermitian fields relative to a metric.
+    """Descending eigenvalues of packed Hermitian fields relative to a packed metric.
 
     fields holds X packed (HERMITIAN_PACKING) on its leading (n, n) axes,
-    over any batch; metric is one (n, n) matrix or a batch of them. Returns
-    shape batch + (n,). At n = 2 with a constant metric they come in closed
-    form, half +- sqrt(((a - d)/2)^2 + re^2 + im^2) of the whitened
-    Y = W X W^H (W = inv(cholesky(metric)), skipped for the identity);
-    otherwise the fields are unpacked once for eigenvalues_rel.
+    over any batch; metric holds omega packed the same way, one (n, n)
+    matrix or one per point of fields' flat batch. Returns shape batch +
+    (n,). X is whitened on the packed fields, Y = W X W^H with W =
+    inv(cholesky(omega)) (skipped for the identity). At n = 2 Y's
+    eigenvalues come in closed form, half +- sqrt(((a - d)/2)^2 + re^2 +
+    im^2); otherwise Y is unpacked once for LAPACK's eigvalsh.
     """
-    metric = np.asarray(metric, dtype=np.complex128)
     n = fields.shape[0]
-    if n != 2 or metric.ndim > 2:
-        mats = unpack_hermitian(np.moveaxis(fields, (0, 1), (-2, -1)))
-        return eigenvalues_rel(mats, metric, check=False)
-    y = fields if np.array_equal(metric, np.eye(2)) else _congruence(_whiten(metric), fields)
+    y = fields if np.array_equal(metric, np.eye(n)) else _congruence(_whiten(metric), fields)
+    if n != 2:
+        return np.linalg.eigvalsh(unpack_hermitian(np.moveaxis(y, (0, 1), (-2, -1))))[..., ::-1]
     a, d = y[0, 0], y[1, 1]
     half = 0.5 * (a + d)
     disc = np.sqrt((0.5 * (a - d)) ** 2 + (y[0, 1] * y[0, 1] + y[1, 0] * y[1, 0]))
     return np.stack([half + disc, half - disc], axis=-1)
-
-
-def eigenvalues_rel(matrix, metric, check=True):
-    """Descending solutions of det(X - lam*omega) = 0; all real.
-
-    matrix is (..., n, n), metric one (n, n) matrix or batched alongside.
-    """
-    matrix = np.asarray(matrix, dtype=np.complex128)
-    if check:
-        check_hermitian(matrix)
-    metric = np.asarray(metric, dtype=np.complex128)
-    ymat = matrix
-    if not (metric.ndim == 2 and np.array_equal(metric, np.eye(matrix.shape[-1]))):
-        w = _whiten(metric)
-        ymat = w @ matrix @ np.conj(np.swapaxes(w, -1, -2))
-        ymat = 0.5 * (ymat + np.conj(np.swapaxes(ymat, -1, -2)))
-    return np.linalg.eigvalsh(ymat)[..., ::-1]
 
 
 def packed_adjugate(x):
@@ -192,8 +182,9 @@ def packed_sym_gradient(m, x, inv_metric):
         return 1.0, 0.0
     grad = inv_metric
     if m == 2:
-        g, xm = (unpack_hermitian(np.moveaxis(v, (0, 1), (-2, -1))) for v in (inv_metric, x))
-        sandwich = np.moveaxis(pack_hermitian(g @ xm @ g), (-2, -1), (0, 1))
+        # omega^-1 X omega^-1 on the packed fields: only omega^-1 is unpacked
+        g = unpack_hermitian(np.moveaxis(inv_metric, (0, 1), (-2, -1)))
+        sandwich = _congruence(g, x)
         grad = _packed_trace(inv_metric, x) * inv_metric - sandwich
     elif m != 1:
         raise InputError(f"packed_sym_gradient needs m <= 2, got {m}")

@@ -42,10 +42,12 @@ from .pointwise import (
     packed_adjugate,
     packed_sym_gradient,
     residual_volume_form,
+    unpack_hermitian,
 )
 from .symfunc import elementary_sym
 from .torus import (
     FormField,
+    _inverse_metric,
     divide_by_symbol,
     frozen_symbol,
     hessian_trace,
@@ -267,17 +269,6 @@ def _params(spec, b):
     return EquationParams(spec.n, spec.m, math.exp(b) * coeff, source)
 
 
-def _inverse_metric(omega):
-    """omega^-1 packed on the leading (n, n) axes, and det omega, from the adjugate.
-
-    The fields span the flat grid, or one point when omega is constant, so
-    they broadcast over any X.
-    """
-    n = omega.grid.n
-    adj, det = packed_adjugate(omega.packed().reshape(n, n, -1))
-    return adj / det, det
-
-
 def _evaluate(spec, phi, b):
     """Residual, dR/db and the Newton coefficients at (phi, b), from polynomials of X.
 
@@ -292,7 +283,7 @@ def _evaluate(spec, phi, b):
     adj, det = packed_adjugate(x)
     if not min(np.min(x[0, 0]), np.min(adj[-1, -1]), np.min(det)) > 0.0:
         raise _Inadmissible
-    inv_metric, det_metric = _inverse_metric(spec.omega)
+    inv_metric, det_metric = _inverse_metric(spec.omega.packed().reshape(n, n, -1))
     s_n = det / det_metric
     s_m, grad = packed_sym_gradient(spec.m, x, inv_metric)
     params = _params(spec, b)
@@ -604,9 +595,14 @@ def newton_solve(spec, init=None, config=None, t=math.nan):
 
 
 def _gradient_sq(spec, phi):
-    """Pointwise squared omega-norm of the holomorphic gradient, shape (P,)."""
-    grad = holomorphic_gradient(spec.grid, phi).reshape(-1, spec.n)
-    ginv = np.linalg.inv(spec.omega.flat_matrices())
+    """Pointwise squared omega-norm of the holomorphic gradient, shape (P,).
+
+    omega^-1 is unpacked at its one point when omega is constant.
+    """
+    n = spec.n
+    grad = holomorphic_gradient(spec.grid, phi).reshape(-1, n)
+    ginv = _inverse_metric(spec.omega.packed().reshape(n, n, -1))[0]
+    ginv = unpack_hermitian(np.moveaxis(ginv, (0, 1), (-2, -1)))
     return np.einsum("...kj,...j,...k->...", ginv, grad, np.conj(grad)).real
 
 

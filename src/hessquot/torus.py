@@ -41,6 +41,7 @@ from .pointwise import (
     check_hermitian,
     cone_margin,
     pack_hermitian,
+    packed_adjugate,
     packed_eigenvalues,
     unpack_hermitian,
 )
@@ -369,21 +370,6 @@ class FormField:
         fields += const.reshape(const.shape + (1,) * (2 * self.grid.n))
         return fields
 
-    def matrices(self, phi=None):
-        """Pointwise coefficients of this form plus i d dbar phi, shape grid.shape + (n, n)."""
-        if self.is_constant and phi is None:
-            return np.broadcast_to(self.const, self.grid.shape + self.const.shape)
-        return unpack_hermitian(np.moveaxis(self.packed(phi), (0, 1), (-2, -1)))
-
-    def flat_matrices(self):
-        """The (n, n) matrix of a constant form, else the (P, n, n) pointwise ones.
-
-        The constant case stays one matrix, which broadcasts over any batch.
-        """
-        if self.is_constant:
-            return self.const
-        return self.matrices().reshape(-1, self.grid.n, self.grid.n)
-
     def restricted(self):
         """This form on the grid with N/2 points per axis, its potential restricted."""
         coarse = TorusGrid(self.grid.n, self.grid.N // 2)
@@ -422,14 +408,16 @@ def relative_eigenvalues(alpha, omega, phi=None):
     """Descending eigenvalues of alpha + i d dbar phi relative to omega.
 
     Shape (n,) when alpha and omega are constant and phi is None, else
-    (P, n) over the flat grid: packed_eigenvalues of alpha.packed(phi), in
-    closed form at n = 2 with a constant omega.
+    (P, n) over the flat grid: packed_eigenvalues of alpha.packed(phi)
+    relative to omega.packed(), each a constant (n, n) or flattened.
     """
     n = alpha.grid.n
-    fields = alpha.packed(phi)
+    fields, metric = alpha.packed(phi), omega.packed()
     if fields.ndim > 2:
         fields = fields.reshape(n, n, -1)
-    return packed_eigenvalues(fields, omega.flat_matrices())
+    if metric.ndim > 2:
+        metric = metric.reshape(n, n, -1)
+    return packed_eigenvalues(fields, metric)
 
 
 def form_eigenvalues(alpha, omega):
@@ -453,19 +441,22 @@ def _require_positive(mins, form, name):
         raise DomainError(f"{name} not positive definite (min eig {mins[i]:.3e} at {where})")
 
 
-def _omega_density(omega):
-    """det(omega matrix): a scalar for constant omega, else one value per point."""
-    return np.linalg.det(omega.flat_matrices()).real
+def _inverse_metric(metric):
+    """omega^-1 and det omega from omega packed on the leading (n, n) axes, by the adjugate.
+
+    omega^-1 comes back packed the same way, and both keep metric's batch:
+    from omega.packed().reshape(n, n, -1), the flat grid, or one point when
+    omega is constant, so they broadcast over any X and any density.
+    """
+    adj, det = packed_adjugate(metric)
+    return adj / det, det
 
 
 def _require_metric(omega):
     """Raise DomainError unless omega is positive definite at every point."""
-    _require_positive(np.linalg.eigvalsh(omega.flat_matrices())[..., 0], omega, "metric")
-
-
-def _form_class(form):
-    """The class of a closed form, which fixes its integrals: its constant part as a FormField."""
-    return form if form.is_constant else FormField(form.grid, form.const)
+    n = omega.grid.n
+    lam = packed_eigenvalues(omega.packed().reshape(n, n, -1), np.eye(n))
+    _require_positive(lam[:, -1], omega, "metric")
 
 
 def _mixed(alpha, k, omega):
@@ -473,9 +464,10 @@ def _mixed(alpha, k, omega):
     n = alpha.grid.n
     if not 0 <= k <= n:
         raise InputError(f"wedge power k={k} outside 0..{n}")
-    metric = _form_class(omega)
-    lam = relative_eigenvalues(_form_class(alpha), metric)
-    mixed = elementary_sym(k, lam) / math.comb(n, k) * _omega_density(metric)
+    # the classes, which fix the integral: the constant parts, packed
+    metric = pack_hermitian(omega.const)
+    lam = packed_eigenvalues(pack_hermitian(alpha.const), metric)
+    mixed = elementary_sym(k, lam) / math.comb(n, k) * _inverse_metric(metric)[1]
     return float(mixed) * DENSITY_CONVENTION_SCALE
 
 
@@ -493,7 +485,9 @@ def integrate_mixed(alpha, k, omega):
 
 def integrate_density(values, omega):
     """Quadrature of a scalar density against omega^n (same convention)."""
-    integrand = np.reshape(np.asarray(values, dtype=np.float64), -1) * _omega_density(omega)
+    n = omega.grid.n
+    det = _inverse_metric(omega.packed().reshape(n, n, -1))[1]
+    integrand = np.reshape(np.asarray(values, dtype=np.float64), -1) * det
     return float(np.mean(integrand)) * DENSITY_CONVENTION_SCALE
 
 
@@ -543,22 +537,19 @@ def make_degenerate_big(grid, base, psi_shape):
     degenerate/ample grid masks; a point is degenerate where its smallest
     eigenvalue is below 1e-6.
     """
-    base = np.asarray(base, dtype=np.complex128)
-    if np.min(np.linalg.eigvalsh(base)) <= 0.0:
-        raise InputError("base must be positive definite")
     psi = _check_scalar(grid, psi_shape)
     hess = packed_hessian(grid, psi)
     slab = _on_varying_slab(hess, psi)
     if np.max(np.abs(slab)) < 1e-13 * (1.0 + float(np.max(np.abs(psi)))):
         raise ConstructionError("potential shape has (numerically) zero complex Hessian")
-    packed_base = pack_hermitian(base)[..., None]
+    packed_base = pack_hermitian(np.asarray(base, dtype=np.complex128))[..., None]
     eye = np.eye(grid.n)
 
     def min_eig(a, fields=slab):
         return float(np.min(packed_eigenvalues(packed_base + a * fields, eye)[:, -1]))
 
     if min_eig(0.0) <= 0.0:
-        raise InputError("base must start strictly inside the positive cone")
+        raise InputError("base must be positive definite")
     hi = 1.0
     while min_eig(hi) > 0.0:
         hi *= 2.0
@@ -590,9 +581,11 @@ def tune_to_boundary(grid, base, psi_shape, omega, m, bracket):
     psi = _check_scalar(grid, psi_shape)
     hess = packed_hessian(grid, psi)
     full = hess.reshape(grid.n, grid.n, -1)
-    slab = _on_varying_slab(hess, psi) if omega.is_constant else full
+    if omega.is_constant:
+        slab, metric = _on_varying_slab(hess, psi), omega.packed()
+    else:
+        slab, metric = full, omega.packed().reshape(grid.n, grid.n, -1)
     packed_base = pack_hermitian(np.asarray(base, dtype=np.complex128))[..., None]
-    metric = omega.flat_matrices()
 
     def eigenvalues(a, fields=slab):
         return packed_eigenvalues(packed_base + a * fields, metric)
@@ -649,27 +642,25 @@ def distance_to_set(grid, mask):
 def dump_fields(dirpath, grid, fields):
     """Write scalar/hermitian fields as raw little-endian f64 plus a JSON header.
 
-    fields maps name -> grid-shaped real array (scalar) or grid.shape + (n, n)
-    complex array / FormField (hermitian).
+    fields maps name -> grid-shaped real array (scalar) or FormField on grid
+    (hermitian, written from its packed fields, grid.shape + (n, n) per file).
     """
     os.makedirs(dirpath, exist_ok=True)
     entries = []
     axis_order = ",".join(f"x{j + 1},y{j + 1}" for j in range(grid.n))
     for name, value in fields.items():
-        if isinstance(value, FormField):
-            value = value.matrices()
-        value = np.asarray(value)
-        if value.shape == grid.shape:
-            kind = "scalar"
-            raw = value.astype("<f8")
-        elif value.shape == grid.shape + (grid.n, grid.n):
+        if isinstance(value, FormField) and value.grid == grid:
             kind = "hermitian"
-            raw = pack_hermitian(value).astype("<f8")
+            packed = np.moveaxis(value.packed(), (0, 1), (-2, -1))
+            raw = np.broadcast_to(packed, grid.shape + packed.shape[-2:])
+        elif np.shape(value) == grid.shape:
+            kind = "scalar"
+            raw = value
         else:
-            raise InputError(f"field {name!r} has unsupported shape {value.shape}")
+            raise InputError(f"field {name!r} is neither grid-shaped nor a FormField on the grid")
         fname = f"{name}.bin"
         with open(os.path.join(dirpath, fname), "wb") as fh:
-            fh.write(np.ascontiguousarray(raw).tobytes())
+            fh.write(np.ascontiguousarray(raw, dtype="<f8").tobytes())
         entries.append({"name": name, "kind": kind, "file": fname})
     header = {
         "format_version": FIELD_DUMP_VERSION,

@@ -233,6 +233,44 @@ class TestFakeBoundary:
         assert code == EXIT_USAGE
 
 
+SMALLEST_GRID_RUNS = (
+    [("check-cone", "uniform", EXIT_OK, None), ("check-cone", "boundary", EXIT_BOUNDARY, None)]
+    + [("solve", name, EXIT_OK, None) for name in cli._INSTANCES]
+    + [
+        ("continue", name, EXIT_SOLVER if name == "manufactured" else EXIT_OK,
+         "t=1" if name == "manufactured" else None)
+        for name in cli._INSTANCES
+    ]
+    + [("stability", "uniform", EXIT_OK, None), ("fake-boundary", None, EXIT_SOLVER, "two-stage")]
+)
+
+
+class TestSmallestGrid:
+    """grid_N = 4, the smallest grid the CLI admits, on every command that takes it.
+
+    Each run writes a summary and ends in the contract's exit code; the two
+    that stop, the manufactured path's first solve and the fake-boundary
+    path, stop at the N = 4 aliasing floor.
+    """
+
+    @pytest.mark.parametrize(
+        ("command", "instance", "code", "stage"),
+        [pytest.param(*run, id=f"{run[0]} {run[1] or 'sample'}") for run in SMALLEST_GRID_RUNS],
+    )
+    def test_runs_to_a_summary(self, tmp_path, capsys, command, instance, code, stage):
+        cfg = "grid_N = 4\n"
+        if instance is not None:
+            cfg += f"instance = {instance}\n"
+        if command == "stability":
+            cfg += "f1_amplitude = 0.1\nf2_amplitude = 0.05\n"
+        got, summary, _ = run_cli(tmp_path, command, cfg)
+        assert got == code
+        assert summary is not None and summary.get("stage") == stage
+        if code == EXIT_SOLVER:
+            assert "aliasing floor" in summary["failure"]
+        assert "Traceback" not in capsys.readouterr().err
+
+
 class TestSelftest:
     def test_quick_pass(self, tmp_path):
         code, summary, _ = run_cli(tmp_path, "selftest", flags=("--quick",))

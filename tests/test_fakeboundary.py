@@ -47,6 +47,7 @@ from hessquot.torus import (
     form_eigenvalues,
     identity_form,
 )
+from test_torus import complex_hessian
 
 TWO_PI = 2.0 * np.pi
 
@@ -220,7 +221,7 @@ class TestG1Field:
         omega = constant_form(grid, np.diag([1.0, 1.3]))
         value = g1_field(chi, omega, 1)
 
-        mats = chi.matrices()
+        mats = const + complex_hessian(grid, psi)
         rel = np.einsum("ij,...jk->...ik", np.linalg.inv(np.diag([1.0, 1.3])), mats)
         det = np.linalg.det(rel).real
         tr = np.einsum("...ii->...", rel).real
@@ -245,7 +246,7 @@ class TestG1Field:
         chi = FormField(grid, const, psi)
         wmat = np.diag([1.0, 1.2, 0.8])
         omega = constant_form(grid, wmat)
-        rel = np.einsum("ij,...jk->...ik", np.linalg.inv(wmat), chi.matrices())
+        rel = np.einsum("ij,...jk->...ik", np.linalg.inv(wmat), const + complex_hessian(grid, psi))
         p1 = np.einsum("...ii->...", rel).real
         p2 = np.einsum("...ij,...ji->...", rel, rel).real
         s1 = p1
@@ -404,9 +405,8 @@ class TestTwoStagePath:
         assert path16.final_state.residual_sup <= 1e-8
 
     def test_final_equation_recomputed_independently(self, inst16, path16):
-        from test_torus import complex_hessian
-
-        mats = inst16.chi.matrices() + complex_hessian(inst16.grid, path16.final_state.phi)
+        assert inst16.chi.is_constant
+        mats = inst16.chi.const + complex_hessian(inst16.grid, path16.final_state.phi)
         lam = np.linalg.eigvalsh(mats)
         sn = lam[..., 0] * lam[..., 1]
         sm = lam[..., 0] + lam[..., 1]

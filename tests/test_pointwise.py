@@ -24,13 +24,15 @@ def random_metric(rng, n):
 
 
 class TestEigen:
+    """packed_eigenvalues, on packed X and a packed metric, against LAPACK oracles."""
+
     def test_identity_relative(self):
-        omega = np.array([[2.0, 0.3 + 0.1j], [0.3 - 0.1j, 1.5]])
-        lam = pw.eigenvalues_rel(omega, omega)
+        omega = pw.pack_hermitian(np.array([[2.0, 0.3 + 0.1j], [0.3 - 0.1j, 1.5]]))
+        lam = pw.packed_eigenvalues(omega, omega)
         assert np.allclose(lam, [1.0, 1.0], atol=1e-14)
 
     def test_diagonal(self):
-        lam = pw.eigenvalues_rel(np.diag([2.0, 3.0]).astype(complex), np.eye(2))
+        lam = pw.packed_eigenvalues(np.diag([2.0, 3.0]), np.eye(2))
         assert lam.tolist() == [3.0, 2.0]
 
     def test_against_generalized_eigh(self):
@@ -39,29 +41,42 @@ class TestEigen:
             for _ in range(40):
                 x = random_hermitian(rng, n, scale=3.0)
                 omega = random_metric(rng, n)
-                lam = pw.eigenvalues_rel(x, omega)
+                lam = pw.packed_eigenvalues(pw.pack_hermitian(x), pw.pack_hermitian(omega))
                 want = scipy.linalg.eigh(x, omega, eigvals_only=True)[::-1]
                 assert np.allclose(lam, want, rtol=1e-10, atol=1e-10)
-                # and the packed form, in closed form at n = 2
-                packed = pw.packed_eigenvalues(pw.pack_hermitian(x), omega)
-                assert np.allclose(packed, want, rtol=1e-10, atol=1e-10)
 
     def test_similarity_transform_oracle(self):
         rng = np.random.default_rng(7)
-        for _ in range(20):
-            x = random_hermitian(rng, 3)
-            omega = random_metric(rng, 3)
-            root = scipy.linalg.fractional_matrix_power(omega, -0.5)
-            want = np.sort(np.linalg.eigvalsh(root @ x @ np.conj(root.T)).real)[::-1]
-            got = pw.eigenvalues_rel(x, omega)
-            assert np.allclose(got, want, rtol=1e-9, atol=1e-9)
+        for n in (2, 3, 4):
+            for _ in range(20):
+                x = random_hermitian(rng, n)
+                omega = random_metric(rng, n)
+                root = scipy.linalg.fractional_matrix_power(omega, -0.5)
+                want = np.sort(np.linalg.eigvalsh(root @ x @ np.conj(root.T)).real)[::-1]
+                got = pw.packed_eigenvalues(pw.pack_hermitian(x), pw.pack_hermitian(omega))
+                assert np.allclose(got, want, rtol=1e-9, atol=1e-9)
+
+    @pytest.mark.parametrize("n", [2, 3])
+    def test_per_point_metric(self, n):
+        # one omega per point: each point whitened by its own W, against
+        # generalized eigh point by point, and against the constant-metric
+        # path wherever all the metrics are the same
+        rng = np.random.default_rng(17 + n)
+        xs = np.array([random_hermitian(rng, n, scale=3.0) for _ in range(60)])
+        omegas = np.array([random_metric(rng, n) for _ in range(60)])
+        lam = pw.packed_eigenvalues(packed_fields(xs), packed_fields(omegas))
+        want = [scipy.linalg.eigh(x, om, eigvals_only=True)[::-1] for x, om in zip(xs, omegas)]
+        np.testing.assert_allclose(lam, want, rtol=1e-10, atol=1e-10)
+        same = np.broadcast_to(packed_fields(omegas[:1]), (n, n, len(xs)))
+        want = pw.packed_eigenvalues(packed_fields(xs), pw.pack_hermitian(omegas[0]))
+        np.testing.assert_allclose(pw.packed_eigenvalues(packed_fields(xs), same), want, rtol=1e-13)
 
     def test_scaling(self):
         rng = np.random.default_rng(11)
-        x = random_hermitian(rng, 3)
-        omega = random_metric(rng, 3)
-        lam = pw.eigenvalues_rel(x, omega)
-        assert np.allclose(pw.eigenvalues_rel(2.5 * x, omega), 2.5 * lam, atol=1e-12)
+        x = pw.pack_hermitian(random_hermitian(rng, 3))
+        omega = pw.pack_hermitian(random_metric(rng, 3))
+        lam = pw.packed_eigenvalues(x, omega)
+        assert np.allclose(pw.packed_eigenvalues(2.5 * x, omega), 2.5 * lam, atol=1e-12)
 
     def test_batched_2x2_matches_lapack(self):
         rng = np.random.default_rng(13)
@@ -82,11 +97,6 @@ class TestEigen:
         assert pw.packed_eigenvalues(pw.pack_hermitian(x), np.eye(2)).tolist() == [3.0, 3.0]
         adj, det = pw.packed_adjugate(pw.pack_hermitian(x))
         assert det == 9.0 and np.array_equal(adj, 3.0 * np.eye(2))
-
-    def test_non_hermitian_rejected(self):
-        bad = np.array([[1.0, 1.0], [0.0, 1.0]], dtype=complex)
-        with pytest.raises(InputError):
-            pw.eigenvalues_rel(bad, np.eye(2))
 
 
 def packed_fields(mats):
@@ -138,7 +148,9 @@ class TestPackedKernel:
             amat = np.einsum("pij,pj,pkj->pik", vecs, a, np.conj(vecs))
             return pw.pack_hermitian(amat) * (2.0 - np.eye(2)), elementary_sym(k, lam)
 
-        np.testing.assert_allclose(pw.packed_eigenvalues(fields, metric), lam[:, ::-1], rtol=1e-13)
+        np.testing.assert_allclose(
+            pw.packed_eigenvalues(fields, pw.pack_hermitian(metric)), lam[:, ::-1], rtol=1e-13
+        )
         adj, det = pw.packed_adjugate(fields)
         got = [(np.moveaxis(adj, -1, 0) / det_metric * (2.0 - np.eye(2)), det / det_metric)]
         want = [spectral(2)]
@@ -155,6 +167,31 @@ class TestPackedKernel:
             else:
                 assert not np.any(g_grad)
 
+
+    def test_m2_gradient_keeps_x_packed(self, monkeypatch):
+        # with one omega^-1 for every point, omega^-1 X omega^-1 is formed on
+        # the packed fields: unpack_hermitian sees the one-point omega^-1 and
+        # the n^2 basis matrices of the congruence, never X's P points
+        rng = np.random.default_rng(31)
+        n, points = 3, 200
+        xs = np.array([random_hermitian(rng, n) + 4.0 * np.eye(n) for _ in range(points)])
+        inv = np.linalg.inv(random_metric(rng, n))
+        seen = []
+        unpack = pw.unpack_hermitian
+
+        def spy(packed):
+            seen.append(int(np.prod(np.shape(packed)[:-2])))
+            return unpack(packed)
+
+        monkeypatch.setattr(pw, "unpack_hermitian", spy)
+        s_2, grad = pw.packed_sym_gradient(2, packed_fields(xs), pw.pack_hermitian(inv)[..., None])
+        monkeypatch.undo()
+        assert sorted(set(seen)) == [1, n * n]
+        s_1 = np.trace(inv @ xs, axis1=-2, axis2=-1).real
+        want = pw.pack_hermitian(s_1[:, None, None] * inv - inv @ xs @ inv)
+        np.testing.assert_allclose(np.moveaxis(grad, -1, 0), want, rtol=1e-12, atol=1e-12)
+        s_2_want = 0.5 * (s_1**2 - np.trace(inv @ xs @ inv @ xs, axis1=-2, axis2=-1).real)
+        np.testing.assert_allclose(s_2, s_2_want, rtol=1e-12)
 
 class TestParams:
     def test_validation(self):

@@ -38,6 +38,7 @@ from hessquot.pointwise import (
     packed_adjugate,
     residual_inverse_form,
     residual_volume_form,
+    unpack_hermitian,
 )
 from hessquot.solver import (
     DIAGNOSTIC_KEYS,
@@ -71,7 +72,7 @@ from hessquot.torus import (
     relative_eigenvalues,
 )
 from test_pointwise import random_metric
-from test_torus import complex_hessian, pointwise_mixed
+from test_torus import complex_hessian, metric_det, pointwise_mixed
 
 TWO_PI = 2.0 * np.pi
 
@@ -191,7 +192,7 @@ def pointwise_b(spec, lam=None):
     coefficient at each point; lam is computed unless given.
     """
     lam = relative_eigenvalues(spec.background, spec.omega) if lam is None else lam
-    det = np.linalg.det(spec.omega.flat_matrices()).real
+    det = metric_det(spec.omega)
     kappa = spec.coefficient_field.reshape(-1) / math.comb(spec.n, spec.m)
     lhs = (elementary_sym(spec.n, lam) - kappa * elementary_sym(spec.m, lam)) * det
     return float(np.mean(lhs)) / float(np.mean(spec.source_field.reshape(-1) * det))
@@ -399,7 +400,7 @@ def m0_problem():
         grid, 0.03 * (np.cos(TWO_PI * c["x1"]) + np.sin(TWO_PI * c["y2"]))
     )
     background = constant_form(grid, 2.0 * np.eye(2))
-    X = background.matrices() + complex_hessian(grid, psi)
+    X = background.const + complex_hessian(grid, psi)
     det = (X[..., 0, 0] * X[..., 1, 1] - np.abs(X[..., 0, 1]) ** 2).real
     f_raw = det - 1.0
     assert f_raw.min() > 0
@@ -424,7 +425,7 @@ class TestDeterminantOracle:
     def test_independent_pointwise_residual(self, m0_problem):
         spec, _, _ = m0_problem
         st = newton_solve(spec)
-        X = spec.background.matrices() + complex_hessian(spec.grid, st.phi)
+        X = spec.background.const + complex_hessian(spec.grid, st.phi)
         det = (X[..., 0, 0] * X[..., 1, 1] - np.abs(X[..., 0, 1]) ** 2).real
         resid = det - 1.0 - st.b * spec.source_field
         assert np.abs(resid).max() <= 1e-9
@@ -449,7 +450,7 @@ class TestThreeDimensional:
         st = newton_solve(spec)
         assert st.diagnostics["newton_iters"] > 0
         assert abs(st.b - 1.875) <= 1e-12
-        X = spec.background.matrices() + complex_hessian(grid, st.phi)
+        X = spec.background.const + complex_hessian(grid, st.phi)
         resid = np.linalg.det(X).real - np.trace(X, axis1=-2, axis2=-1).real / 3.0 - st.b * f
         assert np.abs(resid).max() <= 1e-9
 
@@ -468,7 +469,7 @@ class TestThreeDimensional:
         st = newton_solve(spec)
         assert st.diagnostics["newton_iters"] > 0
         assert abs(st.b - 1.125) <= 1e-12
-        X = spec.background.matrices() + complex_hessian(grid, st.phi)
+        X = spec.background.const + complex_hessian(grid, st.phi)
         trace = np.trace(X, axis1=-2, axis2=-1).real
         s2 = 0.5 * (trace**2 - np.trace(X @ X, axis1=-2, axis2=-1).real)
         resid = np.linalg.det(X).real - s2 / 3.0 - st.b * f
@@ -534,8 +535,9 @@ class TestPolynomialKernel:
         if mode == "additive":
             f = normalize_density(f, omega)
 
-        x = background.matrices(phi).reshape(-1, n, n)
-        white = np.linalg.inv(np.linalg.cholesky(omega.flat_matrices()))
+        x = (background.const + complex_hessian(grid, phi)).reshape(-1, n, n)
+        omega_mats = unpack_hermitian(np.moveaxis(omega.packed().reshape(n, n, -1), (0, 1), (-2, -1)))
+        white = np.linalg.inv(np.linalg.cholesky(omega_mats))
         white_h = np.conj(np.swapaxes(white, -1, -2))
         lam, u = np.linalg.eigh(white @ x @ white_h)
         vecs = white_h @ u
@@ -587,7 +589,7 @@ class TestMultiplicative:
         assert st.residual_sup <= 1e-8
         # stagnation guard: pre-projection linear solves ground to maxiter
         assert st.diagnostics["krylov_iters"] <= 100
-        X = spec.background.matrices() + complex_hessian(grid, st.phi)
+        X = spec.background.const + complex_hessian(grid, st.phi)
         lam = np.linalg.eigvalsh(X)
         resid = lam.prod(axis=-1) - np.exp(st.b) * g / 2.0 * lam.sum(axis=-1) - 1.0
         assert np.abs(resid).max() <= 1e-7
@@ -749,9 +751,9 @@ class TestNewtonStep:
         phi, b, _, _ = solver._linear_step(spec, ev, SolverConfig(), math.inf)
         # the full step is newton_solve's first iterate: it lowers the residual
         assert solver._evaluate(spec, phi, b).rsup < ev.rsup
-        x = spec.background.matrices(phi)
-        assert np.all(x[..., 0, 1] == 0.0)
-        assert np.any(x[..., 0, 0].real > x[..., 1, 1].real)
+        x = spec.background.packed(phi)
+        assert np.all(x[0, 1] == 0.0) and np.all(x[1, 0] == 0.0)
+        assert np.any(x[0, 0] > x[1, 1])
         self.check_step(spec, phi, b, 1e3, 1e-5)
 
     def test_warm_start_near_solution_takes_one_step(self):

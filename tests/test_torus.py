@@ -66,6 +66,14 @@ def complex_hessian(grid, phi):
     return unpack_hermitian(np.moveaxis(packed_hessian(grid, phi), (0, 1), (-2, -1)))
 
 
+def metric_det(omega):
+    """LAPACK's det of omega's matrix at every point (P,), or one value when omega is constant."""
+    mats = omega.const
+    if not omega.is_constant:
+        mats = (mats + complex_hessian(omega.grid, omega.potential)).reshape(-1, omega.grid.n, omega.grid.n)
+    return np.linalg.det(mats).real
+
+
 def pointwise_mixed(alpha, k, omega, lam=None):
     """Grid quadrature of alpha^k wedge omega^(n-k): the mean of S_k(lambda)/C(n,k) det omega.
 
@@ -75,8 +83,7 @@ def pointwise_mixed(alpha, k, omega, lam=None):
     """
     n = alpha.grid.n
     lam = relative_eigenvalues(alpha, omega) if lam is None else lam
-    det = np.linalg.det(omega.flat_matrices()).real
-    integrand = elementary_sym(k, lam) / math.comb(n, k) * det
+    integrand = elementary_sym(k, lam) / math.comb(n, k) * metric_det(omega)
     return float(np.mean(np.broadcast_to(integrand, lam.shape[:-1])))
 
 
@@ -591,8 +598,8 @@ class TestGridTransfer:
         assert np.array_equal(torus.restrict(fine, phi_f), phi_f[(slice(None, None, 2),) * (2 * n)])
         form = FormField(fine, np.eye(n), 0.01 * phi_f).restricted()
         assert form.grid == coarse
-        want = FormField(coarse, np.eye(n), 0.01 * phi_c).matrices()
-        assert np.max(np.abs(form.matrices() - want)) <= 1e-13
+        want = FormField(coarse, np.eye(n), 0.01 * phi_c).packed()
+        assert np.max(np.abs(form.packed() - want)) <= 1e-13
 
     @pytest.mark.parametrize(("n", "N"), TRANSFERS)
     def test_restriction_inverts_prolongation(self, n, N):
@@ -609,7 +616,7 @@ class TestGridTransfer:
             a, b = getattr(got, name), getattr(want, name)
             assert np.array_equal(a.const, b.const)
             assert a.is_constant == b.is_constant
-            assert np.max(np.abs(a.matrices() - b.matrices())) <= 1e-13
+            assert np.max(np.abs(a.packed() - b.packed())) <= 1e-13
         for name in ("coefficient_field", "source_field"):
             assert np.max(np.abs(getattr(got, name) - getattr(want, name))) <= 1e-13
 
@@ -651,7 +658,7 @@ class TestFormField:
         g = TorusGrid(2, 8)
         pot = trig_poly(g, np.random.default_rng(5), amplitude=0.02)
         f = FormField(g, np.diag([2.0, 1.0]), pot)
-        mats = f.matrices()
+        mats = unpack_hermitian(np.moveaxis(f.packed(), (0, 1), (-2, -1)))
         want = np.diag([2.0, 1.0]) + complex_hessian(g, pot)
         assert np.max(np.abs(mats - want)) == 0.0
 
@@ -666,11 +673,11 @@ class TestFormField:
             f.potential = np.ones(f.grid.shape)
 
     def test_matrices_with_phi_take_one_hessian(self):
-        # const + Hess(potential + phi) against the background's matrices plus Hess(phi)
+        # const + Hess(potential + phi) against the background's fields plus Hess(phi)
         spec = boundary_degenerate_instance(N=8).spec(0.5)
         phi = trig_poly(spec.grid, np.random.default_rng(7), amplitude=0.02)
-        want = spec.background.matrices() + complex_hessian(spec.grid, phi)
-        assert np.max(np.abs(spec.background.matrices(phi) - want)) <= 1e-13
+        want = spec.background.packed() + packed_hessian(spec.grid, phi)
+        assert np.max(np.abs(spec.background.packed(phi) - want)) <= 1e-13
 
     def test_rejects_wrong_grid_addition(self):
         a = identity_form(TorusGrid(2, 8))
@@ -876,8 +883,10 @@ class TestTuneToBoundary:
         hess = packed_hessian(g, psi).reshape(2, 2, -1)
         base = pack_hermitian(np.eye(2))[..., None]
 
+        metric = om.packed() if om.is_constant else om.packed().reshape(2, 2, -1)
+
         def margin(a):
-            lam = packed_eigenvalues(base + a * hess, om.flat_matrices())
+            lam = packed_eigenvalues(base + a * hess, metric)
             return float(np.min(cone_margin(lam, c, 1)))
 
         assert amplitude == brentq(margin, 0.0, 0.05, xtol=1e-14, rtol=8.9e-16)
@@ -950,16 +959,21 @@ class TestFieldDump:
         rng = np.random.default_rng(31)
         scalar = trig_poly(g, rng)
         form = FormField(g, np.diag([2.0, 1.0]), trig_poly(g, rng, amplitude=0.01))
-        header = dump_fields(tmp_path / "dump", g, {"phi": scalar, "chi": form})
+        metric = constant_form(g, np.array([[2.0, 0.5j], [-0.5j, 1.0]]))
+        header = dump_fields(tmp_path / "dump", g, {"phi": scalar, "chi": form, "omega": metric})
         assert header["dtype"] == "f64-le"
         assert header["axis_order"] == "x1,y1,x2,y2"
-        assert {e["name"] for e in header["fields"]} == {"phi", "chi"}
+        assert {e["name"] for e in header["fields"]} == {"phi", "chi", "omega"}
         g2, fields = load_fields(tmp_path / "dump")
         assert g2 == g
         assert np.array_equal(fields["phi"], scalar)
-        assert np.max(np.abs(fields["chi"] - form.matrices())) == 0.0
+        want = form.const + complex_hessian(g, form.potential)
+        assert np.max(np.abs(fields["chi"] - want)) == 0.0
+        assert np.array_equal(fields["omega"], np.broadcast_to(metric.const, g.shape + (2, 2)))
 
     def test_rejects_odd_shapes(self, tmp_path):
         g = TorusGrid(2, 8)
         with pytest.raises(InputError):
             dump_fields(tmp_path / "d", g, {"v": np.zeros(g.shape + (3,))})
+        with pytest.raises(InputError):
+            dump_fields(tmp_path / "d", g, {"v": identity_form(TorusGrid(2, 4))})
