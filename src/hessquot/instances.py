@@ -22,6 +22,8 @@ from .torus import (
     identity_form,
     make_degenerate_big,
     normalize_density,
+    on_subtorus,
+    subtorus,
     tune_to_boundary,
 )
 
@@ -194,9 +196,10 @@ def manufactured_instance(N=32):
     phi_star = _grid_field(
         grid, 0.1 * np.sin(TWO_PI * coords["x1"]) * np.cos(TWO_PI * coords["y2"])
     )
-    (x11, re), (im, x22) = FormField(grid, 3.0 * np.eye(2), phi_star).packed()
+    sub = subtorus(grid, [phi_star])  # whose points carry every value of the grid's
+    (x11, re), (im, x22) = FormField(sub, 3.0 * np.eye(2), on_subtorus(sub, phi_star)).packed()
     # c = 1 for chi = omega; S_2 = det, S_1 = trace relative to the identity
-    f_raw = (x11 * x22 - re * re - im * im) - 0.5 * (x11 + x22)
+    f_raw = _grid_field(grid, (x11 * x22 - re * re - im * im) - 0.5 * (x11 + x22))
     if np.min(f_raw) <= 0.0:
         raise InputError("manufactured defect lost positivity; background too small")
     b_star = float(np.mean(f_raw))

@@ -145,18 +145,22 @@ def packed_adjugate(x):
     """Adjugate and determinant of packed Hermitian fields, n = 2 or 3.
 
     x holds X packed (HERMITIAN_PACKING) on its leading (n, n) axes over any
-    batch; adj X comes back packed the same way. At n = 3 the columns of
-    adj X are the cross products of X's rows, each entry a 2x2 minor. The
-    leading principal minors of X are x[0, 0], adj[-1, -1] (n = 3) and det.
+    batch; adj X comes back packed the same way. At n = 3 each entry is a
+    2x2 minor, from the packed fields: with u, v, w = X_01, X_02, X_12,
+    adj_01 = v conj(w) - X_22 u, adj_02 = u w - X_11 v, adj_12 = v conj(u) - X_00 w.
+    The leading principal minors of X are x[0, 0], adj[-1, -1] (n = 3) and det.
     """
     n = x.shape[0]
     if n == 2:
         (a, re), (im, d) = x
         adj = np.array([[d, -re], [-im, a]])
     else:
-        rows = np.moveaxis(unpack_hermitian(np.moveaxis(x, (0, 1), (-2, -1))), -2, 0)
-        cols = [np.cross(rows[(j + 1) % 3], rows[(j + 2) % 3]) for j in range(3)]
-        adj = np.moveaxis(pack_hermitian(np.stack(cols, axis=-1)), (-2, -1), (0, 1))
+        (a, ur, vr), (ui, d, wr), (vi, wi, e) = x
+        adj = np.array([
+            [d * e - wr * wr - wi * wi, vr * wr + vi * wi - e * ur, ur * wr - ui * wi - d * vr],
+            [vi * wr - vr * wi - e * ui, a * e - vr * vr - vi * vi, vr * ur + vi * ui - a * wr],
+            [ur * wi + ui * wr - d * vi, vi * ur - vr * ui - a * wi, a * d - ur * ur - ui * ui],
+        ])
     # det = sum_j X_0j adj_j0, whose real part pairs the packed entries
     det = x[0, 0] * adj[0, 0]
     for j in range(1, n):

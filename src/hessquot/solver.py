@@ -21,6 +21,8 @@ residual is above tol while that part is within it stops there, at its
 aliasing floor. Above COARSEST_N points per axis, each solve starts from the
 solve of the same problem on the grid with half the points per axis (nested
 iteration), which hands over its state even when it stopped at its floor.
+Each solve runs on the invariant subtorus of its data and starting
+potentials (torus.subtorus): every Newton iterate is constant where they are.
 """
 
 from __future__ import annotations
@@ -54,9 +56,11 @@ from .torus import (
     holomorphic_gradient,
     integrate_density,
     integrate_mixed,
+    on_subtorus,
     prolong,
     relative_eigenvalues,
     restrict,
+    subtorus,
     total_volume,
 )
 
@@ -95,6 +99,8 @@ class EquationSpec:
                 vals = np.full(grid.shape, float(vals))
             elif vals.shape != grid.shape:
                 raise InputError(f"{name} shape {vals.shape} does not match grid")
+            if not np.all(np.isfinite(vals)):
+                raise InputError(f"{name} values must be finite")
             if np.min(vals) < 0.0:
                 raise InputError(f"{name} must be nonnegative")
             object.__setattr__(self, name, vals)
@@ -128,6 +134,14 @@ class EquationSpec:
             source_field=source,
         )
 
+    def on(self, grid):
+        """This spec on grid, a subtorus of its own grid: every field at grid's points."""
+        coeff, source = (on_subtorus(grid, f) for f in (self.coefficient_field, self.source_field))
+        return replace(
+            self, background=self.background.on(grid), omega=self.omega.on(grid),
+            coefficient_field=coeff, source_field=source,
+        )
+
 
 # grids above this N start Newton from the solve on the grid with N/2
 COARSEST_N = 8
@@ -150,7 +164,7 @@ class SolverConfig:
 
 @dataclass(frozen=True)
 class SolverState:
-    """Converged solve; phi is reported with sup phi = 0."""
+    """Converged solve; phi is reported with sup phi = 0, on spec's grid."""
 
     phi: np.ndarray
     b: float
@@ -171,7 +185,7 @@ class Diagnostics(Mapping):
 
     sup_phi and the two counts are set at once. The first read of any other
     key computes the five eigenvalue and gradient diagnostics together from
-    the state's spec, phi (as reported) and b, and keeps them.
+    the spec and phi (as reported) on the solve's subtorus, and b, and keeps them.
     """
 
     def __init__(self, spec, phi, b, newton_iters, krylov_iters):
@@ -223,9 +237,11 @@ def strip_kernel_modes(grid, values, keep_mean=False):
     the linear systems inconsistent and the Krylov iteration stagnates.
 
     Those modes span the functions of period 2 along every axis, so the
-    projection subtracts the mean over each parity class of grid points.
+    projection subtracts the mean over each parity class of grid points (a
+    constant axis of a subtorus grid is one point, its own parity class).
     """
-    blocks = np.reshape(values, (grid.N // 2, 2) * (2 * grid.n))
+    pairs = [(size // 2, 2) if size > 1 else (1, 1) for size in grid.shape]
+    blocks = np.reshape(values, sum(pairs, ()))
     means = blocks
     for axis in range(0, blocks.ndim, 2):  # one axis at a time: contiguous sums
         means = means.mean(axis=axis, keepdims=True)
@@ -444,16 +460,12 @@ def _linear_step(spec, ev, config, rsup_prev):
 def _coarse_solution(spec, path, config, t):
     """The solve on the grid with N/2 points per axis, or None if it left the cone.
 
-    The spec and the path states are restricted by injection (a path state
-    is read for phi, b and t only; a missing t reads as nan, which gives the
-    warm start) and solved through the module-level newton_solve, which
-    recurses down to COARSEST_N. A coarse solve that stops short, at its
-    aliasing floor or otherwise, still hands over its last iterate.
+    The spec and the path states are restricted by injection and solved
+    through the module-level newton_solve, which recurses down to
+    COARSEST_N. A coarse solve that stops short, at its aliasing floor or
+    otherwise, still hands over its last iterate.
     """
-    coarse_path = [
-        SimpleNamespace(phi=restrict(spec.grid, s.phi), b=s.b, t=getattr(s, "t", math.nan))
-        for s in path
-    ]
+    coarse_path = [SimpleNamespace(phi=restrict(spec.grid, s.phi), b=s.b, t=s.t) for s in path]
     try:
         return newton_solve(spec.restricted(), init=coarse_path, config=config, t=t)
     except NonconvergenceError as err:
@@ -475,15 +487,14 @@ def _predictions(spec, path, config, t):
         coarse = _coarse_solution(spec, path, config, t)
         if coarse is not None:
             yield strip_kernel_modes(grid, prolong(coarse.spec.grid, coarse.phi)), coarse.b
-    if len(path) > 1 and all(map(math.isfinite, (t, path[-2].t, path[-1].t))):
-        s0, s1 = path[-2], path[-1]
+    if len(path) == 2 and all(map(math.isfinite, (t, path[0].t, path[1].t))):
+        s0, s1 = path
         if s0.t != s1.t:
             r = (t - s1.t) / (s1.t - s0.t)
-            phi1 = np.asarray(s1.phi, dtype=np.float64)
-            phi = strip_kernel_modes(grid, phi1 + r * (phi1 - np.asarray(s0.phi, dtype=np.float64)))
+            phi = strip_kernel_modes(grid, s1.phi + r * (s1.phi - s0.phi))
             yield phi, float(s1.b + r * (s1.b - s0.b))
     if path:
-        yield strip_kernel_modes(grid, np.asarray(path[-1].phi, dtype=np.float64)), float(path[-1].b)
+        yield strip_kernel_modes(grid, path[-1].phi), float(path[-1].b)
     else:
         yield np.zeros(grid.shape), 0.0
 
@@ -520,12 +531,26 @@ def newton_solve(spec, init=None, config=None, t=math.nan):
     lower, is within it. It does so too after config.max_newton steps or at
     the damping floor.
 
+    The solve, nested iteration included, runs on the subtorus of the data
+    and of the last two path states' phi (all a start reads); the states and
+    a ConeViolationError's count and point are on spec's grid.
     The state's newton_iters and krylov_iters count the work on this grid
     only, not the coarse solves'.
     """
     config = config or SolverConfig()
-    path = init if isinstance(init, Sequence) else [] if init is None else [init]
+    path = (init if isinstance(init, Sequence) else [] if init is None else [init])[-2:]
     bq = quadrature_b(spec) if spec.unknown_mode == "additive" else None
+    full = spec
+    grid = subtorus(full.grid, [
+        full.background.potential, full.omega.potential, full.coefficient_field,
+        full.source_field, *(s.phi for s in path),
+    ])
+    spec = full.on(grid)
+    # a path state is read for phi, b and t only; a missing t reads as nan (the warm start)
+    path = [
+        SimpleNamespace(phi=on_subtorus(grid, s.phi), b=s.b, t=getattr(s, "t", math.nan))
+        for s in path
+    ]
     for phi, b in _predictions(spec, path, config, t):
         b = b if bq is None else bq
         try:
@@ -537,7 +562,8 @@ def newton_solve(spec, init=None, config=None, t=math.nan):
         # eigenvalues only here, to name the last start's worst point
         lam = relative_eigenvalues(spec.background, spec.omega, phi)[:, -1]
         i = int(np.argmin(lam))
-        count, where = int(np.sum(lam <= 0.0)), np.unravel_index(i, spec.grid.shape)
+        count = int(np.sum(lam <= 0.0)) * (full.grid.npoints // grid.npoints)
+        where = np.unravel_index(i, grid.shape)
         raise ConeViolationError(
             f"initial state leaves the cone: {count} points outside the cone,"
             f" min eigenvalue {lam[i]:.3e} at {where}",
@@ -547,18 +573,26 @@ def newton_solve(spec, init=None, config=None, t=math.nan):
     iters = 0
     krylov_total = 0
     rsup_prev = math.inf
+
+    def state():
+        """The state of full at (phi, b), phi broadcast back; the diagnostics keep the subtorus."""
+        out = phi - float(np.max(phi))
+        diagnostics = Diagnostics(spec, out, float(b), iters, krylov_total)
+        phi_full = np.broadcast_to(out, full.grid.shape).copy()
+        return SolverState(phi_full, float(b), float(t), ev.rsup, diagnostics, full)
+
     while ev.rsup > config.tol:
         range_sup = float(np.max(np.abs(ev.range_resid)))
         if range_sup <= config.tol:
             raise NonconvergenceError(
                 f"aliasing floor reached at residual {ev.rsup:.3e}: its part in the"
                 f" Hessian's range, all Newton can reduce, is {range_sup:.3e}",
-                state=_make_state(spec, phi, b, t, ev.rsup, iters, krylov_total),
+                state=state(),
             )
         if iters >= config.max_newton:
             raise NonconvergenceError(
                 f"no convergence in {config.max_newton} Newton steps (residual {ev.rsup:.3e})",
-                state=_make_state(spec, phi, b, t, ev.rsup, iters, krylov_total),
+                state=state(),
             )
         dphi, db, nit, info = _linear_step(spec, ev, config, rsup_prev)
         krylov_total += nit
@@ -577,8 +611,7 @@ def newton_solve(spec, init=None, config=None, t=math.nan):
                 # an unconverged inner solve may give no descent direction
                 note = f" after an LGMRES solve that stopped short (info {info})" if info else ""
                 raise NonconvergenceError(
-                    f"damping floor reached at residual {ev.rsup:.3e}{note}",
-                    state=_make_state(spec, phi, b, t, ev.rsup, iters, krylov_total),
+                    f"damping floor reached at residual {ev.rsup:.3e}{note}", state=state()
                 )
         rsup_prev = ev.rsup
         phi, b, ev = cand_phi, cand_b, cand
@@ -589,9 +622,9 @@ def newton_solve(spec, init=None, config=None, t=math.nan):
         if abs(b - bq) > budget:
             raise NonconvergenceError(
                 f"converged b={b!r} disagrees with quadrature value {bq!r} beyond {budget:.1e}",
-                state=_make_state(spec, phi, b, t, ev.rsup, iters, krylov_total),
+                state=state(),
             )
-    return _make_state(spec, phi, b, t, ev.rsup, iters, krylov_total)
+    return state()
 
 
 def _gradient_sq(spec, phi):
@@ -604,12 +637,6 @@ def _gradient_sq(spec, phi):
     ginv = _inverse_metric(spec.omega.packed().reshape(n, n, -1))[0]
     ginv = unpack_hermitian(np.moveaxis(ginv, (0, 1), (-2, -1)))
     return np.einsum("...kj,...j,...k->...", ginv, grad, np.conj(grad)).real
-
-
-def _make_state(spec, phi, b, t, rsup, iters, krylov_total):
-    phi_out = phi - float(np.max(phi))
-    diagnostics = Diagnostics(spec, phi_out, float(b), iters, krylov_total)
-    return SolverState(phi_out, float(b), float(t), rsup, diagnostics, spec)
 
 
 @dataclass(frozen=True)

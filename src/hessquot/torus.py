@@ -6,12 +6,13 @@ is spectral (exact for band-limited fields, Nyquist dropped from first-order
 multipliers) and runs on real FFTs: every operator is a real field times a
 real symbol cached per grid in rfftn layout, and a product spectrum that
 is identically zero is not inverse transformed (a potential of z1 alone
-has one nonzero Hessian field). A field constant along some real axes (bit
-for bit) is transformed along the others only, on its slab at index 0 of
-the constant axes, with the symbols taken at their zero frequency, and the
-result is broadcast back. Along a constant axis every butterfly difference
-is an exact zero and every sum and normalization a power-of-two scaling, so
-the slab gives the full transform's bits, but for the sign of an output
+has one nonzero Hessian field). A problem whose data are constant along
+some real axes (bit for bit) is posed on its invariant subtorus: subtorus()
+finds those axes once, and the grid it returns holds one point on each of
+them, so every operator, pointwise kernel and vector runs on the other axes
+only. Along a constant axis every butterfly difference is an exact zero and
+every sum and normalization a power-of-two scaling, so each operator gives
+the full grid's bits at the subtorus points, but for the sign of an output
 that is exactly zero. Integration of a density is the periodic
 trapezoid rule, i.e. the plain grid mean, which is spectrally accurate
 here. Every form is closed, so a mixed integral of forms is that of their
@@ -28,7 +29,7 @@ import functools
 import json
 import math
 import os
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 import scipy.fft
@@ -56,10 +57,11 @@ FIELD_DUMP_VERSION = 1
 
 @dataclass(frozen=True)
 class TorusGrid:
-    """Unit flat torus with n complex dimensions and N points per real axis."""
+    """Unit flat torus, n complex dimensions, N points per real axis but 1 on each constant axis."""
 
     n: int
     N: int
+    constant_axes: tuple = ()
 
     def __post_init__(self):
         if self.n not in (2, 3):
@@ -67,36 +69,62 @@ class TorusGrid:
         if self.N < 4 or self.N & (self.N - 1) != 0:
             raise InputError(f"N must be a power of two >= 4, got {self.N}")
 
-    @property
+    @functools.cached_property
     def shape(self):
-        return (self.N,) * (2 * self.n)
+        return tuple(1 if axis in self.constant_axes else self.N for axis in range(2 * self.n))
 
-    @property
+    @functools.cached_property
     def npoints(self):
-        return self.N ** (2 * self.n)
+        return math.prod(self.shape)
 
-    def axis_coord(self, axis):
-        """Coordinate values along one real axis, shaped for broadcasting."""
-        vals = np.arange(self.N) / self.N
-        shape = [1] * (2 * self.n)
-        shape[axis] = self.N
-        return vals.reshape(shape)
+    def _along(self, axis, values):
+        """The first shape[axis] values, shaped to broadcast along axis."""
+        return np.expand_dims(values[: self.shape[axis]], [a for a in range(2 * self.n) if a != axis])
 
     def coords(self):
         """Broadcastable coordinate arrays keyed x1, y1, ..., xn, yn."""
-        out = {}
-        for j in range(self.n):
-            out[f"x{j + 1}"] = self.axis_coord(2 * j)
-            out[f"y{j + 1}"] = self.axis_coord(2 * j + 1)
-        return out
+        x = np.arange(self.N) / self.N
+        return {f"{c}{axis // 2 + 1}": self._along(axis, x) for axis, c in enumerate("xy" * self.n)}
 
     def wavenumber(self, axis):
         """Angular wavenumbers along one axis, Nyquist zeroed, broadcastable."""
         k = 2.0 * np.pi * np.fft.fftfreq(self.N, d=1.0 / self.N)
         k[self.N // 2] = 0.0
-        shape = [1] * (2 * self.n)
-        shape[axis] = self.N
-        return k.reshape(shape)
+        return self._along(axis, k)
+
+
+def subtorus(grid, fields):
+    """grid with one point on every real axis along which all fields (arrays or None) are constant.
+
+    Constancy is bitwise, so a field mixing 0.0 and -0.0 along an axis varies
+    along it; each axis is tested first on its line through index 0. A
+    non-finite field varies along every axis: a transform along an axis where
+    it is constant would spread its non-finite value.
+    """
+    axes = set(range(2 * grid.n))
+    for values in fields:
+        if values is None:
+            continue
+        values = np.asarray(values, dtype=np.float64)
+        if values.shape != grid.shape:
+            raise InputError(f"field shape {values.shape} does not match grid {grid.shape}")
+        bits = values.view(np.uint64)
+        for axis in sorted(axes):
+            line = bits[(0,) * axis + (slice(None),) + (0,) * (bits.ndim - axis - 1)]
+            first = bits[(slice(None),) * axis + (slice(0, 1),)]
+            if np.all(line == line[0]) and np.all(bits == first):
+                bits = first
+            else:
+                axes.discard(axis)
+        if not np.all(np.isfinite(bits.view(np.float64))):
+            return grid
+    return replace(grid, constant_axes=tuple(sorted(axes)))
+
+
+def on_subtorus(grid, values):
+    """A field of the full grid (or of grid) at grid's points: index 0 on each constant axis."""
+    index = tuple(slice(0, 1) if size == 1 else slice(None) for size in grid.shape)
+    return np.ascontiguousarray(np.asarray(values, dtype=np.float64)[index])
 
 
 @functools.lru_cache(maxsize=4)
@@ -104,17 +132,19 @@ def _symbols(grid):
     """Per-grid wavenumbers (kx, ky) and packed Hessian symbols, rfftn layout.
 
     rfftn keeps the nonnegative half of the last axis, whose Nyquist entry
-    wavenumber() zeroes like every other, so that axis is cut to N/2 + 1.
-    d/dz_j has symbol (ky_j + i kx_j)/2, so H_jk = d_j dbar_k has the real
-    part -(ky_j ky_k + kx_j kx_k)/4 and the imaginary part
+    wavenumber() zeroes like every other, so that axis is cut to N/2 + 1
+    (to its one point on a constant axis). d/dz_j has symbol
+    (ky_j + i kx_j)/2, so H_jk = d_j dbar_k has the real part
+    -(ky_j ky_k + kx_j kx_k)/4 and the imaginary part
     -(kx_j ky_k - ky_j kx_k)/4, both even in k: each packed entry of the
     Hessian of a real field is the inverse real FFT of one real symbol.
     """
     n = grid.n
+    half = grid.shape[-1] // 2 + 1
     k = [grid.wavenumber(axis) for axis in range(2 * n)]
-    k[-1] = k[-1][..., : grid.N // 2 + 1]
+    k[-1] = k[-1][..., :half]
     kx, ky = k[0::2], k[1::2]
-    hess = np.empty((n, n) + grid.shape[:-1] + (grid.N // 2 + 1,))
+    hess = np.empty((n, n) + grid.shape[:-1] + (half,))
     for i in range(n):
         hess[i, i] = -0.25 * (kx[i] ** 2 + ky[i] ** 2)
         for j in range(i + 1, n):
@@ -125,56 +155,16 @@ def _symbols(grid):
     return kx, ky, hess
 
 
-def _varying_slab(values):
-    """values at index 0 along every axis on which it is constant, and that index.
-
-    The index holds slice(0, 1) on each such axis and slice(None) on the
-    others, so the slab keeps every axis, at size 1 where it was reduced.
-    Constancy is tested on the bits: a field that mixes 0.0 and -0.0 along
-    an axis varies along it. A field with a non-finite value is not reduced,
-    since a transform along an axis where it is constant spreads it. Each
-    axis is first tested on its line through index 0 of the others, so a
-    field that varies along every axis costs one line per axis and no copy.
-    """
-    ndim = values.ndim
-    bits = values.view(np.uint64)
-    index = [slice(None)] * ndim
-    for axis in range(ndim):
-        line = bits[(0,) * axis + (slice(None),) + (0,) * (ndim - axis - 1)]
-        if np.any(line != line[0]):
-            continue
-        first = bits[(slice(None),) * axis + (slice(0, 1),)]
-        if np.all(bits == first):
-            bits = first
-            index[axis] = slice(0, 1)
-    index = tuple(index)
-    slab = values[index]
-    if slab.shape == values.shape or not np.all(np.isfinite(slab)):
-        return values, (slice(None),) * ndim
-    return slab, index
-
-
-def _full(shape, field):
-    """field itself if it has shape, else a new array of shape it broadcasts into."""
-    if field.shape == shape:
-        return field
-    out = np.empty(shape)
-    out[...] = field
-    return out
-
-
 def _irfftn(grid, spectrum):
     """The real field of one rfftn-layout spectrum, which it may overwrite.
 
     Complex transforms over the leading axes, in place, then one inverse
     real transform along the last: the 1-D transforms scipy's irfftn runs,
     in the same order, so the result is bit-identical. irfftn does not use
-    overwrite_x, so it cannot transform the leading axes in place. The
-    spectrum may be a slab of _varying_slab's: an axis of size 1 stays one
-    point, the last one included.
+    overwrite_x, so it cannot transform the leading axes in place.
     """
     spectrum = scipy.fft.ifftn(spectrum, axes=range(2 * grid.n - 1), overwrite_x=True)
-    return scipy.fft.irfft(spectrum, n=grid.N if spectrum.shape[-1] > 1 else 1, axis=-1)
+    return scipy.fft.irfft(spectrum, n=grid.shape[-1], axis=-1)
 
 
 def _irfftn_each(grid, spectrum, symbols):
@@ -184,8 +174,7 @@ def _irfftn_each(grid, spectrum, symbols):
     transformed array to one field's spectrum: at N = 16 that fits a 2 MB
     L2 cache where a stack of the n^2 Hessian spectra does not. A product
     with no nonzero entry (tested exactly; NaN counts as nonzero) is the
-    zero field, so it is not transformed. On a slab spectrum each symbol is
-    restricted to the same slab, and the fields come back slab-shaped.
+    zero field, so it is not transformed.
     """
     buf = np.empty_like(spectrum)
     for symbol in symbols:
@@ -196,8 +185,8 @@ def _irfftn_each(grid, spectrum, symbols):
 def _stacked(grid, fields, count):
     """The first count fields of an iterator in one (count,) + grid.shape array.
 
-    Each field, full or slab-shaped, is broadcast in and dropped before the
-    next one is made; a None field is written as zeros.
+    Each field is written in and dropped before the next one is made; a
+    None field is written as zeros.
     """
     out = np.empty((count,) + grid.shape)
     for row in out:
@@ -206,10 +195,10 @@ def _stacked(grid, fields, count):
     return out
 
 
-def _hessian_symbols(grid, index):
-    """The n^2 packed Hessian symbols of _symbols, stacked on one leading axis, on a slab."""
+def _hessian_symbols(grid):
+    """The n^2 packed Hessian symbols of _symbols, stacked on one leading axis."""
     hess = _symbols(grid)[2]
-    return hess.reshape((-1,) + hess.shape[2:])[(slice(None),) + index]
+    return hess.reshape((-1,) + hess.shape[2:])
 
 
 def _check_scalar(grid, values):
@@ -227,10 +216,9 @@ def packed_hessian(grid, phi):
     The leading axes hold HERMITIAN_PACKING: [i, i] is H_ii and, for i < j,
     [i, j] is Re H_ij and [j, i] is Im H_ij. One rfftn, then one irfftn per
     packed field whose spectrum is not identically zero; the others are
-    written as exact zeros. The transforms run on phi's _varying_slab.
+    written as exact zeros.
     """
-    phi, index = _varying_slab(_check_scalar(grid, phi))
-    fields = _irfftn_each(grid, scipy.fft.rfftn(phi), _hessian_symbols(grid, index))
+    fields = _irfftn_each(grid, scipy.fft.rfftn(_check_scalar(grid, phi)), _hessian_symbols(grid))
     return _stacked(grid, fields, grid.n**2).reshape((grid.n, grid.n) + grid.shape)
 
 
@@ -242,17 +230,15 @@ def hessian_trace(grid, weights, values, symbol):
     done on the one spectrum, and each packed field is added into the trace
     as soon as it is transformed, in row-major (j, k) order, so no stack of
     the n^2 Hessian fields is built. A field whose spectrum is identically
-    zero is neither transformed nor weighted. The transforms run on values'
-    _varying_slab, and a slab field is weighted into a new full field.
+    zero is neither transformed nor weighted.
     """
-    values, index = _varying_slab(_check_scalar(grid, values))
-    spectrum = scipy.fft.rfftn(values)
-    spectrum /= symbol[index]
-    fields = _irfftn_each(grid, spectrum, _hessian_symbols(grid, index))
+    spectrum = scipy.fft.rfftn(_check_scalar(grid, values))
+    spectrum /= symbol
+    fields = _irfftn_each(grid, spectrum, _hessian_symbols(grid))
     trace = np.zeros(grid.shape)
     for weight, field in zip(weights.reshape((-1,) + grid.shape), fields):
         if field is not None:
-            trace += np.multiply(field, weight, out=field if field.shape == trace.shape else None)
+            trace += np.multiply(field, weight, out=field)
     return trace
 
 
@@ -261,14 +247,12 @@ def holomorphic_gradient(grid, phi):
 
     d/dz_j = (d/dx_j - i d/dy_j)/2, so the real and imaginary parts are the
     real fields with symbols i kx_j / 2 and -i ky_j / 2; a part whose
-    spectrum is identically zero is not transformed. The transforms run on
-    phi's _varying_slab, so a part along an axis where phi is constant is
-    never transformed.
+    spectrum is identically zero is not transformed.
     """
-    phi, index = _varying_slab(_check_scalar(grid, phi))
     kx, ky, _ = _symbols(grid)
-    symbols = [0.5j * k[index] for k in kx] + [-0.5j * k[index] for k in ky]
-    parts = _stacked(grid, _irfftn_each(grid, scipy.fft.rfftn(phi), symbols), 2 * grid.n)
+    symbols = [0.5j * k for k in kx] + [-0.5j * k for k in ky]
+    spectrum = scipy.fft.rfftn(_check_scalar(grid, phi))
+    parts = _stacked(grid, _irfftn_each(grid, spectrum, symbols), 2 * grid.n)
     return np.moveaxis(parts[: grid.n] + 1j * parts[grid.n :], 0, -1)
 
 
@@ -287,27 +271,23 @@ def prolong(grid, values):
 
     Zero-pads the rfftn spectrum, dropping the Nyquist modes of grid, so it
     reproduces a field band-limited below that frequency exactly and
-    restrict(prolong(grid, v)) returns any v without Nyquist content. Only
-    the axes of values' _varying_slab are transformed and padded; the others
-    keep their one DC mode, and the result is broadcast onto the fine grid.
+    restrict(prolong(grid, v)) returns any v without Nyquist content. A
+    constant axis of grid keeps its one point and its one DC mode.
     """
-    values, _ = _varying_slab(_check_scalar(grid, values))
-    N, ndim = grid.N, 2 * grid.n
-    fine = TorusGrid(grid.n, 2 * N)
-    src = [np.r_[0 : N // 2, N // 2 + 1 : N]] * (ndim - 1) + [np.arange(N // 2)]
-    dst = [np.r_[0 : N // 2, 3 * N // 2 + 1 : 2 * N]] * (ndim - 1) + [np.arange(N // 2)]
-    shape = fine.shape[:-1] + (N + 1,)
-    # an axis of size 1 in the slab keeps its one DC mode
+    values = _check_scalar(grid, values)
+    N = grid.N
+    fine = replace(grid, N=2 * N)
+    axes = [(np.r_[0 : N // 2, N // 2 + 1 : N], np.r_[0 : N // 2, 3 * N // 2 + 1 : 2 * N], 2 * N)]
+    axes = axes * (2 * grid.n - 1) + [(np.arange(N // 2), np.arange(N // 2), N + 1)]
     src, dst, shape = zip(*[
-        ([0], [0], 1) if size == 1 else axis
-        for size, axis in zip(values.shape, zip(src, dst, shape))
+        ([0], [0], 1) if size == 1 else axis for size, axis in zip(grid.shape, axes)
     ])
     spectrum = np.zeros(shape, dtype=np.complex128)
     # rfftn is unnormalized and irfftn divides by the point count, which is
     # 2 times larger on the fine grid for each transformed axis
-    scale = 2.0 ** sum(size > 1 for size in values.shape)
+    scale = 2.0 ** sum(size > 1 for size in grid.shape)
     spectrum[np.ix_(*dst)] = scipy.fft.rfftn(values)[np.ix_(*src)] * scale
-    return _full(fine.shape, _irfftn(fine, spectrum))
+    return _irfftn(fine, spectrum)
 
 
 def frozen_symbol(grid, weights):
@@ -322,13 +302,8 @@ def frozen_symbol(grid, weights):
 
 
 def divide_by_symbol(grid, symbol, values):
-    """The real field whose spectrum is values' divided by a frozen_symbol.
-
-    The transforms run on values' _varying_slab, with the symbol restricted
-    to it, and the result is broadcast onto the grid.
-    """
-    values, index = _varying_slab(np.asarray(values, dtype=np.float64))
-    return _full(grid.shape, _irfftn(grid, scipy.fft.rfftn(values) / symbol[index]))
+    """The real field whose spectrum is values' divided by a frozen_symbol."""
+    return _irfftn(grid, scipy.fft.rfftn(np.asarray(values, dtype=np.float64)) / symbol)
 
 
 @dataclass(frozen=True, eq=False)
@@ -372,9 +347,14 @@ class FormField:
 
     def restricted(self):
         """This form on the grid with N/2 points per axis, its potential restricted."""
-        coarse = TorusGrid(self.grid.n, self.grid.N // 2)
+        coarse = replace(self.grid, N=self.grid.N // 2)
         pot = None if self.potential is None else restrict(self.grid, self.potential)
         return FormField(coarse, self.const, pot)
+
+    def on(self, grid):
+        """This form on grid, a subtorus of its own grid: the potential at grid's points."""
+        pot = None if self.potential is None else on_subtorus(grid, self.potential)
+        return FormField(grid, self.const, pot)
 
     def __add__(self, other):
         if not isinstance(other, FormField):
@@ -411,13 +391,12 @@ def relative_eigenvalues(alpha, omega, phi=None):
     (P, n) over the flat grid: packed_eigenvalues of alpha.packed(phi)
     relative to omega.packed(), each a constant (n, n) or flattened.
     """
-    n = alpha.grid.n
-    fields, metric = alpha.packed(phi), omega.packed()
-    if fields.ndim > 2:
-        fields = fields.reshape(n, n, -1)
-    if metric.ndim > 2:
-        metric = metric.reshape(n, n, -1)
-    return packed_eigenvalues(fields, metric)
+    return packed_eigenvalues(_flat(alpha.packed(phi)), _flat(omega.packed()))
+
+
+def _flat(fields):
+    """Packed fields on one flat batch axis; a constant (n, n) matrix stays as it is."""
+    return fields.reshape(fields.shape[:2] + (-1,)) if fields.ndim > 2 else fields
 
 
 def form_eigenvalues(alpha, omega):
@@ -517,36 +496,25 @@ class DegenerateBig:
     ample_mask: np.ndarray
 
 
-def _on_varying_slab(fields, values):
-    """Packed fields, constant wherever values is, at the points of values' _varying_slab.
-
-    Shape (n, n, points): a pointwise function of the fields takes its grid
-    minimum there.
-    """
-    index = _varying_slab(values)[1]
-    return fields[(slice(None), slice(None)) + index].reshape(fields.shape[:2] + (-1,))
-
-
 def make_degenerate_big(grid, base, psi_shape):
     """Scale a potential until base + a * i d dbar psi has min eigenvalue 0.
 
     The minimum over the grid of the smallest (plain) eigenvalue of the form
     is concave in a, so bisection on the bracket [0, a_hi] is sound. It runs
-    on psi's varying slab, whose minimum is the grid's; the final check and
-    the masks take every point. Returns the form, the amplitude, and the
-    degenerate/ample grid masks; a point is degenerate where its smallest
-    eigenvalue is below 1e-6.
+    on psi's subtorus, whose points carry every value of the grid's. Returns
+    the form, the amplitude, and the degenerate/ample grid masks; a point is
+    degenerate where its smallest eigenvalue is below 1e-6.
     """
     psi = _check_scalar(grid, psi_shape)
-    hess = packed_hessian(grid, psi)
-    slab = _on_varying_slab(hess, psi)
-    if np.max(np.abs(slab)) < 1e-13 * (1.0 + float(np.max(np.abs(psi)))):
+    sub = subtorus(grid, [psi])
+    hess = _flat(packed_hessian(sub, on_subtorus(sub, psi)))
+    if np.max(np.abs(hess)) < 1e-13 * (1.0 + float(np.max(np.abs(psi)))):
         raise ConstructionError("potential shape has (numerically) zero complex Hessian")
     packed_base = pack_hermitian(np.asarray(base, dtype=np.complex128))[..., None]
     eye = np.eye(grid.n)
 
-    def min_eig(a, fields=slab):
-        return float(np.min(packed_eigenvalues(packed_base + a * fields, eye)[:, -1]))
+    def min_eig(a):
+        return float(np.min(packed_eigenvalues(packed_base + a * hess, eye)[:, -1]))
 
     if min_eig(0.0) <= 0.0:
         raise InputError("base must be positive definite")
@@ -556,11 +524,12 @@ def make_degenerate_big(grid, base, psi_shape):
         if hi > 2.0**40:
             raise ConstructionError("no amplitude degenerates the form on this grid")
     amp = brentq(min_eig, 0.0, hi, xtol=1e-15, rtol=8.9e-16)
-    val = min_eig(amp, hess.reshape(grid.n, grid.n, -1))
+    val = min_eig(amp)
     if abs(val) > 1e-10:
         raise ConstructionError(f"bisection stalled: min eigenvalue {val:.3e} at amplitude {amp}")
     form = FormField(grid, base, amp * psi)
-    min_field = relative_eigenvalues(form, identity_form(grid))[:, -1].reshape(grid.shape)
+    lam = form_eigenvalues(form.on(sub), identity_form(sub))[..., -1]
+    min_field = np.broadcast_to(lam, grid.shape).copy()
     degenerate = min_field < 1e-6
     return DegenerateBig(form, amp, min_field, degenerate, ~degenerate)
 
@@ -570,25 +539,21 @@ def tune_to_boundary(grid, base, psi_shape, omega, m, bracket):
 
     The family stays in the class of base, so its constant c is one number,
     and its packed fields are linear in a: psi's Hessian is built once and
-    each iterate takes one eigenvalue pass and the cone margin, on psi's
-    varying slab when omega is constant (the margin's minimum is the
-    grid's). The final positivity and margin checks take every point. Returns
+    each iterate, and the final checks, take one eigenvalue pass and the cone
+    margin on the subtorus of psi and omega. Returns
     (amplitude, c, chi); raises DomainError when the margin keeps one sign
     on the bracket, naming the diagnosis (strict or violated) and the
     margin, or when the tuned chi is not positive definite.
     """
     c = compute_c(FormField(grid, base), omega, m)
     psi = _check_scalar(grid, psi_shape)
-    hess = packed_hessian(grid, psi)
-    full = hess.reshape(grid.n, grid.n, -1)
-    if omega.is_constant:
-        slab, metric = _on_varying_slab(hess, psi), omega.packed()
-    else:
-        slab, metric = full, omega.packed().reshape(grid.n, grid.n, -1)
+    sub = subtorus(grid, [psi, omega.potential])
+    hess = _flat(packed_hessian(sub, on_subtorus(sub, psi)))
+    metric = _flat(omega.on(sub).packed())
     packed_base = pack_hermitian(np.asarray(base, dtype=np.complex128))[..., None]
 
-    def eigenvalues(a, fields=slab):
-        return packed_eigenvalues(packed_base + a * fields, metric)
+    def eigenvalues(a):
+        return packed_eigenvalues(packed_base + a * hess, metric)
 
     def margin(a):
         return float(np.min(cone_margin(eigenvalues(a), c, m)))
@@ -602,8 +567,8 @@ def tune_to_boundary(grid, base, psi_shape, omega, m, bracket):
         raise DomainError(f"cone condition strict at amplitude {hi} (margin {mhi:.3e})")
     amp = float(brentq(margin, lo, hi, xtol=1e-14, rtol=8.9e-16))
     chi = FormField(grid, base, amp * psi)
-    mu = eigenvalues(amp, full)
-    _require_positive(mu[:, -1], chi, "chi")
+    mu = eigenvalues(amp)
+    _require_positive(mu[:, -1], chi.on(sub), "chi")
     mval = float(np.min(cone_margin(mu, c, m)))
     if abs(mval) > 1e-8:
         raise ConstructionError(f"margin bisection stalled at {mval:.3e}")

@@ -105,16 +105,17 @@ def packed_fields(mats):
 
 
 def kernel_inputs(rng, metric):
-    """Positive definite 2x2 batches: exactly diagonal (either order), and
+    """Positive definite n x n batches, n from metric: exactly diagonal, and
     L Y L^H (L the Cholesky factor of metric) for random Y and for Y with
     repeated or near-degenerate (lam1 - lam2 ~ 1e-12) eigenvalues."""
-    diag = np.zeros((40, 2, 2), dtype=complex)
-    diag[:, 0, 0] = rng.uniform(1.0, 5.0, size=40)
-    diag[:, 1, 1] = rng.uniform(1.0, 5.0, size=40)
-    rand = np.array([random_hermitian(rng, 2) + 4.0 * np.eye(2) for _ in range(100)])
-    repeated = rng.uniform(1.0, 5.0, size=(20, 1, 1)) * np.eye(2)
-    unitary = np.linalg.qr(rng.normal(size=(20, 2, 2)) + 1j * rng.normal(size=(20, 2, 2)))[0]
-    lam = rng.uniform(1.0, 5.0, size=(20, 1)) + np.array([1e-12, 0.0])
+    n = metric.shape[0]
+    diag = np.zeros((40, n, n), dtype=complex)
+    for i in range(n):
+        diag[:, i, i] = rng.uniform(1.0, 5.0, size=40)
+    rand = np.array([random_hermitian(rng, n) + 4.0 * np.eye(n) for _ in range(100)])
+    repeated = rng.uniform(1.0, 5.0, size=(20, 1, 1)) * np.eye(n)
+    unitary = np.linalg.qr(rng.normal(size=(20, n, n)) + 1j * rng.normal(size=(20, n, n)))[0]
+    lam = rng.uniform(1.0, 5.0, size=(20, 1)) + np.array([1e-12] + [0.0] * (n - 1))
     near = np.einsum("pij,pj,pkj->pik", unitary, lam, np.conj(unitary))
     lo = np.linalg.cholesky(metric)
     ys = lo @ np.concatenate([rand, repeated, near]) @ np.conj(lo.T)
@@ -167,6 +168,21 @@ class TestPackedKernel:
             else:
                 assert not np.any(g_grad)
 
+
+    @pytest.mark.parametrize("which", ["identity", "metric"])
+    def test_n3_adjugate_matches_cross_products(self, which):
+        # the packed real 2x2 minors against the complex cross products of
+        # X's rows, each column of adj X, that they replace
+        rng = np.random.default_rng(29)
+        metric = np.eye(3, dtype=complex) if which == "identity" else random_metric(rng, 3)
+        xs = kernel_inputs(rng, metric)
+        adj, det = pw.packed_adjugate(packed_fields(xs))
+        rows = np.moveaxis(xs, -2, 0)
+        want = np.stack([np.cross(rows[(j + 1) % 3], rows[(j + 2) % 3]) for j in range(3)], axis=-1)
+        got = pw.unpack_hermitian(np.moveaxis(adj, (0, 1), (-2, -1)))
+        scale = np.max(np.abs(want), axis=(-2, -1), keepdims=True)
+        assert np.max(np.abs(got - want) / scale) <= 1e-13
+        np.testing.assert_allclose(det, np.linalg.det(xs).real, rtol=1e-13)
 
     def test_m2_gradient_keeps_x_packed(self, monkeypatch):
         # with one omega^-1 for every point, omega^-1 X omega^-1 is formed on

@@ -21,7 +21,7 @@ import scipy.fft
 import hessquot.solver as solver
 import hessquot.torus as torus
 from hessquot.errors import ConeViolationError, InputError, NonconvergenceError
-from hessquot.fakeboundary import prepare_instance
+from hessquot.fakeboundary import prepare_instance, two_stage_solve
 from hessquot.instances import (
     boundary_degenerate_instance,
     boundary_instance,
@@ -168,6 +168,25 @@ class TestEquationSpec:
                 n=2, m=2, background=identity_form(grid), omega=identity_form(grid),
                 coefficient_field=1.0, source_field=1.0,
             )
+
+    def test_multiplicative_non_finite_coefficient_rejected(self):
+        # with a NaN residual every comparison is False, so Newton would stop
+        # at once and report convergence
+        spec = uniform_instance(N=8).spec(0.5)
+        coeff = spec.coefficient_field.copy()
+        coeff[1, 2, 3, 4] = np.nan
+        with pytest.raises(InputError, match="coefficient_field values must be finite"):
+            dataclasses.replace(spec, unknown_mode="multiplicative", coefficient_field=coeff)
+
+    def test_additive_non_finite_source_rejected(self):
+        # abs(nan - vol) > tol is False, so the normalization check alone
+        # lets a NaN source through
+        spec = uniform_instance(N=8).spec(0.5)
+        for bad in (np.nan, np.inf):
+            source = spec.source_field.copy()
+            source[1, 2, 3, 4] = bad
+            with pytest.raises(InputError, match="source_field values must be finite"):
+                dataclasses.replace(spec, source_field=source)
 
     def test_grid_mismatch_rejected(self):
         with pytest.raises(InputError, match="grid"):
@@ -475,11 +494,14 @@ class TestThreeDimensional:
         resid = np.linalg.det(X).real - s2 / 3.0 - st.b * f
         assert np.abs(resid).max() <= 1e-9
 
-    @pytest.mark.parametrize("m", [1, 2])
-    def test_manufactured_at_n8(self, m):
-        # phi* = 0.1 sin(2 pi x1) cos(2 pi y2) and b* solve the equation
-        # exactly when f is the defect det X* - S_m(X*)/3 of X* = 3I +
-        # Hess(phi*) divided by its mean b*, with S_1 = tr and S_2 = tr adj
+    @staticmethod
+    def manufactured_at_n8(m):
+        """The solve of the n = 3 manufactured problem at TorusGrid(3, 8), checked.
+
+        phi* = 0.1 sin(2 pi x1) cos(2 pi y2) and b* solve the equation
+        exactly when f is the defect det X* - S_m(X*)/3 of X* = 3I +
+        Hess(phi*) divided by its mean b*, with S_1 = tr and S_2 = tr adj.
+        """
         grid = TorusGrid(3, 8)
         coords = grid.coords()
         phi_star = grid_field(
@@ -499,6 +521,20 @@ class TestThreeDimensional:
         assert st.diagnostics["newton_iters"] > 0
         assert np.max(np.abs(st.phi - (phi_star - phi_star.max()))) <= 1e-10
         assert abs(st.b - b_star) <= 1e-11 * b_star
+        return st
+
+    @pytest.mark.parametrize("m", [1, 2])
+    def test_manufactured_at_n8(self, m):
+        # phi* varies along x1 and y2 alone: the solve runs on 64 points
+        st = self.manufactured_at_n8(m)
+        assert st.diagnostics.spec.grid.shape == (8, 1, 1, 8, 1, 1)
+
+    def test_manufactured_at_n8_on_the_full_grid(self, monkeypatch):
+        # the same m = 2 solve on all 8^6 points, as a problem varying along
+        # every axis takes it
+        full_grid(monkeypatch)
+        st = self.manufactured_at_n8(2)
+        assert st.diagnostics.spec.grid == TorusGrid(3, 8)
 
 
 class TestPolynomialKernel:
@@ -1090,14 +1126,15 @@ class TestNestedIteration:
     def test_coarse_outside_cone_falls_back(self, manufactured32, monkeypatch, how, warm):
         spec = manufactured32.spec(0.5)
         grid = spec.grid
-        bump = 4.0 * grid_field(grid, np.cos(TWO_PI * grid.coords()["x1"]))
 
         def outside(original, sub, *args, **kwargs):
             if how == "coarse-raises":
                 raise ConeViolationError("initial state leaves the cone")
-            # a converged coarse solve, not the zero-step one the fine solve asks for
+            # a converged coarse solve, not the zero-step one the fine solve
+            # asks for, on the coarse grid of the fine solve's subtorus
             st = original(sub, *args, **dict(kwargs, config=None))
-            return dataclasses.replace(st, phi=st.phi + bump[::2, ::2, ::2, ::2])
+            bump = 4.0 * grid_field(sub.grid, np.cos(TWO_PI * sub.grid.coords()["x1"]))
+            return dataclasses.replace(st, phi=st.phi + bump)
 
         prior = None
         if warm:
@@ -1107,6 +1144,96 @@ class TestNestedIteration:
         want = np.zeros(grid.shape) if prior is None else prior.phi
         assert mean_free_sup(start.phi - want) <= 1e-12
         assert start.b == quadrature_b(spec)
+
+
+def full_grid(monkeypatch):
+    """Make newton_solve find no constant axis, so it solves on the spec's own grid."""
+    monkeypatch.setattr(solver, "subtorus", lambda grid, fields: grid)
+
+
+def fake_boundary_instance(N):
+    sample = fake_boundary_sample(N=N)
+    return prepare_instance(sample["g"], sample["chi"], sample["omega"], sample["m"])
+
+
+class TestSubtorusSolve:
+    """Each solve runs on its data's invariant subtorus and broadcasts phi back;
+    the same solve on the full grid gives the same state to rounding."""
+
+    @pytest.mark.parametrize("N", [8, 16])
+    @pytest.mark.parametrize("build", SHIPPED_INSTANCES, ids=lambda b: b.__name__)
+    def test_shipped_instances_match_the_full_grid(self, build, N, monkeypatch):
+        inst = build(N=N)
+        spec = inst.spec(0.5)
+        reduced = newton_solve(spec, t=0.5)
+        sub = reduced.diagnostics.spec.grid
+        assert sub.constant_axes and sub.n == spec.n and sub.N == N
+        assert reduced.spec is spec and reduced.phi.shape == spec.grid.shape
+        full_grid(monkeypatch)
+        full = newton_solve(spec, t=0.5)
+        assert full.diagnostics.spec.grid == spec.grid
+        assert counts(reduced) == counts(full)
+        assert np.max(np.abs(reduced.phi - full.phi)) <= 1e-12
+        assert abs(reduced.b - full.b) <= 1e-12
+        for key in DIAGNOSTIC_KEYS:
+            assert reduced.diagnostics[key] == pytest.approx(full.diagnostics[key], rel=1e-9, abs=1e-12), key
+
+    @pytest.mark.parametrize("N", [8, 16])
+    def test_fake_boundary_matches_the_full_grid(self, N, monkeypatch):
+        # N = 8 resolves the smoothed coefficient to 1e-4 only
+        inst = fake_boundary_instance(N)
+        config = SolverConfig(tol=1e-4) if N == 8 else None
+        reduced = two_stage_solve(inst, config)
+        assert reduced.final_state.diagnostics.spec.grid.shape == (N, 1, 1, 1)
+        full_grid(monkeypatch)
+        full = two_stage_solve(inst, config)
+        assert full.final_state.diagnostics.spec.grid == inst.grid
+        assert [r["t"] for r in reduced.records] == [r["t"] for r in full.records]
+        assert np.max(np.abs(reduced.phi - full.phi)) <= 1e-10
+        assert abs(reduced.b - full.b) <= 1e-10
+        assert abs(reduced.b_stage1 - full.b_stage1) <= 1e-10
+
+    def test_no_constant_axis_solves_on_the_full_grid(self, monkeypatch):
+        # a random background potential varies along every axis
+        grid = TorusGrid(2, 8)
+        pot = 0.002 * np.random.default_rng(43).normal(size=grid.shape)
+        spec = EquationSpec(
+            n=2, m=1, background=FormField(grid, 3.0 * np.eye(2), pot),
+            omega=identity_form(grid), coefficient_field=1.0, source_field=1.0,
+        )
+        grids = []
+        evaluate = solver._evaluate
+
+        def spy(sub, *args):
+            grids.append(sub.grid)
+            return evaluate(sub, *args)
+
+        monkeypatch.setattr(solver, "_evaluate", spy)
+        st = newton_solve(spec)
+        assert st.diagnostics["newton_iters"] > 0 and st.residual_sup <= 1e-10
+        assert set(grids) == {grid}
+        assert st.diagnostics.spec.grid == grid
+
+    def test_errors_report_the_full_grid(self, uniform16, monkeypatch):
+        # the uniform data are constant along every axis and cos 2 pi x1
+        # along three: the start is checked on N points
+        grid = uniform16.grid
+        bad = SimpleNamespace(phi=grid_field(grid, 4.0 * np.cos(TWO_PI * grid.coords()["x1"])), b=0.96)
+        spec = uniform16.spec(0.5)
+        with pytest.raises(ConeViolationError) as reduced:
+            newton_solve(spec, init=bad)
+        manu = manufactured_instance(N=8).spec(0.5)
+        with pytest.raises(NonconvergenceError) as stopped:
+            newton_solve(manu, config=SolverConfig(max_newton=1))
+        full_grid(monkeypatch)
+        with pytest.raises(ConeViolationError) as full:
+            newton_solve(spec, init=bad)
+        assert reduced.value.detail == full.value.detail
+        assert str(reduced.value) == str(full.value)
+        assert reduced.value.detail["count"] % grid.N**3 == 0
+        st = stopped.value.state
+        assert st.spec is manu and st.phi.shape == manu.grid.shape
+        assert st.diagnostics.spec.grid.shape == (8, 1, 1, 8)
 
 
 class TestStability:

@@ -1,6 +1,7 @@
 """Torus discretization tests: spectral derivatives, quadrature, instance tuning."""
 
 import dataclasses
+import functools
 import math
 from itertools import combinations, product
 
@@ -33,9 +34,11 @@ from hessquot.torus import (
     load_fields,
     make_degenerate_big,
     normalize_density,
+    on_subtorus,
     pack_hermitian,
     packed_hessian,
     relative_eigenvalues,
+    subtorus,
     total_volume,
     tune_to_boundary,
     unpack_hermitian,
@@ -473,31 +476,78 @@ def assert_bits(got, want):
     assert (got + 0.0).tobytes() == (want + 0.0).tobytes()
 
 
+def at_points(sub, values, lead=0):
+    """An operator's output on the full grid at the points of the subtorus grid sub.
+
+    lead axes come before the grid's axes (the packed (n, n) of a Hessian);
+    axes after them (a gradient's (n,)) are kept whole.
+    """
+    index = tuple(slice(0, 1) if size == 1 else slice(None) for size in sub.shape)
+    return values[(slice(None),) * lead + index]
+
+
+def constant_along(grid, rng, axes, lead=()):
+    """A random field constant along the given axes and varying along the others."""
+    size = [1 if axis in axes else grid.N for axis in range(2 * grid.n)]
+    return np.broadcast_to(rng.normal(size=lead + tuple(size)), lead + grid.shape).copy()
+
+
 def assert_operators_exact(grid, phi, rng):
-    """The five operators on phi, bit for bit against the full-array references."""
+    """The operators on phi, bit for bit; returns phi's subtorus grid.
+
+    On the full grid the five spectral operators match the full-array
+    references; on phi's subtorus they, frozen_symbol and restrict give the
+    full grid's bits at the subtorus points. The Hessian-trace weights there
+    are constant wherever phi is, as the solver's are. strip_kernel_modes
+    averages fewer copies of each value on the subtorus, so it matches to
+    rounding.
+    """
     n = grid.n
-    symbol = frozen_symbol(grid, rng.uniform(0.5, 2.0, size=n))
+    sub = subtorus(grid, [phi])
+    on = functools.partial(on_subtorus, sub)
     weights = rng.normal(size=(n, n, grid.npoints))
+    scales = rng.uniform(0.5, 2.0, size=n)
+    symbol = frozen_symbol(grid, scales)
+    sub_symbol = frozen_symbol(sub, scales)
     assert_bits(packed_hessian(grid, phi), full_hessian(grid, phi))
     assert_bits(hessian_trace(grid, weights, phi, symbol), full_trace(grid, weights, phi, symbol))
     assert_bits(holomorphic_gradient(grid, phi), full_gradient(grid, phi))
     assert_bits(divide_by_symbol(grid, symbol, phi), full_divide(grid, symbol, phi))
     assert_bits(torus.prolong(grid, phi), full_prolong(grid, phi))
 
-
-def constant_along(grid, rng, axes):
-    """A random field constant along the given axes and varying along the others."""
-    size = [1 if axis in axes else grid.N for axis in range(2 * grid.n)]
-    return np.broadcast_to(rng.normal(size=size), grid.shape).copy()
+    assert_bits(sub_symbol, at_points(sub, symbol))
+    weights = constant_along(grid, rng, sub.constant_axes, lead=(n, n))
+    sub_weights = np.stack([on(w) for w in weights.reshape((-1,) + grid.shape)]).reshape(n, n, -1)
+    weights = weights.reshape(n, n, -1)
+    assert_bits(packed_hessian(sub, on(phi)), at_points(sub, packed_hessian(grid, phi), lead=2))
+    assert_bits(
+        hessian_trace(sub, sub_weights, on(phi), sub_symbol),
+        at_points(sub, hessian_trace(grid, weights, phi, symbol)),
+    )
+    assert_bits(holomorphic_gradient(sub, on(phi)), at_points(sub, holomorphic_gradient(grid, phi)))
+    assert_bits(
+        divide_by_symbol(sub, sub_symbol, on(phi)),
+        at_points(sub, divide_by_symbol(grid, symbol, phi)),
+    )
+    fine = dataclasses.replace(sub, N=2 * grid.N)
+    assert_bits(torus.prolong(sub, on(phi)), at_points(fine, torus.prolong(grid, phi)))
+    if grid.N > 4:
+        coarse = dataclasses.replace(sub, N=grid.N // 2)
+        assert_bits(torus.restrict(sub, on(phi)), at_points(coarse, torus.restrict(grid, phi)))
+    for keep_mean in (False, True):
+        got = strip_kernel_modes(sub, on(phi), keep_mean)
+        assert_rel(got, at_points(sub, strip_kernel_modes(grid, phi, keep_mean)), rtol=1e-15)
+    return sub
 
 
 def slab_shape(values):
-    return torus._varying_slab(values)[0].shape
+    """The shape of the subtorus grid of one field on a full grid."""
+    return subtorus(TorusGrid(values.ndim // 2, values.shape[0]), [values]).shape
 
 
 class TestVaryingSlab:
-    """The operators transform a field only along the axes on which it varies,
-    and give the bits of the full transforms."""
+    """subtorus() keeps one point on each axis along which a field is constant,
+    and the operators on that grid give the full grid's bits."""
 
     @pytest.mark.parametrize(("n", "N"), GRIDS)
     def test_every_subset_of_constant_axes_is_exact(self, n, N):
@@ -507,11 +557,16 @@ class TestVaryingSlab:
         for count in range(2 * n + 1):
             for axes in combinations(range(2 * n), count):
                 phi = constant_along(grid, rng, axes)
-                slab, _ = torus._varying_slab(phi)
-                assert slab.shape == tuple(1 if axis in axes else N for axis in range(2 * n))
-                # a field that varies along every axis is transformed uncopied
-                assert (slab is phi) == (count == 0)
-                assert_operators_exact(grid, phi, rng)
+                sub = assert_operators_exact(grid, phi, rng)
+                assert sub.constant_axes == axes
+                assert sub.shape == tuple(1 if axis in axes else N for axis in range(2 * n))
+                assert sub.npoints == N ** (2 * n - count)
+                # a field that varies along every axis is read uncopied
+                assert count or np.shares_memory(on_subtorus(sub, phi), phi)
+                # a second field keeps the axes both are constant along
+                other = constant_along(grid, rng, axes[1:])
+                assert subtorus(grid, [phi, None, other]).constant_axes == axes[1:]
+                assert subtorus(sub, [on_subtorus(sub, phi)]) == sub
 
     def test_signed_zeros_vary(self):
         # 0.0 == -0.0, but a field that mixes them along an axis varies there
@@ -543,8 +598,8 @@ class TestVaryingSlab:
         rng = np.random.default_rng(31)
         phi = constant_along(grid, rng, (2, 3))
         phi[1, 2] = bad
-        slab, index = torus._varying_slab(phi)
-        assert slab is phi and index == (slice(None),) * 4
+        assert subtorus(grid, [phi]) == grid
+        assert subtorus(grid, [constant_along(grid, rng, (2, 3)), phi]) == grid
         symbol = frozen_symbol(grid, [1.0, 1.5])
         with np.errstate(invalid="ignore"):
             got = divide_by_symbol(grid, symbol, phi)
@@ -561,15 +616,17 @@ class TestVaryingSlab:
 
         rfftn = scipy.fft.rfftn
         monkeypatch.setattr(scipy.fft, "rfftn", spy)
-        symbol = frozen_symbol(grid, [1.0, 1.5])
-        weights = rng.normal(size=(2, 2, grid.npoints))
         z1, random = z1_potential(grid, rng), rng.normal(size=grid.shape)
         for phi, want in ((z1, (8, 8, 1, 1)), (random, grid.shape)):
-            packed_hessian(grid, phi)
-            hessian_trace(grid, weights, phi, symbol)
-            holomorphic_gradient(grid, phi)
-            divide_by_symbol(grid, symbol, phi)
-            torus.prolong(grid, phi)
+            sub = subtorus(grid, [phi])
+            phi = on_subtorus(sub, phi)
+            symbol = frozen_symbol(sub, [1.0, 1.5])
+            weights = rng.normal(size=(2, 2, sub.npoints))
+            packed_hessian(sub, phi)
+            hessian_trace(sub, weights, phi, symbol)
+            holomorphic_gradient(sub, phi)
+            divide_by_symbol(sub, symbol, phi)
+            torus.prolong(sub, phi)
             assert shapes == [want] * 5
             shapes.clear()
 
