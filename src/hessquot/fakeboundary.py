@@ -28,7 +28,7 @@ from __future__ import annotations
 
 import csv
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 from scipy.optimize import bisect
@@ -50,7 +50,9 @@ from .torus import (
     compute_c,
     integrate_density,
     integrate_mixed,
+    on_subtorus,
     relative_eigenvalues,
+    subtorus,
 )
 
 
@@ -238,8 +240,12 @@ def prepare_instance(g, chi, omega, m, delta1=None):
         except ConstructionError as bad:
             err = bad
             continue
-        # the strict cone condition must hold with the widened coefficient g2 + delta1
-        margin = float(np.min(cone_margin(mu, (g2 + d1).reshape(-1), m)))
+        # the strict cone condition must hold with the widened coefficient
+        # g2 + delta1; the margin falls as the coefficient grows, so one
+        # spectrum mu needs only the largest value
+        widened = g2 + d1
+        worst = widened.reshape(-1) if mu.ndim > 1 else np.max(widened)
+        margin = float(np.min(cone_margin(mu, worst, m)))
         if margin <= 0.0:
             err = ConstructionError(
                 f"delta1={d1:g} too large: cone margin {margin:.3e} with the widened coefficient"
@@ -290,6 +296,13 @@ def two_stage_solve(instance, config=None, csv_path=None, steps=16):
     Each accepted step must keep b_t negative and the effective coefficient
     e^{b_t} (path field) strictly below g2; Newton stalls halve the step
     down to a floor. Failures carry the stage and t in the message.
+
+    The path runs on the invariant subtorus of chi, omega, g and g2
+    (torus.subtorus), taken once per call: every coefficient, spec, slack
+    and margin is built at its points, and every state stays there, a
+    failure's state and point count included. Only the final state is put
+    back on the instance's grid, phi broadcast and the t = 1 spec rebuilt
+    there.
     """
     if steps < 1:
         raise InputError(f"need at least one continuation step, got {steps}")
@@ -300,16 +313,20 @@ def two_stage_solve(instance, config=None, csv_path=None, steps=16):
     grid = inst.grid
     n = grid.n
     _require_metric(inst.omega)
-    mu_chi = relative_eigenvalues(inst.chi, inst.omega)
+    sub = subtorus(grid, [inst.chi.potential, inst.omega.potential, inst.g, inst.g2])
+    chi, omega = inst.chi.on(sub), inst.omega.on(sub)
+    g, g2 = on_subtorus(sub, inst.g), on_subtorus(sub, inst.g2)
+    mu_chi = relative_eigenvalues(chi, omega)
+
+    def spec_at(t, chi, omega, g, g2):
+        coeff = np.exp(t * inst.b_prime) * g**t * g2 ** (1.0 - t)
+        return EquationSpec(n, inst.m, chi, omega, coeff, 0.0, unknown_mode="multiplicative")
 
     def solve_at(t, init):
-        coeff = np.exp(t * inst.b_prime) * inst.g**t * inst.g2 ** (1.0 - t)
-        spec = EquationSpec(
-            n, inst.m, inst.chi, inst.omega, coeff, 0.0, unknown_mode="multiplicative"
-        )
+        spec = spec_at(t, chi, omega, g, g2)
         state = newton_solve(spec, init=init, config=config, t=t)
-        effective = math.exp(state.b) * coeff
-        slack = float(np.min(inst.g2 - effective))
+        effective = math.exp(state.b) * spec.coefficient_field
+        slack = float(np.min(g2 - effective))
         # the margin falls as the coefficient grows (S_{m-1;i}(mu) >= 0), so
         # one spectrum mu_chi needs only the largest coefficient
         worst = effective.reshape(-1) if mu_chi.ndim > 1 else np.max(effective)
@@ -359,6 +376,10 @@ def two_stage_solve(instance, config=None, csv_path=None, steps=16):
         path = [path[-1], cand]
         todo.pop(0)
     state = path[-1]
+    state = replace(
+        state, phi=np.broadcast_to(state.phi, grid.shape).copy(),
+        spec=spec_at(state.t, inst.chi, inst.omega, inst.g, inst.g2),
+    )
 
     if csv_path is not None:
         write_stage_csv(csv_path, records)

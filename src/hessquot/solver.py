@@ -727,7 +727,11 @@ def uniqueness_gap(phi1, phi2, ample_mask):
 
 
 def volume_lower_bound_check(state, c):
-    """min over the grid of S_n(lam(X)) - c^(n/(n-m)) for a converged state."""
-    spec = state.spec
+    """min over the grid of S_n(lam(X)) - c^(n/(n-m)) for a converged state.
+
+    Read on the solve's subtorus (the state's diagnostics), which holds
+    every value the grid does.
+    """
+    spec = state.diagnostics.spec
     floor = c ** (spec.n / (spec.n - spec.m))
-    return float(np.min(elementary_sym(spec.n, state_eigenvalues(state))) - floor)
+    return float(np.min(elementary_sym(spec.n, state_eigenvalues(state.diagnostics))) - floor)

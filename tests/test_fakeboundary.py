@@ -365,6 +365,35 @@ class TestPrepareInstance:
         with pytest.raises(ConstructionError, match="delta1"):
             prepare_instance(sample8["g"], sample8["chi"], sample8["omega"], 1, delta1=5.0)
 
+    @pytest.mark.parametrize("delta1", [None, 1.0, 10.0])
+    def test_one_point_cone_check_matches_the_per_point_margin(self, sample16, delta1, monkeypatch):
+        # chi and omega are constant, so the check reads one spectrum at the
+        # largest widened coefficient; spreading that spectrum over the grid
+        # makes it take the margin at every point instead
+        def prepare():
+            try:
+                return prepare_instance(
+                    sample16["g"], sample16["chi"], sample16["omega"], 1, delta1=delta1
+                )
+            except ConstructionError as err:
+                return str(err)
+
+        one_point = prepare()
+        eigenvalues = fakeboundary.relative_eigenvalues
+
+        def per_point(chi, omega):
+            mu = eigenvalues(chi, omega)
+            return np.broadcast_to(mu, (chi.grid.npoints, mu.size))
+
+        monkeypatch.setattr(fakeboundary, "relative_eigenvalues", per_point)
+        every_point = prepare()
+        if delta1 is None:
+            assert one_point.delta1 == every_point.delta1 == 0.25
+            assert np.array_equal(one_point.g2, every_point.g2)
+        else:
+            assert one_point == every_point
+            assert f"delta1={delta1:g} too large: cone margin -" in one_point
+
 
 class TestInstanceInvariants:
     def test_band_violation_rejected(self, inst8):

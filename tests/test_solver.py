@@ -18,6 +18,7 @@ import numpy as np
 import pytest
 import scipy.fft
 
+import hessquot.fakeboundary as fakeboundary
 import hessquot.solver as solver
 import hessquot.torus as torus
 from hessquot.errors import ConeViolationError, InputError, NonconvergenceError
@@ -1147,8 +1148,17 @@ class TestNestedIteration:
 
 
 def full_grid(monkeypatch):
-    """Make newton_solve find no constant axis, so it solves on the spec's own grid."""
+    """Make newton_solve and two_stage_solve find no constant axis, so each
+    solves on its data's own grid."""
     monkeypatch.setattr(solver, "subtorus", lambda grid, fields: grid)
+    monkeypatch.setattr(fakeboundary, "subtorus", lambda grid, fields: grid)
+
+
+def full_grid_volume_check(state, c):
+    """volume_lower_bound_check's value from the state's own grid and phi."""
+    spec = state.spec
+    lam = relative_eigenvalues(spec.background, spec.omega, state.phi)
+    return float(np.min(elementary_sym(spec.n, lam)) - c ** (spec.n / (spec.n - spec.m)))
 
 
 def fake_boundary_instance(N):
@@ -1192,6 +1202,54 @@ class TestSubtorusSolve:
         assert np.max(np.abs(reduced.phi - full.phi)) <= 1e-10
         assert abs(reduced.b - full.b) <= 1e-10
         assert abs(reduced.b_stage1 - full.b_stage1) <= 1e-10
+
+    def test_fake_boundary_path_runs_on_the_subtorus(self, monkeypatch):
+        # g varies along x1 only: every solve gets the N-point data and path
+        # states, and only the result comes back on the instance's grid
+        inst = fake_boundary_instance(16)
+        seen = []
+        solve = fakeboundary.newton_solve
+
+        def spy(spec, init=None, config=None, t=math.nan):
+            seen.append(spec.grid.shape)
+            seen.extend(s.phi.shape for s in init or [])
+            return solve(spec, init=init, config=config, t=t)
+
+        monkeypatch.setattr(fakeboundary, "newton_solve", spy)
+        result = two_stage_solve(inst)
+        assert len(seen) >= len(result.records) and set(seen) == {(16, 1, 1, 1)}
+        assert result.phi.shape == inst.grid.shape
+        assert result.final_state.phi.shape == inst.grid.shape
+        assert result.final_state.spec.grid == inst.grid
+
+    def test_fake_boundary_with_varying_background_matches_the_full_grid(self, monkeypatch):
+        # a chi potential along x1 keeps the subtorus at N points and makes
+        # each t-step's cone margin a min over per-point spectra
+        sample = fake_boundary_sample(N=16)
+        grid = sample["grid"]
+        chi = FormField(grid, np.eye(2), grid_field(grid, 0.002 * np.cos(TWO_PI * grid.coords()["x1"])))
+        inst = prepare_instance(sample["g"], chi, sample["omega"], sample["m"])
+        reduced = two_stage_solve(inst)
+        assert reduced.final_state.diagnostics.spec.grid.shape == (16, 1, 1, 1)
+        full_grid(monkeypatch)
+        full = two_stage_solve(inst)
+        assert full.final_state.diagnostics.spec.grid == inst.grid
+        assert [r["t"] for r in reduced.records] == [r["t"] for r in full.records]
+        for got, want in zip(reduced.records, full.records):
+            for key in ("b_t", "residual_sup", "min_band_slack", "min_cone_margin"):
+                assert abs(got[key] - want[key]) <= 1e-10, (got["t"], key)
+        assert np.max(np.abs(reduced.phi - full.phi)) <= 1e-10
+
+    @pytest.mark.parametrize("build", SHIPPED_INSTANCES, ids=lambda b: b.__name__)
+    def test_volume_check_matches_the_full_grid(self, build):
+        state = newton_solve(build(N=16).spec(0.5), t=0.5)
+        assert state.diagnostics.spec.grid != state.spec.grid
+        assert volume_lower_bound_check(state, 1.0) == full_grid_volume_check(state, 1.0)
+
+    def test_fake_boundary_volume_check_matches_the_full_grid(self):
+        state = two_stage_solve(fake_boundary_instance(16)).final_state
+        assert state.diagnostics.spec.grid != state.spec.grid
+        assert volume_lower_bound_check(state, 1.0) == full_grid_volume_check(state, 1.0)
 
     def test_no_constant_axis_solves_on_the_full_grid(self, monkeypatch):
         # a random background potential varies along every axis
