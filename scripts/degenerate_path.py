@@ -13,6 +13,7 @@ hessquot.studies.degenerate_path (acceptance criteria 8 and 9).
 
 import argparse
 
+from hessquot.errors import InputError
 from hessquot.studies import SCHEDULE, degenerate_path
 
 
@@ -22,7 +23,10 @@ def main():
     ap.add_argument("--away", type=float, default=0.2, help="distance cutoff from the slab")
     args = ap.parse_args()
 
-    study = degenerate_path(args.grid_N, args.away)
+    try:
+        study = degenerate_path(args.grid_N, args.away)
+    except InputError as err:
+        ap.error(str(err))
     away, result = study.away, study.path
     print(f"c={study.instance.c:.12f} away region {int(away.sum())}/{away.size} points")
     print(f"{'t':>10} {'b':>12} {'sup_phi':>10} {'sup_w':>10} {'away_w':>10} {'min_eig':>10}")

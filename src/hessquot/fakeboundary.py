@@ -232,11 +232,14 @@ def prepare_instance(g, chi, omega, m, delta1=None):
 
     g1 = g1_field(chi, omega, m)
     mu = relative_eigenvalues(chi, omega)
+    # g2 is elementwise in g and g1: built on their subtorus, broadcast back
+    sub = subtorus(grid, [g, g1])
+    g_sub, g1_sub = on_subtorus(sub, g), on_subtorus(sub, g1)
     candidates = [delta1] if delta1 is not None else [c / 2.0**k for k in range(1, 41)]
     err = None
     for d1 in candidates:
         try:
-            g2 = g2_field(g, g1, b_prime, d1)
+            g2 = np.broadcast_to(g2_field(g_sub, g1_sub, b_prime, d1), grid.shape).copy()
         except ConstructionError as bad:
             err = bad
             continue

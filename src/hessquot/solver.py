@@ -43,7 +43,6 @@ from .pointwise import (
     cone_margin,
     packed_adjugate,
     packed_sym_gradient,
-    residual_volume_form,
     unpack_hermitian,
 )
 from .symfunc import elementary_sym
@@ -176,7 +175,7 @@ class SolverState:
 
 DIAGNOSTIC_KEYS = (
     "sup_phi", "sup_grad", "sup_w", "min_eig", "min_margin",
-    "newton_iters", "krylov_iters", "volume_resid_rel",
+    "newton_iters", "krylov_iters",
 )
 
 
@@ -184,7 +183,7 @@ class Diagnostics(Mapping):
     """A state's diagnostics, keyed by DIAGNOSTIC_KEYS; read-only.
 
     sup_phi and the two counts are set at once. The first read of any other
-    key computes the five eigenvalue and gradient diagnostics together from
+    key computes the four eigenvalue and gradient diagnostics together from
     the spec and phi (as reported) on the solve's subtorus, and b, and keeps them.
     """
 
@@ -199,15 +198,13 @@ class Diagnostics(Mapping):
     def __getitem__(self, key):
         if key not in self._values and key in DIAGNOSTIC_KEYS:
             spec = self.spec
-            lam = state_eigenvalues(self)
-            params = _params(spec, self.b)
-            vol_resid = residual_volume_form(lam, params)
+            lam = relative_eigenvalues(spec.background, spec.omega, self.phi)
+            coefficient = _params(spec, self.b).coefficient
             self._values.update({
                 "sup_grad": math.sqrt(float(np.max(_gradient_sq(spec, self.phi)))),
-                "sup_w": float(np.max(log_trace(lam))),
+                "sup_w": float(np.max(np.log(elementary_sym(1, lam)))),
                 "min_eig": float(np.min(lam[:, -1])),
-                "min_margin": float(np.min(cone_margin(lam, params.coefficient, spec.m))),
-                "volume_resid_rel": float(np.max(np.abs(vol_resid) / elementary_sym(spec.n, lam))),
+                "min_margin": float(np.min(cone_margin(lam, coefficient, spec.m))),
             })
         return self._values[key]
 
@@ -251,14 +248,9 @@ def strip_kernel_modes(grid, values, keep_mean=False):
 
 
 def state_eigenvalues(state):
-    """Descending eigenvalues (P, n) of X = background + Hess(phi) of a state or its Diagnostics."""
-    spec = state.spec
-    return relative_eigenvalues(spec.background, spec.omega, state.phi)
-
-
-def log_trace(lam):
-    """w = log S_1(lam) per point, for eigenvalues lam of shape (P, n)."""
-    return np.log(elementary_sym(1, lam))
+    """Descending eigenvalues (P, n) of X = background + Hess(phi) at a state's subtorus points."""
+    d = state.diagnostics
+    return relative_eigenvalues(d.spec.background, d.spec.omega, d.phi)
 
 
 @dataclass
@@ -727,11 +719,7 @@ def uniqueness_gap(phi1, phi2, ample_mask):
 
 
 def volume_lower_bound_check(state, c):
-    """min over the grid of S_n(lam(X)) - c^(n/(n-m)) for a converged state.
-
-    Read on the solve's subtorus (the state's diagnostics), which holds
-    every value the grid does.
-    """
-    spec = state.diagnostics.spec
+    """min over the grid of S_n(lam(X)) - c^(n/(n-m)) for a converged state, on its subtorus."""
+    spec = state.spec
     floor = c ** (spec.n / (spec.n - spec.m))
-    return float(np.min(elementary_sym(spec.n, state_eigenvalues(state.diagnostics))) - floor)
+    return float(np.min(elementary_sym(spec.n, state_eigenvalues(state))) - floor)

@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import NonconvergenceError
+from .errors import InputError, NonconvergenceError
 from .instances import (
     TWO_PI,
     Instance,
@@ -22,13 +22,13 @@ from .instances import (
 from .solver import (
     PathResult,
     continuation_path,
-    log_trace,
     newton_solve,
     stability_compare,
     state_eigenvalues,
     uniqueness_gap,
     volume_lower_bound_check,
 )
+from .symfunc import elementary_sym
 from .torus import distance_to_set, normalize_density
 
 # dyadic t schedule 1, 1/2, ..., 2^-7; also the `continue` subcommand's default
@@ -46,8 +46,9 @@ def _source_shapes(grid):
 
 
 def _sup_w_on(state, mask):
-    """sup of w = log S_1(lambda(X)) over the grid points marked in mask."""
-    w = log_trace(state_eigenvalues(state)).reshape(state.spec.grid.shape)
+    """sup of w = log S_1(lambda(X)) over the points marked in mask, w taken on the subtorus."""
+    w = np.log(elementary_sym(1, state_eigenvalues(state)))
+    w = np.broadcast_to(w.reshape(state.diagnostics.spec.grid.shape), mask.shape)
     return float(w[mask].max())
 
 
@@ -65,10 +66,14 @@ def degenerate_path(grid_N, away=0.2):
 
     Besides the solver diagnostics, records sup w away from the degeneracy
     set (expected to stay bounded even where the global gradient bound
-    degenerates) and the volume-form floor slack at the smallest t.
+    degenerates) and the volume-form floor slack at the smallest t. Raises
+    InputError, before any solve, when no grid point lies farther than away
+    from the degeneracy set.
     """
     inst = boundary_degenerate_instance(N=grid_N)
     mask = distance_to_set(inst.grid, inst.extras["degenerate_mask"]) > away
+    if not mask.any():
+        raise InputError(f"no grid point lies farther than away={away:g} from the degenerate set")
     path = continuation_path(inst.spec, SCHEDULE)
     away_w = [_sup_w_on(st, mask) for st in path.states]
     slack = volume_lower_bound_check(path.states[-1], inst.c) if path.complete else None

@@ -68,6 +68,10 @@ class TorusGrid:
             raise InputError(f"complex dimension must be 2 or 3, got {self.n}")
         if self.N < 4 or self.N & (self.N - 1) != 0:
             raise InputError(f"N must be a power of two >= 4, got {self.N}")
+        axes = self.constant_axes
+        ints = isinstance(axes, tuple) and all(isinstance(a, int) for a in axes)
+        if not (ints and axes == tuple(sorted(set(axes) & set(range(2 * self.n))))):
+            raise InputError(f"constant_axes must be sorted distinct axes of range({2 * self.n}): {axes!r}")
 
     @functools.cached_property
     def shape(self):
@@ -399,14 +403,6 @@ def _flat(fields):
     return fields.reshape(fields.shape[:2] + (-1,)) if fields.ndim > 2 else fields
 
 
-def form_eigenvalues(alpha, omega):
-    """Eigenvalues of alpha relative to omega at every grid point, shape + (n,)."""
-    grid = alpha.grid
-    lam = relative_eigenvalues(alpha, omega)
-    shape = grid.shape + (grid.n,)
-    return lam.reshape(shape) if lam.ndim > 1 else np.broadcast_to(lam, shape)
-
-
 def _require_positive(mins, form, name):
     """Raise DomainError, naming the worst point, unless every value in mins is > 0.
 
@@ -491,7 +487,6 @@ class DegenerateBig:
 
     form: FormField
     amplitude: float
-    min_eig: np.ndarray
     degenerate_mask: np.ndarray
     ample_mask: np.ndarray
 
@@ -528,10 +523,9 @@ def make_degenerate_big(grid, base, psi_shape):
     if abs(val) > 1e-10:
         raise ConstructionError(f"bisection stalled: min eigenvalue {val:.3e} at amplitude {amp}")
     form = FormField(grid, base, amp * psi)
-    lam = form_eigenvalues(form.on(sub), identity_form(sub))[..., -1]
-    min_field = np.broadcast_to(lam, grid.shape).copy()
-    degenerate = min_field < 1e-6
-    return DegenerateBig(form, amp, min_field, degenerate, ~degenerate)
+    lam = relative_eigenvalues(form.on(sub), identity_form(sub))[:, -1]
+    degenerate = np.broadcast_to(lam.reshape(sub.shape) < 1e-6, grid.shape).copy()
+    return DegenerateBig(form, amp, degenerate, ~degenerate)
 
 
 def tune_to_boundary(grid, base, psi_shape, omega, m, bracket):
@@ -585,7 +579,11 @@ def normalize_density(f_raw, omega):
 
 
 def distance_to_set(grid, mask):
-    """Periodic Euclidean distance from every grid point to a marked set."""
+    """Periodic Euclidean distance from every grid point to a marked set.
+
+    Taken on the mask's subtorus and broadcast back, which is exact: a nearest
+    marked point shares a point's coordinates on the mask's constant axes.
+    """
     mask = np.asarray(mask, dtype=bool)
     if mask.shape != grid.shape:
         raise InputError("mask shape does not match grid")
@@ -593,15 +591,12 @@ def distance_to_set(grid, mask):
         return np.full(grid.shape, np.inf)
     if mask.all():
         return np.zeros(grid.shape)
-    ndim = 2 * grid.n
-    coords = np.stack(
-        [idx / grid.N for idx in np.meshgrid(*[np.arange(grid.N)] * ndim, indexing="ij")],
-        axis=-1,
-    )
+    sub = subtorus(grid, [mask])
+    coords = np.stack([np.broadcast_to(x, sub.shape) for x in sub.coords().values()], axis=-1)
     # the coordinates lie in [0, 1), so a periodic tree measures minimum images
-    tree = cKDTree(coords[mask], boxsize=1.0)
-    dist, _ = tree.query(coords.reshape(-1, ndim), k=1)
-    return dist.reshape(grid.shape)
+    tree = cKDTree(coords[mask[tuple(map(slice, sub.shape))]], boxsize=1.0)
+    dist, _ = tree.query(coords.reshape(-1, 2 * grid.n), k=1)
+    return np.broadcast_to(dist.reshape(sub.shape), grid.shape).copy()
 
 
 def dump_fields(dirpath, grid, fields):

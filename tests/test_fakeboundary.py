@@ -44,8 +44,8 @@ from hessquot.torus import (
     FormField,
     TorusGrid,
     constant_form,
-    form_eigenvalues,
     identity_form,
+    relative_eigenvalues,
 )
 from test_torus import complex_hessian
 
@@ -136,7 +136,7 @@ class TestComputeTheta0:
         indicator = g >= 0.5 * (g_max + 1.0)
         detw = 2.0
         mass = detw * np.count_nonzero(indicator) / grid.npoints
-        mu = form_eigenvalues(chi, omega)
+        mu = relative_eigenvalues(chi, omega)
         mixed = float(np.mean(elementary_sym(1, mu) / 2.0 * detw))
         assert theta == 0.5 * (g_max - 1.0) * mass / mixed
 
@@ -297,7 +297,7 @@ class TestG2Field:
         x1 = np.broadcast_to(grid.coords()["x1"], grid.shape)
         g = np.ascontiguousarray(2.5 + 0.3 * np.cos(TWO_PI * x1))
         g2 = g2_field(g, g1, -0.1, 0.3)
-        mu = form_eigenvalues(chi, omega)
+        mu = relative_eigenvalues(chi, omega)
         lhs = elementary_sym(2, mu)
         rhs = g2 * elementary_sym(1, mu) / 2.0
         assert np.all(lhs < rhs)
@@ -345,6 +345,20 @@ class TestPrepareInstance:
         assert const_inst8.delta1 == 0.5
         spread = float(np.ptp(const_inst8.g2))
         assert spread == 0.0
+
+    @pytest.mark.parametrize("name", ["inst8", "inst16", "const_inst8", "varying_chi"])
+    def test_g2_matches_the_full_grid(self, name, request, sample8):
+        # g2 is built on the subtorus of g and g1 and broadcast back
+        if name == "varying_chi":
+            grid = sample8["grid"]
+            y1 = np.broadcast_to(grid.coords()["y1"], grid.shape)
+            chi = FormField(grid, np.eye(2), 0.002 * np.cos(TWO_PI * y1))
+            inst = prepare_instance(sample8["g"], chi, sample8["omega"], sample8["m"])
+        else:
+            inst = request.getfixturevalue(name)
+        want = g2_field(inst.g, inst.g1, inst.b_prime, inst.delta1)
+        assert np.array_equal(inst.g2.view(np.uint64), want.view(np.uint64))
+        assert inst.g2.flags.writeable
 
     def test_below_c_rejected(self, sample8):
         with pytest.raises(DomainError, match=">= c"):

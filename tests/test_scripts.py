@@ -12,13 +12,17 @@ SCRIPTS_DIR = os.path.join(os.path.dirname(os.path.dirname(__file__)), "scripts"
 SRC_DIR = os.path.dirname(os.path.dirname(hessquot.__file__))
 
 
-def run_script(name):
+def run(name, *args):
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(p for p in (SRC_DIR, env.get("PYTHONPATH")) if p)
-    proc = subprocess.run(
-        [sys.executable, os.path.join(SCRIPTS_DIR, name), "--grid-N", "8"],
+    return subprocess.run(
+        [sys.executable, os.path.join(SCRIPTS_DIR, name), "--grid-N", "8", *args],
         capture_output=True, text=True, env=env, timeout=300,
     )
+
+
+def run_script(name):
+    proc = run(name)
     assert proc.returncode == 0, proc.stderr
     return proc.stdout.strip().splitlines()[-1]
 
@@ -40,3 +44,12 @@ def test_stability_decades_ratio_under_10():
     last = run_script("stability_decades.py")
     assert last.startswith("worst consecutive-decade ratio ")
     assert last.endswith("(< 10)")
+
+
+def test_degenerate_path_rejects_an_empty_away_region():
+    # the study raises before its continuation; the script reports it as a usage error
+    proc = run("degenerate_path.py", "--away", "0.6")
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    assert "no grid point lies farther than away=0.6" in proc.stderr
+    assert "Traceback" not in proc.stderr

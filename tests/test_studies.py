@@ -1,0 +1,88 @@
+"""Reporting after a solve: the degenerate-path study and the CLI, on the subtorus.
+
+Every number read after a solve is taken on the solve's invariant subtorus.
+The study is compared with a full-grid reference computed here, and a spy
+on the Hessian and eigenvalue kernels checks that no step of a study or a
+CLI command runs them on more than N^2 points.
+"""
+
+import numpy as np
+import pytest
+from scipy.spatial import cKDTree
+
+import hessquot.torus as torus
+from hessquot import studies
+from hessquot.cli import EXIT_BOUNDARY, EXIT_OK, main
+from hessquot.errors import InputError
+from hessquot.studies import degenerate_path
+from hessquot.symfunc import elementary_sym
+
+
+def full_grid_distance(grid, marked):
+    """Periodic distance from every grid point to the marked ones, by a tree over all points."""
+    ndim = 2 * grid.n
+    axes = np.meshgrid(*[np.arange(grid.N) / grid.N] * ndim, indexing="ij")
+    coords = np.stack(axes, axis=-1)
+    dist, _ = cKDTree(coords[marked], boxsize=1.0).query(coords.reshape(-1, ndim), k=1)
+    return dist.reshape(grid.shape)
+
+
+@pytest.mark.parametrize("N", [8, 16])
+def test_degenerate_path_matches_the_full_grid(N):
+    study = degenerate_path(N)
+    inst = study.instance
+    grid = inst.grid
+    away = full_grid_distance(grid, inst.extras["degenerate_mask"]) > 0.2
+    assert np.array_equal(study.away, away)
+    assert study.path.complete
+    lams = [
+        torus.relative_eigenvalues(st.spec.background, st.spec.omega, st.phi)
+        for st in study.path.states
+    ]
+    for st, lam, got in zip(study.path.states, lams, study.away_w):
+        assert st.phi.shape == grid.shape and lam.shape == (grid.npoints, 2)
+        w = np.log(elementary_sym(1, lam)).reshape(grid.shape)
+        assert got == float(w[away].max())
+    floor = inst.c ** (inst.grid.n / (inst.grid.n - inst.m))
+    assert study.volume_slack == float(np.min(elementary_sym(2, lams[-1])) - floor)
+
+
+def test_degenerate_path_rejects_an_empty_away_region(monkeypatch):
+    def no_solve(*args, **kwargs):
+        raise AssertionError("the continuation ran")
+
+    monkeypatch.setattr(studies, "continuation_path", no_solve)
+    with pytest.raises(InputError, match="no grid point lies farther than away=0.6"):
+        degenerate_path(8, away=0.6)
+
+
+@pytest.fixture
+def batch_sizes(monkeypatch):
+    """The point count of every packed_hessian and packed_eigenvalues call."""
+    sizes = []
+    hessian, eigenvalues = torus.packed_hessian, torus.packed_eigenvalues
+
+    def packed_hessian(grid, phi):
+        sizes.append(grid.npoints)
+        return hessian(grid, phi)
+
+    def packed_eigenvalues(fields, metric):
+        sizes.append(int(np.prod(fields.shape[2:])))
+        return eigenvalues(fields, metric)
+
+    monkeypatch.setattr(torus, "packed_hessian", packed_hessian)
+    monkeypatch.setattr(torus, "packed_eigenvalues", packed_eigenvalues)
+    return sizes
+
+
+def test_degenerate_path_reports_on_n_squared_points(batch_sizes):
+    degenerate_path(16)
+    assert batch_sizes and max(batch_sizes) <= 16**2
+
+
+@pytest.mark.parametrize(("command", "code"), [("check-cone", EXIT_BOUNDARY), ("continue", EXIT_OK)])
+def test_cli_reports_on_n_squared_points(batch_sizes, tmp_path, command, code):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("instance = boundary_degenerate\ngrid_N = 16\n")
+    assert main([command, "--out", str(tmp_path / "out"), "--config", str(cfg)]) == code
+    assert batch_sizes and max(batch_sizes) <= 16**2

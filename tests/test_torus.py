@@ -24,7 +24,6 @@ from hessquot.torus import (
     distance_to_set,
     divide_by_symbol,
     dump_fields,
-    form_eigenvalues,
     frozen_symbol,
     hessian_trace,
     holomorphic_gradient,
@@ -103,6 +102,16 @@ class TestGrid:
             TorusGrid(2, 6)
         with pytest.raises(InputError):
             TorusGrid(2, 2)
+
+    @pytest.mark.parametrize("axes", [(7,), (4,), (-1,), [1], (1, 0), (1, 1), ("x1",), 1])
+    def test_constant_axes_validation(self, axes):
+        # a sorted tuple of distinct axes in range(2n), or nothing is built
+        with pytest.raises(InputError, match="constant_axes"):
+            TorusGrid(2, 8, constant_axes=axes)
+
+    def test_constant_axes_accepted(self):
+        assert TorusGrid(2, 8, constant_axes=(0, 3)).shape == (1, 8, 8, 1)
+        assert TorusGrid(2, 8, constant_axes=(0, 1, 2, 3)).npoints == 1
 
     def test_coords_broadcast(self):
         g = TorusGrid(2, 8)
@@ -874,13 +883,14 @@ class TestDegenerate:
         shape = grid_field(g, np.cos(TWO_PI * g.coords()["x1"]))
         res = make_degenerate_big(g, np.eye(2), shape)
         assert res.amplitude == pytest.approx(1.0 / np.pi**2, rel=1e-12)
-        assert abs(np.min(res.min_eig)) <= 1e-10
+        min_eig = relative_eigenvalues(res.form, identity_form(g))[:, -1].reshape(g.shape)
+        assert abs(np.min(min_eig)) <= 1e-10
         want_mask = np.broadcast_to(
             np.abs(g.coords()["x1"]) < 0.5 / g.N, g.shape
         )
         assert np.array_equal(res.degenerate_mask, want_mask)
         assert np.array_equal(res.ample_mask, ~want_mask)
-        assert np.min(res.min_eig[res.ample_mask]) > 1e-6
+        assert np.min(min_eig[res.ample_mask]) > 1e-6
 
     def test_slab_bisection_matches_the_full_grid(self):
         # cos(2 pi x1) is constant along three axes; bisecting on its slab
@@ -924,7 +934,7 @@ class TestTuneToBoundary:
         assert c == pytest.approx(1.0, rel=1e-12)
         assert np.array_equal(chi.const, np.eye(2))
         assert np.array_equal(chi.potential, amplitude * psi)
-        margin = cone_margin(form_eigenvalues(chi, om).reshape(-1, 2), c, 1)
+        margin = cone_margin(relative_eigenvalues(chi, om), c, 1)
         assert abs(float(np.min(margin))) <= 1e-8
 
     @pytest.mark.parametrize("metric", ["constant", "varying"])
@@ -993,15 +1003,50 @@ class TestDistance:
         assert np.all(np.isinf(distance_to_set(g, np.zeros(g.shape, bool))))
         assert np.all(distance_to_set(g, np.ones(g.shape, bool)) == 0.0)
 
+    @staticmethod
+    def oracle(g, mask):
+        """Minimum-image distance from every point of g to the marked ones, flat."""
+        pts = np.argwhere(np.ones(g.shape, bool)) / g.N
+        best = np.full(len(pts), np.inf)
+        for q in np.argwhere(mask) / g.N:
+            delta = np.abs(pts - q)
+            np.minimum(best, np.sqrt(np.sum(np.minimum(delta, 1.0 - delta) ** 2, axis=-1)), out=best)
+        return best
+
     @pytest.mark.parametrize(("n", "N"), [(2, 8), (3, 4)])
     def test_matches_minimum_image_oracle(self, n, N):
         g = TorusGrid(n, N)
         mask = np.random.default_rng(37).random(g.shape) < 0.02
-        pts = np.argwhere(np.ones(g.shape, bool)) / N
-        delta = np.abs(pts[:, None, :] - (np.argwhere(mask) / N)[None, :, :])
-        oracle = np.sqrt(np.sum(np.minimum(delta, 1.0 - delta) ** 2, axis=-1)).min(axis=1)
         assert 0 < mask.sum() < g.npoints
-        np.testing.assert_allclose(distance_to_set(g, mask).reshape(-1), oracle, rtol=1e-15, atol=0)
+        np.testing.assert_allclose(
+            distance_to_set(g, mask).reshape(-1), self.oracle(g, mask), rtol=1e-15, atol=0
+        )
+
+    @pytest.mark.parametrize(("n", "N"), [(2, 8), (3, 4)])
+    def test_product_masks_match_the_oracle_bit_for_bit(self, n, N):
+        # a mask constant along some axes is measured on its subtorus; the
+        # nearest marked point shares those coordinates, so nothing rounds
+        g = TorusGrid(n, N)
+        rng = np.random.default_rng(41)
+        for count in range(2 * n + 1):
+            for axes in combinations(range(2 * n), count):
+                small = np.zeros([1 if a in axes else N for a in range(2 * n)], bool)
+                small.flat[rng.choice(small.size, max(1, small.size // 32), replace=False)] = True
+                mask = np.broadcast_to(small, g.shape)
+                got = distance_to_set(g, mask)
+                assert np.array_equal(got.reshape(-1), self.oracle(g, mask)), axes
+                assert got.flags.writeable
+
+    def test_on_a_reduced_grid(self):
+        # a grid that is itself a subtorus takes masks of its own shape
+        g = TorusGrid(2, 8)
+        sub = TorusGrid(2, 8, constant_axes=(2, 3))
+        mask = np.random.default_rng(43).random(sub.shape) < 0.1
+        assert 0 < mask.sum() < mask.size
+        got = distance_to_set(sub, mask)
+        assert got.shape == sub.shape
+        want = distance_to_set(g, np.broadcast_to(mask, g.shape))[:, :, :1, :1]
+        assert np.array_equal(got, want)
 
 
 class TestFieldDump:
