@@ -259,6 +259,8 @@ def cmd_check_cone(cfg, args, outdir):
     if scale <= 0.0:
         raise UsageError(f"scale must be positive, got {scale}")
     tol = _number(cfg, "margin_tol", 1e-9)
+    if tol < 0.0:
+        raise UsageError(f"margin_tol must be nonnegative, got {tol}")
     inst = build_instance(cfg)
     # the scale knob moves chi against the fixed constant of the unscaled
     # instance; scaling both would leave the classification invariant

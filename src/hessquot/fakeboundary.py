@@ -49,8 +49,8 @@ from .torus import (
     _require_positive,
     compute_c,
     integrate_density,
+    inject,
     integrate_mixed,
-    on_subtorus,
     relative_eigenvalues,
     subtorus,
 )
@@ -234,7 +234,7 @@ def prepare_instance(g, chi, omega, m, delta1=None):
     mu = relative_eigenvalues(chi, omega)
     # g2 is elementwise in g and g1: built on their subtorus, broadcast back
     sub = subtorus(grid, [g, g1])
-    g_sub, g1_sub = on_subtorus(sub, g), on_subtorus(sub, g1)
+    g_sub, g1_sub = inject(sub, g), inject(sub, g1)
     candidates = [delta1] if delta1 is not None else [c / 2.0**k for k in range(1, 41)]
     err = None
     for d1 in candidates:
@@ -318,7 +318,7 @@ def two_stage_solve(instance, config=None, csv_path=None, steps=16):
     _require_metric(inst.omega)
     sub = subtorus(grid, [inst.chi.potential, inst.omega.potential, inst.g, inst.g2])
     chi, omega = inst.chi.on(sub), inst.omega.on(sub)
-    g, g2 = on_subtorus(sub, inst.g), on_subtorus(sub, inst.g2)
+    g, g2 = inject(sub, inst.g), inject(sub, inst.g2)
     mu_chi = relative_eigenvalues(chi, omega)
 
     def spec_at(t, chi, omega, g, g2):

@@ -18,11 +18,10 @@ from .torus import (
     FormField,
     TorusGrid,
     compute_c,
-    constant_form,
     identity_form,
+    inject,
     make_degenerate_big,
     normalize_density,
-    on_subtorus,
     subtorus,
     tune_to_boundary,
 )
@@ -50,7 +49,7 @@ class Instance:
             m=self.m,
             background=background,
             omega=self.omega,
-            coefficient_field=np.full(self.grid.shape, self.c),
+            coefficient_field=self.c,
             source_field=self.f if f is None else f,
             unknown_mode="additive",
         )
@@ -83,7 +82,7 @@ def uniform_instance(N=16, eps=0.1, m=1):
         grid=grid,
         m=m,
         chi=identity_form(grid),
-        chitilde=constant_form(grid, eps * np.eye(2)),
+        chitilde=FormField(grid, eps * np.eye(2)),
         omega=omega,
         c=compute_c(identity_form(grid), omega, m),
         f=np.ones(grid.shape),
@@ -197,7 +196,7 @@ def manufactured_instance(N=32):
         grid, 0.1 * np.sin(TWO_PI * coords["x1"]) * np.cos(TWO_PI * coords["y2"])
     )
     sub = subtorus(grid, [phi_star])  # whose points carry every value of the grid's
-    (x11, re), (im, x22) = FormField(sub, 3.0 * np.eye(2), on_subtorus(sub, phi_star)).packed()
+    (x11, re), (im, x22) = FormField(sub, 3.0 * np.eye(2), inject(sub, phi_star)).packed()
     # c = 1 for chi = omega; S_2 = det, S_1 = trace relative to the identity
     f_raw = _grid_field(grid, (x11 * x22 - re * re - im * im) - 0.5 * (x11 + x22))
     if np.min(f_raw) <= 0.0:
@@ -208,7 +207,7 @@ def manufactured_instance(N=32):
         grid=grid,
         m=1,
         chi=identity_form(grid),
-        chitilde=constant_form(grid, 1.5 * np.eye(2)),
+        chitilde=FormField(grid, 1.5 * np.eye(2)),
         omega=omega,
         c=1.0,
         f=normalize_density(f_raw, omega),

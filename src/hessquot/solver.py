@@ -23,6 +23,8 @@ solve of the same problem on the grid with half the points per axis (nested
 iteration), which hands over its state even when it stopped at its floor.
 Each solve runs on the invariant subtorus of its data and starting
 potentials (torus.subtorus): every Newton iterate is constant where they are.
+Both grid changes, to the coarse grid and to the subtorus, inject every
+field onto a sub-lattice of its grid (torus.inject, through the specs' on).
 """
 
 from __future__ import annotations
@@ -54,11 +56,10 @@ from .torus import (
     hessian_trace,
     holomorphic_gradient,
     integrate_density,
+    inject,
     integrate_mixed,
-    on_subtorus,
     prolong,
     relative_eigenvalues,
-    restrict,
     subtorus,
     total_volume,
 )
@@ -115,30 +116,22 @@ class EquationSpec:
     def grid(self):
         return self.background.grid
 
-    def restricted(self):
-        """This spec on the grid with N/2 points per axis, every field restricted.
+    def on(self, grid):
+        """This spec on grid, a sub-lattice of its own grid: every field injected.
 
-        In additive mode the restricted source is renormalized to the coarse
-        volume, since the coarse spec checks the normalization too.
+        In additive mode the injected source is renormalized to the volume,
+        since the spec on grid checks the normalization too; this spec
+        itself comes back when grid is its own.
         """
-        omega = self.omega.restricted()
-        source = restrict(self.grid, self.source_field)
+        if grid == self.grid:
+            return self
+        omega = self.omega.on(grid)
+        source = inject(grid, self.source_field)
         if self.unknown_mode == "additive":
             source = source * (total_volume(omega) / integrate_density(source, omega))
         return replace(
-            self,
-            background=self.background.restricted(),
-            omega=omega,
-            coefficient_field=restrict(self.grid, self.coefficient_field),
-            source_field=source,
-        )
-
-    def on(self, grid):
-        """This spec on grid, a subtorus of its own grid: every field at grid's points."""
-        coeff, source = (on_subtorus(grid, f) for f in (self.coefficient_field, self.source_field))
-        return replace(
-            self, background=self.background.on(grid), omega=self.omega.on(grid),
-            coefficient_field=coeff, source_field=source,
+            self, background=self.background.on(grid), omega=omega,
+            coefficient_field=inject(grid, self.coefficient_field), source_field=source,
         )
 
 
@@ -452,14 +445,15 @@ def _linear_step(spec, ev, config, rsup_prev):
 def _coarse_solution(spec, path, config, t):
     """The solve on the grid with N/2 points per axis, or None if it left the cone.
 
-    The spec and the path states are restricted by injection and solved
-    through the module-level newton_solve, which recurses down to
-    COARSEST_N. A coarse solve that stops short, at its aliasing floor or
+    The spec and the path states are moved there by torus.inject, every
+    other point per axis, and solved through the module-level newton_solve,
+    which recurses down to COARSEST_N. A coarse solve that stops short, at its aliasing floor or
     otherwise, still hands over its last iterate.
     """
-    coarse_path = [SimpleNamespace(phi=restrict(spec.grid, s.phi), b=s.b, t=s.t) for s in path]
+    coarse = spec.on(replace(spec.grid, N=spec.grid.N // 2))
+    coarse_path = [SimpleNamespace(phi=inject(coarse.grid, s.phi), b=s.b, t=s.t) for s in path]
     try:
-        return newton_solve(spec.restricted(), init=coarse_path, config=config, t=t)
+        return newton_solve(coarse, init=coarse_path, config=config, t=t)
     except NonconvergenceError as err:
         return err.state
     except ConeViolationError:
@@ -498,8 +492,8 @@ def newton_solve(spec, init=None, config=None, t=math.nan):
     start), or the path so far as a sequence of SolverStates in t order.
 
     On a grid with N > COARSEST_N, Newton first solves the same problem on
-    the grid with N/2 points per axis (spec and path restricted by
-    injection, recursing down to COARSEST_N) and starts from that solution,
+    the grid with N/2 points per axis (spec and path injected onto it,
+    recursing down to COARSEST_N) and starts from that solution,
     prolonged by spectral interpolation; a coarse solve that stops short
     still hands over its last iterate. Otherwise, or when the coarse solve
     or its prolongation leaves the cone: with two states at finite, distinct
@@ -540,7 +534,7 @@ def newton_solve(spec, init=None, config=None, t=math.nan):
     spec = full.on(grid)
     # a path state is read for phi, b and t only; a missing t reads as nan (the warm start)
     path = [
-        SimpleNamespace(phi=on_subtorus(grid, s.phi), b=s.b, t=getattr(s, "t", math.nan))
+        SimpleNamespace(phi=inject(grid, s.phi), b=s.b, t=getattr(s, "t", math.nan))
         for s in path
     ]
     for phi, b in _predictions(spec, path, config, t):

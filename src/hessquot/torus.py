@@ -13,10 +13,13 @@ them, so every operator, pointwise kernel and vector runs on the other axes
 only. Along a constant axis every butterfly difference is an exact zero and
 every sum and normalization a power-of-two scaling, so each operator gives
 the full grid's bits at the subtorus points, but for the sign of an output
-that is exactly zero. Integration of a density is the periodic
-trapezoid rule, i.e. the plain grid mean, which is spectrally accurate
-here. Every form is closed, so a mixed integral of forms is that of their
-constant parts (Stokes) and takes no grid point.
+that is exactly zero. One injection, inject(), takes a field to any
+sub-lattice of its grid: the subtorus, a coarser grid, or both; prolong()
+interpolates it spectrally onto the grid with 2N points per axis.
+Integration of a density is the periodic trapezoid rule, i.e. the plain
+grid mean, which is spectrally accurate here. Every form is closed, so a
+mixed integral of forms is that of their constant parts (Stokes) and takes
+no grid point.
 
 Density convention: the top form omega^n corresponds to the density
 det(omega_matrix) * dV, with one fixed multiplicative constant shared by
@@ -123,12 +126,6 @@ def subtorus(grid, fields):
         if not np.all(np.isfinite(bits.view(np.float64))):
             return grid
     return replace(grid, constant_axes=tuple(sorted(axes)))
-
-
-def on_subtorus(grid, values):
-    """A field of the full grid (or of grid) at grid's points: index 0 on each constant axis."""
-    index = tuple(slice(0, 1) if size == 1 else slice(None) for size in grid.shape)
-    return np.ascontiguousarray(np.asarray(values, dtype=np.float64)[index])
 
 
 @functools.lru_cache(maxsize=4)
@@ -260,14 +257,27 @@ def holomorphic_gradient(grid, phi):
     return np.moveaxis(parts[: grid.n] + 1j * parts[grid.n :], 0, -1)
 
 
-def restrict(grid, values):
-    """Injection of a field on grid onto the grid with N/2 points per axis.
+def inject(grid, values):
+    """A field's values at the points of grid, a sub-lattice of the field's own grid.
 
-    Keeps every other point, so it is exact for fields band-limited below
-    the coarse Nyquist frequency.
+    grid keeps every 2^k-th point on each axis it varies along and index 0
+    on each of its constant axes, so injection is exact for fields
+    band-limited below grid's Nyquist frequency. values comes back uncopied
+    when the shapes match. Any other target, one varying along an axis where
+    the field has one point included, raises InputError.
     """
-    values = _check_scalar(grid, values)
-    return np.ascontiguousarray(values[(slice(None, None, 2),) * (2 * grid.n)])
+    values = np.asarray(values, dtype=np.float64)
+    if values.shape == grid.shape:
+        return values
+    M = max(values.shape, default=1)
+    stride = M // grid.N
+    index = tuple(slice(0, 1) if want == 1 else slice(None, None, stride) for want in grid.shape)
+    if not (
+        values.ndim == 2 * grid.n and set(values.shape) <= {1, M} and stride * grid.N == M
+        and stride & (stride - 1) == 0 and values[index].shape == grid.shape
+    ):
+        raise InputError(f"grid {grid.shape} is not a sub-lattice of field shape {values.shape}")
+    return np.ascontiguousarray(values[index])
 
 
 def prolong(grid, values):
@@ -275,8 +285,8 @@ def prolong(grid, values):
 
     Zero-pads the rfftn spectrum, dropping the Nyquist modes of grid, so it
     reproduces a field band-limited below that frequency exactly and
-    restrict(prolong(grid, v)) returns any v without Nyquist content. A
-    constant axis of grid keeps its one point and its one DC mode.
+    injecting prolong(grid, v) back onto grid returns any v without Nyquist
+    content. A constant axis of grid keeps its one point and its one DC mode.
     """
     values = _check_scalar(grid, values)
     N = grid.N
@@ -349,15 +359,9 @@ class FormField:
         fields += const.reshape(const.shape + (1,) * (2 * self.grid.n))
         return fields
 
-    def restricted(self):
-        """This form on the grid with N/2 points per axis, its potential restricted."""
-        coarse = replace(self.grid, N=self.grid.N // 2)
-        pot = None if self.potential is None else restrict(self.grid, self.potential)
-        return FormField(coarse, self.const, pot)
-
     def on(self, grid):
-        """This form on grid, a subtorus of its own grid: the potential at grid's points."""
-        pot = None if self.potential is None else on_subtorus(grid, self.potential)
+        """This form on grid, a sub-lattice of its own grid: the potential injected."""
+        pot = None if self.potential is None else inject(grid, self.potential)
         return FormField(grid, self.const, pot)
 
     def __add__(self, other):
@@ -378,10 +382,6 @@ class FormField:
         return FormField(self.grid, s * self.const, pot)
 
     __mul__ = __rmul__
-
-
-def constant_form(grid, matrix):
-    return FormField(grid, matrix)
 
 
 def identity_form(grid):
@@ -502,7 +502,7 @@ def make_degenerate_big(grid, base, psi_shape):
     """
     psi = _check_scalar(grid, psi_shape)
     sub = subtorus(grid, [psi])
-    hess = _flat(packed_hessian(sub, on_subtorus(sub, psi)))
+    hess = _flat(packed_hessian(sub, inject(sub, psi)))
     if np.max(np.abs(hess)) < 1e-13 * (1.0 + float(np.max(np.abs(psi)))):
         raise ConstructionError("potential shape has (numerically) zero complex Hessian")
     packed_base = pack_hermitian(np.asarray(base, dtype=np.complex128))[..., None]
@@ -542,7 +542,7 @@ def tune_to_boundary(grid, base, psi_shape, omega, m, bracket):
     c = compute_c(FormField(grid, base), omega, m)
     psi = _check_scalar(grid, psi_shape)
     sub = subtorus(grid, [psi, omega.potential])
-    hess = _flat(packed_hessian(sub, on_subtorus(sub, psi)))
+    hess = _flat(packed_hessian(sub, inject(sub, psi)))
     metric = _flat(omega.on(sub).packed())
     packed_base = pack_hermitian(np.asarray(base, dtype=np.complex128))[..., None]
 

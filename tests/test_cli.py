@@ -127,6 +127,18 @@ class TestCheckCone:
         assert summary["classification"] == "violated"
         assert summary["min_margin"] < 0.0
 
+    def test_negative_margin_tol_is_usage_error(self, tmp_path):
+        # a margin_tol below -|min margin| used to classify a violated
+        # instance (min margin -0.1 here) as strict and exit 0
+        cfg = "instance = uniform\ngrid_N = 8\nscale = 0.4\n"
+        code, summary, _ = run_cli(tmp_path / "a", "check-cone", cfg)
+        assert (code, summary["classification"]) == (EXIT_VIOLATED, "violated")
+        code, summary, _ = run_cli(tmp_path / "b", "check-cone", cfg + "margin_tol = -1\n")
+        assert code == EXIT_USAGE
+        assert summary is None
+        code, summary, _ = run_cli(tmp_path / "c", "check-cone", cfg + "margin_tol = 0\n")
+        assert code == EXIT_VIOLATED
+
     def test_config_echoed(self, tmp_path):
         _, _, outdir = run_cli(tmp_path, "check-cone", "instance = uniform\nscale = 1.5\n")
         echo = (outdir / CONFIG_ECHO_NAME).read_text()
@@ -332,6 +344,7 @@ class TestUsageContract:
                 "instance = uniform\ngrid_N = 1048576\n",
                 "scale = big\n",
                 "margin_tol = nan\n",
+                "margin_tol = -1\n",
                 "eps = inf\n",
             )
         ]

@@ -43,7 +43,6 @@ from hessquot.symfunc import elementary_sym
 from hessquot.torus import (
     FormField,
     TorusGrid,
-    constant_form,
     identity_form,
     relative_eigenvalues,
 )
@@ -106,7 +105,7 @@ class TestComputeTheta0:
 
     def test_constant_coefficient_closed_form(self):
         grid = TorusGrid(2, 8)
-        chi = constant_form(grid, 2.0 * np.eye(2))
+        chi = FormField(grid, 2.0 * np.eye(2))
         omega = identity_form(grid)
         g = np.full(grid.shape, 3.0)
         # gap/2 * c^{m/(n-m)} * vol / (c * mixed) = 0.5 * 2 * 1 / (2 * 2)
@@ -126,7 +125,7 @@ class TestComputeTheta0:
     def test_indicator_quadrature_matches_grid_sum(self):
         grid = TorusGrid(2, 8)
         chi = identity_form(grid)
-        omega = constant_form(grid, np.diag([1.0, 2.0]))
+        omega = FormField(grid, np.diag([1.0, 2.0]))
         x1 = grid.coords()["x1"]
         g = np.ascontiguousarray(
             np.broadcast_to(1.0 + 0.125 * (1.0 - np.cos(TWO_PI * x1)), grid.shape)
@@ -201,13 +200,13 @@ class TestG1Field:
     def test_multiple_of_metric(self):
         grid = TorusGrid(2, 4)
         omega = identity_form(grid)
-        chi = constant_form(grid, 0.7 * np.eye(2))
+        chi = FormField(grid, 0.7 * np.eye(2))
         np.testing.assert_allclose(g1_field(chi, omega, 1), 0.7, rtol=1e-14)
         np.testing.assert_allclose(g1_field(chi, omega, 0), 0.49, rtol=1e-14)
 
     def test_diagonal_pair(self):
         grid = TorusGrid(2, 4)
-        chi = constant_form(grid, np.diag([2.0, 3.0]))
+        chi = FormField(grid, np.diag([2.0, 3.0]))
         # 2 S_2 / S_1 = 2 * 6 / 5
         np.testing.assert_allclose(g1_field(chi, identity_form(grid), 1), 2.4, rtol=1e-14)
 
@@ -218,7 +217,7 @@ class TestG1Field:
         psi = np.ascontiguousarray(np.broadcast_to(psi, grid.shape))
         const = np.array([[1.2, 0.1 + 0.05j], [0.1 - 0.05j, 0.9]])
         chi = FormField(grid, const, psi)
-        omega = constant_form(grid, np.diag([1.0, 1.3]))
+        omega = FormField(grid, np.diag([1.0, 1.3]))
         value = g1_field(chi, omega, 1)
 
         mats = const + complex_hessian(grid, psi)
@@ -245,7 +244,7 @@ class TestG1Field:
         )
         chi = FormField(grid, const, psi)
         wmat = np.diag([1.0, 1.2, 0.8])
-        omega = constant_form(grid, wmat)
+        omega = FormField(grid, wmat)
         rel = np.einsum("ij,...jk->...ik", np.linalg.inv(wmat), const + complex_hessian(grid, psi))
         p1 = np.einsum("...ii->...", rel).real
         p2 = np.einsum("...ij,...ji->...", rel, rel).real
@@ -257,7 +256,7 @@ class TestG1Field:
 
     def test_indefinite_background_rejected(self):
         grid = TorusGrid(2, 4)
-        chi = constant_form(grid, np.diag([1.0, -0.5]))
+        chi = FormField(grid, np.diag([1.0, -0.5]))
         with pytest.raises(DomainError, match="positive definite"):
             g1_field(chi, identity_form(grid), 1)
 
@@ -291,7 +290,7 @@ class TestG2Field:
 
     def test_output_dominates_background_density(self):
         grid = TorusGrid(2, 8)
-        chi = constant_form(grid, np.diag([2.0, 3.0]))
+        chi = FormField(grid, np.diag([2.0, 3.0]))
         omega = identity_form(grid)
         g1 = g1_field(chi, omega, 1)
         x1 = np.broadcast_to(grid.coords()["x1"], grid.shape)

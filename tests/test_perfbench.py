@@ -1,5 +1,6 @@
 """The benchmark's probe against this tree: one short continue_bd_n16 run at
-each trace setting and one untraced fake_boundary_n16 run.
+each trace setting and one untraced run of each of fake_boundary_n16 and
+solve_manufactured_n32, so every workload's gate runs here.
 
 perfbench/tracing.py rebinds solver.LinearOperator, solver.lgmres and every
 public function of the traced modules, so a change that drops one of those
@@ -42,3 +43,7 @@ def test_probe_runs_and_passes_its_gates(tmp_path, trace):
 
 def test_fake_boundary_probe_passes_its_gate(tmp_path):
     run_probe(tmp_path, "fake_boundary_n16", 0)
+
+
+def test_manufactured_probe_passes_its_gate(tmp_path):
+    run_probe(tmp_path, "solve_manufactured_n32", 0)

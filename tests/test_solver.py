@@ -61,7 +61,6 @@ from hessquot.symfunc import elementary_sym
 from hessquot.torus import (
     FormField,
     TorusGrid,
-    constant_form,
     holomorphic_gradient,
     identity_form,
     integrate_mixed,
@@ -121,7 +120,7 @@ class TestEquationSpec:
     def test_scalar_fields_broadcast(self):
         grid = TorusGrid(2, 8)
         spec = EquationSpec(
-            n=2, m=1, background=constant_form(grid, 2.0 * np.eye(2)),
+            n=2, m=1, background=FormField(grid, 2.0 * np.eye(2)),
             omega=identity_form(grid), coefficient_field=1.0, source_field=1.0,
         )
         assert spec.coefficient_field.shape == grid.shape
@@ -416,7 +415,7 @@ def m0_problem():
     psi = grid_field(
         grid, 0.03 * (np.cos(TWO_PI * c["x1"]) + np.sin(TWO_PI * c["y2"]))
     )
-    background = constant_form(grid, 2.0 * np.eye(2))
+    background = FormField(grid, 2.0 * np.eye(2))
     X = background.const + complex_hessian(grid, psi)
     det = (X[..., 0, 0] * X[..., 1, 1] - np.abs(X[..., 0, 1]) ** 2).real
     f_raw = det - 1.0
@@ -461,7 +460,7 @@ class TestThreeDimensional:
         f_raw = grid_field(grid, 1.0 + 0.3 * np.cos(TWO_PI * grid.coords()["x1"]))
         f = normalize_density(f_raw, omega)
         spec = EquationSpec(
-            n=3, m=1, background=constant_form(grid, 1.5 * np.eye(3)), omega=omega,
+            n=3, m=1, background=FormField(grid, 1.5 * np.eye(3)), omega=omega,
             coefficient_field=1.0, source_field=f,
         )
         st = newton_solve(spec)
@@ -480,7 +479,7 @@ class TestThreeDimensional:
         f_raw = grid_field(grid, 1.0 + 0.3 * np.cos(TWO_PI * grid.coords()["x1"]))
         f = normalize_density(f_raw, omega)
         spec = EquationSpec(
-            n=3, m=2, background=constant_form(grid, 1.5 * np.eye(3)), omega=omega,
+            n=3, m=2, background=FormField(grid, 1.5 * np.eye(3)), omega=omega,
             coefficient_field=1.0, source_field=f,
         )
         st = newton_solve(spec)
@@ -505,7 +504,7 @@ class TestThreeDimensional:
         phi_star = grid_field(
             grid, 0.1 * np.sin(TWO_PI * coords["x1"]) * np.cos(TWO_PI * coords["y2"])
         )
-        background = constant_form(grid, 3.0 * np.eye(3))
+        background = FormField(grid, 3.0 * np.eye(3))
         x = background.packed(phi_star)
         adj, det = packed_adjugate(x)
         f_raw = det - np.trace(x if m == 1 else adj) / 3.0
@@ -560,9 +559,9 @@ class TestPolynomialKernel:
             omega = FormField(grid, omega_mat, self.small_potential(rng, grid, 0.2))
             assert not omega.is_constant
         else:
-            omega = constant_form(grid, omega_mat)
+            omega = FormField(grid, omega_mat)
         phi = self.small_potential(rng, grid, 0.3)
-        background = constant_form(grid, 3.0 * omega_mat)
+        background = FormField(grid, 3.0 * omega_mat)
         g = 1.0 + 0.5 * rng.uniform(size=grid.shape)
         f = 0.5 + rng.uniform(size=grid.shape)
         b = 0.7 if mode == "additive" else -0.2
@@ -599,7 +598,7 @@ class TestMultiplicative:
         # S_2 = (e^b/2) S_1 + 1 at X = 2I forces e^b = 3/2
         grid = TorusGrid(2, 16)
         spec = EquationSpec(
-            n=2, m=1, background=constant_form(grid, 2.0 * np.eye(2)),
+            n=2, m=1, background=FormField(grid, 2.0 * np.eye(2)),
             omega=identity_form(grid), coefficient_field=1.0, source_field=1.0,
             unknown_mode="multiplicative",
         )
@@ -615,7 +614,7 @@ class TestMultiplicative:
         c = grid.coords()
         g = grid_field(grid, 1.0 + 0.3 * np.cos(TWO_PI * c["x1"]))
         spec = EquationSpec(
-            n=2, m=1, background=constant_form(grid, 2.0 * np.eye(2)),
+            n=2, m=1, background=FormField(grid, 2.0 * np.eye(2)),
             omega=identity_form(grid), coefficient_field=g, source_field=1.0,
             unknown_mode="multiplicative",
         )
@@ -898,7 +897,7 @@ class TestContinuation:
         def family(t):
             return EquationSpec(
                 n=2, m=1,
-                background=constant_form(grid, (2.0 * t - 0.5) * np.eye(2)),
+                background=FormField(grid, (2.0 * t - 0.5) * np.eye(2)),
                 omega=identity_form(grid), coefficient_field=1.0, source_field=1.0,
             )
 
@@ -1051,7 +1050,7 @@ class TestNestedIteration:
         f_raw = (x11 * x22 - re * re - im * im) - 0.5 * (x11 + x22)
         omega = identity_form(grid)
         spec = EquationSpec(
-            n=2, m=1, background=constant_form(grid, 3.0 * np.eye(2)), omega=omega,
+            n=2, m=1, background=FormField(grid, 3.0 * np.eye(2)), omega=omega,
             coefficient_field=1.0, source_field=normalize_density(f_raw, omega),
         )
         st = solver.newton_solve(spec)

@@ -20,7 +20,6 @@ from hessquot.torus import (
     FormField,
     TorusGrid,
     compute_c,
-    constant_form,
     distance_to_set,
     divide_by_symbol,
     dump_fields,
@@ -28,12 +27,12 @@ from hessquot.torus import (
     hessian_trace,
     holomorphic_gradient,
     identity_form,
+    inject,
     integrate_density,
     integrate_mixed,
     load_fields,
     make_degenerate_big,
     normalize_density,
-    on_subtorus,
     pack_hermitian,
     packed_hessian,
     relative_eigenvalues,
@@ -505,7 +504,7 @@ def assert_operators_exact(grid, phi, rng):
     """The operators on phi, bit for bit; returns phi's subtorus grid.
 
     On the full grid the five spectral operators match the full-array
-    references; on phi's subtorus they, frozen_symbol and restrict give the
+    references; on phi's subtorus they, frozen_symbol and inject give the
     full grid's bits at the subtorus points. The Hessian-trace weights there
     are constant wherever phi is, as the solver's are. strip_kernel_modes
     averages fewer copies of each value on the subtorus, so it matches to
@@ -513,7 +512,7 @@ def assert_operators_exact(grid, phi, rng):
     """
     n = grid.n
     sub = subtorus(grid, [phi])
-    on = functools.partial(on_subtorus, sub)
+    on = functools.partial(inject, sub)
     weights = rng.normal(size=(n, n, grid.npoints))
     scales = rng.uniform(0.5, 2.0, size=n)
     symbol = frozen_symbol(grid, scales)
@@ -542,7 +541,8 @@ def assert_operators_exact(grid, phi, rng):
     assert_bits(torus.prolong(sub, on(phi)), at_points(fine, torus.prolong(grid, phi)))
     if grid.N > 4:
         coarse = dataclasses.replace(sub, N=grid.N // 2)
-        assert_bits(torus.restrict(sub, on(phi)), at_points(coarse, torus.restrict(grid, phi)))
+        half = dataclasses.replace(grid, N=grid.N // 2)
+        assert_bits(inject(coarse, on(phi)), at_points(coarse, inject(half, phi)))
     for keep_mean in (False, True):
         got = strip_kernel_modes(sub, on(phi), keep_mean)
         assert_rel(got, at_points(sub, strip_kernel_modes(grid, phi, keep_mean)), rtol=1e-15)
@@ -571,11 +571,11 @@ class TestVaryingSlab:
                 assert sub.shape == tuple(1 if axis in axes else N for axis in range(2 * n))
                 assert sub.npoints == N ** (2 * n - count)
                 # a field that varies along every axis is read uncopied
-                assert count or np.shares_memory(on_subtorus(sub, phi), phi)
+                assert count or np.shares_memory(inject(sub, phi), phi)
                 # a second field keeps the axes both are constant along
                 other = constant_along(grid, rng, axes[1:])
                 assert subtorus(grid, [phi, None, other]).constant_axes == axes[1:]
-                assert subtorus(sub, [on_subtorus(sub, phi)]) == sub
+                assert subtorus(sub, [inject(sub, phi)]) == sub
 
     def test_signed_zeros_vary(self):
         # 0.0 == -0.0, but a field that mixes them along an axis varies there
@@ -628,7 +628,7 @@ class TestVaryingSlab:
         z1, random = z1_potential(grid, rng), rng.normal(size=grid.shape)
         for phi, want in ((z1, (8, 8, 1, 1)), (random, grid.shape)):
             sub = subtorus(grid, [phi])
-            phi = on_subtorus(sub, phi)
+            phi = inject(sub, phi)
             symbol = frozen_symbol(sub, [1.0, 1.5])
             weights = rng.normal(size=(2, 2, sub.npoints))
             packed_hessian(sub, phi)
@@ -661,8 +661,8 @@ class TestGridTransfer:
         phi_c = trig_poly(coarse, np.random.default_rng(13), max_mode=N // 2 - 1)
         phi_f = trig_poly(fine, np.random.default_rng(13), max_mode=N // 2 - 1)
         assert np.max(np.abs(torus.prolong(coarse, phi_c) - phi_f)) <= 1e-13
-        assert np.array_equal(torus.restrict(fine, phi_f), phi_f[(slice(None, None, 2),) * (2 * n)])
-        form = FormField(fine, np.eye(n), 0.01 * phi_f).restricted()
+        assert np.array_equal(inject(coarse, phi_f), phi_f[(slice(None, None, 2),) * (2 * n)])
+        form = FormField(fine, np.eye(n), 0.01 * phi_f).on(coarse)
         assert form.grid == coarse
         want = FormField(coarse, np.eye(n), 0.01 * phi_c).packed()
         assert np.max(np.abs(form.packed() - want)) <= 1e-13
@@ -671,10 +671,10 @@ class TestGridTransfer:
     def test_restriction_inverts_prolongation(self, n, N):
         coarse, fine = TorusGrid(n, N), TorusGrid(n, 2 * N)
         v = drop_nyquist(coarse, np.random.default_rng(17).normal(size=coarse.shape))
-        assert np.max(np.abs(torus.restrict(fine, torus.prolong(coarse, v)) - v)) <= 1e-13
+        assert np.max(np.abs(inject(coarse, torus.prolong(coarse, v)) - v)) <= 1e-13
 
     def test_restricted_spec_matches_the_coarse_instance(self):
-        got = manufactured_instance(N=32).spec(0.5).restricted()
+        got = manufactured_instance(N=32).spec(0.5).on(TorusGrid(2, 16))
         want = manufactured_instance(N=16).spec(0.5)
         assert got.grid == want.grid
         assert (got.n, got.m, got.unknown_mode) == (want.n, want.m, want.unknown_mode)
@@ -687,20 +687,73 @@ class TestGridTransfer:
             assert np.max(np.abs(getattr(got, name) - getattr(want, name))) <= 1e-13
 
     def test_restricted_additive_source_is_renormalized(self):
-        # 1 + (-1)^j along x1 has mean 1 on the fine grid but is 2 on every
-        # coarse point, so injection alone would break the normalization
+        # 1 + (-1)^j / 2 along x1 has mean 1 on the fine grid but is 3/2 on
+        # every coarse point, so injection alone would break the normalization
         grid = TorusGrid(2, 8)
         sign = (-1.0) ** np.arange(8).reshape(8, 1, 1, 1)
         spec = EquationSpec(
-            n=2, m=1, background=constant_form(grid, 3.0 * np.eye(2)),
+            n=2, m=1, background=FormField(grid, 3.0 * np.eye(2)),
             omega=identity_form(grid), coefficient_field=1.0,
             source_field=grid_field(grid, 1.0 + 0.5 * sign),
         )
-        coarse = spec.restricted()
-        assert coarse.grid == TorusGrid(2, 4)
-        assert np.max(np.abs(coarse.source_field - 1.0)) <= 1e-15
-        mult = dataclasses.replace(spec, unknown_mode="multiplicative").restricted()
-        assert np.max(np.abs(mult.source_field - 1.5)) == 0.0
+        mult = dataclasses.replace(spec, unknown_mode="multiplicative")
+        assert spec.on(grid) is spec
+        for coarse in (TorusGrid(2, 4), TorusGrid(2, 4, (1, 2, 3))):
+            got = spec.on(coarse)
+            assert got.grid == coarse
+            assert got.source_field.shape == coarse.shape
+            assert np.max(np.abs(got.source_field - 1.0)) <= 1e-15
+            assert np.max(np.abs(mult.on(coarse).source_field - 1.5)) == 0.0
+        # the fine subtorus keeps every value, so its source keeps its mean
+        sub = spec.on(TorusGrid(2, 8, (1, 2, 3)))
+        assert np.array_equal(sub.source_field.ravel(), 1.0 + 0.5 * sign.ravel())
+
+
+class TestInject:
+    """inject() against numpy's strided indexing: every coarse level, every
+    subset of constant axes, bit for bit."""
+
+    @pytest.mark.parametrize(("n", "N"), [(2, 16), (3, 8)])
+    def test_every_level_and_subset_matches_strided_indexing(self, n, N):
+        grid = TorusGrid(n, N)
+        values = np.random.default_rng(41).normal(size=grid.shape)
+        levels = [N >> k for k in range(N.bit_length()) if N >> k >= 4]
+        for coarse_N, count in product(levels, range(2 * n + 1)):
+            stride = N // coarse_N
+            for axes in combinations(range(2 * n), count):
+                target = TorusGrid(n, coarse_N, axes)
+                index = tuple(
+                    slice(0, 1) if axis in axes else slice(None, None, stride)
+                    for axis in range(2 * n)
+                )
+                got = inject(target, values)
+                assert got.shape == target.shape and got.flags.c_contiguous
+                assert got.tobytes() == values[index].tobytes()
+                # a field already on a subtorus goes on to a coarser one
+                sub = TorusGrid(n, N, axes[:1])
+                assert inject(target, inject(sub, values)).tobytes() == got.tobytes()
+
+    def test_matching_shape_is_returned_uncopied(self):
+        grid = TorusGrid(2, 8)
+        values = np.random.default_rng(43).normal(size=grid.shape)
+        assert inject(grid, values) is values
+        field = np.ascontiguousarray(values[:, :1, :, :1])
+        assert np.shares_memory(inject(TorusGrid(2, 8, (1, 3)), field), field)
+
+    @pytest.mark.parametrize(
+        ("shape", "target"),
+        [
+            pytest.param((8,) * 4, TorusGrid(2, 16), id="finer-N"),
+            pytest.param((8, 1, 8, 8), TorusGrid(2, 8), id="varying-where-collapsed"),
+            pytest.param((8, 1, 8, 8), TorusGrid(2, 4), id="coarse-varying-where-collapsed"),
+            pytest.param((8,) * 4, TorusGrid(3, 4), id="wrong-dimension"),
+            pytest.param((8, 8, 4, 4), TorusGrid(2, 4), id="not-a-grid"),
+            pytest.param((12,) * 4, TorusGrid(2, 4), id="stride-not-a-power-of-two"),
+        ],
+    )
+    def test_non_sub_lattice_target_is_rejected(self, shape, target):
+        with pytest.raises(InputError, match="sub-lattice"):
+            inject(target, np.zeros(shape))
 
 
 class TestFormField:
@@ -760,7 +813,7 @@ class TestIntegration:
     def test_constant_forms_pinned(self):
         g = TorusGrid(2, 8)
         om = identity_form(g)
-        alpha = constant_form(g, np.diag([3.0, 5.0]))
+        alpha = FormField(g, np.diag([3.0, 5.0]))
         # S_k(3, 5)/binom(2, k): k=0: 1, k=1: 4, k=2: 15
         assert integrate_mixed(alpha, 0, om) == pytest.approx(1.0, rel=1e-14)
         assert integrate_mixed(alpha, 1, om) == pytest.approx(4.0, rel=1e-14)
@@ -768,8 +821,8 @@ class TestIntegration:
 
     def test_nonidentity_metric(self):
         g = TorusGrid(2, 8)
-        om = constant_form(g, 2.0 * np.eye(2))
-        alpha = constant_form(g, np.diag([3.0, 5.0]))
+        om = FormField(g, 2.0 * np.eye(2))
+        alpha = FormField(g, np.diag([3.0, 5.0]))
         # eigenvalues rel 2I are (1.5, 2.5); det(omega) = 4
         assert integrate_mixed(alpha, 1, om) == pytest.approx(2.0 * 4.0, rel=1e-14)
         assert integrate_mixed(alpha, 2, om) == pytest.approx(3.75 * 4.0, rel=1e-14)
@@ -780,7 +833,7 @@ class TestIntegration:
         # the grid quadrature of the bumped forms matches the class value of
         # the constant ones
         pot = trig_poly(g, rng, max_mode=3, amplitude=0.002)
-        base = constant_form(g, np.diag([2.0, 1.0]))
+        base = FormField(g, np.diag([2.0, 1.0]))
         bumped = FormField(g, np.diag([2.0, 1.0]), pot)
         for k in (0, 1, 2):
             a = integrate_mixed(base, k, identity_form(g))
@@ -835,7 +888,7 @@ class TestIntegration:
         om = identity_form(g)
         with pytest.raises(InputError):
             integrate_mixed(om, 3, om)
-        bad = constant_form(g, np.diag([1.0, -0.5]))
+        bad = FormField(g, np.diag([1.0, -0.5]))
         with pytest.raises(DomainError, match="positive definite"):
             integrate_mixed(om, 1, bad)
 
@@ -858,20 +911,20 @@ class TestComputeCB:
     def test_constant_anisotropic(self):
         g = TorusGrid(2, 8)
         om = identity_form(g)
-        chi = constant_form(g, np.diag([2.0, 1.0]))
+        chi = FormField(g, np.diag([2.0, 1.0]))
         # c = S_2(2,1) / (S_1(2,1)/2) = 2 / 1.5
         assert compute_c(chi, om, 1) == pytest.approx(4.0 / 3.0, rel=1e-14)
 
     def test_compute_c_rejects_degenerate_chi(self):
         g = TorusGrid(2, 8)
         with pytest.raises(DomainError):
-            compute_c(constant_form(g, np.diag([1.0, 0.0])), identity_form(g), 1)
+            compute_c(FormField(g, np.diag([1.0, 0.0])), identity_form(g), 1)
 
     def test_ma_case_m_zero(self):
         # m = 0 turns the denominator into the plain volume
         g = TorusGrid(2, 8)
         om = identity_form(g)
-        chi = constant_form(g, np.diag([2.0, 3.0]))
+        chi = FormField(g, np.diag([2.0, 3.0]))
         assert compute_c(chi, om, 0) == pytest.approx(6.0, rel=1e-14)
 
 
@@ -1061,7 +1114,7 @@ class TestFieldDump:
         rng = np.random.default_rng(31)
         scalar = trig_poly(g, rng)
         form = FormField(g, np.diag([2.0, 1.0]), trig_poly(g, rng, amplitude=0.01))
-        metric = constant_form(g, np.array([[2.0, 0.5j], [-0.5j, 1.0]]))
+        metric = FormField(g, np.array([[2.0, 0.5j], [-0.5j, 1.0]]))
         header = dump_fields(tmp_path / "dump", g, {"phi": scalar, "chi": form, "omega": metric})
         assert header["dtype"] == "f64-le"
         assert header["axis_order"] == "x1,y1,x2,y2"
