@@ -60,7 +60,7 @@ from .solver import (
     write_path_csv,
 )
 from .studies import SCHEDULE
-from .torus import TorusGrid, dump_fields, normalize_density, relative_eigenvalues, subtorus
+from .torus import TorusGrid, dump_fields, normalize_density, relative_eigenvalues
 
 SUMMARY_SCHEMA = "hessquot-summary/1"
 SUMMARY_NAME = "summary.json"
@@ -264,8 +264,7 @@ def cmd_check_cone(cfg, args, outdir):
     inst = build_instance(cfg)
     # the scale knob moves chi against the fixed constant of the unscaled
     # instance; scaling both would leave the classification invariant
-    sub = subtorus(inst.grid, [inst.chi.potential, inst.omega.potential])
-    mu = relative_eigenvalues(scale * inst.chi.on(sub), inst.omega.on(sub))
+    mu = relative_eigenvalues(scale * inst.chi, inst.omega)
     margins = cone_margin(mu, inst.c, inst.m)
     min_margin = float(margins.min())
     if min_margin > tol:

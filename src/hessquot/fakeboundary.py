@@ -114,8 +114,7 @@ def g1_field(chi, omega, m):
     """Quotient density of the background: chi^n = g1 chi^m wedge omega^(n-m).
 
     Pointwise g1 = C(n,m) S_n(mu) / S_m(mu) with mu the eigenvalues of chi
-    relative to omega; one value broadcast over the grid when chi and omega
-    are constant.
+    relative to omega, taken on their subtorus and broadcast over the grid.
     """
     grid = chi.grid
     n = grid.n
@@ -125,7 +124,7 @@ def g1_field(chi, omega, m):
     mu = relative_eigenvalues(chi, omega)
     _require_positive(mu[..., -1], chi, "background")
     g1 = math.comb(n, m) * elementary_sym(n, mu) / elementary_sym(m, mu)
-    return np.full(grid.shape, g1) if mu.ndim == 1 else g1.reshape(grid.shape)
+    return np.broadcast_to(g1, grid.shape).copy()
 
 
 def g2_field(g, g1, b_prime, delta1):
@@ -239,21 +238,18 @@ def prepare_instance(g, chi, omega, m, delta1=None):
     err = None
     for d1 in candidates:
         try:
-            g2 = np.broadcast_to(g2_field(g_sub, g1_sub, b_prime, d1), grid.shape).copy()
+            g2 = g2_field(g_sub, g1_sub, b_prime, d1)
         except ConstructionError as bad:
             err = bad
             continue
-        # the strict cone condition must hold with the widened coefficient
-        # g2 + delta1; the margin falls as the coefficient grows, so one
-        # spectrum mu needs only the largest value
-        widened = g2 + d1
-        worst = widened.reshape(-1) if mu.ndim > 1 else np.max(widened)
-        margin = float(np.min(cone_margin(mu, worst, m)))
+        # the strict cone condition must hold with the widened coefficient g2 + delta1
+        margin = float(np.min(cone_margin(mu, g2 + d1, m)))
         if margin <= 0.0:
             err = ConstructionError(
                 f"delta1={d1:g} too large: cone margin {margin:.3e} with the widened coefficient"
             )
             continue
+        g2 = np.broadcast_to(g2, grid.shape).copy()
         return FakeBoundaryInstance(
             g, g_max, g_min, theta0, b_prime, d1, g1, g2,
             chi, omega, m, c, log_rescale,
@@ -319,7 +315,7 @@ def two_stage_solve(instance, config=None, csv_path=None, steps=16):
     sub = subtorus(grid, [inst.chi.potential, inst.omega.potential, inst.g, inst.g2])
     chi, omega = inst.chi.on(sub), inst.omega.on(sub)
     g, g2 = inject(sub, inst.g), inject(sub, inst.g2)
-    mu_chi = relative_eigenvalues(chi, omega)
+    mu_chi = relative_eigenvalues(inst.chi, inst.omega)
 
     def spec_at(t, chi, omega, g, g2):
         coeff = np.exp(t * inst.b_prime) * g**t * g2 ** (1.0 - t)
@@ -330,10 +326,7 @@ def two_stage_solve(instance, config=None, csv_path=None, steps=16):
         state = newton_solve(spec, init=init, config=config, t=t)
         effective = math.exp(state.b) * spec.coefficient_field
         slack = float(np.min(g2 - effective))
-        # the margin falls as the coefficient grows (S_{m-1;i}(mu) >= 0), so
-        # one spectrum mu_chi needs only the largest coefficient
-        worst = effective.reshape(-1) if mu_chi.ndim > 1 else np.max(effective)
-        margin = float(np.min(cone_margin(mu_chi, worst, inst.m)))
+        margin = float(np.min(cone_margin(mu_chi, effective, inst.m)))
         return state, slack, margin
 
     records = []

@@ -192,11 +192,11 @@ class Diagnostics(Mapping):
         if key not in self._values and key in DIAGNOSTIC_KEYS:
             spec = self.spec
             lam = relative_eigenvalues(spec.background, spec.omega, self.phi)
-            coefficient = _params(spec, self.b).coefficient
+            coefficient = _params(spec, self.b).coefficient.reshape(spec.grid.shape)
             self._values.update({
                 "sup_grad": math.sqrt(float(np.max(_gradient_sq(spec, self.phi)))),
                 "sup_w": float(np.max(np.log(elementary_sym(1, lam)))),
-                "min_eig": float(np.min(lam[:, -1])),
+                "min_eig": float(np.min(lam[..., -1])),
                 "min_margin": float(np.min(cone_margin(lam, coefficient, spec.m))),
             })
         return self._values[key]
@@ -241,7 +241,7 @@ def strip_kernel_modes(grid, values, keep_mean=False):
 
 
 def state_eigenvalues(state):
-    """Descending eigenvalues (P, n) of X = background + Hess(phi) at a state's subtorus points."""
+    """Descending eigenvalues of X = background + Hess(phi) as relative_eigenvalues takes them."""
     d = state.diagnostics
     return relative_eigenvalues(d.spec.background, d.spec.omega, d.phi)
 
@@ -514,8 +514,8 @@ def newton_solve(spec, init=None, config=None, t=math.nan):
     Newton stops with NonconvergenceError, carrying the state, at its
     aliasing floor: the residual is above config.tol while its part in the
     Hessian's range (kernel modes but the mean stripped), all a step can
-    lower, is within it. It does so too after config.max_newton steps or at
-    the damping floor.
+    lower, is within it. It does so too after config.max_newton steps, at
+    the damping floor, or when the start's residual is not finite.
 
     The solve, nested iteration included, runs on the subtorus of the data
     and of the last two path states' phi (all a start reads); the states and
@@ -546,14 +546,13 @@ def newton_solve(spec, init=None, config=None, t=math.nan):
             pass  # this start left the cone: try the next one
     else:
         # eigenvalues only here, to name the last start's worst point
-        lam = relative_eigenvalues(spec.background, spec.omega, phi)[:, -1]
-        i = int(np.argmin(lam))
-        count = int(np.sum(lam <= 0.0)) * (full.grid.npoints // grid.npoints)
-        where = np.unravel_index(i, grid.shape)
+        lam = relative_eigenvalues(spec.background, spec.omega, phi)[..., -1]
+        where = np.unravel_index(np.argmin(lam), lam.shape)
+        count = int(np.sum(lam <= 0.0)) * (full.grid.npoints // lam.size)
         raise ConeViolationError(
             f"initial state leaves the cone: {count} points outside the cone,"
-            f" min eigenvalue {lam[i]:.3e} at {where}",
-            detail={"count": count, "min_eig": float(lam[i]), "where": where},
+            f" min eigenvalue {lam[where]:.3e} at {where}",
+            detail={"count": count, "min_eig": float(lam[where]), "where": where},
         )
 
     iters = 0
@@ -567,6 +566,9 @@ def newton_solve(spec, init=None, config=None, t=math.nan):
         phi_full = np.broadcast_to(out, full.grid.shape).copy()
         return SolverState(phi_full, float(b), float(t), ev.rsup, diagnostics, full)
 
+    # a step is accepted only where it lowers the residual, so only a start can be non-finite
+    if not math.isfinite(ev.rsup):
+        raise NonconvergenceError(f"non-finite residual {ev.rsup!r} at the start", state=state())
     while ev.rsup > config.tol:
         range_sup = float(np.max(np.abs(ev.range_resid)))
         if range_sup <= config.tol:

@@ -46,10 +46,9 @@ def _source_shapes(grid):
 
 
 def _sup_w_on(state, mask):
-    """sup of w = log S_1(lambda(X)) over the points marked in mask, w taken on the subtorus."""
+    """sup of w = log S_1(lambda(X)) over the points marked in mask, w broadcast over the grid."""
     w = np.log(elementary_sym(1, state_eigenvalues(state)))
-    w = np.broadcast_to(w.reshape(state.diagnostics.spec.grid.shape), mask.shape)
-    return float(w[mask].max())
+    return float(np.broadcast_to(w, mask.shape)[mask].max())
 
 
 @dataclass(frozen=True)

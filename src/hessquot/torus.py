@@ -13,9 +13,11 @@ them, so every operator, pointwise kernel and vector runs on the other axes
 only. Along a constant axis every butterfly difference is an exact zero and
 every sum and normalization a power-of-two scaling, so each operator gives
 the full grid's bits at the subtorus points, but for the sign of an output
-that is exactly zero. One injection, inject(), takes a field to any
-sub-lattice of its grid: the subtorus, a coarser grid, or both; prolong()
-interpolates it spectrally onto the grid with 2N points per axis.
+that is exactly zero. relative_eigenvalues() takes its inputs' subtorus
+itself and returns a shape that broadcasts against any field on the grid.
+One injection, inject(), takes a field to any sub-lattice of its grid: the
+subtorus, a coarser grid, or both; prolong() interpolates it spectrally
+onto the grid with 2N points per axis.
 Integration of a density is the periodic trapezoid rule, i.e. the plain
 grid mean, which is spectrally accurate here. Every form is closed, so a
 mixed integral of forms is that of their constant parts (Stokes) and takes
@@ -389,13 +391,16 @@ def identity_form(grid):
 
 
 def relative_eigenvalues(alpha, omega, phi=None):
-    """Descending eigenvalues of alpha + i d dbar phi relative to omega.
+    """Descending eigenvalues of alpha + i d dbar phi relative to omega, on their subtorus.
 
-    Shape (n,) when alpha and omega are constant and phi is None, else
-    (P, n) over the flat grid: packed_eigenvalues of alpha.packed(phi)
-    relative to omega.packed(), each a constant (n, n) or flattened.
+    The full grid's bits at the points of sub = subtorus(grid, [both potentials, phi]),
+    shape sub.shape + (n,) ((1,)*2n + (n,) for a constant pair): they broadcast
+    against any field on the grid.
     """
-    return packed_eigenvalues(_flat(alpha.packed(phi)), _flat(omega.packed()))
+    sub = subtorus(alpha.grid, [alpha.potential, omega.potential, phi])
+    fields = alpha.on(sub).packed(None if phi is None else inject(sub, phi))
+    lam = packed_eigenvalues(_flat(fields), _flat(omega.on(sub).packed()))
+    return lam.reshape(sub.shape + (sub.n,))
 
 
 def _flat(fields):
@@ -406,13 +411,12 @@ def _flat(fields):
 def _require_positive(mins, form, name):
     """Raise DomainError, naming the worst point, unless every value in mins is > 0.
 
-    mins holds form's smallest eigenvalue at each point, or one value when
-    form is constant.
+    mins holds form's smallest eigenvalue on a subtorus of its grid, shaped like it, so the
+    point named, the first worst one in C order, has index 0 on each reduced axis.
     """
-    mins = np.atleast_1d(mins)
-    i = int(np.argmin(mins))
+    i = np.unravel_index(np.argmin(mins), mins.shape)
     if mins[i] <= 0.0:
-        where = "every point" if form.is_constant else np.unravel_index(i, form.grid.shape)
+        where = "every point" if form.is_constant else i
         raise DomainError(f"{name} not positive definite (min eig {mins[i]:.3e} at {where})")
 
 
@@ -429,9 +433,9 @@ def _inverse_metric(metric):
 
 def _require_metric(omega):
     """Raise DomainError unless omega is positive definite at every point."""
-    n = omega.grid.n
-    lam = packed_eigenvalues(omega.packed().reshape(n, n, -1), np.eye(n))
-    _require_positive(lam[:, -1], omega, "metric")
+    metric = omega.packed()
+    lam = packed_eigenvalues(_flat(metric), np.eye(omega.grid.n))
+    _require_positive(lam[..., -1].reshape(metric.shape[2:]), omega, "metric")
 
 
 def _mixed(alpha, k, omega):
@@ -523,8 +527,8 @@ def make_degenerate_big(grid, base, psi_shape):
     if abs(val) > 1e-10:
         raise ConstructionError(f"bisection stalled: min eigenvalue {val:.3e} at amplitude {amp}")
     form = FormField(grid, base, amp * psi)
-    lam = relative_eigenvalues(form.on(sub), identity_form(sub))[:, -1]
-    degenerate = np.broadcast_to(lam.reshape(sub.shape) < 1e-6, grid.shape).copy()
+    lam = relative_eigenvalues(form, identity_form(grid))[..., -1]
+    degenerate = np.broadcast_to(lam < 1e-6, grid.shape).copy()
     return DegenerateBig(form, amp, degenerate, ~degenerate)
 
 
@@ -562,7 +566,7 @@ def tune_to_boundary(grid, base, psi_shape, omega, m, bracket):
     amp = float(brentq(margin, lo, hi, xtol=1e-14, rtol=8.9e-16))
     chi = FormField(grid, base, amp * psi)
     mu = eigenvalues(amp)
-    _require_positive(mu[:, -1], chi.on(sub), "chi")
+    _require_positive(mu[:, -1].reshape(sub.shape), chi, "chi")
     mval = float(np.min(cone_margin(mu, c, m)))
     if abs(mval) > 1e-8:
         raise ConstructionError(f"margin bisection stalled at {mval:.3e}")

@@ -1,11 +1,15 @@
-"""Shared test plumbing: the acceptance-criteria scoreboard.
+"""Shared test plumbing: the acceptance-criteria scoreboard and a kernel spy.
 
 Acceptance tests record one line per criterion through the `criterion`
 fixture; the terminal-summary hook prints the scoreboard after the run so
-the pass/fail lines survive pytest's output capture.
+the pass/fail lines survive pytest's output capture. The `batch_sizes`
+fixture records the point count of every Hessian and eigenvalue kernel call.
 """
 
+import numpy as np
 import pytest
+
+import hessquot.torus as torus
 
 _SCOREBOARD = []
 
@@ -24,6 +28,25 @@ def criterion():
         assert not failing, f"criterion {num} ({label}) failed checks: {failing}"
 
     return record
+
+
+@pytest.fixture
+def batch_sizes(monkeypatch):
+    """The point count of every packed_hessian and packed_eigenvalues call."""
+    sizes = []
+    hessian, eigenvalues = torus.packed_hessian, torus.packed_eigenvalues
+
+    def packed_hessian(grid, phi):
+        sizes.append(grid.npoints)
+        return hessian(grid, phi)
+
+    def packed_eigenvalues(fields, metric):
+        sizes.append(int(np.prod(fields.shape[2:])))
+        return eigenvalues(fields, metric)
+
+    monkeypatch.setattr(torus, "packed_hessian", packed_hessian)
+    monkeypatch.setattr(torus, "packed_eigenvalues", packed_eigenvalues)
+    return sizes
 
 
 def pytest_terminal_summary(terminalreporter, exitstatus, config):

@@ -169,8 +169,32 @@ class TestSolve:
         assert summary["exit_code"] == EXIT_SOLVER
         assert "failure" in summary
 
+    def test_non_finite_residual_is_a_solver_failure(self, tmp_path):
+        # b = s^2 - s overflows at t = 1e200, and the residual is nan
+        with np.errstate(over="ignore", invalid="ignore"):
+            code, summary, _ = run_cli(
+                tmp_path, "solve", "instance = uniform\ngrid_N = 8\nt = 1e200\n"
+            )
+        assert code == EXIT_SOLVER
+        assert summary["stage"] == "solve"
+        assert summary["failure"] == "non-finite residual nan at the start"
+        assert "residual_sup" not in summary
+
 
 class TestContinue:
+    def test_manufactured_needs_grid_32_at_the_default_tol(self, tmp_path):
+        # at N = 16 the t = 1 solve stops at its aliasing floor, above tol 1e-8
+        code, summary, _ = run_cli(tmp_path / "n16", "continue", "instance = manufactured\n")
+        assert code == EXIT_SOLVER
+        assert (summary["rows"], summary["stage"]) == (0, "t=1")
+        assert summary["failure"].startswith("aliasing floor reached at residual 9.279e-08")
+        code, summary, outdir = run_cli(
+            tmp_path / "n32", "continue", "instance = manufactured\ngrid_N = 32\n"
+        )
+        assert code == EXIT_OK
+        assert summary["rows"] == 8 and summary["complete"] is True
+        assert len((outdir / "path.csv").read_text().strip().splitlines()) == 9
+
     def test_default_schedule_eight_rows(self, tmp_path):
         code, summary, outdir = run_cli(
             tmp_path, "continue", "instance = degenerate\ngrid_N = 8\n"

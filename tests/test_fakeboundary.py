@@ -43,6 +43,7 @@ from hessquot.symfunc import elementary_sym
 from hessquot.torus import (
     FormField,
     TorusGrid,
+    compute_c,
     identity_form,
     relative_eigenvalues,
 )
@@ -359,6 +360,30 @@ class TestPrepareInstance:
         assert np.array_equal(inst.g2.view(np.uint64), want.view(np.uint64))
         assert inst.g2.flags.writeable
 
+    def test_varying_chi_takes_its_eigenvalues_on_the_subtorus(self, sample16, batch_sizes):
+        grid = sample16["grid"]
+        x1 = np.broadcast_to(grid.coords()["x1"], grid.shape)
+        chi = FormField(grid, np.eye(2), 0.002 * np.cos(TWO_PI * x1))
+        prepare_instance(sample16["g"], chi, sample16["omega"], sample16["m"])
+        assert batch_sizes and max(batch_sizes) <= grid.N**2
+
+    def test_indefinite_chi_names_the_first_worst_point(self):
+        # chi varies along x1 and y2; the worst point on the full grid, first
+        # in C order, has index 0 on the two axes the check reduces
+        grid = TorusGrid(2, 8)
+        c = grid.coords()
+        pot = np.broadcast_to(
+            0.2 * np.cos(TWO_PI * c["x1"]) + 0.1 * np.sin(TWO_PI * c["y2"]), grid.shape
+        )
+        chi, omega = FormField(grid, 0.5 * np.eye(2), pot), identity_form(grid)
+        where = tuple(np.int64(k) for k in (0, 0, 0, 3))
+        with pytest.raises(DomainError, match="chi not positive definite") as err:
+            compute_c(chi, omega, 1)
+        assert str(err.value).endswith(f" at {where})")
+        with pytest.raises(DomainError, match="background not positive definite") as err:
+            g1_field(chi, omega, 1)
+        assert str(err.value).endswith(f" at {where})")
+
     def test_below_c_rejected(self, sample8):
         with pytest.raises(DomainError, match=">= c"):
             prepare_instance(
@@ -380,9 +405,9 @@ class TestPrepareInstance:
 
     @pytest.mark.parametrize("delta1", [None, 1.0, 10.0])
     def test_one_point_cone_check_matches_the_per_point_margin(self, sample16, delta1, monkeypatch):
-        # chi and omega are constant, so the check reads one spectrum at the
-        # largest widened coefficient; spreading that spectrum over the grid
-        # makes it take the margin at every point instead
+        # chi and omega are constant, so the check reads one spectrum,
+        # broadcast against the widened coefficient; spreading that spectrum
+        # over the grid makes it take one spectrum per point instead
         def prepare():
             try:
                 return prepare_instance(
@@ -396,7 +421,7 @@ class TestPrepareInstance:
 
         def per_point(chi, omega):
             mu = eigenvalues(chi, omega)
-            return np.broadcast_to(mu, (chi.grid.npoints, mu.size))
+            return np.broadcast_to(mu, chi.grid.shape + mu.shape[-1:])
 
         monkeypatch.setattr(fakeboundary, "relative_eigenvalues", per_point)
         every_point = prepare()

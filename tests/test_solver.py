@@ -70,7 +70,7 @@ from hessquot.torus import (
     relative_eigenvalues,
 )
 from test_pointwise import random_metric
-from test_torus import complex_hessian, metric_det, pointwise_mixed
+from test_torus import complex_hessian, grid_eigenvalues, metric_det, pointwise_mixed
 
 TWO_PI = 2.0 * np.pi
 
@@ -208,7 +208,7 @@ def pointwise_b(spec, lam=None):
     mean((S_n - kappa S_m / C(n, m)) det omega) / mean(f det omega), kappa the
     coefficient at each point; lam is computed unless given.
     """
-    lam = relative_eigenvalues(spec.background, spec.omega) if lam is None else lam
+    lam = grid_eigenvalues(spec.background, spec.omega) if lam is None else lam
     det = metric_det(spec.omega)
     kappa = spec.coefficient_field.reshape(-1) / math.comb(spec.n, spec.m)
     lhs = (elementary_sym(spec.n, lam) - kappa * elementary_sym(spec.m, lam)) * det
@@ -228,7 +228,7 @@ class TestQuadratureB:
             inst = build(N=N)
             for t in (1.0, 2.0**-7):
                 spec = inst.spec(t)
-                lam = relative_eigenvalues(spec.background, spec.omega)
+                lam = grid_eigenvalues(spec.background, spec.omega)
                 want = pointwise_b(spec, lam)
                 assert abs(quadrature_b(spec) - want) <= 4 * np.spacing(want), (inst.name, t)
                 for k in range(spec.n + 1):
@@ -669,6 +669,16 @@ class TestFailureModes:
         assert st is not None
         assert st.diagnostics["newton_iters"] == 1
         assert st.residual_sup > 1e-10
+
+    def test_non_finite_residual_is_not_converged(self):
+        # the uniform background at t = 1e200 overflows: b is inf, the residual nan
+        spec = uniform_instance(N=8).spec(1e200)
+        with np.errstate(over="ignore", invalid="ignore"):
+            with pytest.raises(NonconvergenceError, match="^non-finite residual nan") as err:
+                newton_solve(spec)
+        st = err.value.state
+        assert math.isnan(st.residual_sup) and st.b == math.inf
+        assert st.diagnostics["newton_iters"] == 0
 
     def test_aliasing_floor_stops_newton(self, manufactured8):
         # away from t_star the N = 8 solution is not band-limited: the sup
@@ -1392,7 +1402,7 @@ class TestLazyDiagnostics:
     def test_values_match_eager_computation(self, manufactured16):
         st = newton_solve(manufactured16.spec(manufactured16.extras["t_star"]))
         spec = st.spec
-        lam = relative_eigenvalues(spec.background, spec.omega, st.phi)  # full grid
+        lam = grid_eigenvalues(spec.background, spec.omega, st.phi)
         params = EquationParams(
             spec.n, spec.m, spec.coefficient_field.reshape(-1), st.b * spec.source_field.reshape(-1)
         )

@@ -10,12 +10,12 @@ import numpy as np
 import pytest
 from scipy.spatial import cKDTree
 
-import hessquot.torus as torus
 from hessquot import studies
 from hessquot.cli import EXIT_BOUNDARY, EXIT_OK, main
 from hessquot.errors import InputError
 from hessquot.studies import degenerate_path
 from hessquot.symfunc import elementary_sym
+from test_torus import grid_eigenvalues
 
 
 def full_grid_distance(grid, marked):
@@ -35,10 +35,7 @@ def test_degenerate_path_matches_the_full_grid(N):
     away = full_grid_distance(grid, inst.extras["degenerate_mask"]) > 0.2
     assert np.array_equal(study.away, away)
     assert study.path.complete
-    lams = [
-        torus.relative_eigenvalues(st.spec.background, st.spec.omega, st.phi)
-        for st in study.path.states
-    ]
+    lams = [grid_eigenvalues(st.spec.background, st.spec.omega, st.phi) for st in study.path.states]
     for st, lam, got in zip(study.path.states, lams, study.away_w):
         assert st.phi.shape == grid.shape and lam.shape == (grid.npoints, 2)
         w = np.log(elementary_sym(1, lam)).reshape(grid.shape)
@@ -54,25 +51,6 @@ def test_degenerate_path_rejects_an_empty_away_region(monkeypatch):
     monkeypatch.setattr(studies, "continuation_path", no_solve)
     with pytest.raises(InputError, match="no grid point lies farther than away=0.6"):
         degenerate_path(8, away=0.6)
-
-
-@pytest.fixture
-def batch_sizes(monkeypatch):
-    """The point count of every packed_hessian and packed_eigenvalues call."""
-    sizes = []
-    hessian, eigenvalues = torus.packed_hessian, torus.packed_eigenvalues
-
-    def packed_hessian(grid, phi):
-        sizes.append(grid.npoints)
-        return hessian(grid, phi)
-
-    def packed_eigenvalues(fields, metric):
-        sizes.append(int(np.prod(fields.shape[2:])))
-        return eigenvalues(fields, metric)
-
-    monkeypatch.setattr(torus, "packed_hessian", packed_hessian)
-    monkeypatch.setattr(torus, "packed_eigenvalues", packed_eigenvalues)
-    return sizes
 
 
 def test_degenerate_path_reports_on_n_squared_points(batch_sizes):

@@ -75,6 +75,21 @@ def metric_det(omega):
     return np.linalg.det(mats).real
 
 
+def grid_eigenvalues(alpha, omega, phi=None):
+    """Eigenvalues of alpha + i d dbar phi relative to omega at every grid point, (P, n).
+
+    packed_eigenvalues on the full grid's flat packed fields, with no
+    subtorus; one spectrum (n,) when alpha and omega are constant and phi
+    is None.
+    """
+    n = alpha.grid.n
+    fields, metric = alpha.packed(phi), omega.packed()
+    return packed_eigenvalues(
+        fields.reshape(n, n, -1) if fields.ndim > 2 else fields,
+        metric.reshape(n, n, -1) if metric.ndim > 2 else metric,
+    )
+
+
 def pointwise_mixed(alpha, k, omega, lam=None):
     """Grid quadrature of alpha^k wedge omega^(n-k): the mean of S_k(lambda)/C(n,k) det omega.
 
@@ -83,7 +98,7 @@ def pointwise_mixed(alpha, k, omega, lam=None):
     integrates exactly (Stokes).
     """
     n = alpha.grid.n
-    lam = relative_eigenvalues(alpha, omega) if lam is None else lam
+    lam = grid_eigenvalues(alpha, omega) if lam is None else lam
     integrand = elementary_sym(k, lam) / math.comb(n, k) * metric_det(omega)
     return float(np.mean(np.broadcast_to(integrand, lam.shape[:-1])))
 
@@ -576,6 +591,12 @@ class TestVaryingSlab:
                 other = constant_along(grid, rng, axes[1:])
                 assert subtorus(grid, [phi, None, other]).constant_axes == axes[1:]
                 assert subtorus(sub, [inject(sub, phi)]) == sub
+                # relative_eigenvalues reduces its own inputs to phi's subtorus
+                eye = identity_form(grid)
+                lam = relative_eigenvalues(eye, eye, phi)
+                assert lam.shape == sub.shape + (n,)
+                full = grid_eigenvalues(eye, eye, phi).reshape(grid.shape + (n,))
+                assert np.array_equal(lam, at_points(sub, full))
 
     def test_signed_zeros_vary(self):
         # 0.0 == -0.0, but a field that mixes them along an axis varies there
@@ -936,7 +957,7 @@ class TestDegenerate:
         shape = grid_field(g, np.cos(TWO_PI * g.coords()["x1"]))
         res = make_degenerate_big(g, np.eye(2), shape)
         assert res.amplitude == pytest.approx(1.0 / np.pi**2, rel=1e-12)
-        min_eig = relative_eigenvalues(res.form, identity_form(g))[:, -1].reshape(g.shape)
+        min_eig = np.broadcast_to(relative_eigenvalues(res.form, identity_form(g))[..., -1], g.shape)
         assert abs(np.min(min_eig)) <= 1e-10
         want_mask = np.broadcast_to(
             np.abs(g.coords()["x1"]) < 0.5 / g.N, g.shape
