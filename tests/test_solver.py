@@ -67,7 +67,6 @@ from hessquot.torus import (
     normalize_density,
     packed_hessian,
     prolong,
-    relative_eigenvalues,
 )
 from test_pointwise import random_metric
 from test_torus import complex_hessian, grid_eigenvalues, metric_det, pointwise_mixed
@@ -1155,15 +1154,25 @@ class TestNestedIteration:
 
 def full_grid(monkeypatch):
     """Make newton_solve and two_stage_solve find no constant axis, so each
-    solves on its data's own grid."""
+    solves on its data's own grid and takes its eigenvalues at every point."""
     monkeypatch.setattr(solver, "subtorus", lambda grid, fields: grid)
     monkeypatch.setattr(fakeboundary, "subtorus", lambda grid, fields: grid)
+    for module in (solver, fakeboundary, torus):
+        monkeypatch.setattr(module, "relative_eigenvalues", full_grid_eigenvalues)
+
+
+def full_grid_eigenvalues(alpha, omega, phi=None):
+    """grid_eigenvalues in relative_eigenvalues' broadcastable shape: the
+    spectrum at every grid point, or one spectrum for a constant pair."""
+    lam = grid_eigenvalues(alpha, omega, phi)
+    points = alpha.grid.shape if lam.ndim > 1 else (1,) * 2 * alpha.grid.n
+    return lam.reshape(points + lam.shape[-1:])
 
 
 def full_grid_volume_check(state, c):
     """volume_lower_bound_check's value from the state's own grid and phi."""
     spec = state.spec
-    lam = relative_eigenvalues(spec.background, spec.omega, state.phi)
+    lam = grid_eigenvalues(spec.background, spec.omega, state.phi)
     return float(np.min(elementary_sym(spec.n, lam)) - c ** (spec.n / (spec.n - spec.m)))
 
 
