@@ -176,13 +176,15 @@ def _flag(cfg, key):
     return value
 
 
-# Peak RSS of the heaviest command, `continue` on boundary_degenerate over
-# the default schedule, measured at n = 2 (the only n the CLI builds) for
-# N = 8, 16 and 32: at most 84, 124 and 708 MiB over repeated runs. The
-# interpreter and libraries take a fixed part, the rest grows with the
-# grid's points, 2^(2n) per doubling.
+# A run holds its fields on their subtorus: every CLI instance (n = 2)
+# varies along at most two real axes, and a field dump writes N^3 points at
+# a time. `stability` compares its two solves on the broadcast shape of
+# their potentials, which spans the full grid when its two shapes vary along
+# different axes: on boundary_degenerate with sin_x2 and sin_y2 it peaked
+# at 82, 121 and 652 MiB at N = 16, 32 and 64, a fixed part for the
+# interpreter and libraries plus about 36 bytes per grid point.
 _RSS_BASE_BYTES = 85 * 2**20
-_RSS_BYTES_PER_POINT = 625
+_RSS_BYTES_PER_POINT = 40
 
 
 def _physical_memory():
@@ -190,15 +192,15 @@ def _physical_memory():
     return os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
 
 
-def _grid_N(cfg):
+def _grid_N(cfg, axes=3):
     """grid_N from the config, held to TorusGrid's rule and to the machine's
-    memory before anything is built."""
+    memory for a run holding N^axes points, before anything is built."""
     N = _number(cfg, "grid_N", 16, integer=True)
     try:
-        grid = TorusGrid(2, N)
+        TorusGrid(2, N)
     except ValueError as err:
         raise UsageError(f"grid_N: {err}") from err
-    need = _RSS_BASE_BYTES + _RSS_BYTES_PER_POINT * grid.npoints
+    need = _RSS_BASE_BYTES + _RSS_BYTES_PER_POINT * N**axes
     have = _physical_memory()
     if need > have:
         raise UsageError(
@@ -211,9 +213,9 @@ def _grid_N(cfg):
 _INSTANCES = ("uniform", "boundary", "degenerate", "boundary_degenerate", "manufactured")
 
 
-def build_instance(cfg):
+def build_instance(cfg, axes=3):
     name = str(cfg.get("instance", "uniform"))
-    N, m = _grid_N(cfg), _number(cfg, "m", 1, integer=True)
+    N, m = _grid_N(cfg, axes), _number(cfg, "m", 1, integer=True)
     if name not in _INSTANCES:
         raise UsageError(f"unknown instance {name!r}; have {_INSTANCES}")
     if name != "uniform" and "eps" in cfg:
@@ -401,8 +403,7 @@ def _perturbed_density(inst, shape_name, amplitude):
         raise UsageError(f"unknown f shape {shape_name!r}; have {sorted(_SHAPES)}")
     if not -1.0 < amplitude < 1.0:
         raise UsageError(f"|f amplitude| must be < 1 to keep f positive, got {amplitude}")
-    base = np.broadcast_to(_SHAPES[shape_name](inst.grid.coords()), inst.grid.shape)
-    return normalize_density(np.ascontiguousarray(1.0 + amplitude * base), inst.omega)
+    return normalize_density(1.0 + amplitude * _SHAPES[shape_name](inst.grid.coords()), inst.omega)
 
 
 def cmd_stability(cfg, args, outdir):
@@ -418,7 +419,7 @@ def cmd_stability(cfg, args, outdir):
     q = _number(cfg, "q", 2.0)
     config = _solver_config(cfg, 1e-10)
     amp1, amp2 = _number(cfg, "f1_amplitude", None), _number(cfg, "f2_amplitude", None)
-    inst = build_instance(cfg)
+    inst = build_instance(cfg, axes=4)
     f1 = _perturbed_density(inst, str(cfg.get("f1_shape", "cos_x1")), amp1)
     f2 = _perturbed_density(inst, str(cfg.get("f2_shape", "cos_x1")), amp2)
     payload = _base_payload("stability", args)
@@ -442,7 +443,7 @@ def cmd_stability(cfg, args, outdir):
         record = stability_compare(run1, run2, q)
     except InputError as err:
         raise UsageError(f"stability: {err}") from err
-    mask = inst.extras.get("ample_mask", np.ones(inst.grid.shape, dtype=bool))
+    mask = inst.extras.get("ample_mask", True)
     payload.update(
         {
             "sup_diff": record.sup_diff,

@@ -28,7 +28,7 @@ from __future__ import annotations
 
 import csv
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 from scipy.optimize import bisect
@@ -45,14 +45,14 @@ from .solver import EquationSpec, SolverConfig, SolverState, newton_solve
 from .symfunc import elementary_sym
 from .torus import (
     FormField,
+    _field,
     _require_metric,
     _require_positive,
+    _trusted_replace,
     compute_c,
     integrate_density,
-    inject,
     integrate_mixed,
     relative_eigenvalues,
-    subtorus,
 )
 
 
@@ -69,9 +69,7 @@ def compute_theta0(g, chi, omega, c, g_max, m):
     """
     grid = chi.grid
     n = grid.n
-    g = np.asarray(g, dtype=np.float64)
-    if g.shape != grid.shape:
-        raise InputError(f"coefficient shape {g.shape} does not match grid")
+    g = _field(grid, g, "coefficient")
     if not 0 <= m < n:
         raise InputError(f"need 0 <= m < n, got m={m}, n={n}")
     if g_max <= c:
@@ -114,7 +112,7 @@ def g1_field(chi, omega, m):
     """Quotient density of the background: chi^n = g1 chi^m wedge omega^(n-m).
 
     Pointwise g1 = C(n,m) S_n(mu) / S_m(mu) with mu the eigenvalues of chi
-    relative to omega, taken on their subtorus and broadcast over the grid.
+    relative to omega, taken on their subtorus, whose shape g1 keeps.
     """
     grid = chi.grid
     n = grid.n
@@ -123,8 +121,7 @@ def g1_field(chi, omega, m):
     _require_metric(omega)
     mu = relative_eigenvalues(chi, omega)
     _require_positive(mu[..., -1], chi, "background")
-    g1 = math.comb(n, m) * elementary_sym(n, mu) / elementary_sym(m, mu)
-    return np.broadcast_to(g1, grid.shape).copy()
+    return math.comb(n, m) * elementary_sym(n, mu) / elementary_sym(m, mu)
 
 
 def g2_field(g, g1, b_prime, delta1):
@@ -133,11 +130,12 @@ def g2_field(g, g1, b_prime, delta1):
     Returns softmax_kappa(e^{b'} g, g1) + delta1/2, escalating the sharpness
     kappa until the output lies strictly inside the band
     (max{e^{b'} g, g1}, max{e^{b'} g, g1} + delta1) at every grid point.
+    g and g1 broadcast against each other, and g2 has their broadcast shape.
     """
     g = np.asarray(g, dtype=np.float64)
     g1 = np.asarray(g1, dtype=np.float64)
-    if g.shape != g1.shape:
-        raise InputError(f"field shapes differ: {g.shape} vs {g1.shape}")
+    if g.ndim != g1.ndim or any(1 not in (a, b) and a != b for a, b in zip(g.shape, g1.shape)):
+        raise InputError(f"field shapes do not broadcast: {g.shape} vs {g1.shape}")
     if delta1 <= 0.0:
         raise InputError(f"delta1 must be positive, got {delta1}")
     u = math.exp(b_prime) * g
@@ -208,11 +206,7 @@ def prepare_instance(g, chi, omega, m, delta1=None):
     grid = chi.grid
     if omega.grid != grid:
         raise InputError("background and omega must share a grid")
-    g = np.asarray(g, dtype=np.float64)
-    if g.ndim == 0:
-        g = np.full(grid.shape, float(g))
-    if g.shape != grid.shape:
-        raise InputError(f"coefficient shape {g.shape} does not match grid")
+    g = _field(grid, g, "coefficient")
     c = compute_c(chi, omega, m)
     g_min = float(np.min(g))
     if g_min < c * (1.0 - 1e-12):
@@ -231,14 +225,11 @@ def prepare_instance(g, chi, omega, m, delta1=None):
 
     g1 = g1_field(chi, omega, m)
     mu = relative_eigenvalues(chi, omega)
-    # g2 is elementwise in g and g1: built on their subtorus, broadcast back
-    sub = subtorus(grid, [g, g1])
-    g_sub, g1_sub = inject(sub, g), inject(sub, g1)
     candidates = [delta1] if delta1 is not None else [c / 2.0**k for k in range(1, 41)]
     err = None
     for d1 in candidates:
         try:
-            g2 = g2_field(g_sub, g1_sub, b_prime, d1)
+            g2 = g2_field(g, g1, b_prime, d1)
         except ConstructionError as bad:
             err = bad
             continue
@@ -249,7 +240,6 @@ def prepare_instance(g, chi, omega, m, delta1=None):
                 f"delta1={d1:g} too large: cone margin {margin:.3e} with the widened coefficient"
             )
             continue
-        g2 = np.broadcast_to(g2, grid.shape).copy()
         return FakeBoundaryInstance(
             g, g_max, g_min, theta0, b_prime, d1, g1, g2,
             chi, omega, m, c, log_rescale,
@@ -296,12 +286,11 @@ def two_stage_solve(instance, config=None, csv_path=None, steps=16):
     e^{b_t} (path field) strictly below g2; Newton stalls halve the step
     down to a floor. Failures carry the stage and t in the message.
 
-    The path runs on the invariant subtorus of chi, omega, g and g2
-    (torus.subtorus), taken once per call: every coefficient, spec, slack
-    and margin is built at its points, and every state stays there, a
-    failure's state and point count included. Only the final state is put
-    back on the instance's grid, phi broadcast and the t = 1 spec rebuilt
-    there.
+    The fields of the instance are compact, so every coefficient, slack and
+    margin is built on their broadcast shape and each solve runs on their
+    subtorus; omega is checked once, where the t = 0 spec is built, and the
+    specs of the other t-steps take its checks. Every state keeps the
+    subtorus, the final one included, and its spec is on the instance's grid.
     """
     if steps < 1:
         raise InputError(f"need at least one continuation step, got {steps}")
@@ -309,23 +298,18 @@ def two_stage_solve(instance, config=None, csv_path=None, steps=16):
     # default tolerance sits above the collocation floor of smoothed-corner
     # coefficients at moderate N; tighten only with the resolution to match
     config = config or SolverConfig(tol=1e-8)
-    grid = inst.grid
-    n = grid.n
-    _require_metric(inst.omega)
-    sub = subtorus(grid, [inst.chi.potential, inst.omega.potential, inst.g, inst.g2])
-    chi, omega = inst.chi.on(sub), inst.omega.on(sub)
-    g, g2 = inject(sub, inst.g), inject(sub, inst.g2)
     mu_chi = relative_eigenvalues(inst.chi, inst.omega)
-
-    def spec_at(t, chi, omega, g, g2):
-        coeff = np.exp(t * inst.b_prime) * g**t * g2 ** (1.0 - t)
-        return EquationSpec(n, inst.m, chi, omega, coeff, 0.0, unknown_mode="multiplicative")
+    stage1 = EquationSpec(
+        inst.grid.n, inst.m, inst.chi, inst.omega, inst.g2, 0.0, unknown_mode="multiplicative",
+    )
 
     def solve_at(t, init):
-        spec = spec_at(t, chi, omega, g, g2)
+        # positive and finite, as g and g2 are
+        coeff = np.exp(t * inst.b_prime) * inst.g**t * inst.g2 ** (1.0 - t)
+        spec = _trusted_replace(stage1, coefficient_field=coeff)
         state = newton_solve(spec, init=init, config=config, t=t)
         effective = math.exp(state.b) * spec.coefficient_field
-        slack = float(np.min(g2 - effective))
+        slack = float(np.min(inst.g2 - effective))
         margin = float(np.min(cone_margin(mu_chi, effective, inst.m)))
         return state, slack, margin
 
@@ -372,10 +356,6 @@ def two_stage_solve(instance, config=None, csv_path=None, steps=16):
         path = [path[-1], cand]
         todo.pop(0)
     state = path[-1]
-    state = replace(
-        state, phi=np.broadcast_to(state.phi, grid.shape).copy(),
-        spec=spec_at(state.t, inst.chi, inst.omega, inst.g, inst.g2),
-    )
 
     if csv_path is not None:
         write_stage_csv(csv_path, records)

@@ -3,7 +3,9 @@
 Each builder returns an Instance bundling the geometric data (chi, chitilde,
 omega), the constants, the normalized source density, and any closed-form
 facts (expected b along the family, a manufactured potential) that make the
-instance checkable.
+instance checkable. Every field is built from grid.coords() in the shape
+that broadcasts against the grid, with one point on each real axis it is
+constant along, so no builder touches the full grid but the generic one.
 """
 
 from __future__ import annotations
@@ -19,10 +21,8 @@ from .torus import (
     TorusGrid,
     compute_c,
     identity_form,
-    inject,
     make_degenerate_big,
     normalize_density,
-    subtorus,
     tune_to_boundary,
 )
 
@@ -55,8 +55,9 @@ class Instance:
         )
 
 
-def _grid_field(grid, expr):
-    return np.ascontiguousarray(np.broadcast_to(expr, grid.shape)).astype(np.float64)
+def _ones(grid):
+    """The flat density 1, one point on every axis."""
+    return np.ones((1,) * len(grid.shape))
 
 
 def _boundary_chi(grid, omega, m):
@@ -65,7 +66,7 @@ def _boundary_chi(grid, omega, m):
     Returns (amplitude, c, chi) and psi.
     """
     coords = grid.coords()
-    psi = _grid_field(grid, np.cos(TWO_PI * coords["x1"]) + np.cos(TWO_PI * coords["y1"]))
+    psi = np.cos(TWO_PI * coords["x1"]) + np.cos(TWO_PI * coords["y1"])
     return tune_to_boundary(grid, np.eye(2), psi, omega, m, (0.0, 0.05)), psi
 
 
@@ -85,7 +86,7 @@ def uniform_instance(N=16, eps=0.1, m=1):
         chitilde=FormField(grid, eps * np.eye(2)),
         omega=omega,
         c=compute_c(identity_form(grid), omega, m),
-        f=np.ones(grid.shape),
+        f=_ones(grid),
     )
     inst.extras["expected_b"] = lambda t: (1.0 + t + eps) ** 2 - (1.0 + t + eps)
     inst.extras["eps"] = eps
@@ -110,7 +111,7 @@ def boundary_instance(N=16, m=1):
         chitilde=omega,
         omega=omega,
         c=c,
-        f=np.ones(grid.shape),
+        f=_ones(grid),
     )
     inst.extras["amplitude"] = amp
     inst.extras["b_limit"] = 2.0
@@ -125,7 +126,7 @@ def degenerate_instance(N=16, m=1):
     """
     grid = TorusGrid(2, N)
     omega = identity_form(grid)
-    shape = _grid_field(grid, np.cos(TWO_PI * grid.coords()["x1"]))
+    shape = np.cos(TWO_PI * grid.coords()["x1"])
     degen = make_degenerate_big(grid, np.eye(2), shape)
     inst = Instance(
         name="degenerate",
@@ -135,7 +136,7 @@ def degenerate_instance(N=16, m=1):
         chitilde=degen.form,
         omega=omega,
         c=compute_c(identity_form(grid), omega, m),
-        f=np.ones(grid.shape),
+        f=_ones(grid),
     )
     inst.extras["degenerate_mask"] = degen.degenerate_mask
     inst.extras["ample_mask"] = degen.ample_mask
@@ -160,7 +161,7 @@ def boundary_degenerate_instance(N=16, m=1):
     grid = TorusGrid(2, N)
     omega = identity_form(grid)
     (a, c, chi), psi = _boundary_chi(grid, omega, m)
-    shape = _grid_field(grid, np.cos(TWO_PI * grid.coords()["x1"]))
+    shape = np.cos(TWO_PI * grid.coords()["x1"])
     degen = make_degenerate_big(grid, np.eye(2), shape)
     inst = Instance(
         name="boundary_degenerate",
@@ -170,7 +171,7 @@ def boundary_degenerate_instance(N=16, m=1):
         chitilde=degen.form,
         omega=omega,
         c=c,
-        f=np.ones(grid.shape),
+        f=_ones(grid),
     )
     amp = degen.amplitude
     inst.extras["amplitude"] = a
@@ -181,29 +182,22 @@ def boundary_degenerate_instance(N=16, m=1):
     return inst
 
 
-def manufactured_instance(N=32):
-    """Source engineered so phi* = 0.1 sin(2 pi x1) cos(2 pi y2) solves exactly.
+def _manufactured(name, grid, phi_star):
+    """The instance whose exact solution is phi_star, with b* = mean of the defect.
 
     Background 3*I (chi = omega, chitilde = 1.5*omega, t = 0.5); with c = 1
-    the pointwise defect S_2 - S_1/2 of X* = 3I + Hess(phi*) is strictly
-    positive (minimum about 0.09), and dividing by its mean b* = 6 gives a
-    normalized density. phi* and b* are then exact discrete solutions.
+    the pointwise defect S_2 - S_1/2 of X* = 3I + Hess(phi*) must be
+    strictly positive, and dividing it by its mean b* gives a normalized
+    density. phi* and b* are then exact discrete solutions.
     """
-    grid = TorusGrid(2, N)
     omega = identity_form(grid)
-    coords = grid.coords()
-    phi_star = _grid_field(
-        grid, 0.1 * np.sin(TWO_PI * coords["x1"]) * np.cos(TWO_PI * coords["y2"])
-    )
-    sub = subtorus(grid, [phi_star])  # whose points carry every value of the grid's
-    (x11, re), (im, x22) = FormField(sub, 3.0 * np.eye(2), inject(sub, phi_star)).packed()
+    (x11, re), (im, x22) = FormField(grid, 3.0 * np.eye(2), phi_star).packed()
     # c = 1 for chi = omega; S_2 = det, S_1 = trace relative to the identity
-    f_raw = _grid_field(grid, (x11 * x22 - re * re - im * im) - 0.5 * (x11 + x22))
+    f_raw = (x11 * x22 - re * re - im * im) - 0.5 * (x11 + x22)
     if np.min(f_raw) <= 0.0:
         raise InputError("manufactured defect lost positivity; background too small")
-    b_star = float(np.mean(f_raw))
     inst = Instance(
-        name="manufactured",
+        name=name,
         grid=grid,
         m=1,
         chi=identity_form(grid),
@@ -213,9 +207,37 @@ def manufactured_instance(N=32):
         f=normalize_density(f_raw, omega),
     )
     inst.extras["phi_star"] = phi_star - float(np.max(phi_star))
-    inst.extras["b_star"] = b_star
+    inst.extras["b_star"] = float(np.mean(f_raw))
     inst.extras["t_star"] = 0.5
     return inst
+
+
+def manufactured_instance(N=32):
+    """Source engineered so phi* = 0.1 sin(2 pi x1) cos(2 pi y2) solves exactly.
+
+    The defect of X* = 3I + Hess(phi*) has minimum about 0.09 and mean
+    b* = 6; the data vary along x1 and y2 alone.
+    """
+    grid = TorusGrid(2, N)
+    c = grid.coords()
+    return _manufactured("manufactured", grid, 0.1 * np.sin(TWO_PI * c["x1"]) * np.cos(TWO_PI * c["y2"]))
+
+
+def generic_instance(N=16):
+    """Manufactured with phi* varying along all four real axes, no product of one-axis factors.
+
+    phi* = 0.05 cos 2 pi (x1 + y2) + 0.04 sin 2 pi (x2 - y1) + 0.03 cos 2 pi (x1 + x2 + y1),
+    so its data have no constant axis and every solve runs at every point
+    of the grid. Not in the CLI's instance list.
+    """
+    grid = TorusGrid(2, N)
+    c = grid.coords()
+    phi_star = (
+        0.05 * np.cos(TWO_PI * (c["x1"] + c["y2"]))
+        + 0.04 * np.sin(TWO_PI * (c["x2"] - c["y1"]))
+        + 0.03 * np.cos(TWO_PI * (c["x1"] + c["x2"] + c["y1"]))
+    )
+    return _manufactured("generic", grid, phi_star)
 
 
 def fake_boundary_sample(N=16):
@@ -231,7 +253,7 @@ def fake_boundary_sample(N=16):
     """
     grid = TorusGrid(2, N)
     omega = identity_form(grid)
-    g = _grid_field(grid, 1.0 + 0.125 * (1.0 - np.cos(TWO_PI * grid.coords()["x1"])))
+    g = 1.0 + 0.125 * (1.0 - np.cos(TWO_PI * grid.coords()["x1"]))
     return {
         "grid": grid,
         "m": 1,

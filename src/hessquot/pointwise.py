@@ -34,7 +34,7 @@ class EquationParams:
     """Pointwise parameters of S_n = (coefficient/C(n,m)) S_m + source.
 
     coefficient is c, or e^b g(x) in multiplicative mode; source is b_t f(x),
-    or 0 in multiplicative mode. Scalars or grid-shaped arrays both work.
+    or 0 in multiplicative mode. Scalars or arrays of the batch's shape both work.
     """
 
     n: int

@@ -21,10 +21,14 @@ residual is above tol while that part is within it stops there, at its
 aliasing floor. Above COARSEST_N points per axis, each solve starts from the
 solve of the same problem on the grid with half the points per axis (nested
 iteration), which hands over its state even when it stopped at its floor.
-Each solve runs on the invariant subtorus of its data and starting
-potentials (torus.subtorus): every Newton iterate is constant where they are.
-Both grid changes, to the coarse grid and to the subtorus, inject every
-field onto a sub-lattice of its grid (torus.inject, through the specs' on).
+A spec's fields broadcast against its grid, compacted where the spec is
+built, which also checks omega once; so the invariant subtorus of the data
+and the starting potentials is the grid of their broadcast shape
+(torus.subtorus), and each solve runs there with no scan: every Newton
+iterate is constant where they are. Both grid changes, to the subtorus and
+to the coarse grid, inject every field onto a sub-lattice of its grid at
+that grid's shape (torus.inject, through the specs' on). A state's phi keeps
+the solve's shape, which broadcasts against the spec's grid.
 """
 
 from __future__ import annotations
@@ -50,18 +54,20 @@ from .pointwise import (
 from .symfunc import elementary_sym
 from .torus import (
     FormField,
+    _field,
     _inverse_metric,
+    _mixed,
+    _require_metric,
+    _trusted_replace,
     divide_by_symbol,
     frozen_symbol,
     hessian_trace,
     holomorphic_gradient,
     integrate_density,
     inject,
-    integrate_mixed,
     prolong,
     relative_eigenvalues,
     subtorus,
-    total_volume,
 )
 
 MODES = ("additive", "multiplicative")
@@ -73,6 +79,10 @@ class EquationSpec:
 
     additive mode: the unknown scalar multiplies source_field (b * f);
     multiplicative mode: exp(b) multiplies coefficient_field (e^b * g).
+    Both fields broadcast against the grid (a scalar is one point) and are
+    compacted when the spec is built, which also checks, once per spec, that
+    omega is positive definite and that the background's class integrals
+    are finite.
     """
 
     n: int
@@ -94,18 +104,18 @@ class EquationSpec:
         if self.unknown_mode not in MODES:
             raise InputError(f"unknown_mode must be one of {MODES}")
         for name in ("coefficient_field", "source_field"):
-            vals = np.asarray(getattr(self, name), dtype=np.float64)
-            if vals.ndim == 0:
-                vals = np.full(grid.shape, float(vals))
-            elif vals.shape != grid.shape:
-                raise InputError(f"{name} shape {vals.shape} does not match grid")
-            if not np.all(np.isfinite(vals)):
-                raise InputError(f"{name} values must be finite")
+            vals = _field(grid, getattr(self, name), name)
             if np.min(vals) < 0.0:
                 raise InputError(f"{name} must be nonnegative")
             object.__setattr__(self, name, vals)
+        _require_metric(self.omega)
+        # an overflow here is the input's, and is reported as such
+        with np.errstate(over="ignore", invalid="ignore"):
+            classes = [_mixed(self.background, k, self.omega) for k in (self.m, self.n)]
+        if not all(map(math.isfinite, classes)):
+            raise InputError(f"the background's class integrals are not finite: {classes}")
         if self.unknown_mode == "additive":
-            vol = total_volume(self.omega)
+            vol = _mixed(self.omega, 0, self.omega)
             total = integrate_density(self.source_field, self.omega)
             if abs(total - vol) > 1e-8 * vol:
                 raise InputError(
@@ -117,19 +127,24 @@ class EquationSpec:
         return self.background.grid
 
     def on(self, grid):
-        """This spec on grid, a sub-lattice of its own grid: every field injected.
+        """This spec on grid, a sub-lattice of its own grid: every field injected at grid's shape.
 
         In additive mode the injected source is renormalized to the volume,
-        since the spec on grid checks the normalization too; this spec
-        itself comes back when grid is its own.
+        since its mean moves on a coarser grid. The checks the spec passed
+        where it was built carry over. This spec itself comes back when
+        every field already has grid's shape.
         """
-        if grid == self.grid:
+        fields = (
+            self.background.potential, self.omega.potential,
+            self.coefficient_field, self.source_field,
+        )
+        if grid == self.grid and all(f is None or f.shape == grid.shape for f in fields):
             return self
         omega = self.omega.on(grid)
         source = inject(grid, self.source_field)
         if self.unknown_mode == "additive":
-            source = source * (total_volume(omega) / integrate_density(source, omega))
-        return replace(
+            source = source * (_mixed(omega, 0, omega) / integrate_density(source, omega))
+        return _trusted_replace(
             self, background=self.background.on(grid), omega=omega,
             coefficient_field=inject(grid, self.coefficient_field), source_field=source,
         )
@@ -156,7 +171,11 @@ class SolverConfig:
 
 @dataclass(frozen=True)
 class SolverState:
-    """Converged solve; phi is reported with sup phi = 0, on spec's grid."""
+    """Converged solve; phi is reported with sup phi = 0 on the solve's subtorus.
+
+    phi's shape broadcasts against spec's grid: one point on each axis along
+    which the data and the starting potentials are constant.
+    """
 
     phi: np.ndarray
     b: float
@@ -309,22 +328,27 @@ def quadrature_b(spec):
     gives b. With a constant coefficient both X terms are class integrals,
     the same for X as for the closed background (Stokes), so b is
     (int bg^n - c int bg^m wedge omega^(n-m)) / int f omega^n with no
-    transform and no eigenvalue. A varying coefficient raises InputError:
-    int kappa S_m(X) omega^n then moves with the potential, so no value
-    computed before the solve fixes b.
+    transform and no eigenvalue, and the density integral runs on the
+    source's own points. omega was checked where the spec was built. A
+    varying coefficient raises InputError: int kappa S_m(X) omega^n then
+    moves with the potential, so no value computed before the solve fixes
+    b. So does a b that is not finite.
     """
     if spec.unknown_mode != "additive":
         raise InputError("quadrature value of b is an additive-mode notion")
-    coeff = spec.coefficient_field.reshape(-1)
-    if not np.all(coeff == coeff[0]):
+    coeff = spec.coefficient_field
+    c = coeff.flat[0]
+    if not np.all(coeff == c):
         raise InputError(
             "additive mode needs a constant coefficient: with a varying one the"
             " integral of its S_m term moves with the potential, so b has no quadrature value"
         )
     bg, omega = spec.background, spec.omega
-    trail = float(coeff[0]) * integrate_mixed(bg, spec.m, omega)
-    top = integrate_mixed(bg, spec.n, omega)
-    return (top - trail) / integrate_density(spec.source_field, omega)
+    trail = float(c) * _mixed(bg, spec.m, omega)
+    b = (_mixed(bg, spec.n, omega) - trail) / integrate_density(spec.source_field, omega)
+    if not math.isfinite(b):
+        raise InputError(f"the quadrature value of b is not finite: {b!r}")
+    return b
 
 
 def _gmres_cycle(op, rhs, rtol):
@@ -518,10 +542,11 @@ def newton_solve(spec, init=None, config=None, t=math.nan):
     the damping floor, or when the start's residual is not finite.
 
     The solve, nested iteration included, runs on the subtorus of the data
-    and of the last two path states' phi (all a start reads); the states and
-    a ConeViolationError's count and point are on spec's grid.
-    The state's newton_iters and krylov_iters count the work on this grid
-    only, not the coarse solves'.
+    and of the last two path states' phi (all a start reads), the grid of
+    their broadcast shape. The states keep its shape, and their spec is the
+    one passed in; a ConeViolationError's count and point are on spec's
+    grid. The state's newton_iters and krylov_iters count the work on this
+    grid only, not the coarse solves'.
     """
     config = config or SolverConfig()
     path = (init if isinstance(init, Sequence) else [] if init is None else [init])[-2:]
@@ -560,11 +585,10 @@ def newton_solve(spec, init=None, config=None, t=math.nan):
     rsup_prev = math.inf
 
     def state():
-        """The state of full at (phi, b), phi broadcast back; the diagnostics keep the subtorus."""
+        """The state of full at (phi, b); phi and the diagnostics keep the subtorus."""
         out = phi - float(np.max(phi))
         diagnostics = Diagnostics(spec, out, float(b), iters, krylov_total)
-        phi_full = np.broadcast_to(out, full.grid.shape).copy()
-        return SolverState(phi_full, float(b), float(t), ev.rsup, diagnostics, full)
+        return SolverState(out, float(b), float(t), ev.rsup, diagnostics, full)
 
     # a step is accepted only where it lowers the residual, so only a start can be non-finite
     if not math.isfinite(ev.rsup):
@@ -690,7 +714,7 @@ class StabilityRecord:
 
 
 def stability_compare(run1, run2, q):
-    """Empirical form of the L^{q*} stability bound between two solves."""
+    """Empirical form of the L^{q*} stability bound between two solves, on their broadcast shape."""
     if q <= 1.0:
         raise InputError(f"q must exceed 1, got {q}")
     if run1.spec.grid != run2.spec.grid:
@@ -706,11 +730,16 @@ def stability_compare(run1, run2, q):
 
 
 def uniqueness_gap(phi1, phi2, ample_mask):
-    """Sup deviation of phi1 - phi2 from constancy over the marked region."""
+    """Sup deviation of phi1 - phi2 from constancy over the marked region.
+
+    The potentials and the mask broadcast against each other, and the mean
+    is taken over their broadcast shape.
+    """
     mask = np.asarray(ample_mask, dtype=bool)
     if not mask.any():
         raise InputError("ample mask is empty")
-    diff = (np.asarray(phi1) - np.asarray(phi2))[mask]
+    diff, mask = np.broadcast_arrays(np.asarray(phi1) - np.asarray(phi2), mask)
+    diff = diff[mask]
     return float(np.max(np.abs(diff - np.mean(diff))))
 
 

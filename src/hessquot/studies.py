@@ -37,24 +37,21 @@ AMPLITUDES = (0.1, 0.01, 0.001)
 
 
 def _source_shapes(grid):
-    """The two perturbation shapes cos(2 pi x1) and sin(2 pi y2) on the grid."""
+    """The two perturbation shapes cos(2 pi x1) and sin(2 pi y2), broadcastable."""
     coords = grid.coords()
-    return (
-        np.broadcast_to(np.cos(TWO_PI * coords["x1"]), grid.shape),
-        np.broadcast_to(np.sin(TWO_PI * coords["y2"]), grid.shape),
-    )
+    return np.cos(TWO_PI * coords["x1"]), np.sin(TWO_PI * coords["y2"])
 
 
 def _sup_w_on(state, mask):
-    """sup of w = log S_1(lambda(X)) over the points marked in mask, w broadcast over the grid."""
-    w = np.log(elementary_sym(1, state_eigenvalues(state)))
-    return float(np.broadcast_to(w, mask.shape)[mask].max())
+    """sup of w = log S_1(lambda(X)) over the points marked in mask, on their broadcast shape."""
+    w, mask = np.broadcast_arrays(np.log(elementary_sym(1, state_eigenvalues(state))), mask)
+    return float(w[mask].max())
 
 
 @dataclass(frozen=True)
 class DegeneratePath:
     instance: Instance
-    away: np.ndarray            # points farther than the cutoff from the degenerate slab
+    away: np.ndarray            # points farther than the cutoff from the degenerate slab, broadcastable
     path: PathResult
     away_w: list                # sup of w over the away region, one per state
     volume_slack: float | None  # min S_n - c^(n/(n-m)) at the last t; None if incomplete

@@ -6,20 +6,29 @@ is spectral (exact for band-limited fields, Nyquist dropped from first-order
 multipliers) and runs on real FFTs: every operator is a real field times a
 real symbol cached per grid in rfftn layout, and a product spectrum that
 is identically zero is not inverse transformed (a potential of z1 alone
-has one nonzero Hessian field). A problem whose data are constant along
-some real axes (bit for bit) is posed on its invariant subtorus: subtorus()
-finds those axes once, and the grid it returns holds one point on each of
-them, so every operator, pointwise kernel and vector runs on the other axes
-only. Along a constant axis every butterfly difference is an exact zero and
-every sum and normalization a power-of-two scaling, so each operator gives
-the full grid's bits at the subtorus points, but for the sign of an output
-that is exactly zero. relative_eigenvalues() takes its inputs' subtorus
-itself and returns a shape that broadcasts against any field on the grid.
-One injection, inject(), takes a field to any sub-lattice of its grid: the
-subtorus, a coarser grid, or both; prolong() interpolates it spectrally
-onto the grid with 2N points per axis.
+has one nonzero Hessian field).
+Every field on a grid has a broadcastable shape: one point on each real
+axis along which it is constant, grid's points on the others, as
+grid.coords() returns them. compact() finds those axes, bit for bit, where
+a caller hands in a full array (FormField, EquationSpec and the
+fake-boundary coefficient call it once per array), so data live on their
+subtorus from the start, and subtorus() of several fields is the grid of
+their broadcast shape. The grid it returns holds one point on each
+constant axis, so every operator, pointwise kernel and vector runs on the
+other axes only. Along a constant axis every butterfly difference is an
+exact zero and every sum and normalization a power-of-two scaling, so each
+operator gives the full grid's bits at the subtorus points, but for the
+sign of an output that is exactly zero. relative_eigenvalues() takes its
+inputs' subtorus itself and returns a shape that broadcasts against any
+field on the grid.
+One injection, inject(), takes a field to any sub-lattice of its grid (the
+subtorus, a coarser grid, or both) at that grid's shape, repeating it along
+the axes where it has one point; prolong() interpolates it spectrally onto
+the grid with 2N points per axis. Only a writer that needs every point,
+dump_fields(), broadcasts a field over the full grid, one slab at a time.
 Integration of a density is the periodic trapezoid rule, i.e. the plain
-grid mean, which is spectrally accurate here. Every form is closed, so a
+grid mean, which is spectrally accurate here and is taken over the
+broadcast shape of the density and the metric. Every form is closed, so a
 mixed integral of forms is that of their constant parts (Stokes) and takes
 no grid point.
 
@@ -30,6 +39,7 @@ every integral so that all ratios (c, b_t, theta0) are convention-free.
 
 from __future__ import annotations
 
+import copy
 import functools
 import json
 import math
@@ -102,32 +112,67 @@ class TorusGrid:
         return self._along(axis, k)
 
 
-def subtorus(grid, fields):
-    """grid with one point on every real axis along which all fields (arrays or None) are constant.
+def _broadcastable(grid, values, name="field"):
+    """values as an array with one point or grid's points on each real axis; a scalar gets one point on each."""
+    values = np.asarray(values)
+    if values.ndim == 0:
+        values = values.reshape((1,) * len(grid.shape))
+    if values.ndim != len(grid.shape) or any(v not in (1, g) for v, g in zip(values.shape, grid.shape)):
+        raise InputError(f"{name} shape {values.shape} does not broadcast against grid {grid.shape}")
+    return values
 
-    Constancy is bitwise, so a field mixing 0.0 and -0.0 along an axis varies
-    along it; each axis is tested first on its line through index 0. A
-    non-finite field varies along every axis: a transform along an axis where
-    it is constant would spread its non-finite value.
+
+def compact(grid, values):
+    """values with one point on each real axis along which they are constant, bit for bit.
+
+    values broadcast against grid (see _broadcastable) and keep their dtype;
+    they come back uncopied when no axis reduces. Constancy is bitwise, so a
+    field mixing 0.0 and -0.0 along an axis varies along it; each axis is
+    tested first on its line through index 0. A non-finite field reduces
+    nothing: a transform along an axis where it is constant would spread
+    its non-finite value.
     """
-    axes = set(range(2 * grid.n))
-    for values in fields:
-        if values is None:
+    values = _broadcastable(grid, values)
+    if values.dtype.kind == "f" and not np.all(np.isfinite(values)):
+        return values
+    bits = values.view(f"u{values.itemsize}")
+    for axis in range(bits.ndim):
+        if bits.shape[axis] == 1:
             continue
-        values = np.asarray(values, dtype=np.float64)
-        if values.shape != grid.shape:
-            raise InputError(f"field shape {values.shape} does not match grid {grid.shape}")
-        bits = values.view(np.uint64)
-        for axis in sorted(axes):
-            line = bits[(0,) * axis + (slice(None),) + (0,) * (bits.ndim - axis - 1)]
-            first = bits[(slice(None),) * axis + (slice(0, 1),)]
-            if np.all(line == line[0]) and np.all(bits == first):
-                bits = first
-            else:
-                axes.discard(axis)
-        if not np.all(np.isfinite(bits.view(np.float64))):
-            return grid
-    return replace(grid, constant_axes=tuple(sorted(axes)))
+        line = bits[(0,) * axis + (slice(None),) + (0,) * (bits.ndim - axis - 1)]
+        first = bits[(slice(None),) * axis + (slice(0, 1),)]
+        if np.all(line == line[0]) and np.all(bits == first):
+            bits = first
+    return values if bits.shape == values.shape else np.ascontiguousarray(bits).view(values.dtype)
+
+
+def _field(grid, values, name="field"):
+    """A finite real field broadcasting against grid, compacted: how every constructor takes one."""
+    values = _broadcastable(grid, np.asarray(values, dtype=np.float64), name)
+    if not np.all(np.isfinite(values)):
+        raise InputError(f"{name} values must be finite")
+    return compact(grid, values)
+
+
+def subtorus(grid, fields):
+    """grid with one point on every real axis along which all fields (arrays or None) have one.
+
+    The grid of the fields' broadcast shape; each field must broadcast
+    against grid. A field constant along an axis it holds in full keeps it:
+    compact() it first.
+    """
+    shape = np.broadcast_shapes((1,) * len(grid.shape), *(
+        _broadcastable(grid, values).shape for values in fields if values is not None
+    ))
+    return replace(grid, constant_axes=tuple(a for a, size in enumerate(shape) if size == 1))
+
+
+def _trusted_replace(obj, **changes):
+    """dataclasses.replace without __post_init__, for values that passed obj's checks already."""
+    out = copy.copy(obj)
+    for name, value in changes.items():
+        object.__setattr__(out, name, value)
+    return out
 
 
 @functools.lru_cache(maxsize=4)
@@ -260,26 +305,32 @@ def holomorphic_gradient(grid, phi):
 
 
 def inject(grid, values):
-    """A field's values at the points of grid, a sub-lattice of the field's own grid.
+    """A field's values at the points of grid, a sub-lattice of the field's own grid, at grid's shape.
 
     grid keeps every 2^k-th point on each axis it varies along and index 0
     on each of its constant axes, so injection is exact for fields
-    band-limited below grid's Nyquist frequency. values comes back uncopied
-    when the shapes match. Any other target, one varying along an axis where
-    the field has one point included, raises InputError.
+    band-limited below grid's Nyquist frequency; a field with one point on
+    an axis is constant along it and is repeated there. values comes back
+    uncopied when the shapes match. Any other target, one with more points
+    per axis than the field's grid, raises InputError.
     """
     values = np.asarray(values, dtype=np.float64)
     if values.shape == grid.shape:
         return values
     M = max(values.shape, default=1)
-    stride = M // grid.N
-    index = tuple(slice(0, 1) if want == 1 else slice(None, None, stride) for want in grid.shape)
+    stride = max(M // grid.N, 1)
     if not (
-        values.ndim == 2 * grid.n and set(values.shape) <= {1, M} and stride * grid.N == M
-        and stride & (stride - 1) == 0 and values[index].shape == grid.shape
+        values.ndim == 2 * grid.n and set(values.shape) <= {1, M}
+        and (M == 1 or stride * grid.N == M) and stride & (stride - 1) == 0
     ):
         raise InputError(f"grid {grid.shape} is not a sub-lattice of field shape {values.shape}")
-    return np.ascontiguousarray(values[index])
+    picked = values[tuple(
+        slice(0, 1) if 1 in (want, have) else slice(None, None, stride)
+        for want, have in zip(grid.shape, values.shape)
+    )]
+    if picked.shape != grid.shape:
+        picked = np.broadcast_to(picked, grid.shape)
+    return np.ascontiguousarray(picked)
 
 
 def prolong(grid, values):
@@ -324,7 +375,11 @@ def divide_by_symbol(grid, symbol, values):
 
 @dataclass(frozen=True, eq=False)
 class FormField:
-    """Closed real (1,1) form: constant Hermitian part plus i d dbar of a potential."""
+    """Closed real (1,1) form: constant Hermitian part plus i d dbar of a potential.
+
+    The potential broadcasts against grid and is compacted when the form is
+    built (compact), so it holds one point on each axis it is constant along.
+    """
 
     grid: TorusGrid
     const: np.ndarray
@@ -334,10 +389,12 @@ class FormField:
         const = np.asarray(self.const, dtype=np.complex128)
         if const.shape != (self.grid.n, self.grid.n):
             raise InputError(f"constant part must be {self.grid.n} x {self.grid.n}")
+        if not np.all(np.isfinite(const)):
+            raise InputError("constant part must be finite")
         check_hermitian(const, rtol=1e-12)
         object.__setattr__(self, "const", const)
         if self.potential is not None:
-            pot = _check_scalar(self.grid, self.potential)
+            pot = _field(self.grid, self.potential, "potential")
             object.__setattr__(self, "potential", None if np.max(np.abs(pot)) == 0.0 else pot)
 
     @property
@@ -347,8 +404,9 @@ class FormField:
     def packed(self, phi=None):
         """This form plus i d dbar phi as real fields packed on the leading (n, n) axes.
 
-        Shape (n, n) + grid.shape in HERMITIAN_PACKING, built on each call
-        from one Hessian, of the potential plus phi, with the packed constant
+        Shape (n, n) + the broadcast shape of the potential and phi, in
+        HERMITIAN_PACKING, built on each call from one Hessian, of the
+        potential plus phi, on their subtorus, with the packed constant
         added; a constant form with phi None gives its packed (n, n) constant.
         """
         pot = self.potential
@@ -357,14 +415,14 @@ class FormField:
         const = pack_hermitian(self.const)
         if pot is None:
             return const
-        fields = packed_hessian(self.grid, pot)
+        fields = packed_hessian(subtorus(self.grid, [pot]), pot)
         fields += const.reshape(const.shape + (1,) * (2 * self.grid.n))
         return fields
 
     def on(self, grid):
-        """This form on grid, a sub-lattice of its own grid: the potential injected."""
+        """This form on grid, a sub-lattice of its own grid: the potential injected at grid's shape."""
         pot = None if self.potential is None else inject(grid, self.potential)
-        return FormField(grid, self.const, pot)
+        return _trusted_replace(self, grid=grid, potential=pot)
 
     def __add__(self, other):
         if not isinstance(other, FormField):
@@ -380,8 +438,10 @@ class FormField:
 
     def __rmul__(self, s):
         s = float(s)
-        pot = None if self.potential is None else s * self.potential
-        return FormField(self.grid, s * self.const, pot)
+        # an overflow is left to the constructor, which rejects it
+        with np.errstate(over="ignore", invalid="ignore"):
+            pot = None if self.potential is None else s * self.potential
+            return FormField(self.grid, s * self.const, pot)
 
     __mul__ = __rmul__
 
@@ -424,7 +484,7 @@ def _inverse_metric(metric):
     """omega^-1 and det omega from omega packed on the leading (n, n) axes, by the adjugate.
 
     omega^-1 comes back packed the same way, and both keep metric's batch:
-    from omega.packed().reshape(n, n, -1), the flat grid, or one point when
+    omega.packed()'s broadcastable shape, its flat reshape, or one point when
     omega is constant, so they broadcast over any X and any density.
     """
     adj, det = packed_adjugate(metric)
@@ -463,10 +523,13 @@ def integrate_mixed(alpha, k, omega):
 
 
 def integrate_density(values, omega):
-    """Quadrature of a scalar density against omega^n (same convention)."""
-    n = omega.grid.n
-    det = _inverse_metric(omega.packed().reshape(n, n, -1))[1]
-    integrand = np.reshape(np.asarray(values, dtype=np.float64), -1) * det
+    """Quadrature of a scalar density against omega^n (same convention).
+
+    The mean over the broadcast shape of the density and omega's
+    determinant, whose every point stands for the same number of grid points.
+    """
+    det = _inverse_metric(omega.packed())[1]
+    integrand = _broadcastable(omega.grid, np.asarray(values, dtype=np.float64)) * det
     return float(np.mean(integrand)) * DENSITY_CONVENTION_SCALE
 
 
@@ -501,12 +564,12 @@ def make_degenerate_big(grid, base, psi_shape):
     The minimum over the grid of the smallest (plain) eigenvalue of the form
     is concave in a, so bisection on the bracket [0, a_hi] is sound. It runs
     on psi's subtorus, whose points carry every value of the grid's. Returns
-    the form, the amplitude, and the degenerate/ample grid masks; a point is
-    degenerate where its smallest eigenvalue is below 1e-6.
+    the form, the amplitude, and the degenerate/ample masks, which broadcast
+    against the grid; a point is degenerate where its smallest eigenvalue is
+    below 1e-6.
     """
-    psi = _check_scalar(grid, psi_shape)
-    sub = subtorus(grid, [psi])
-    hess = _flat(packed_hessian(sub, inject(sub, psi)))
+    psi = _field(grid, psi_shape, "potential shape")
+    hess = _flat(packed_hessian(subtorus(grid, [psi]), psi))
     if np.max(np.abs(hess)) < 1e-13 * (1.0 + float(np.max(np.abs(psi)))):
         raise ConstructionError("potential shape has (numerically) zero complex Hessian")
     packed_base = pack_hermitian(np.asarray(base, dtype=np.complex128))[..., None]
@@ -527,8 +590,7 @@ def make_degenerate_big(grid, base, psi_shape):
     if abs(val) > 1e-10:
         raise ConstructionError(f"bisection stalled: min eigenvalue {val:.3e} at amplitude {amp}")
     form = FormField(grid, base, amp * psi)
-    lam = relative_eigenvalues(form, identity_form(grid))[..., -1]
-    degenerate = np.broadcast_to(lam < 1e-6, grid.shape).copy()
+    degenerate = relative_eigenvalues(form, identity_form(grid))[..., -1] < 1e-6
     return DegenerateBig(form, amp, degenerate, ~degenerate)
 
 
@@ -544,7 +606,7 @@ def tune_to_boundary(grid, base, psi_shape, omega, m, bracket):
     margin, or when the tuned chi is not positive definite.
     """
     c = compute_c(FormField(grid, base), omega, m)
-    psi = _check_scalar(grid, psi_shape)
+    psi = _field(grid, psi_shape, "potential shape")
     sub = subtorus(grid, [psi, omega.potential])
     hess = _flat(packed_hessian(sub, inject(sub, psi)))
     metric = _flat(omega.on(sub).packed())
@@ -583,48 +645,51 @@ def normalize_density(f_raw, omega):
 
 
 def distance_to_set(grid, mask):
-    """Periodic Euclidean distance from every grid point to a marked set.
+    """Periodic Euclidean distance from every grid point to a marked set, in the mask's shape.
 
-    Taken on the mask's subtorus and broadcast back, which is exact: a nearest
-    marked point shares a point's coordinates on the mask's constant axes.
+    mask broadcasts against grid. It is compacted and the distances are taken
+    on its subtorus, which is exact: a nearest marked point shares a point's
+    coordinates on the mask's constant axes.
     """
-    mask = np.asarray(mask, dtype=bool)
-    if mask.shape != grid.shape:
-        raise InputError("mask shape does not match grid")
+    mask = _broadcastable(grid, np.asarray(mask, dtype=bool), "mask")
+    shape = mask.shape
+    mask = compact(grid, mask)
     if not mask.any():
-        return np.full(grid.shape, np.inf)
+        return np.full(shape, np.inf)
     if mask.all():
-        return np.zeros(grid.shape)
+        return np.zeros(shape)
     sub = subtorus(grid, [mask])
     coords = np.stack([np.broadcast_to(x, sub.shape) for x in sub.coords().values()], axis=-1)
     # the coordinates lie in [0, 1), so a periodic tree measures minimum images
-    tree = cKDTree(coords[mask[tuple(map(slice, sub.shape))]], boxsize=1.0)
+    tree = cKDTree(coords[mask], boxsize=1.0)
     dist, _ = tree.query(coords.reshape(-1, 2 * grid.n), k=1)
-    return np.broadcast_to(dist.reshape(sub.shape), grid.shape).copy()
+    return np.broadcast_to(dist.reshape(sub.shape), shape).copy()
 
 
 def dump_fields(dirpath, grid, fields):
-    """Write scalar/hermitian fields as raw little-endian f64 plus a JSON header.
+    """Write scalar/hermitian fields on every grid point as raw little-endian f64 plus a JSON header.
 
-    fields maps name -> grid-shaped real array (scalar) or FormField on grid
-    (hermitian, written from its packed fields, grid.shape + (n, n) per file).
+    fields maps name -> real array broadcasting against grid (scalar) or
+    FormField on grid (hermitian, written from its packed fields,
+    grid.shape + (n, n) per file). Each is broadcast over the full grid at
+    write time, one slab of the first axis at a time.
     """
     os.makedirs(dirpath, exist_ok=True)
     entries = []
     axis_order = ",".join(f"x{j + 1},y{j + 1}" for j in range(grid.n))
     for name, value in fields.items():
-        if isinstance(value, FormField) and value.grid == grid:
-            kind = "hermitian"
-            packed = np.moveaxis(value.packed(), (0, 1), (-2, -1))
-            raw = np.broadcast_to(packed, grid.shape + packed.shape[-2:])
-        elif np.shape(value) == grid.shape:
-            kind = "scalar"
-            raw = value
+        if isinstance(value, FormField):
+            if value.grid != grid:
+                raise InputError(f"field {name!r} is a FormField on another grid")
+            kind, tail = "hermitian", (grid.n, grid.n)
+            raw = np.moveaxis(value.packed(), (0, 1), (-2, -1))
         else:
-            raise InputError(f"field {name!r} is neither grid-shaped nor a FormField on the grid")
+            kind, tail = "scalar", ()
+            raw = _broadcastable(grid, value, f"field {name!r}")
         fname = f"{name}.bin"
         with open(os.path.join(dirpath, fname), "wb") as fh:
-            fh.write(np.ascontiguousarray(raw, dtype="<f8").tobytes())
+            for slab in np.broadcast_to(raw, grid.shape + tail):
+                fh.write(np.ascontiguousarray(slab, dtype="<f8").tobytes())
         entries.append({"name": name, "kind": kind, "file": fname})
     header = {
         "format_version": FIELD_DUMP_VERSION,

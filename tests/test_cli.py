@@ -169,16 +169,18 @@ class TestSolve:
         assert summary["exit_code"] == EXIT_SOLVER
         assert "failure" in summary
 
-    def test_non_finite_residual_is_a_solver_failure(self, tmp_path):
-        # b = s^2 - s overflows at t = 1e200, and the residual is nan
-        with np.errstate(over="ignore", invalid="ignore"):
-            code, summary, _ = run_cli(
-                tmp_path, "solve", "instance = uniform\ngrid_N = 8\nt = 1e200\n"
-            )
-        assert code == EXIT_SOLVER
-        assert summary["stage"] == "solve"
-        assert summary["failure"] == "non-finite residual nan at the start"
-        assert "residual_sup" not in summary
+    def test_non_finite_data_is_a_usage_error(self, tmp_path):
+        # b = s^2 - s overflows at t = 1e200: the spec is refused before any
+        # solve, with one line on stderr and nothing from numpy
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("instance = uniform\ngrid_N = 8\nt = 1e200\n")
+        proc = subprocess.run(
+            [sys.executable, "-m", "hessquot", "solve", "--config", str(cfg), "--out", str(tmp_path / "o")],
+            capture_output=True, text=True,
+        )
+        assert proc.returncode == EXIT_USAGE
+        assert proc.stderr == "InputError: the background's class integrals are not finite: [1e+200, inf]\n"
+        assert not (tmp_path / "o" / SUMMARY_NAME).exists()
 
 
 class TestContinue:
@@ -409,13 +411,18 @@ class TestUsageContract:
 
     def test_grid_beyond_memory_refused(self, tmp_path, monkeypatch, capsys):
         # a machine with room for N = 16 only: N = 32 is refused before any
-        # field is built, N = 16 still runs
-        room = cli._RSS_BASE_BYTES + cli._RSS_BYTES_PER_POINT * 16**4
+        # field is built, N = 16 still runs; a run holds N^3 points, but
+        # stability's comparison may span all N^4
+        room = cli._RSS_BASE_BYTES + cli._RSS_BYTES_PER_POINT * 16**3
         monkeypatch.setattr(cli, "_physical_memory", lambda: room)
         code, summary, _ = run_cli(tmp_path / "a", "check-cone", "instance = uniform\ngrid_N = 32\n")
         assert code == EXIT_USAGE
         assert summary is None
-        assert "grid_N = 32 needs an estimated 0.744 GB" in capsys.readouterr().err
+        assert "grid_N = 32 needs an estimated 0.0904 GB" in capsys.readouterr().err
+        cfg = "grid_N = 16\nf1_amplitude = 0.1\nf2_amplitude = 0.05\n"
+        code, summary, _ = run_cli(tmp_path / "s", "stability", cfg)
+        assert code == EXIT_USAGE and summary is None
+        assert "grid_N = 16 needs an estimated 0.0918 GB" in capsys.readouterr().err
         code, _, _ = run_cli(tmp_path / "b", "check-cone", "instance = uniform\ngrid_N = 16\n")
         assert code == EXIT_OK
 

@@ -219,7 +219,7 @@ class TestG1Field:
         const = np.array([[1.2, 0.1 + 0.05j], [0.1 - 0.05j, 0.9]])
         chi = FormField(grid, const, psi)
         omega = FormField(grid, np.diag([1.0, 1.3]))
-        value = g1_field(chi, omega, 1)
+        value = np.broadcast_to(g1_field(chi, omega, 1), grid.shape)
 
         mats = const + complex_hessian(grid, psi)
         rel = np.einsum("ij,...jk->...ik", np.linalg.inv(np.diag([1.0, 1.3])), mats)
@@ -252,8 +252,9 @@ class TestG1Field:
         s1 = p1
         s2 = 0.5 * (p1 * p1 - p2)
         s3 = np.linalg.det(rel).real
-        np.testing.assert_allclose(g1_field(chi, omega, 1), 3.0 * s3 / s1, rtol=1e-10)
-        np.testing.assert_allclose(g1_field(chi, omega, 2), 3.0 * s3 / s2, rtol=1e-10)
+        for m, s_m in ((1, s1), (2, s2)):
+            value = np.broadcast_to(g1_field(chi, omega, m), grid.shape)
+            np.testing.assert_allclose(value, 3.0 * s3 / s_m, rtol=1e-10)
 
     def test_indefinite_background_rejected(self):
         grid = TorusGrid(2, 4)
@@ -427,7 +428,9 @@ class TestPrepareInstance:
         every_point = prepare()
         if delta1 is None:
             assert one_point.delta1 == every_point.delta1 == 0.25
-            assert np.array_equal(one_point.g2, every_point.g2)
+            # the per-point spectra give g1, and so g2, at every point
+            assert one_point.g2.shape == (16, 1, 1, 1) and every_point.g2.shape == (16,) * 4
+            assert np.array_equal(np.broadcast_to(one_point.g2, every_point.g2.shape), every_point.g2)
         else:
             assert one_point == every_point
             assert f"delta1={delta1:g} too large: cone margin -" in one_point

@@ -10,6 +10,7 @@ for every solver branch (m = 1, m = 0, additive and multiplicative unknowns).
 
 import csv
 import dataclasses
+import functools
 import math
 from collections import Counter
 from types import SimpleNamespace
@@ -28,6 +29,7 @@ from hessquot.instances import (
     boundary_instance,
     degenerate_instance,
     fake_boundary_sample,
+    generic_instance,
     manufactured_instance,
     uniform_instance,
 )
@@ -122,9 +124,26 @@ class TestEquationSpec:
             n=2, m=1, background=FormField(grid, 2.0 * np.eye(2)),
             omega=identity_form(grid), coefficient_field=1.0, source_field=1.0,
         )
-        assert spec.coefficient_field.shape == grid.shape
-        assert spec.source_field.shape == grid.shape
+        # a scalar is one point on every axis, broadcasting against the grid
+        assert spec.coefficient_field.shape == (1, 1, 1, 1)
+        assert spec.source_field.shape == (1, 1, 1, 1)
         assert spec.grid == grid
+
+    def test_full_fields_are_compacted(self):
+        # a field handed in at the full grid's shape keeps one point on each
+        # axis along which it is constant, bit for bit
+        grid = TorusGrid(2, 8)
+        x1 = grid.coords()["x1"]
+        g = grid_field(grid, 1.0 + 0.5 * np.cos(TWO_PI * x1))
+        spec = EquationSpec(
+            n=2, m=1, background=FormField(grid, 2.0 * np.eye(2)), omega=identity_form(grid),
+            coefficient_field=g, source_field=np.ones(grid.shape), unknown_mode="multiplicative",
+        )
+        assert spec.coefficient_field.shape == (8, 1, 1, 1)
+        assert np.array_equal(spec.coefficient_field, g[:, :1, :1, :1])
+        assert spec.source_field.shape == (1, 1, 1, 1)
+        with pytest.raises(InputError, match="coefficient_field shape"):
+            dataclasses.replace(spec, coefficient_field=np.ones((8, 4, 1, 1)))
 
     def test_negative_coefficient_rejected(self):
         grid = TorusGrid(2, 8)
@@ -170,7 +189,7 @@ class TestEquationSpec:
         # with a NaN residual every comparison is False, so Newton would stop
         # at once and report convergence
         spec = uniform_instance(N=8).spec(0.5)
-        coeff = spec.coefficient_field.copy()
+        coeff = np.ones(spec.grid.shape)
         coeff[1, 2, 3, 4] = np.nan
         with pytest.raises(InputError, match="coefficient_field values must be finite"):
             dataclasses.replace(spec, unknown_mode="multiplicative", coefficient_field=coeff)
@@ -180,7 +199,7 @@ class TestEquationSpec:
         # lets a NaN source through
         spec = uniform_instance(N=8).spec(0.5)
         for bad in (np.nan, np.inf):
-            source = spec.source_field.copy()
+            source = np.ones(spec.grid.shape)
             source[1, 2, 3, 4] = bad
             with pytest.raises(InputError, match="source_field values must be finite"):
                 dataclasses.replace(spec, source_field=source)
@@ -491,18 +510,19 @@ class TestThreeDimensional:
         assert np.abs(resid).max() <= 1e-9
 
     @staticmethod
-    def manufactured_at_n8(m):
-        """The solve of the n = 3 manufactured problem at TorusGrid(3, 8), checked.
+    def manufactured_at(m, N=8, full=False):
+        """The solve of the n = 3 manufactured problem at TorusGrid(3, N), checked.
 
         phi* = 0.1 sin(2 pi x1) cos(2 pi y2) and b* solve the equation
         exactly when f is the defect det X* - S_m(X*)/3 of X* = 3I +
         Hess(phi*) divided by its mean b*, with S_1 = tr and S_2 = tr adj.
+        The data hold N^2 points, or every point of the grid when full.
         """
-        grid = TorusGrid(3, 8)
+        grid = TorusGrid(3, N)
         coords = grid.coords()
-        phi_star = grid_field(
-            grid, 0.1 * np.sin(TWO_PI * coords["x1"]) * np.cos(TWO_PI * coords["y2"])
-        )
+        phi_star = 0.1 * np.sin(TWO_PI * coords["x1"]) * np.cos(TWO_PI * coords["y2"])
+        if full:
+            phi_star = grid_field(grid, phi_star)
         background = FormField(grid, 3.0 * np.eye(3))
         x = background.packed(phi_star)
         adj, det = packed_adjugate(x)
@@ -514,7 +534,8 @@ class TestThreeDimensional:
             coefficient_field=1.0, source_field=f_raw / b_star,
         )
         st = newton_solve(spec)
-        assert st.diagnostics["newton_iters"] > 0
+        # above N = 8 the prolonged N = 8 solution is already exact
+        assert (st.diagnostics["newton_iters"] > 0) == (N == solver.COARSEST_N)
         assert np.max(np.abs(st.phi - (phi_star - phi_star.max()))) <= 1e-10
         assert abs(st.b - b_star) <= 1e-11 * b_star
         return st
@@ -522,15 +543,25 @@ class TestThreeDimensional:
     @pytest.mark.parametrize("m", [1, 2])
     def test_manufactured_at_n8(self, m):
         # phi* varies along x1 and y2 alone: the solve runs on 64 points
-        st = self.manufactured_at_n8(m)
+        st = self.manufactured_at(m)
         assert st.diagnostics.spec.grid.shape == (8, 1, 1, 8, 1, 1)
+        assert st.phi.shape == (8, 1, 1, 8, 1, 1)
 
     def test_manufactured_at_n8_on_the_full_grid(self, monkeypatch):
         # the same m = 2 solve on all 8^6 points, as a problem varying along
         # every axis takes it
         full_grid(monkeypatch)
-        st = self.manufactured_at_n8(2)
+        st = self.manufactured_at(2, full=True)
         assert st.diagnostics.spec.grid == TorusGrid(3, 8)
+        assert st.phi.shape == TorusGrid(3, 8).shape
+
+    @pytest.mark.parametrize("m", [1, 2])
+    def test_manufactured_at_n16(self, m):
+        # 16^6 points on the grid, 256 held: the data are built and solved
+        # on the subtorus, nested iteration through N = 8 included
+        st = self.manufactured_at(m, N=16)
+        assert st.diagnostics.spec.grid.shape == (16, 1, 1, 16, 1, 1)
+        assert st.spec.source_field.shape == (16, 1, 1, 16, 1, 1)
 
 
 class TestPolynomialKernel:
@@ -670,14 +701,40 @@ class TestFailureModes:
         assert st.residual_sup > 1e-10
 
     def test_non_finite_residual_is_not_converged(self):
-        # the uniform background at t = 1e200 overflows: b is inf, the residual nan
-        spec = uniform_instance(N=8).spec(1e200)
-        with np.errstate(over="ignore", invalid="ignore"):
-            with pytest.raises(NonconvergenceError, match="^non-finite residual nan") as err:
-                newton_solve(spec)
+        # a start whose multiplicative scalar is nan gives a nan residual;
+        # every comparison with it is False, so it must not read as converged
+        grid = TorusGrid(2, 8)
+        spec = EquationSpec(
+            n=2, m=1, background=FormField(grid, 2.0 * np.eye(2)), omega=identity_form(grid),
+            coefficient_field=1.0, source_field=1.0, unknown_mode="multiplicative",
+        )
+        start = SimpleNamespace(phi=np.zeros((1, 1, 1, 1)), b=math.nan)
+        with pytest.raises(NonconvergenceError, match="^non-finite residual nan") as err:
+            newton_solve(spec, init=start)
         st = err.value.state
-        assert math.isnan(st.residual_sup) and st.b == math.inf
+        assert math.isnan(st.residual_sup) and math.isnan(st.b)
         assert st.diagnostics["newton_iters"] == 0
+
+    def test_non_finite_data_are_rejected_before_any_solve(self, monkeypatch):
+        # the uniform background at t = 1e200 is finite, but its top class
+        # integral, and so b, overflows: the spec is refused where it is built
+        uniform = uniform_instance(N=8)
+        with pytest.raises(InputError, match="class integrals are not finite"):
+            uniform.spec(1e200)
+        with pytest.raises(InputError, match="constant part must be finite"):
+            FormField(uniform.grid, np.diag([np.inf, 1.0]))
+        big = FormField(uniform.grid, np.eye(2), 1e10 * np.cos(TWO_PI * uniform.grid.coords()["x1"]))
+        with pytest.raises(InputError, match="potential values must be finite"):
+            1e300 * big
+        # a coefficient of 1.5e308 leaves the class integrals finite and b not
+        spec = dataclasses.replace(uniform.spec(0.5), coefficient_field=1.5e308)
+
+        def evaluate(*args):
+            raise AssertionError("Newton work before the check of b")
+
+        monkeypatch.setattr(solver, "_evaluate", evaluate)
+        with pytest.raises(InputError, match="quadrature value of b is not finite: -inf"):
+            newton_solve(spec)
 
     def test_aliasing_floor_stops_newton(self, manufactured8):
         # away from t_star the N = 8 solution is not band-limited: the sup
@@ -691,11 +748,13 @@ class TestFailureModes:
         st = err.value.state
         assert 0 < st.diagnostics["newton_iters"] < 11
         assert st.residual_sup > 1e-5
-        ev = solver._evaluate(spec, st.phi, st.b)
+        # the solve's own spec, on the subtorus where phi lives
+        sub = st.diagnostics.spec
+        ev = solver._evaluate(sub, st.phi, st.b)
         assert ev.rsup == pytest.approx(st.residual_sup, rel=1e-12)
         assert np.max(np.abs(ev.range_resid)) <= 1e-10
         # the range part is the Krylov rhs, up to its sign
-        rhs = strip_kernel_modes(spec.grid, -ev.resid.reshape(spec.grid.shape), keep_mean=True)
+        rhs = strip_kernel_modes(sub.grid, -ev.resid.reshape(sub.grid.shape), keep_mean=True)
         assert np.array_equal(-ev.range_resid, rhs.reshape(-1))
 
     def test_damping_floor_names_unconverged_lgmres(self, manufactured8, monkeypatch):
@@ -774,8 +833,10 @@ class TestNewtonStep:
 
         monkeypatch.setattr(solver, "lgmres", spy)
         monkeypatch.setattr(solver, "KRYLOV_INNER", inner)
+        # the kernels take a spec whose fields have its grid's shape
         spec = manufactured16.spec(0.5)
-        self.check_step(spec, np.zeros(spec.grid.shape), quadrature_b(spec), ratio, bound)
+        full = spec.on(spec.grid)
+        self.check_step(full, np.zeros(spec.grid.shape), quadrature_b(spec), ratio, bound)
         assert len(starts) == (inner == 4)
         assert all(np.any(x0) for x0 in starts)
 
@@ -788,7 +849,7 @@ class TestNewtonStep:
         spec = EquationSpec(
             n=2, m=inst.m, background=inst.chi, omega=inst.omega,
             coefficient_field=inst.g2, source_field=0.0, unknown_mode="multiplicative",
-        )
+        ).on(inst.grid)
         ev = solver._evaluate(spec, np.zeros(spec.grid.shape), 0.0)
         phi, b, _, _ = solver._linear_step(spec, ev, SolverConfig(), math.inf)
         # the full step is newton_solve's first iterate: it lowers the residual
@@ -808,7 +869,7 @@ class TestNewtonStep:
         bump = grid_field(spec.grid, np.cos(TWO_PI * c["x1"]) * np.cos(TWO_PI * c["y1"]))
         phi = inst.extras["phi_star"] + 1e-5 * bump
         b = quadrature_b(spec)
-        assert 5e-5 < solver._evaluate(spec, phi, b).rsup < 7e-5
+        assert 5e-5 < solver._evaluate(spec.on(spec.grid), phi, b).rsup < 7e-5
         start = solver.SolverState(phi, b, 0.5, math.nan, {}, spec)
         state = newton_solve(spec, init=start, config=SolverConfig(tol=1e-8))
         assert state.diagnostics["newton_iters"] == 1
@@ -1153,20 +1214,32 @@ class TestNestedIteration:
 
 
 def full_grid(monkeypatch):
-    """Make newton_solve and two_stage_solve find no constant axis, so each
-    solves on its data's own grid and takes its eigenvalues at every point."""
-    monkeypatch.setattr(solver, "subtorus", lambda grid, fields: grid)
-    monkeypatch.setattr(fakeboundary, "subtorus", lambda grid, fields: grid)
-    for module in (solver, fakeboundary, torus):
-        monkeypatch.setattr(module, "relative_eigenvalues", full_grid_eigenvalues)
+    """Turn compaction off: a field handed in at the full grid's shape keeps it.
+
+    Data built that way (full_spec, full_fake_boundary_instance) then have
+    no constant axis, so each solve, its coarse solves and its eigenvalues
+    run at every point of the grid.
+    """
+    monkeypatch.setattr(torus, "compact", lambda grid, values: torus._broadcastable(grid, values))
 
 
-def full_grid_eigenvalues(alpha, omega, phi=None):
-    """grid_eigenvalues in relative_eigenvalues' broadcastable shape: the
-    spectrum at every grid point, or one spectrum for a constant pair."""
-    lam = grid_eigenvalues(alpha, omega, phi)
-    points = alpha.grid.shape if lam.ndim > 1 else (1,) * 2 * alpha.grid.n
-    return lam.reshape(points + lam.shape[-1:])
+def broadcast_full(grid, values):
+    """values broadcast over the full grid, as a writeable array."""
+    return None if values is None else np.broadcast_to(values, grid.shape).copy()
+
+
+def full_form(form):
+    return FormField(form.grid, form.const, broadcast_full(form.grid, form.potential))
+
+
+def full_spec(spec):
+    """spec with every field broadcast over its full grid."""
+    grid = spec.grid
+    return EquationSpec(
+        spec.n, spec.m, full_form(spec.background), full_form(spec.omega),
+        broadcast_full(grid, spec.coefficient_field), broadcast_full(grid, spec.source_field),
+        spec.unknown_mode,
+    )
 
 
 def full_grid_volume_check(state, c):
@@ -1176,14 +1249,23 @@ def full_grid_volume_check(state, c):
     return float(np.min(elementary_sym(spec.n, lam)) - c ** (spec.n / (spec.n - spec.m)))
 
 
-def fake_boundary_instance(N):
+def fake_boundary_instance(N, chi=None):
     sample = fake_boundary_sample(N=N)
-    return prepare_instance(sample["g"], sample["chi"], sample["omega"], sample["m"])
+    chi = sample["chi"] if chi is None else chi
+    return prepare_instance(sample["g"], chi, sample["omega"], sample["m"])
+
+
+def full_fake_boundary_instance(N, chi=None):
+    """fake_boundary_instance with g and chi's potential broadcast over the full grid."""
+    sample = fake_boundary_sample(N=N)
+    chi = full_form(sample["chi"] if chi is None else chi)
+    return prepare_instance(broadcast_full(sample["grid"], sample["g"]), chi, sample["omega"], sample["m"])
 
 
 class TestSubtorusSolve:
-    """Each solve runs on its data's invariant subtorus and broadcasts phi back;
-    the same solve on the full grid gives the same state to rounding."""
+    """Each solve runs on its data's invariant subtorus and keeps phi there;
+    the same solve of the data broadcast over the full grid, with compaction
+    off, gives the same state to rounding."""
 
     @pytest.mark.parametrize("N", [8, 16])
     @pytest.mark.parametrize("build", SHIPPED_INSTANCES, ids=lambda b: b.__name__)
@@ -1193,10 +1275,10 @@ class TestSubtorusSolve:
         reduced = newton_solve(spec, t=0.5)
         sub = reduced.diagnostics.spec.grid
         assert sub.constant_axes and sub.n == spec.n and sub.N == N
-        assert reduced.spec is spec and reduced.phi.shape == spec.grid.shape
+        assert reduced.spec is spec and reduced.phi.shape == sub.shape
         full_grid(monkeypatch)
-        full = newton_solve(spec, t=0.5)
-        assert full.diagnostics.spec.grid == spec.grid
+        full = newton_solve(full_spec(spec), t=0.5)
+        assert full.diagnostics.spec.grid == spec.grid and full.phi.shape == spec.grid.shape
         assert counts(reduced) == counts(full)
         assert np.max(np.abs(reduced.phi - full.phi)) <= 1e-12
         assert abs(reduced.b - full.b) <= 1e-12
@@ -1211,7 +1293,7 @@ class TestSubtorusSolve:
         reduced = two_stage_solve(inst, config)
         assert reduced.final_state.diagnostics.spec.grid.shape == (N, 1, 1, 1)
         full_grid(monkeypatch)
-        full = two_stage_solve(inst, config)
+        full = two_stage_solve(full_fake_boundary_instance(N), config)
         assert full.final_state.diagnostics.spec.grid == inst.grid
         assert [r["t"] for r in reduced.records] == [r["t"] for r in full.records]
         assert np.max(np.abs(reduced.phi - full.phi)) <= 1e-10
@@ -1219,35 +1301,37 @@ class TestSubtorusSolve:
         assert abs(reduced.b_stage1 - full.b_stage1) <= 1e-10
 
     def test_fake_boundary_path_runs_on_the_subtorus(self, monkeypatch):
-        # g varies along x1 only: every solve gets the N-point data and path
-        # states, and only the result comes back on the instance's grid
+        # g varies along x1 only: every solve gets N-point data and path
+        # states, and the result keeps that shape
         inst = fake_boundary_instance(16)
         seen = []
         solve = fakeboundary.newton_solve
 
         def spy(spec, init=None, config=None, t=math.nan):
-            seen.append(spec.grid.shape)
+            assert spec.grid == inst.grid
+            seen.append(spec.coefficient_field.shape)
             seen.extend(s.phi.shape for s in init or [])
-            return solve(spec, init=init, config=config, t=t)
+            state = solve(spec, init=init, config=config, t=t)
+            seen.append(state.diagnostics.spec.grid.shape)
+            return state
 
         monkeypatch.setattr(fakeboundary, "newton_solve", spy)
         result = two_stage_solve(inst)
         assert len(seen) >= len(result.records) and set(seen) == {(16, 1, 1, 1)}
-        assert result.phi.shape == inst.grid.shape
-        assert result.final_state.phi.shape == inst.grid.shape
+        assert result.phi.shape == (16, 1, 1, 1)
+        assert result.final_state.phi.shape == (16, 1, 1, 1)
         assert result.final_state.spec.grid == inst.grid
 
     def test_fake_boundary_with_varying_background_matches_the_full_grid(self, monkeypatch):
         # a chi potential along x1 keeps the subtorus at N points and makes
         # each t-step's cone margin a min over per-point spectra
-        sample = fake_boundary_sample(N=16)
-        grid = sample["grid"]
-        chi = FormField(grid, np.eye(2), grid_field(grid, 0.002 * np.cos(TWO_PI * grid.coords()["x1"])))
-        inst = prepare_instance(sample["g"], chi, sample["omega"], sample["m"])
+        grid = TorusGrid(2, 16)
+        chi = FormField(grid, np.eye(2), 0.002 * np.cos(TWO_PI * grid.coords()["x1"]))
+        inst = fake_boundary_instance(16, chi)
         reduced = two_stage_solve(inst)
         assert reduced.final_state.diagnostics.spec.grid.shape == (16, 1, 1, 1)
         full_grid(monkeypatch)
-        full = two_stage_solve(inst)
+        full = two_stage_solve(full_fake_boundary_instance(16, chi))
         assert full.final_state.diagnostics.spec.grid == inst.grid
         assert [r["t"] for r in reduced.records] == [r["t"] for r in full.records]
         for got, want in zip(reduced.records, full.records):
@@ -1291,22 +1375,75 @@ class TestSubtorusSolve:
         # the uniform data are constant along every axis and cos 2 pi x1
         # along three: the start is checked on N points
         grid = uniform16.grid
-        bad = SimpleNamespace(phi=grid_field(grid, 4.0 * np.cos(TWO_PI * grid.coords()["x1"])), b=0.96)
+        bad = 4.0 * np.cos(TWO_PI * grid.coords()["x1"])
         spec = uniform16.spec(0.5)
         with pytest.raises(ConeViolationError) as reduced:
-            newton_solve(spec, init=bad)
+            newton_solve(spec, init=SimpleNamespace(phi=bad, b=0.96))
         manu = manufactured_instance(N=8).spec(0.5)
         with pytest.raises(NonconvergenceError) as stopped:
             newton_solve(manu, config=SolverConfig(max_newton=1))
         full_grid(monkeypatch)
         with pytest.raises(ConeViolationError) as full:
-            newton_solve(spec, init=bad)
+            newton_solve(full_spec(spec), init=SimpleNamespace(phi=broadcast_full(grid, bad), b=0.96))
         assert reduced.value.detail == full.value.detail
         assert str(reduced.value) == str(full.value)
         assert reduced.value.detail["count"] % grid.N**3 == 0
         st = stopped.value.state
-        assert st.spec is manu and st.phi.shape == manu.grid.shape
+        assert st.spec is manu and st.phi.shape == (8, 1, 1, 8)
         assert st.diagnostics.spec.grid.shape == (8, 1, 1, 8)
+
+
+class TestGenericInstance:
+    """Data that vary along every real axis: the full-grid path, under test."""
+
+    @pytest.mark.parametrize("N", [8, 16])
+    def test_recovers_the_manufactured_solution_at_every_point(self, N):
+        inst = generic_instance(N=N)
+        grid = inst.grid
+        spec = inst.spec(inst.extras["t_star"])
+        assert inst.f.shape == grid.shape
+        fields = [spec.background.potential, spec.omega.potential, spec.coefficient_field, spec.source_field]
+        assert torus.subtorus(grid, fields) == grid
+        st = newton_solve(spec)
+        assert st.diagnostics.spec.grid == grid and st.phi.shape == grid.shape
+        # criterion 7's bounds
+        assert mean_free_sup(st.phi - inst.extras["phi_star"]) <= 1e-6
+        assert abs(st.b - quadrature_b(spec)) <= 1e-9
+        assert abs(st.b - inst.extras["b_star"]) <= 1e-9
+
+
+class TestMetricCheck:
+    """omega is checked where a spec is built, never per solve."""
+
+    @staticmethod
+    def counted(monkeypatch):
+        calls = []
+        check = torus._require_metric
+
+        def spy(omega):
+            calls.append(omega.grid)
+            return check(omega)
+
+        for module in (torus, solver, fakeboundary):
+            monkeypatch.setattr(module, "_require_metric", spy)
+        return calls
+
+    def test_once_per_spec_and_never_per_solve(self, monkeypatch):
+        inst = boundary_degenerate_instance(N=16)
+        calls = self.counted(monkeypatch)
+        specs = {t: inst.spec(t) for t in SCHEDULE}
+        assert calls == [inst.grid] * len(SCHEDULE)
+        calls.clear()
+        res = continuation_path(specs.__getitem__, SCHEDULE)
+        assert res.complete and len(res.states) == len(SCHEDULE)
+        assert not calls
+
+    def test_once_per_two_stage_path(self, monkeypatch):
+        inst = fake_boundary_instance(16)
+        calls = self.counted(monkeypatch)
+        result = two_stage_solve(inst)
+        assert len(result.records) == 17
+        assert calls == [inst.grid]
 
 
 class TestStability:
@@ -1412,10 +1549,12 @@ class TestLazyDiagnostics:
         st = newton_solve(manufactured16.spec(manufactured16.extras["t_star"]))
         spec = st.spec
         lam = grid_eigenvalues(spec.background, spec.omega, st.phi)
+        on_grid = functools.partial(broadcast_full, spec.grid)
         params = EquationParams(
-            spec.n, spec.m, spec.coefficient_field.reshape(-1), st.b * spec.source_field.reshape(-1)
+            spec.n, spec.m, on_grid(spec.coefficient_field).reshape(-1),
+            st.b * on_grid(spec.source_field).reshape(-1),
         )
-        grad = holomorphic_gradient(spec.grid, st.phi)
+        grad = holomorphic_gradient(spec.grid, on_grid(st.phi))
         want = {
             "sup_grad": math.sqrt(float(np.max(np.sum(np.abs(grad) ** 2, axis=-1)))),
             "sup_w": float(np.max(np.log(elementary_sym(1, lam)))),

@@ -32,12 +32,15 @@ def test_degenerate_path_matches_the_full_grid(N):
     study = degenerate_path(N)
     inst = study.instance
     grid = inst.grid
-    away = full_grid_distance(grid, inst.extras["degenerate_mask"]) > 0.2
-    assert np.array_equal(study.away, away)
+    marked = np.broadcast_to(inst.extras["degenerate_mask"], grid.shape)
+    away = full_grid_distance(grid, marked) > 0.2
+    # the mask and the potentials vary along x1 and y1 at most
+    assert study.away.shape == (N, 1, 1, 1)
+    assert np.array_equal(np.broadcast_to(study.away, grid.shape), away)
     assert study.path.complete
     lams = [grid_eigenvalues(st.spec.background, st.spec.omega, st.phi) for st in study.path.states]
     for st, lam, got in zip(study.path.states, lams, study.away_w):
-        assert st.phi.shape == grid.shape and lam.shape == (grid.npoints, 2)
+        assert st.phi.shape == (N, N, 1, 1) and lam.shape == (grid.npoints, 2)
         w = np.log(elementary_sym(1, lam)).reshape(grid.shape)
         assert got == float(w[away].max())
     floor = inst.c ** (inst.grid.n / (inst.grid.n - inst.m))

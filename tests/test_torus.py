@@ -19,6 +19,7 @@ from hessquot.symfunc import elementary_sym
 from hessquot.torus import (
     FormField,
     TorusGrid,
+    compact,
     compute_c,
     distance_to_set,
     divide_by_symbol,
@@ -63,8 +64,26 @@ def trig_poly(grid, rng, max_mode=3, terms=6, amplitude=0.3):
 
 
 def complex_hessian(grid, phi):
-    """Spectral complex Hessian (d_i dbar_j phi), shape grid.shape + (n, n), unpacked."""
+    """Spectral complex Hessian (d_i dbar_j phi), shape grid.shape + (n, n), unpacked.
+
+    A phi with one point on some axes is broadcast over the grid first.
+    """
+    if np.ndim(phi) == len(grid.shape):
+        phi = np.broadcast_to(phi, grid.shape)
     return unpack_hermitian(np.moveaxis(packed_hessian(grid, phi), (0, 1), (-2, -1)))
+
+
+def full_packed(form, phi=None):
+    """form + i d dbar phi packed at every grid point, from one Hessian of the
+    potentials broadcast over the full grid; the packed constant when both are None."""
+    grid = form.grid
+    pot = form.potential
+    if phi is not None:
+        pot = phi if pot is None else pot + phi
+    const = pack_hermitian(form.const)
+    if pot is None:
+        return const
+    return packed_hessian(grid, np.broadcast_to(pot, grid.shape)) + const.reshape(const.shape + (1,) * len(grid.shape))
 
 
 def metric_det(omega):
@@ -78,12 +97,12 @@ def metric_det(omega):
 def grid_eigenvalues(alpha, omega, phi=None):
     """Eigenvalues of alpha + i d dbar phi relative to omega at every grid point, (P, n).
 
-    packed_eigenvalues on the full grid's flat packed fields, with no
-    subtorus; one spectrum (n,) when alpha and omega are constant and phi
-    is None.
+    packed_eigenvalues on the full grid's flat packed fields, every
+    potential broadcast over the grid, with no subtorus; one spectrum (n,)
+    when alpha and omega are constant and phi is None.
     """
     n = alpha.grid.n
-    fields, metric = alpha.packed(phi), omega.packed()
+    fields, metric = full_packed(alpha, phi), full_packed(omega)
     return packed_eigenvalues(
         fields.reshape(n, n, -1) if fields.ndim > 2 else fields,
         metric.reshape(n, n, -1) if metric.ndim > 2 else metric,
@@ -526,8 +545,9 @@ def assert_operators_exact(grid, phi, rng):
     rounding.
     """
     n = grid.n
-    sub = subtorus(grid, [phi])
+    sub = subtorus(grid, [compact(grid, phi)])
     on = functools.partial(inject, sub)
+    assert np.array_equal(compact(grid, phi), on(phi))
     weights = rng.normal(size=(n, n, grid.npoints))
     scales = rng.uniform(0.5, 2.0, size=n)
     symbol = frozen_symbol(grid, scales)
@@ -565,13 +585,14 @@ def assert_operators_exact(grid, phi, rng):
 
 
 def slab_shape(values):
-    """The shape of the subtorus grid of one field on a full grid."""
-    return subtorus(TorusGrid(values.ndim // 2, values.shape[0]), [values]).shape
+    """The shape of one field on a full grid, compacted."""
+    return compact(TorusGrid(values.ndim // 2, values.shape[0]), values).shape
 
 
 class TestVaryingSlab:
-    """subtorus() keeps one point on each axis along which a field is constant,
-    and the operators on that grid give the full grid's bits."""
+    """compact() keeps one point on each axis along which a field is constant,
+    subtorus() of compact fields keeps the axes they share, and the operators
+    on that grid give the full grid's bits."""
 
     @pytest.mark.parametrize(("n", "N"), GRIDS)
     def test_every_subset_of_constant_axes_is_exact(self, n, N):
@@ -586,14 +607,14 @@ class TestVaryingSlab:
                 assert sub.shape == tuple(1 if axis in axes else N for axis in range(2 * n))
                 assert sub.npoints == N ** (2 * n - count)
                 # a field that varies along every axis is read uncopied
-                assert count or np.shares_memory(inject(sub, phi), phi)
+                assert count or (compact(grid, phi) is phi and np.shares_memory(inject(sub, phi), phi))
                 # a second field keeps the axes both are constant along
-                other = constant_along(grid, rng, axes[1:])
-                assert subtorus(grid, [phi, None, other]).constant_axes == axes[1:]
+                other = compact(grid, constant_along(grid, rng, axes[1:]))
+                assert subtorus(grid, [compact(grid, phi), None, other]).constant_axes == axes[1:]
                 assert subtorus(sub, [inject(sub, phi)]) == sub
                 # relative_eigenvalues reduces its own inputs to phi's subtorus
                 eye = identity_form(grid)
-                lam = relative_eigenvalues(eye, eye, phi)
+                lam = relative_eigenvalues(eye, eye, compact(grid, phi))
                 assert lam.shape == sub.shape + (n,)
                 full = grid_eigenvalues(eye, eye, phi).reshape(grid.shape + (n,))
                 assert np.array_equal(lam, at_points(sub, full))
@@ -628,8 +649,8 @@ class TestVaryingSlab:
         rng = np.random.default_rng(31)
         phi = constant_along(grid, rng, (2, 3))
         phi[1, 2] = bad
-        assert subtorus(grid, [phi]) == grid
-        assert subtorus(grid, [constant_along(grid, rng, (2, 3)), phi]) == grid
+        assert compact(grid, phi) is phi
+        assert subtorus(grid, [compact(grid, constant_along(grid, rng, (2, 3))), compact(grid, phi)]) == grid
         symbol = frozen_symbol(grid, [1.0, 1.5])
         with np.errstate(invalid="ignore"):
             got = divide_by_symbol(grid, symbol, phi)
@@ -648,7 +669,7 @@ class TestVaryingSlab:
         monkeypatch.setattr(scipy.fft, "rfftn", spy)
         z1, random = z1_potential(grid, rng), rng.normal(size=grid.shape)
         for phi, want in ((z1, (8, 8, 1, 1)), (random, grid.shape)):
-            sub = subtorus(grid, [phi])
+            sub = subtorus(grid, [compact(grid, phi)])
             phi = inject(sub, phi)
             symbol = frozen_symbol(sub, [1.0, 1.5])
             weights = rng.normal(size=(2, 2, sub.npoints))
@@ -718,7 +739,12 @@ class TestGridTransfer:
             source_field=grid_field(grid, 1.0 + 0.5 * sign),
         )
         mult = dataclasses.replace(spec, unknown_mode="multiplicative")
-        assert spec.on(grid) is spec
+        # the spec holds the source on its 8 points along x1; on its own grid
+        # it is materialized once, and that spec comes back as it is
+        assert spec.source_field.shape == (8, 1, 1, 1)
+        full = spec.on(grid)
+        assert full.source_field.shape == grid.shape and full.on(grid) is full
+        assert np.array_equal(full.source_field, np.broadcast_to(spec.source_field, grid.shape))
         for coarse in (TorusGrid(2, 4), TorusGrid(2, 4, (1, 2, 3))):
             got = spec.on(coarse)
             assert got.grid == coarse
@@ -765,8 +791,7 @@ class TestInject:
         ("shape", "target"),
         [
             pytest.param((8,) * 4, TorusGrid(2, 16), id="finer-N"),
-            pytest.param((8, 1, 8, 8), TorusGrid(2, 8), id="varying-where-collapsed"),
-            pytest.param((8, 1, 8, 8), TorusGrid(2, 4), id="coarse-varying-where-collapsed"),
+            pytest.param((8, 1, 8, 8), TorusGrid(2, 16), id="finer-N-from-a-subtorus"),
             pytest.param((8,) * 4, TorusGrid(3, 4), id="wrong-dimension"),
             pytest.param((8, 8, 4, 4), TorusGrid(2, 4), id="not-a-grid"),
             pytest.param((12,) * 4, TorusGrid(2, 4), id="stride-not-a-power-of-two"),
@@ -775,6 +800,24 @@ class TestInject:
     def test_non_sub_lattice_target_is_rejected(self, shape, target):
         with pytest.raises(InputError, match="sub-lattice"):
             inject(target, np.zeros(shape))
+
+    @pytest.mark.parametrize(
+        "target",
+        [
+            pytest.param(TorusGrid(2, 8), id="same-N"),
+            pytest.param(TorusGrid(2, 4), id="coarse"),
+            pytest.param(TorusGrid(2, 4, (0,)), id="coarse-x1-collapsed"),
+        ],
+    )
+    def test_one_point_axes_are_repeated(self, target):
+        # a field with one point along y1 is constant there: it is repeated
+        # on every target, writeable and contiguous
+        values = np.random.default_rng(47).normal(size=(8, 1, 8, 8))
+        got = inject(target, values)
+        assert got.shape == target.shape and got.flags.c_contiguous and got.flags.writeable
+        full = np.broadcast_to(values, (8,) * 4)
+        assert np.array_equal(got, inject(target, np.ascontiguousarray(full)))
+        assert np.array_equal(inject(target, np.ones((1,) * 4)), np.ones(target.shape))
 
 
 class TestFormField:
@@ -959,12 +1002,11 @@ class TestDegenerate:
         assert res.amplitude == pytest.approx(1.0 / np.pi**2, rel=1e-12)
         min_eig = np.broadcast_to(relative_eigenvalues(res.form, identity_form(g))[..., -1], g.shape)
         assert abs(np.min(min_eig)) <= 1e-10
-        want_mask = np.broadcast_to(
-            np.abs(g.coords()["x1"]) < 0.5 / g.N, g.shape
-        )
+        # the masks hold the 16 points along x1 and broadcast over the grid
+        want_mask = np.abs(g.coords()["x1"]) < 0.5 / g.N
         assert np.array_equal(res.degenerate_mask, want_mask)
         assert np.array_equal(res.ample_mask, ~want_mask)
-        assert np.min(min_eig[res.ample_mask]) > 1e-6
+        assert np.min(min_eig[np.broadcast_to(res.ample_mask, g.shape)]) > 1e-6
 
     def test_slab_bisection_matches_the_full_grid(self):
         # cos(2 pi x1) is constant along three axes; bisecting on its slab
@@ -1007,7 +1049,8 @@ class TestTuneToBoundary:
         assert amplitude == pytest.approx(1.0 / (4.0 * np.pi**2), rel=1e-10)
         assert c == pytest.approx(1.0, rel=1e-12)
         assert np.array_equal(chi.const, np.eye(2))
-        assert np.array_equal(chi.potential, amplitude * psi)
+        assert chi.potential.shape == (16, 16, 1, 1)
+        assert np.array_equal(np.broadcast_to(chi.potential, g.shape), amplitude * psi)
         margin = cone_margin(relative_eigenvalues(chi, om), c, 1)
         assert abs(float(np.min(margin))) <= 1e-8
 
@@ -1024,7 +1067,8 @@ class TestTuneToBoundary:
         hess = packed_hessian(g, psi).reshape(2, 2, -1)
         base = pack_hermitian(np.eye(2))[..., None]
 
-        metric = om.packed() if om.is_constant else om.packed().reshape(2, 2, -1)
+        metric = full_packed(om)
+        metric = metric if om.is_constant else metric.reshape(2, 2, -1)
 
         def margin(a):
             lam = packed_eigenvalues(base + a * hess, metric)
