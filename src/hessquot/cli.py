@@ -177,14 +177,14 @@ def _flag(cfg, key):
 
 
 # A run holds its fields on their subtorus: every CLI instance (n = 2)
-# varies along at most two real axes, and a field dump writes N^3 points at
-# a time. `stability` compares its two solves on the broadcast shape of
-# their potentials, which spans the full grid when its two shapes vary along
-# different axes: on boundary_degenerate with sin_x2 and sin_y2 it peaked
-# at 82, 121 and 652 MiB at N = 16, 32 and 64, a fixed part for the
-# interpreter and libraries plus about 36 bytes per grid point.
+# varies along at most two real axes, a `stability` source along one more,
+# and a field dump and the stability comparison take N^3 points at a time.
+# So the largest run holds N^3 points: `stability` on boundary_degenerate
+# with sin_x2 and sin_y2 peaked at 82, 89, 140 and 551 MiB at N = 16, 32,
+# 64 and 128, a fixed part for the interpreter and libraries plus about
+# 235 bytes per point of N^3, most of it the solves' Krylov basis.
 _RSS_BASE_BYTES = 85 * 2**20
-_RSS_BYTES_PER_POINT = 40
+_RSS_BYTES_PER_POINT = 240
 
 
 def _physical_memory():
@@ -192,15 +192,15 @@ def _physical_memory():
     return os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
 
 
-def _grid_N(cfg, axes=3):
+def _grid_N(cfg):
     """grid_N from the config, held to TorusGrid's rule and to the machine's
-    memory for a run holding N^axes points, before anything is built."""
+    memory for a run holding N^3 points, before anything is built."""
     N = _number(cfg, "grid_N", 16, integer=True)
     try:
         TorusGrid(2, N)
     except ValueError as err:
         raise UsageError(f"grid_N: {err}") from err
-    need = _RSS_BASE_BYTES + _RSS_BYTES_PER_POINT * N**axes
+    need = _RSS_BASE_BYTES + _RSS_BYTES_PER_POINT * N**3
     have = _physical_memory()
     if need > have:
         raise UsageError(
@@ -213,9 +213,9 @@ def _grid_N(cfg, axes=3):
 _INSTANCES = ("uniform", "boundary", "degenerate", "boundary_degenerate", "manufactured")
 
 
-def build_instance(cfg, axes=3):
+def build_instance(cfg):
     name = str(cfg.get("instance", "uniform"))
-    N, m = _grid_N(cfg, axes), _number(cfg, "m", 1, integer=True)
+    N, m = _grid_N(cfg), _number(cfg, "m", 1, integer=True)
     if name not in _INSTANCES:
         raise UsageError(f"unknown instance {name!r}; have {_INSTANCES}")
     if name != "uniform" and "eps" in cfg:
@@ -419,7 +419,7 @@ def cmd_stability(cfg, args, outdir):
     q = _number(cfg, "q", 2.0)
     config = _solver_config(cfg, 1e-10)
     amp1, amp2 = _number(cfg, "f1_amplitude", None), _number(cfg, "f2_amplitude", None)
-    inst = build_instance(cfg, axes=4)
+    inst = build_instance(cfg)
     f1 = _perturbed_density(inst, str(cfg.get("f1_shape", "cos_x1")), amp1)
     f2 = _perturbed_density(inst, str(cfg.get("f2_shape", "cos_x1")), amp2)
     payload = _base_payload("stability", args)

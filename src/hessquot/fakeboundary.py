@@ -286,11 +286,11 @@ def two_stage_solve(instance, config=None, csv_path=None, steps=16):
     e^{b_t} (path field) strictly below g2; Newton stalls halve the step
     down to a floor. Failures carry the stage and t in the message.
 
-    The fields of the instance are compact, so every coefficient, slack and
-    margin is built on their broadcast shape and each solve runs on their
-    subtorus; omega is checked once, where the t = 0 spec is built, and the
-    specs of the other t-steps take its checks. Every state keeps the
-    subtorus, the final one included, and its spec is on the instance's grid.
+    Every coefficient, slack and margin is built on the broadcast shape of
+    the instance's fields and each solve runs on their subtorus; omega is
+    checked once, where the t = 0 spec is built, and the specs of the other
+    t-steps take its checks. Every state keeps the subtorus, the final one
+    included, and its spec is on the instance's grid.
     """
     if steps < 1:
         raise InputError(f"need at least one continuation step, got {steps}")

@@ -21,14 +21,15 @@ residual is above tol while that part is within it stops there, at its
 aliasing floor. Above COARSEST_N points per axis, each solve starts from the
 solve of the same problem on the grid with half the points per axis (nested
 iteration), which hands over its state even when it stopped at its floor.
-A spec's fields broadcast against its grid, compacted where the spec is
-built, which also checks omega once; so the invariant subtorus of the data
-and the starting potentials is the grid of their broadcast shape
-(torus.subtorus), and each solve runs there with no scan: every Newton
-iterate is constant where they are. Both grid changes, to the subtorus and
-to the coarse grid, inject every field onto a sub-lattice of its grid at
-that grid's shape (torus.inject, through the specs' on). A state's phi keeps
-the solve's shape, which broadcasts against the spec's grid.
+A spec's fields broadcast against its grid in the shape they were built
+in, and the spec checks omega once, where it is built; so the invariant
+subtorus of the data and the starting potentials is the grid of their
+broadcast shape (torus.subtorus), and each solve runs there with no scan:
+every Newton iterate is constant where they are. Both grid changes, to the
+subtorus and to the coarse grid, inject every field onto a sub-lattice of
+its grid at that grid's shape (torus.inject, through the specs' on). A
+state's phi keeps the solve's shape, which broadcasts against the spec's
+grid.
 """
 
 from __future__ import annotations
@@ -37,7 +38,7 @@ import csv
 import math
 from collections.abc import Callable, Mapping, Sequence
 from dataclasses import dataclass, field, replace
-from functools import cached_property
+from functools import cached_property, partial
 from types import SimpleNamespace
 
 import numpy as np
@@ -53,6 +54,7 @@ from .pointwise import (
 )
 from .symfunc import elementary_sym
 from .torus import (
+    DENSITY_CONVENTION_SCALE,
     FormField,
     _field,
     _inverse_metric,
@@ -79,10 +81,10 @@ class EquationSpec:
 
     additive mode: the unknown scalar multiplies source_field (b * f);
     multiplicative mode: exp(b) multiplies coefficient_field (e^b * g).
-    Both fields broadcast against the grid (a scalar is one point) and are
-    compacted when the spec is built, which also checks, once per spec, that
-    omega is positive definite and that the background's class integrals
-    are finite.
+    Both fields broadcast against the grid (a scalar is one point) and keep
+    the shape they are given. Building the spec also checks, once per spec,
+    that omega is positive definite and that the background's class
+    integrals are finite.
     """
 
     n: int
@@ -196,7 +198,8 @@ class Diagnostics(Mapping):
 
     sup_phi and the two counts are set at once. The first read of any other
     key computes the four eigenvalue and gradient diagnostics together from
-    the spec and phi (as reported) on the solve's subtorus, and b, and keeps them.
+    the spec and phi (as reported) on the solve's subtorus, and b, and keeps
+    them, and the eigenvalues they were read from.
     """
 
     def __init__(self, spec, phi, b, newton_iters, krylov_iters):
@@ -207,10 +210,17 @@ class Diagnostics(Mapping):
             "krylov_iters": krylov_iters,
         }
 
+    @cached_property
+    def eigenvalues(self):
+        """Descending eigenvalues of X = background + Hess(phi) relative to omega, on first read."""
+        lam = relative_eigenvalues(self.spec.background, self.spec.omega, self.phi)
+        lam.flags.writeable = False
+        return lam
+
     def __getitem__(self, key):
         if key not in self._values and key in DIAGNOSTIC_KEYS:
             spec = self.spec
-            lam = relative_eigenvalues(spec.background, spec.omega, self.phi)
+            lam = self.eigenvalues
             coefficient = _params(spec, self.b).coefficient.reshape(spec.grid.shape)
             self._values.update({
                 "sup_grad": math.sqrt(float(np.max(_gradient_sq(spec, self.phi)))),
@@ -260,9 +270,8 @@ def strip_kernel_modes(grid, values, keep_mean=False):
 
 
 def state_eigenvalues(state):
-    """Descending eigenvalues of X = background + Hess(phi) as relative_eigenvalues takes them."""
-    d = state.diagnostics
-    return relative_eigenvalues(d.spec.background, d.spec.omega, d.phi)
+    """Descending eigenvalues of X = background + Hess(phi), the ones its diagnostics keep."""
+    return state.diagnostics.eigenvalues
 
 
 @dataclass
@@ -713,18 +722,31 @@ class StabilityRecord:
     q_star: float
 
 
+def _slabs(*fields):
+    """The fields' broadcast values, one slab of its first axis at a time, as views.
+
+    A reduction over the slabs holds one slab's points at a time, N^3 of a
+    full n = 2 grid, where one over the broadcast arrays would hold them all.
+    """
+    shape = np.broadcast_shapes(*(np.shape(f) for f in fields))
+    full = [np.broadcast_to(f, shape) for f in fields]
+    for i in range(shape[0]):
+        yield [f[i] for f in full]
+
+
 def stability_compare(run1, run2, q):
-    """Empirical form of the L^{q*} stability bound between two solves, on their broadcast shape."""
+    """Empirical form of the L^{q*} stability bound between two solves, reduced by _slabs."""
     if q <= 1.0:
         raise InputError(f"q must exceed 1, got {q}")
     if run1.spec.grid != run2.spec.grid:
         raise InputError("stability comparison needs a shared grid")
     n = run1.spec.n
     q_star = q / (q - 1.0)
-    diff = np.asarray(run2.phi) - np.asarray(run1.phi)
-    sup_diff = float(np.max(diff))
-    pos = np.maximum(diff, 0.0)
-    norm = integrate_density(pos**q_star, run1.spec.omega) ** (1.0 / q_star)
+    slabs = partial(_slabs, run1.phi, run2.phi, _inverse_metric(run1.spec.omega.packed())[1])
+    sup_diff = max(float(np.max(p2 - p1)) for p1, p2, _ in slabs())
+    # integrate_density's mean over the broadcast shape: the mean of its equal slabs' means
+    mean = np.mean([np.mean(np.maximum(p2 - p1, 0.0) ** q_star * det) for p1, p2, det in slabs()])
+    norm = (float(mean) * DENSITY_CONVENTION_SCALE) ** (1.0 / q_star)
     c_implied = 0.0 if norm == 0.0 else sup_diff / norm ** (1.0 / (n + 1.0))
     return StabilityRecord(sup_diff, float(norm), float(c_implied), q, q_star)
 
@@ -733,14 +755,17 @@ def uniqueness_gap(phi1, phi2, ample_mask):
     """Sup deviation of phi1 - phi2 from constancy over the marked region.
 
     The potentials and the mask broadcast against each other, and the mean
-    is taken over their broadcast shape.
+    is taken over the marked points of their broadcast shape, by _slabs.
     """
     mask = np.asarray(ample_mask, dtype=bool)
     if not mask.any():
         raise InputError("ample mask is empty")
-    diff, mask = np.broadcast_arrays(np.asarray(phi1) - np.asarray(phi2), mask)
-    diff = diff[mask]
-    return float(np.max(np.abs(diff - np.mean(diff))))
+
+    def diffs():
+        return ((p1 - p2)[marked] for p1, p2, marked in _slabs(phi1, phi2, mask))
+
+    total, count = map(sum, zip(*((float(np.sum(d)), d.size) for d in diffs())))
+    return max(float(np.max(np.abs(d - total / count), initial=0.0)) for d in diffs())
 
 
 def volume_lower_bound_check(state, c):

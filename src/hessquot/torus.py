@@ -9,18 +9,16 @@ is identically zero is not inverse transformed (a potential of z1 alone
 has one nonzero Hessian field).
 Every field on a grid has a broadcastable shape: one point on each real
 axis along which it is constant, grid's points on the others, as
-grid.coords() returns them. compact() finds those axes, bit for bit, where
-a caller hands in a full array (FormField, EquationSpec and the
-fake-boundary coefficient call it once per array), so data live on their
-subtorus from the start, and subtorus() of several fields is the grid of
-their broadcast shape. The grid it returns holds one point on each
-constant axis, so every operator, pointwise kernel and vector runs on the
-other axes only. Along a constant axis every butterfly difference is an
-exact zero and every sum and normalization a power-of-two scaling, so each
-operator gives the full grid's bits at the subtorus points, but for the
-sign of an output that is exactly zero. relative_eigenvalues() takes its
-inputs' subtorus itself and returns a shape that broadcasts against any
-field on the grid.
+grid.coords() returns them. A field's shape, as it was built, is its
+subtorus, so data live there from the start, and subtorus() of
+several fields is the grid of their broadcast shape. The grid it returns
+holds one point on each constant axis, so every operator, pointwise
+kernel and vector runs on the other axes only. Along a constant axis
+every butterfly difference is an exact zero and every sum and
+normalization a power-of-two scaling, so each operator gives the full
+grid's bits at the subtorus points, but for the sign of an output that is
+exactly zero. relative_eigenvalues() takes its inputs' subtorus itself
+and returns a shape that broadcasts against any field on the grid.
 One injection, inject(), takes a field to any sub-lattice of its grid (the
 subtorus, a coarser grid, or both) at that grid's shape, repeating it along
 the axes where it has one point; prolong() interpolates it spectrally onto
@@ -122,44 +120,20 @@ def _broadcastable(grid, values, name="field"):
     return values
 
 
-def compact(grid, values):
-    """values with one point on each real axis along which they are constant, bit for bit.
-
-    values broadcast against grid (see _broadcastable) and keep their dtype;
-    they come back uncopied when no axis reduces. Constancy is bitwise, so a
-    field mixing 0.0 and -0.0 along an axis varies along it; each axis is
-    tested first on its line through index 0. A non-finite field reduces
-    nothing: a transform along an axis where it is constant would spread
-    its non-finite value.
-    """
-    values = _broadcastable(grid, values)
-    if values.dtype.kind == "f" and not np.all(np.isfinite(values)):
-        return values
-    bits = values.view(f"u{values.itemsize}")
-    for axis in range(bits.ndim):
-        if bits.shape[axis] == 1:
-            continue
-        line = bits[(0,) * axis + (slice(None),) + (0,) * (bits.ndim - axis - 1)]
-        first = bits[(slice(None),) * axis + (slice(0, 1),)]
-        if np.all(line == line[0]) and np.all(bits == first):
-            bits = first
-    return values if bits.shape == values.shape else np.ascontiguousarray(bits).view(values.dtype)
-
-
 def _field(grid, values, name="field"):
-    """A finite real field broadcasting against grid, compacted: how every constructor takes one."""
+    """A finite real field broadcasting against grid, as given: how every constructor takes one."""
     values = _broadcastable(grid, np.asarray(values, dtype=np.float64), name)
     if not np.all(np.isfinite(values)):
         raise InputError(f"{name} values must be finite")
-    return compact(grid, values)
+    return values
 
 
 def subtorus(grid, fields):
     """grid with one point on every real axis along which all fields (arrays or None) have one.
 
     The grid of the fields' broadcast shape; each field must broadcast
-    against grid. A field constant along an axis it holds in full keeps it:
-    compact() it first.
+    against grid. A field that holds an axis in full keeps it, constant
+    along it or not.
     """
     shape = np.broadcast_shapes((1,) * len(grid.shape), *(
         _broadcastable(grid, values).shape for values in fields if values is not None
@@ -377,8 +351,9 @@ def divide_by_symbol(grid, symbol, values):
 class FormField:
     """Closed real (1,1) form: constant Hermitian part plus i d dbar of a potential.
 
-    The potential broadcasts against grid and is compacted when the form is
-    built (compact), so it holds one point on each axis it is constant along.
+    The potential broadcasts against grid and keeps the shape it is given,
+    so a potential built from grid.coords() holds one point on each axis it
+    is constant along.
     """
 
     grid: TorusGrid
@@ -647,23 +622,21 @@ def normalize_density(f_raw, omega):
 def distance_to_set(grid, mask):
     """Periodic Euclidean distance from every grid point to a marked set, in the mask's shape.
 
-    mask broadcasts against grid. It is compacted and the distances are taken
-    on its subtorus, which is exact: a nearest marked point shares a point's
-    coordinates on the mask's constant axes.
+    mask broadcasts against grid, and the distances are taken on its
+    subtorus, which is exact: a nearest marked point shares a point's
+    coordinates on the mask's one-point axes.
     """
     mask = _broadcastable(grid, np.asarray(mask, dtype=bool), "mask")
-    shape = mask.shape
-    mask = compact(grid, mask)
     if not mask.any():
-        return np.full(shape, np.inf)
+        return np.full(mask.shape, np.inf)
     if mask.all():
-        return np.zeros(shape)
+        return np.zeros(mask.shape)
     sub = subtorus(grid, [mask])
     coords = np.stack([np.broadcast_to(x, sub.shape) for x in sub.coords().values()], axis=-1)
     # the coordinates lie in [0, 1), so a periodic tree measures minimum images
     tree = cKDTree(coords[mask], boxsize=1.0)
     dist, _ = tree.query(coords.reshape(-1, 2 * grid.n), k=1)
-    return np.broadcast_to(dist.reshape(sub.shape), shape).copy()
+    return dist.reshape(sub.shape)
 
 
 def dump_fields(dirpath, grid, fields):

@@ -36,6 +36,8 @@ from hessquot.errors import (
     InputError,
     NonconvergenceError,
 )
+from hessquot.fakeboundary import prepare_instance
+from hessquot.instances import fake_boundary_sample
 from hessquot.torus import load_fields
 
 GOLDEN_DIR = os.path.join(os.path.dirname(__file__), "goldens")
@@ -411,18 +413,21 @@ class TestUsageContract:
 
     def test_grid_beyond_memory_refused(self, tmp_path, monkeypatch, capsys):
         # a machine with room for N = 16 only: N = 32 is refused before any
-        # field is built, N = 16 still runs; a run holds N^3 points, but
-        # stability's comparison may span all N^4
+        # field is built, N = 16 still runs; every run, stability's
+        # comparison included, holds N^3 points
         room = cli._RSS_BASE_BYTES + cli._RSS_BYTES_PER_POINT * 16**3
         monkeypatch.setattr(cli, "_physical_memory", lambda: room)
         code, summary, _ = run_cli(tmp_path / "a", "check-cone", "instance = uniform\ngrid_N = 32\n")
         assert code == EXIT_USAGE
         assert summary is None
-        assert "grid_N = 32 needs an estimated 0.0904 GB" in capsys.readouterr().err
-        cfg = "grid_N = 16\nf1_amplitude = 0.1\nf2_amplitude = 0.05\n"
-        code, summary, _ = run_cli(tmp_path / "s", "stability", cfg)
+        assert "grid_N = 32 needs an estimated 0.097 GB" in capsys.readouterr().err
+        cfg = "f1_amplitude = 0.1\nf2_amplitude = 0.05\ninstance = boundary_degenerate\n"
+        cfg += "f1_shape = sin_x2\nf2_shape = sin_y2\ngrid_N = "
+        code, summary, _ = run_cli(tmp_path / "s", "stability", cfg + "32\n")
         assert code == EXIT_USAGE and summary is None
-        assert "grid_N = 16 needs an estimated 0.0918 GB" in capsys.readouterr().err
+        assert "grid_N = 32 needs an estimated 0.097 GB" in capsys.readouterr().err
+        code, _, _ = run_cli(tmp_path / "t", "stability", cfg + "16\n")
+        assert code == EXIT_OK
         code, _, _ = run_cli(tmp_path / "b", "check-cone", "instance = uniform\ngrid_N = 16\n")
         assert code == EXIT_OK
 
@@ -487,3 +492,67 @@ class TestDeterminism:
         _, _, out1 = run_cli(tmp_path / "a", "solve", "instance = uniform\n")
         _, _, out2 = run_cli(tmp_path / "b", "solve", "instance = uniform\n")
         assert (out1 / SUMMARY_NAME).read_bytes() == (out2 / SUMMARY_NAME).read_bytes()
+
+
+def held_shapes(**fields):
+    """The shape of each field, None for a form's absent potential."""
+    return {name: None if values is None else np.shape(values) for name, values in fields.items()}
+
+
+# one point on every axis, N = 8 points along x1 only, along x1 and y1
+ONE, X1, X1Y1 = (1, 1, 1, 1), (8, 1, 1, 1), (8, 8, 1, 1)
+
+
+class TestShippedShapes:
+    """Every field the CLI builds at N = 8 has at most two varying axes:
+    what the N^3 memory estimate assumes. Nothing reduces a field after it
+    is built, so an instance function that made a full array would fail
+    here rather than run on the full grid."""
+
+    @pytest.mark.parametrize(
+        ("name", "varying"),
+        [
+            ("uniform", {}),
+            ("boundary", {"chi": X1Y1, "background": X1Y1}),
+            (
+                "degenerate",
+                {"chitilde": X1, "background": X1, "degenerate_mask": X1, "ample_mask": X1},
+            ),
+            (
+                "boundary_degenerate",
+                {
+                    "chi": X1Y1, "chitilde": X1, "background": X1Y1, "degenerate_mask": X1,
+                    "ample_mask": X1, "potential_exact": X1Y1,
+                },
+            ),
+            (
+                "manufactured",
+                {"f": (8, 1, 1, 8), "source": (8, 1, 1, 8), "phi_star": (8, 1, 1, 8)},
+            ),
+        ],
+    )
+    def test_instance_fields(self, name, varying):
+        inst = cli.build_instance({"instance": name, "grid_N": 8})
+        spec = inst.spec(0.5)
+        arrays = {k: v for k, v in inst.extras.items() if isinstance(v, np.ndarray)}
+        if "potential_exact" in inst.extras:
+            arrays["potential_exact"] = inst.extras["potential_exact"](0.5)
+        got = held_shapes(
+            chi=inst.chi.potential, chitilde=inst.chitilde.potential,
+            omega=inst.omega.potential, f=inst.f, background=spec.background.potential,
+            spec_omega=spec.omega.potential, coefficient=spec.coefficient_field,
+            source=spec.source_field, **arrays,
+        )
+        constant = {"chi": None, "chitilde": None, "omega": None, "background": None, "spec_omega": None}
+        want = {key: constant.get(key, ONE) for key in got} | varying
+        assert got == want
+        assert all(sum(size > 1 for size in shape) <= 2 for shape in got.values() if shape)
+
+    def test_fake_boundary_fields(self):
+        sample = fake_boundary_sample(N=8)
+        inst = prepare_instance(sample["g"], sample["chi"], sample["omega"], sample["m"])
+        got = held_shapes(
+            sample_g=sample["g"], chi=inst.chi.potential, omega=inst.omega.potential,
+            g=inst.g, g1=inst.g1, g2=inst.g2,
+        )
+        assert got == {"sample_g": X1, "chi": None, "omega": None, "g": X1, "g1": ONE, "g2": X1}

@@ -363,8 +363,7 @@ class TestPrepareInstance:
 
     def test_varying_chi_takes_its_eigenvalues_on_the_subtorus(self, sample16, batch_sizes):
         grid = sample16["grid"]
-        x1 = np.broadcast_to(grid.coords()["x1"], grid.shape)
-        chi = FormField(grid, np.eye(2), 0.002 * np.cos(TWO_PI * x1))
+        chi = FormField(grid, np.eye(2), 0.002 * np.cos(TWO_PI * grid.coords()["x1"]))
         prepare_instance(sample16["g"], chi, sample16["omega"], sample16["m"])
         assert batch_sizes and max(batch_sizes) <= grid.N**2
 

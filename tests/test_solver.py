@@ -129,22 +129,6 @@ class TestEquationSpec:
         assert spec.source_field.shape == (1, 1, 1, 1)
         assert spec.grid == grid
 
-    def test_full_fields_are_compacted(self):
-        # a field handed in at the full grid's shape keeps one point on each
-        # axis along which it is constant, bit for bit
-        grid = TorusGrid(2, 8)
-        x1 = grid.coords()["x1"]
-        g = grid_field(grid, 1.0 + 0.5 * np.cos(TWO_PI * x1))
-        spec = EquationSpec(
-            n=2, m=1, background=FormField(grid, 2.0 * np.eye(2)), omega=identity_form(grid),
-            coefficient_field=g, source_field=np.ones(grid.shape), unknown_mode="multiplicative",
-        )
-        assert spec.coefficient_field.shape == (8, 1, 1, 1)
-        assert np.array_equal(spec.coefficient_field, g[:, :1, :1, :1])
-        assert spec.source_field.shape == (1, 1, 1, 1)
-        with pytest.raises(InputError, match="coefficient_field shape"):
-            dataclasses.replace(spec, coefficient_field=np.ones((8, 4, 1, 1)))
-
     def test_negative_coefficient_rejected(self):
         grid = TorusGrid(2, 8)
         with pytest.raises(InputError, match="nonnegative"):
@@ -547,10 +531,9 @@ class TestThreeDimensional:
         assert st.diagnostics.spec.grid.shape == (8, 1, 1, 8, 1, 1)
         assert st.phi.shape == (8, 1, 1, 8, 1, 1)
 
-    def test_manufactured_at_n8_on_the_full_grid(self, monkeypatch):
+    def test_manufactured_at_n8_on_the_full_grid(self):
         # the same m = 2 solve on all 8^6 points, as a problem varying along
         # every axis takes it
-        full_grid(monkeypatch)
         st = self.manufactured_at(2, full=True)
         assert st.diagnostics.spec.grid == TorusGrid(3, 8)
         assert st.phi.shape == TorusGrid(3, 8).shape
@@ -1213,16 +1196,6 @@ class TestNestedIteration:
         assert start.b == quadrature_b(spec)
 
 
-def full_grid(monkeypatch):
-    """Turn compaction off: a field handed in at the full grid's shape keeps it.
-
-    Data built that way (full_spec, full_fake_boundary_instance) then have
-    no constant axis, so each solve, its coarse solves and its eigenvalues
-    run at every point of the grid.
-    """
-    monkeypatch.setattr(torus, "compact", lambda grid, values: torus._broadcastable(grid, values))
-
-
 def broadcast_full(grid, values):
     """values broadcast over the full grid, as a writeable array."""
     return None if values is None else np.broadcast_to(values, grid.shape).copy()
@@ -1264,19 +1237,18 @@ def full_fake_boundary_instance(N, chi=None):
 
 class TestSubtorusSolve:
     """Each solve runs on its data's invariant subtorus and keeps phi there;
-    the same solve of the data broadcast over the full grid, with compaction
-    off, gives the same state to rounding."""
+    the same solve of the data broadcast over the full grid, which then have
+    no constant axis, runs at every point and gives the same state to rounding."""
 
     @pytest.mark.parametrize("N", [8, 16])
     @pytest.mark.parametrize("build", SHIPPED_INSTANCES, ids=lambda b: b.__name__)
-    def test_shipped_instances_match_the_full_grid(self, build, N, monkeypatch):
+    def test_shipped_instances_match_the_full_grid(self, build, N):
         inst = build(N=N)
         spec = inst.spec(0.5)
         reduced = newton_solve(spec, t=0.5)
         sub = reduced.diagnostics.spec.grid
         assert sub.constant_axes and sub.n == spec.n and sub.N == N
         assert reduced.spec is spec and reduced.phi.shape == sub.shape
-        full_grid(monkeypatch)
         full = newton_solve(full_spec(spec), t=0.5)
         assert full.diagnostics.spec.grid == spec.grid and full.phi.shape == spec.grid.shape
         assert counts(reduced) == counts(full)
@@ -1286,13 +1258,12 @@ class TestSubtorusSolve:
             assert reduced.diagnostics[key] == pytest.approx(full.diagnostics[key], rel=1e-9, abs=1e-12), key
 
     @pytest.mark.parametrize("N", [8, 16])
-    def test_fake_boundary_matches_the_full_grid(self, N, monkeypatch):
+    def test_fake_boundary_matches_the_full_grid(self, N):
         # N = 8 resolves the smoothed coefficient to 1e-4 only
         inst = fake_boundary_instance(N)
         config = SolverConfig(tol=1e-4) if N == 8 else None
         reduced = two_stage_solve(inst, config)
         assert reduced.final_state.diagnostics.spec.grid.shape == (N, 1, 1, 1)
-        full_grid(monkeypatch)
         full = two_stage_solve(full_fake_boundary_instance(N), config)
         assert full.final_state.diagnostics.spec.grid == inst.grid
         assert [r["t"] for r in reduced.records] == [r["t"] for r in full.records]
@@ -1322,7 +1293,7 @@ class TestSubtorusSolve:
         assert result.final_state.phi.shape == (16, 1, 1, 1)
         assert result.final_state.spec.grid == inst.grid
 
-    def test_fake_boundary_with_varying_background_matches_the_full_grid(self, monkeypatch):
+    def test_fake_boundary_with_varying_background_matches_the_full_grid(self):
         # a chi potential along x1 keeps the subtorus at N points and makes
         # each t-step's cone margin a min over per-point spectra
         grid = TorusGrid(2, 16)
@@ -1330,7 +1301,6 @@ class TestSubtorusSolve:
         inst = fake_boundary_instance(16, chi)
         reduced = two_stage_solve(inst)
         assert reduced.final_state.diagnostics.spec.grid.shape == (16, 1, 1, 1)
-        full_grid(monkeypatch)
         full = two_stage_solve(full_fake_boundary_instance(16, chi))
         assert full.final_state.diagnostics.spec.grid == inst.grid
         assert [r["t"] for r in reduced.records] == [r["t"] for r in full.records]
@@ -1371,7 +1341,7 @@ class TestSubtorusSolve:
         assert set(grids) == {grid}
         assert st.diagnostics.spec.grid == grid
 
-    def test_errors_report_the_full_grid(self, uniform16, monkeypatch):
+    def test_errors_report_the_full_grid(self, uniform16):
         # the uniform data are constant along every axis and cos 2 pi x1
         # along three: the start is checked on N points
         grid = uniform16.grid
@@ -1382,7 +1352,6 @@ class TestSubtorusSolve:
         manu = manufactured_instance(N=8).spec(0.5)
         with pytest.raises(NonconvergenceError) as stopped:
             newton_solve(manu, config=SolverConfig(max_newton=1))
-        full_grid(monkeypatch)
         with pytest.raises(ConeViolationError) as full:
             newton_solve(full_spec(spec), init=SimpleNamespace(phi=broadcast_full(grid, bad), b=0.96))
         assert reduced.value.detail == full.value.detail

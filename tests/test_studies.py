@@ -10,10 +10,10 @@ import numpy as np
 import pytest
 from scipy.spatial import cKDTree
 
-from hessquot import studies
+from hessquot import cli, fakeboundary, solver, studies, torus
 from hessquot.cli import EXIT_BOUNDARY, EXIT_OK, main
 from hessquot.errors import InputError
-from hessquot.studies import degenerate_path
+from hessquot.studies import SCHEDULE, degenerate_path
 from hessquot.symfunc import elementary_sym
 from test_torus import grid_eigenvalues
 
@@ -67,3 +67,34 @@ def test_cli_reports_on_n_squared_points(batch_sizes, tmp_path, command, code):
     cfg.write_text("instance = boundary_degenerate\ngrid_N = 16\n")
     assert main([command, "--out", str(tmp_path / "out"), "--config", str(cfg)]) == code
     assert batch_sizes and max(batch_sizes) <= 16**2
+
+
+@pytest.fixture
+def eigenvalue_passes(monkeypatch):
+    """One entry per relative_eigenvalues call, in every module that imports it."""
+    calls = []
+    original = torus.relative_eigenvalues
+
+    def spy(*args, **kwargs):
+        calls.append(args[0].grid)
+        return original(*args, **kwargs)
+
+    for module in (torus, solver, fakeboundary, cli):
+        monkeypatch.setattr(module, "relative_eigenvalues", spy)
+    return calls
+
+
+def test_one_eigenvalue_pass_per_converged_state(eigenvalue_passes, tmp_path):
+    # the diagnostics keep their eigenvalues, and the volume floor and the
+    # away-region sup of w read them
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("instance = manufactured\ngrid_N = 32\n")
+    assert main(["solve", "--out", str(tmp_path / "out"), "--config", str(cfg)]) == EXIT_OK
+    assert len(eigenvalue_passes) == 1
+    eigenvalue_passes.clear()
+    study = degenerate_path(16)
+    for st in study.path.states:
+        dict(st.diagnostics)
+    # two build the instance (tune_to_boundary's c and make_degenerate_big's masks)
+    assert len(study.path.states) == len(SCHEDULE)
+    assert len(eigenvalue_passes) == 2 + len(SCHEDULE)

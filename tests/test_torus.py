@@ -19,7 +19,6 @@ from hessquot.symfunc import elementary_sym
 from hessquot.torus import (
     FormField,
     TorusGrid,
-    compact,
     compute_c,
     distance_to_set,
     divide_by_symbol,
@@ -534,20 +533,27 @@ def constant_along(grid, rng, axes, lead=()):
     return np.broadcast_to(rng.normal(size=lead + tuple(size)), lead + grid.shape).copy()
 
 
-def assert_operators_exact(grid, phi, rng):
-    """The operators on phi, bit for bit; returns phi's subtorus grid.
+def on_slab(values, axes):
+    """A full field at index 0 on each of axes: the shape of a field built constant along them."""
+    return values[tuple(slice(0, 1) if axis in axes else slice(None) for axis in range(values.ndim))]
+
+
+def assert_operators_exact(grid, phi, rng, axes):
+    """The operators on phi, a full field constant along axes, bit for bit; returns its subtorus grid.
 
     On the full grid the five spectral operators match the full-array
-    references; on phi's subtorus they, frozen_symbol and inject give the
-    full grid's bits at the subtorus points. The Hessian-trace weights there
-    are constant wherever phi is, as the solver's are. strip_kernel_modes
-    averages fewer copies of each value on the subtorus, so it matches to
-    rounding.
+    references; on the subtorus of phi's values at index 0 on axes they,
+    frozen_symbol and inject give the full grid's bits at the subtorus
+    points. The Hessian-trace weights there are constant wherever phi is,
+    as the solver's are. strip_kernel_modes averages fewer copies of each
+    value on the subtorus, so it matches to rounding.
     """
     n = grid.n
-    sub = subtorus(grid, [compact(grid, phi)])
+    reduced = on_slab(phi, axes)
+    assert np.array_equal(np.broadcast_to(reduced, grid.shape), phi)
+    sub = subtorus(grid, [reduced])
     on = functools.partial(inject, sub)
-    assert np.array_equal(compact(grid, phi), on(phi))
+    assert np.array_equal(reduced, on(phi))
     weights = rng.normal(size=(n, n, grid.npoints))
     scales = rng.uniform(0.5, 2.0, size=n)
     symbol = frozen_symbol(grid, scales)
@@ -584,15 +590,9 @@ def assert_operators_exact(grid, phi, rng):
     return sub
 
 
-def slab_shape(values):
-    """The shape of one field on a full grid, compacted."""
-    return compact(TorusGrid(values.ndim // 2, values.shape[0]), values).shape
-
-
 class TestVaryingSlab:
-    """compact() keeps one point on each axis along which a field is constant,
-    subtorus() of compact fields keeps the axes they share, and the operators
-    on that grid give the full grid's bits."""
+    """subtorus() of fields built constant along some axes keeps the axes
+    they share, and the operators on that grid give the full grid's bits."""
 
     @pytest.mark.parametrize(("n", "N"), GRIDS)
     def test_every_subset_of_constant_axes_is_exact(self, n, N):
@@ -602,19 +602,19 @@ class TestVaryingSlab:
         for count in range(2 * n + 1):
             for axes in combinations(range(2 * n), count):
                 phi = constant_along(grid, rng, axes)
-                sub = assert_operators_exact(grid, phi, rng)
+                sub = assert_operators_exact(grid, phi, rng, axes)
                 assert sub.constant_axes == axes
                 assert sub.shape == tuple(1 if axis in axes else N for axis in range(2 * n))
                 assert sub.npoints == N ** (2 * n - count)
                 # a field that varies along every axis is read uncopied
-                assert count or (compact(grid, phi) is phi and np.shares_memory(inject(sub, phi), phi))
+                assert count or np.shares_memory(inject(sub, phi), phi)
                 # a second field keeps the axes both are constant along
-                other = compact(grid, constant_along(grid, rng, axes[1:]))
-                assert subtorus(grid, [compact(grid, phi), None, other]).constant_axes == axes[1:]
+                other = on_slab(constant_along(grid, rng, axes[1:]), axes[1:])
+                assert subtorus(grid, [on_slab(phi, axes), None, other]).constant_axes == axes[1:]
                 assert subtorus(sub, [inject(sub, phi)]) == sub
                 # relative_eigenvalues reduces its own inputs to phi's subtorus
                 eye = identity_form(grid)
-                lam = relative_eigenvalues(eye, eye, compact(grid, phi))
+                lam = relative_eigenvalues(eye, eye, on_slab(phi, axes))
                 assert lam.shape == sub.shape + (n,)
                 full = grid_eigenvalues(eye, eye, phi).reshape(grid.shape + (n,))
                 assert np.array_equal(lam, at_points(sub, full))
@@ -624,9 +624,7 @@ class TestVaryingSlab:
         grid = TorusGrid(2, 8)
         phi = np.zeros(grid.shape)
         phi[:, 0] = -0.0
-        assert slab_shape(phi) == (1, 8, 1, 1)
-        assert slab_shape(np.full(grid.shape, -0.0)) == (1, 1, 1, 1)
-        assert_operators_exact(grid, phi, np.random.default_rng(0))
+        assert_operators_exact(grid, phi, np.random.default_rng(0), (0, 2, 3))
 
     def test_one_ulp_makes_an_axis_vary(self):
         grid = TorusGrid(2, 8)
@@ -635,22 +633,20 @@ class TestVaryingSlab:
         # a whole slice along x2, which the line through index 0 shows
         phi = z1.copy()
         phi[:, :, 1] = np.nextafter(phi[:, :, 1], np.inf)
-        assert slab_shape(phi) == (8, 8, 8, 1)
-        assert_operators_exact(grid, phi, rng)
+        assert_operators_exact(grid, phi, rng, (3,))
         # one point off every line through index 0, which only the full test shows
         phi = z1.copy()
         phi[3, 5, 2, 7] = np.nextafter(phi[3, 5, 2, 7], -np.inf)
-        assert slab_shape(phi) == grid.shape
-        assert_operators_exact(grid, phi, rng)
+        assert_operators_exact(grid, phi, rng, ())
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
     def test_non_finite_field_is_not_reduced(self, bad):
+        # a transform of a non-finite field spreads its non-finite value
+        # along every axis, as on the full grid
         grid = TorusGrid(2, 8)
         rng = np.random.default_rng(31)
         phi = constant_along(grid, rng, (2, 3))
         phi[1, 2] = bad
-        assert compact(grid, phi) is phi
-        assert subtorus(grid, [compact(grid, constant_along(grid, rng, (2, 3))), compact(grid, phi)]) == grid
         symbol = frozen_symbol(grid, [1.0, 1.5])
         with np.errstate(invalid="ignore"):
             got = divide_by_symbol(grid, symbol, phi)
@@ -667,9 +663,9 @@ class TestVaryingSlab:
 
         rfftn = scipy.fft.rfftn
         monkeypatch.setattr(scipy.fft, "rfftn", spy)
-        z1, random = z1_potential(grid, rng), rng.normal(size=grid.shape)
+        z1, random = on_slab(z1_potential(grid, rng), (2, 3)), rng.normal(size=grid.shape)
         for phi, want in ((z1, (8, 8, 1, 1)), (random, grid.shape)):
-            sub = subtorus(grid, [compact(grid, phi)])
+            sub = subtorus(grid, [phi])
             phi = inject(sub, phi)
             symbol = frozen_symbol(sub, [1.0, 1.5])
             weights = rng.normal(size=(2, 2, sub.npoints))
@@ -736,7 +732,7 @@ class TestGridTransfer:
         spec = EquationSpec(
             n=2, m=1, background=FormField(grid, 3.0 * np.eye(2)),
             omega=identity_form(grid), coefficient_field=1.0,
-            source_field=grid_field(grid, 1.0 + 0.5 * sign),
+            source_field=1.0 + 0.5 * sign,
         )
         mult = dataclasses.replace(spec, unknown_mode="multiplicative")
         # the spec holds the source on its 8 points along x1; on its own grid
@@ -997,7 +993,7 @@ class TestDegenerate:
         # base I, shape cos(2 pi x1): min eig 1 - a pi^2 hits 0 at a = 1/pi^2,
         # degeneracy exactly on the slab {x1 = 0}
         g = TorusGrid(2, 16)
-        shape = grid_field(g, np.cos(TWO_PI * g.coords()["x1"]))
+        shape = np.cos(TWO_PI * g.coords()["x1"])
         res = make_degenerate_big(g, np.eye(2), shape)
         assert res.amplitude == pytest.approx(1.0 / np.pi**2, rel=1e-12)
         min_eig = np.broadcast_to(relative_eigenvalues(res.form, identity_form(g))[..., -1], g.shape)
@@ -1037,8 +1033,9 @@ class TestDegenerate:
 class TestTuneToBoundary:
     @staticmethod
     def psi(g):
+        """cos(2 pi x1) + cos(2 pi y1), in the broadcastable shape (N, N, 1, 1)."""
         c = g.coords()
-        return grid_field(g, np.cos(TWO_PI * c["x1"]) + np.cos(TWO_PI * c["y1"]))
+        return np.cos(TWO_PI * c["x1"]) + np.cos(TWO_PI * c["y1"])
 
     def test_boundary_amplitude_pinned(self):
         # margin(a) = 1/2 - 2 pi^2 a for I + a idd psi, root at 1/(4 pi^2)
@@ -1050,7 +1047,7 @@ class TestTuneToBoundary:
         assert c == pytest.approx(1.0, rel=1e-12)
         assert np.array_equal(chi.const, np.eye(2))
         assert chi.potential.shape == (16, 16, 1, 1)
-        assert np.array_equal(np.broadcast_to(chi.potential, g.shape), amplitude * psi)
+        assert np.array_equal(chi.potential, amplitude * psi)
         margin = cone_margin(relative_eigenvalues(chi, om), c, 1)
         assert abs(float(np.min(margin))) <= 1e-8
 
@@ -1064,7 +1061,7 @@ class TestTuneToBoundary:
             om = FormField(g, np.eye(2), grid_field(g, 0.002 * np.cos(TWO_PI * g.coords()["x2"])))
         psi = self.psi(g)
         amplitude, c, _ = tune_to_boundary(g, np.eye(2), psi, om, 1, (0.0, 0.05))
-        hess = packed_hessian(g, psi).reshape(2, 2, -1)
+        hess = packed_hessian(g, grid_field(g, psi)).reshape(2, 2, -1)
         base = pack_hermitian(np.eye(2))[..., None]
 
         metric = full_packed(om)
