@@ -18,8 +18,10 @@ complementary to the Hessian's kernel (modes with every axis frequency at 0
 or Nyquist), where the linearized systems are nonsingular. Newton can
 reduce only the residual's part in the Hessian's range; a solve whose
 residual is above tol while that part is within it stops there, at its
-aliasing floor. Above COARSEST_N points per axis, each solve starts from the
-solve of the same problem on the grid with half the points per axis (nested
+aliasing floor. A continuation solve starts from the secant in t through
+the last two path states. Above COARSEST_N points per axis, a solve without
+that start, or whose secant start leaves the cone, starts from the solve of
+the same problem on the grid with half the points per axis (nested
 iteration), which hands over its state even when it stopped at its floor.
 A spec's fields broadcast against its grid in the shape they were built
 in, and the spec checks omega once, where it is built; so the invariant
@@ -152,7 +154,8 @@ class EquationSpec:
         )
 
 
-# grids above this N start Newton from the solve on the grid with N/2
+# grids above this N start Newton from the solve on the grid with N/2,
+# unless a secant start inside the cone comes first
 COARSEST_N = 8
 DAMPING_FLOOR = 2.0**-30
 KRYLOV_INNER = 20
@@ -262,8 +265,11 @@ def strip_kernel_modes(grid, values, keep_mean=False):
     pairs = [(size // 2, 2) if size > 1 else (1, 1) for size in grid.shape]
     blocks = np.reshape(values, sum(pairs, ()))
     means = blocks
-    for axis in range(0, blocks.ndim, 2):  # one axis at a time: contiguous sums
-        means = means.mean(axis=axis, keepdims=True)
+    # one axis at a time (contiguous sums), the bits of .mean per axis; an
+    # axis of one block is its own mean
+    for axis, size in enumerate(blocks.shape):
+        if axis % 2 == 0 and size > 1:
+            means = np.add.reduce(means, axis=axis, keepdims=True) / size
     if keep_mean:
         means = means - means.mean()
     return (blocks - means).reshape(grid.shape)
@@ -478,10 +484,11 @@ def _linear_step(spec, ev, config, rsup_prev):
 def _coarse_solution(spec, path, config, t):
     """The solve on the grid with N/2 points per axis, or None if it left the cone.
 
-    The spec and the path states are moved there by torus.inject, every
-    other point per axis, and solved through the module-level newton_solve,
-    which recurses down to COARSEST_N. A coarse solve that stops short, at its aliasing floor or
-    otherwise, still hands over its last iterate.
+    Asked for only when there is no secant start or it left the cone. The
+    spec and the path states are moved there by torus.inject, every other
+    point per axis, and solved through the module-level newton_solve, which
+    recurses down to COARSEST_N. A coarse solve that stops short, at its
+    aliasing floor or otherwise, still hands over its last iterate.
     """
     coarse = spec.on(replace(spec.grid, N=spec.grid.N // 2))
     coarse_path = [SimpleNamespace(phi=inject(coarse.grid, s.phi), b=s.b, t=s.t) for s in path]
@@ -496,22 +503,23 @@ def _coarse_solution(spec, path, config, t):
 def _predictions(spec, path, config, t):
     """Starts (phi, b) to try in order, best first.
 
-    The prolonged coarse solution (N > COARSEST_N), then the secant in t
-    through the last two path states, then the warm start from the last
+    The secant in t through the last two path states, then the prolonged
+    coarse solution (N > COARSEST_N), then the warm start from the last
     state, or the cold one (phi = 0, b = 0) on an empty path. Each is
-    computed only once the one before it has left the cone.
+    computed only once the one before it has left the cone, so a secant
+    start inside the cone runs no coarse solve.
     """
     grid = spec.grid
-    if grid.N > COARSEST_N:
-        coarse = _coarse_solution(spec, path, config, t)
-        if coarse is not None:
-            yield strip_kernel_modes(grid, prolong(coarse.spec.grid, coarse.phi)), coarse.b
     if len(path) == 2 and all(map(math.isfinite, (t, path[0].t, path[1].t))):
         s0, s1 = path
         if s0.t != s1.t:
             r = (t - s1.t) / (s1.t - s0.t)
             phi = strip_kernel_modes(grid, s1.phi + r * (s1.phi - s0.phi))
             yield phi, float(s1.b + r * (s1.b - s0.b))
+    if grid.N > COARSEST_N:
+        coarse = _coarse_solution(spec, path, config, t)
+        if coarse is not None:
+            yield strip_kernel_modes(grid, prolong(coarse.spec.grid, coarse.phi)), coarse.b
     if path:
         yield strip_kernel_modes(grid, path[-1].phi), float(path[-1].b)
     else:
@@ -524,25 +532,24 @@ def newton_solve(spec, init=None, config=None, t=math.nan):
     init is None (cold start: the zero potential), a prior SolverState (warm
     start), or the path so far as a sequence of SolverStates in t order.
 
-    On a grid with N > COARSEST_N, Newton first solves the same problem on
-    the grid with N/2 points per axis (spec and path injected onto it,
-    recursing down to COARSEST_N) and starts from that solution,
-    prolonged by spectral interpolation; a coarse solve that stops short
-    still hands over its last iterate. Otherwise, or when the coarse solve
-    or its prolongation leaves the cone: with two states at finite, distinct
-    t and a finite target t, Newton starts from the secant extrapolation in
-    t through the last two,
+    With two states at finite, distinct t and a finite target t, Newton
+    starts from the secant extrapolation in t through the last two,
 
-        r = (t - t1)/(t1 - t0),  phi = phi1 + r (phi1 - phi0),  b = b1 + r (b1 - b0),
+        r = (t - t1)/(t1 - t0),  phi = phi1 + r (phi1 - phi0),  b = b1 + r (b1 - b0).
 
-    and falls back to the warm start from the last state when that
-    prediction leaves the cone. A shorter path, or one without that spacing,
-    gives the warm start (or the cold start when empty). In additive mode
-    every start takes b from quadrature_b, the value the converged b must
-    match anyway: the class integral, by Stokes, which the grid sum of the
-    converged state meets up to aliasing; quadrature_b runs before any
-    Newton work, so a varying coefficient, which it rejects, raises
-    InputError up front. In multiplicative mode the cold start takes b = 0.
+    Otherwise, or when that prediction leaves the cone, on a grid with
+    N > COARSEST_N Newton first solves the same problem on the grid with
+    N/2 points per axis (spec and path injected onto it, recursing down to
+    COARSEST_N) and starts from that solution, prolonged by spectral
+    interpolation; a coarse solve that stops short still hands over its
+    last iterate. When there is no coarse solve, or it or its prolongation
+    leaves the cone, Newton takes the warm start from the last state (or
+    the cold start on an empty path). In additive mode every start takes b
+    from quadrature_b, the value the converged b must match anyway: the
+    class integral, by Stokes, which the grid sum of the converged state
+    meets up to aliasing; quadrature_b runs before any Newton work, so a
+    varying coefficient, which it rejects, raises InputError up front. In
+    multiplicative mode the cold start takes b = 0.
 
     Newton stops with NonconvergenceError, carrying the state, at its
     aliasing floor: the residual is above config.tol while its part in the

@@ -19,7 +19,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hessquot import fakeboundary
+from hessquot import fakeboundary, solver
 from hessquot.errors import (
     ConstructionError,
     DomainError,
@@ -488,8 +488,9 @@ class TestTwoStagePath:
         assert slack >= -1e-6 * level**2
 
     def test_each_solve_takes_at_most_one_n16_step(self, inst16, monkeypatch):
-        # each N = 16 solve starts from its N = 8 solve, which stops at its
-        # aliasing floor, far above tol, and hands that state over
+        # the solves at t = 0 and 1/16 start from their N = 8 solve, which
+        # stops at its aliasing floor, far above tol, and hands that state
+        # over; every later one starts from the secant through the last two
         fine = []
         solve = fakeboundary.newton_solve
 
@@ -502,6 +503,23 @@ class TestTwoStagePath:
         res = two_stage_solve(inst16)
         assert len(fine) == len(res.records) == 17
         assert max(fine) <= 1
+
+    def test_only_cold_and_warm_starts_solve_at_n8(self, inst16, monkeypatch):
+        # stage 1 starts cold and t = 1/16 warm; every later step has a secant
+        calls = []
+        for module in (solver, fakeboundary):
+            original = module.newton_solve
+
+            def counted(spec, *args, original=original, **kwargs):
+                calls.append((spec.grid.N, kwargs["t"]))
+                return original(spec, *args, **kwargs)
+
+            monkeypatch.setattr(module, "newton_solve", counted)
+        res = two_stage_solve(inst16)
+        assert len(res.records) == 17
+        assert len(calls) == 19
+        assert [(N, t) for N, t in calls if N == 8] == [(8, 0.0), (8, 1 / 16)]
+        assert [t for N, t in calls if N == 16] == [r["t"] for r in res.records]
 
 
 class TestTwoStageMechanics:

@@ -983,6 +983,16 @@ def bd8_path(bd8):
     return continuation_path(bd8.spec, SCHEDULE)
 
 
+@pytest.fixture(scope="module")
+def bd16():
+    return boundary_degenerate_instance(N=16)
+
+
+@pytest.fixture(scope="module")
+def bd16_path(bd16):
+    return continuation_path(bd16.spec, SCHEDULE[:2])
+
+
 def counts(state):
     return state.diagnostics["newton_iters"], state.diagnostics["krylov_iters"]
 
@@ -1080,7 +1090,7 @@ def fine_start(spec, coarse_solve, monkeypatch, init=None):
 
 
 class TestNestedIteration:
-    """Above N = 8 every solve starts from the solve on the grid with N/2."""
+    """Above N = 8 a solve without a secant start in the cone starts from the solve at N/2."""
 
     def test_manufactured_n32_takes_no_fine_steps(self, manufactured32, newton_calls):
         spec = manufactured32.spec(manufactured32.extras["t_star"])
@@ -1117,7 +1127,8 @@ class TestNestedIteration:
         inst = boundary_degenerate_instance(N=32)
         res = solver.continuation_path(inst.spec, SCHEDULE)
         assert res.complete and len(res.states) == len(SCHEDULE)
-        assert newton_calls == [32, 16, 8] * len(SCHEDULE)
+        # the cold and warm starts solve at N/2 first; every later one starts from its secant
+        assert newton_calls == [32, 16, 8] * 2 + [32] * (len(SCHEDULE) - 2)
         for st in res.states:
             want = inst.extras["potential_exact"](st.t)
             assert mean_free_sup(st.phi - want) <= 1e-8
@@ -1135,17 +1146,40 @@ class TestNestedIteration:
         assert st.residual_sup <= 1e-10
 
     def test_path_n16_takes_no_fine_steps(self, newton_calls):
-        # the exact potential is band-limited, so every prolonged N = 8 solve
-        # already solves the N = 16 problem, the cold t = 1 solve included
+        # the exact potential is band-limited and linear in t, so the
+        # prolonged N = 8 solves of the cold and warm starts, and every
+        # secant start after them, already solve the N = 16 problem
         inst = boundary_degenerate_instance(N=16)
         res = solver.continuation_path(inst.spec, SCHEDULE)
         assert res.complete and len(res.states) == len(SCHEDULE)
-        assert newton_calls == [16, 8] * len(SCHEDULE)
+        assert newton_calls == [16, 8] * 2 + [16] * (len(SCHEDULE) - 2)
         for st in res.states:
             assert st.diagnostics["newton_iters"] == 0
             want = inst.extras["potential_exact"](st.t)
             assert mean_free_sup(st.phi - want) <= 1e-8
             assert abs(st.b - inst.extras["expected_b"](st.t)) <= 1e-8
+
+    def test_secant_start_in_the_cone_skips_the_coarse_solve(self, newton_calls, bd16, bd16_path):
+        s0, s1 = bd16_path.states
+        st = solver.newton_solve(bd16.spec(0.25), init=[s0, s1], t=0.25)
+        assert newton_calls == [16]
+        assert counts(st) == (0, 0)
+        want = bd16.extras["potential_exact"](0.25)
+        assert mean_free_sup(st.phi - want) <= 1e-8
+
+    def test_secant_start_outside_cone_falls_back_to_coarse(self, newton_calls, bd16, bd16_path):
+        # the bump of TestSecantPredictor's fallback test: the secant adds half of it
+        s1 = bd16_path.states[1]
+        bump = 8.0 * grid_field(bd16.grid, np.cos(TWO_PI * bd16.grid.coords()["x1"]))
+        s0 = dataclasses.replace(s1, phi=s1.phi - bump, t=1.0)
+        spec = bd16.spec(0.25)
+        got = solver.newton_solve(spec, init=[s0, s1], t=0.25)
+        assert newton_calls == [16, 8]
+        warm = solver.newton_solve(spec, init=s1, t=0.25)
+        assert newton_calls == [16, 8] * 2
+        assert counts(got) == counts(warm)
+        assert np.abs(got.phi - warm.phi).max() <= 1e-10
+        assert abs(got.b - warm.b) <= 1e-10
 
     def test_duck_typed_start_above_n16(self, manufactured32):
         # a start is read for phi and b alone, on every grid level
@@ -1575,3 +1609,23 @@ class TestStripKernelModes:
         once = strip_kernel_modes(grid, vals)
         assert np.abs(strip_kernel_modes(grid, once) - once).max() <= 1e-13
         assert abs(once.mean()) <= 1e-14
+
+    @pytest.mark.parametrize("N, constant_axes", [
+        (16, (1, 2, 3)), (8, (2, 3)), (32, (1, 2)), (8, ()),
+    ])
+    @pytest.mark.parametrize("keep_mean", [False, True])
+    def test_bits_of_the_per_axis_mean(self, N, constant_axes, keep_mean):
+        # the projection as a mean over every block axis in turn, one block ones included
+        grid = TorusGrid(2, N, constant_axes)
+        rng = np.random.default_rng(5)
+        for scale in (1e-6, 1.0, 1e6):
+            vals = scale * rng.normal(size=grid.shape)
+            blocks = vals.reshape(sum(((k // 2, 2) if k > 1 else (1, 1) for k in grid.shape), ()))
+            means = blocks
+            for axis in range(0, blocks.ndim, 2):
+                means = means.mean(axis=axis, keepdims=True)
+            if keep_mean:
+                means = means - means.mean()
+            want = (blocks - means).reshape(grid.shape)
+            got = strip_kernel_modes(grid, vals, keep_mean=keep_mean)
+            assert np.array_equal(got.view(np.int64), want.view(np.int64))
