@@ -402,7 +402,8 @@ def _gmres_cycle(op, rhs, rtol):
         for i, (c, s) in enumerate(rotations):
             h[i], h[i + 1] = c * h[i] + s * h[i + 1], c * h[i + 1] - s * h[i]
         r = math.hypot(h[j], h[j + 1])
-        c, s = (h[j] / r, h[j + 1] / r) if r > 0.0 else (1.0, 0.0)
+        # a zero pivot reduces nothing: (0, 1) keeps the residual estimate
+        c, s = (h[j] / r, h[j + 1] / r) if r > 0.0 else (0.0, 1.0)
         rotations.append((c, s))
         h[j], h[j + 1] = r, 0.0
         g[j], g[j + 1] = c * g[j], -s * g[j]
@@ -690,7 +691,7 @@ def continuation_path(spec_family, schedule, config=None):
     schedule = [float(t) for t in schedule]
     if not schedule or any(b >= a for a, b in zip(schedule, schedule[1:])):
         raise InputError("schedule must be strictly decreasing")
-    if schedule[0] > 1.0 or schedule[-1] <= 0.0:
+    if not all(0.0 < t <= 1.0 for t in schedule):
         raise InputError("schedule must lie in (0, 1]")
     states = []
     for t in schedule:

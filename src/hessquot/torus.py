@@ -4,9 +4,10 @@ The torus is [0,1)^{2n} with complex coordinates z_j = x_j + i y_j and N
 grid points per real axis, axis order (x1, y1, x2, y2, ...). Differentiation
 is spectral (exact for band-limited fields, Nyquist dropped from first-order
 multipliers) and runs on real FFTs: every operator is a real field times a
-real symbol cached per grid in rfftn layout, and a product spectrum that
-is identically zero is not inverse transformed (a potential of z1 alone
-has one nonzero Hessian field).
+real symbol cached per grid in rfftn layout. The product spectra of one
+field that are not identically zero are inverse transformed together, in
+one call pair; a zero one is not transformed (a potential of z1 alone has
+one nonzero Hessian field).
 Every field on a grid has a broadcastable shape: one point on each real
 axis along which it is constant, grid's points on the others, as
 grid.coords() returns them. A field's shape, as it was built, is its
@@ -178,43 +179,30 @@ def _symbols(grid):
 
 
 def _irfftn(grid, spectrum):
-    """The real field of one rfftn-layout spectrum, which it may overwrite.
+    """The real fields of rfftn-layout spectra stacked on any leading axes; spectrum may be overwritten.
 
-    Complex transforms over the leading axes, in place, then one inverse
-    real transform along the last: the 1-D transforms scipy's irfftn runs,
-    in the same order, so the result is bit-identical. irfftn does not use
-    overwrite_x, so it cannot transform the leading axes in place.
+    Complex transforms over the grid's leading axes, in place, then one
+    inverse real transform along the last: the 1-D transforms scipy's
+    irfftn runs, in the same order, so each field is bit-identical to its
+    irfftn. irfftn does not use overwrite_x, so it would copy the stack.
     """
-    spectrum = scipy.fft.ifftn(spectrum, axes=range(2 * grid.n - 1), overwrite_x=True)
+    spectrum = scipy.fft.ifftn(spectrum, axes=range(-2 * grid.n, -1), overwrite_x=True)
     return scipy.fft.irfft(spectrum, n=grid.shape[-1], axis=-1)
 
 
-def _irfftn_each(grid, spectrum, symbols):
-    """Yield the real field of spectrum times each symbol in turn, None for a zero product.
+def _inverse_products(grid, spectrum, symbols):
+    """(rows, fields): the rows of symbols whose product with spectrum is nonzero, and their real fields.
 
-    One inverse transform per field, each on its own product, keeps the
-    transformed array to one field's spectrum: at N = 16 that fits a 2 MB
-    L2 cache where a stack of the n^2 Hessian spectra does not. A product
-    with no nonzero entry (tested exactly; NaN counts as nonzero) is the
-    zero field, so it is not transformed.
+    symbols are stacked on one leading axis, and fields has shape
+    (len(rows),) + grid.shape. A product with no nonzero entry (tested
+    exactly: NaN and subnormals count, -0.0 does not) is the zero field and
+    is not transformed; the others are transformed together by one _irfftn.
     """
-    buf = np.empty_like(spectrum)
-    for symbol in symbols:
-        np.multiply(spectrum, symbol, out=buf)
-        yield _irfftn(grid, buf) if buf.any() else None
-
-
-def _stacked(grid, fields, count):
-    """The first count fields of an iterator in one (count,) + grid.shape array.
-
-    Each field is written in and dropped before the next one is made; a
-    None field is written as zeros.
-    """
-    out = np.empty((count,) + grid.shape)
-    for row in out:
-        field = next(fields)
-        row[...] = 0.0 if field is None else field
-    return out
+    products = spectrum * symbols
+    rows = np.flatnonzero(products.reshape(len(products), -1).any(axis=1))
+    if rows.size == 0:
+        return rows, np.empty((0,) + grid.shape)
+    return rows, _irfftn(grid, products if rows.size == len(products) else products[rows])
 
 
 def _hessian_symbols(grid):
@@ -236,12 +224,15 @@ def packed_hessian(grid, phi):
     """Spectral complex Hessian as n*n real fields, shape (n, n) + grid.shape.
 
     The leading axes hold HERMITIAN_PACKING: [i, i] is H_ii and, for i < j,
-    [i, j] is Re H_ij and [j, i] is Im H_ij. One rfftn, then one irfftn per
-    packed field whose spectrum is not identically zero; the others are
-    written as exact zeros.
+    [i, j] is Re H_ij and [j, i] is Im H_ij. One rfftn, then one inverse
+    transform of every packed field whose spectrum is not identically zero
+    at once; the others are written as exact zeros.
     """
-    fields = _irfftn_each(grid, scipy.fft.rfftn(_check_scalar(grid, phi)), _hessian_symbols(grid))
-    return _stacked(grid, fields, grid.n**2).reshape((grid.n, grid.n) + grid.shape)
+    spectrum = scipy.fft.rfftn(_check_scalar(grid, phi))
+    rows, fields = _inverse_products(grid, spectrum, _hessian_symbols(grid))
+    out = np.zeros((grid.n**2,) + grid.shape)
+    out[rows] = fields
+    return out.reshape((grid.n, grid.n) + grid.shape)
 
 
 def hessian_trace(grid, weights, values, symbol):
@@ -249,18 +240,18 @@ def hessian_trace(grid, weights, values, symbol):
 
     weights holds real fields packed like packed_hessian's, shape (n, n, P),
     and symbol is a frozen_symbol; the trace has grid.shape. The division is
-    done on the one spectrum, and each packed field is added into the trace
-    as soon as it is transformed, in row-major (j, k) order, so no stack of
-    the n^2 Hessian fields is built. A field whose spectrum is identically
-    zero is neither transformed nor weighted.
+    done on the one spectrum, the packed fields whose spectrum is not
+    identically zero are inverse transformed at once, and each is weighted
+    and added into the trace in row-major (j, k) order. A zero field is
+    neither transformed nor weighted.
     """
     spectrum = scipy.fft.rfftn(_check_scalar(grid, values))
     spectrum /= symbol
-    fields = _irfftn_each(grid, spectrum, _hessian_symbols(grid))
+    rows, fields = _inverse_products(grid, spectrum, _hessian_symbols(grid))
+    weights = weights.reshape((-1,) + grid.shape)
     trace = np.zeros(grid.shape)
-    for weight, field in zip(weights.reshape((-1,) + grid.shape), fields):
-        if field is not None:
-            trace += np.multiply(field, weight, out=field)
+    for row, field in zip(rows, fields):
+        trace += np.multiply(field, weights[row], out=field)
     return trace
 
 
@@ -268,13 +259,14 @@ def holomorphic_gradient(grid, phi):
     """(d phi / d z_j) for each j, shape grid.shape + (n,).
 
     d/dz_j = (d/dx_j - i d/dy_j)/2, so the real and imaginary parts are the
-    real fields with symbols i kx_j / 2 and -i ky_j / 2; a part whose
-    spectrum is identically zero is not transformed.
+    real fields with symbols i kx_j / 2 and -i ky_j / 2, inverse transformed
+    at once but for a part whose spectrum is identically zero.
     """
     kx, ky, _ = _symbols(grid)
-    symbols = [0.5j * k for k in kx] + [-0.5j * k for k in ky]
-    spectrum = scipy.fft.rfftn(_check_scalar(grid, phi))
-    parts = _stacked(grid, _irfftn_each(grid, spectrum, symbols), 2 * grid.n)
+    symbols = np.stack(np.broadcast_arrays(*[0.5j * k for k in kx], *[-0.5j * k for k in ky]))
+    rows, fields = _inverse_products(grid, scipy.fft.rfftn(_check_scalar(grid, phi)), symbols)
+    parts = np.zeros((2 * grid.n,) + grid.shape)
+    parts[rows] = fields
     return np.moveaxis(parts[: grid.n] + 1j * parts[grid.n :], 0, -1)
 
 

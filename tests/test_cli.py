@@ -217,6 +217,16 @@ class TestContinue:
         assert code == EXIT_USAGE
         assert summary is None
 
+    def test_nan_in_schedule_is_rejected_before_any_solve(self, tmp_path, capsys, monkeypatch):
+        def no_solve(*args, **kwargs):
+            raise AssertionError("a solve ran before the schedule was checked")
+
+        monkeypatch.setattr("hessquot.solver.newton_solve", no_solve)
+        code, summary, _ = run_cli(tmp_path, "continue", "grid_N = 8\nt_schedule = 1,nan\n")
+        assert code == EXIT_USAGE
+        assert summary is None
+        assert "schedule must lie in (0, 1]" in capsys.readouterr().err
+
 
 class TestStability:
     def test_perturbation_pair(self, tmp_path):

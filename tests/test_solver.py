@@ -882,8 +882,18 @@ class TestNewtonStep:
         assert len(nonzero_inputs) == state.diagnostics["krylov_iters"]
         assert not restarts
 
-    @pytest.mark.parametrize("spectrum", ["distinct", "three-valued"])
+    @pytest.mark.parametrize("spectrum", ["distinct", "three-valued", "singular"])
     def test_gmres_cycle_on_small_systems(self, spectrum):
+        if spectrum == "singular":
+            # a zero Givens pivot reduces nothing: the cycle reports the full
+            # residual as unconverged and leaves the system to LGMRES
+            mat = np.diag([0.0, 1.0, 2.0])
+            op = solver.LinearOperator((3, 3), matvec=lambda y: mat @ y, dtype=np.float64)
+            for rhs in ([1.0, 0.0, 0.0], [1.0, 1.0, 0.0]):
+                y, converged = solver._gmres_cycle(op, np.array(rhs), 1e-8)
+                assert not converged
+                assert np.linalg.norm(mat @ y - rhs) == pytest.approx(1.0, rel=1e-12)
+            return
         # a three-valued spectrum makes the Krylov space invariant after three
         # steps: the cycle stops at that breakdown with the exact solution
         rng = np.random.default_rng(5)
@@ -910,8 +920,8 @@ class TestNewtonStep:
 
 class TestContinuation:
     def test_schedule_validation(self, degenerate8):
-        for bad in ([], [0.5, 0.6], [1.5, 0.5], [0.5, 0.0]):
-            with pytest.raises(InputError):
+        for bad in ([], [0.5, 0.6], [1.5, 0.5], [0.5, 0.0], [np.nan], [1.0, np.nan]):
+            with pytest.raises(InputError, match="schedule must"):
                 continuation_path(degenerate8.spec, bad)
 
     def test_complete_path_and_warm_start(self, degenerate8):

@@ -367,19 +367,19 @@ class TestRealFFTLayer:
     def test_zero_spectra_are_not_transformed(self, n, N, monkeypatch):
         grid = TorusGrid(n, N)
         rng = np.random.default_rng(3)
-        calls = []
+        fields = []
 
         def spy(grid, spectrum):
-            calls.append(spectrum.shape)
+            fields.append(len(spectrum))
             return irfftn(grid, spectrum)
 
         irfftn = torus._irfftn
         monkeypatch.setattr(torus, "_irfftn", spy)
         packed_hessian(grid, z1_potential(grid, rng))
-        assert len(calls) == 1
-        calls.clear()
+        assert fields == [1]
+        fields.clear()
         packed_hessian(grid, rng.normal(size=grid.shape))
-        assert len(calls) == n * n
+        assert fields == [n * n]
 
     def test_skip_is_exact(self):
         # only a product with no nonzero entry is skipped: a NaN or the
@@ -389,21 +389,68 @@ class TestRealFFTLayer:
         ones = np.ones(spectrum.shape)
         for entry in (np.nan, 5e-324, 1j * 5e-324):
             spectrum[1, 2, 3, 1] = entry
-            (field,) = torus._irfftn_each(grid, spectrum, [ones])
-            assert field is not None
+            rows, fields = torus._inverse_products(grid, spectrum, ones[None])
+            assert rows.tolist() == [0] and fields.shape == (1,) + grid.shape
+        # each product is tested on its own: a zero symbol row is skipped
+        rows, fields = torus._inverse_products(grid, spectrum, np.stack([0.0 * ones, ones]))
+        assert rows.tolist() == [1] and fields.shape == (1,) + grid.shape
         spectrum[1, 2, 3, 1] = -0.0
-        assert list(torus._irfftn_each(grid, spectrum, [ones, -ones])) == [None, None]
+        rows, fields = torus._inverse_products(grid, spectrum, np.stack([ones, -ones]))
+        assert rows.tolist() == [] and fields.shape == (0,) + grid.shape
 
     @pytest.mark.parametrize(("n", "N"), GRIDS)
     def test_inverse_transform_matches_numpy(self, n, N):
         # complex transforms over the leading axes, then a real one along the
-        # last, on a spectrum with Nyquist content along every axis
+        # last, on spectra with Nyquist content along every axis, one at a
+        # time and stacked on a leading axis
         grid = TorusGrid(n, N)
         rng = np.random.default_rng(n * N)
-        spectrum = np.fft.rfftn(rng.normal(size=grid.shape))
-        assert all(np.max(np.abs(np.take(spectrum, N // 2, axis=a))) > 0.0 for a in range(2 * n))
-        want = np.fft.irfftn(spectrum, s=grid.shape, axes=range(2 * n))
-        assert_rel(torus._irfftn(grid, spectrum.copy()), want, rtol=1e-13)
+        spectra = np.fft.rfftn(rng.normal(size=(2,) + grid.shape), axes=range(1, 2 * n + 1))
+        for spectrum in spectra:
+            assert all(np.max(np.abs(np.take(spectrum, N // 2, axis=a))) > 0.0 for a in range(2 * n))
+        want = np.fft.irfftn(spectra, s=grid.shape, axes=range(1, 2 * n + 1))
+        assert_rel(torus._irfftn(grid, spectra[0].copy()), want[0], rtol=1e-13)
+        assert_rel(torus._irfftn(grid, spectra.copy()), want, rtol=1e-13)
+        # stacked, each field keeps the bits of scipy's irfftn of it alone
+        alone = [scipy.fft.irfftn(spectrum, s=grid.shape) for spectrum in spectra]
+        assert np.array_equal(torus._irfftn(grid, spectra.copy()), np.stack(alone))
+
+    @pytest.mark.parametrize("n", [2, 3])
+    def test_one_transform_pair_per_spectrum(self, n, monkeypatch):
+        # one forward transform, and one inverse pair for every nonzero
+        # field at once or none when all are zero, however many fields
+        grid = TorusGrid(n, 4)
+        rng = np.random.default_rng(7)
+        calls = []
+
+        def spied(name, fn):
+            def spy(*args, **kwargs):
+                calls.append(name)
+                return fn(*args, **kwargs)
+            return spy
+
+        for name in ("rfftn", "ifftn", "irfft", "irfftn", "fftn", "fft", "ifft", "rfft"):
+            monkeypatch.setattr(scipy.fft, name, spied(name, getattr(scipy.fft, name)))
+        symbol = frozen_symbol(grid, np.ones(n))
+        weights = rng.normal(size=(n, n, grid.npoints))
+        c = grid.coords()
+        z1z2 = np.sin(TWO_PI * c["x1"]) * np.cos(TWO_PI * c["y2"])
+        for phi, nonzero in [
+            (np.full(grid.shape, 2.0), 0),
+            (z1_potential(grid, rng), 1),
+            (np.broadcast_to(z1z2, grid.shape).copy(), 3),
+            (rng.normal(size=grid.shape), n * n),
+        ]:
+            for op in (
+                lambda: packed_hessian(grid, phi),
+                lambda: hessian_trace(grid, weights, phi, symbol),
+                lambda: holomorphic_gradient(grid, phi),
+            ):
+                calls.clear()
+                op()
+                assert calls == ["rfftn"] + (["ifftn", "irfft"] if nonzero else [])
+            fields = packed_hessian(grid, phi).reshape(n * n, -1)
+            assert np.count_nonzero(np.any(fields, axis=1)) == nonzero
 
     @pytest.mark.parametrize(("n", "N"), GRIDS + [pytest.param(2, 4, id="n2-N4")])
     def test_projection_kernel_is_the_parity_classes(self, n, N):
