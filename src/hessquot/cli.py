@@ -417,6 +417,8 @@ def cmd_stability(cfg, args, outdir):
             raise UsageError(f"stability needs two f descriptors; missing {key}")
     t = _number(cfg, "t", 0.5)
     q = _number(cfg, "q", 2.0)
+    if not q > 1.0:
+        raise UsageError(f"stability: q must exceed 1, got {q}")
     config = _solver_config(cfg, 1e-10)
     amp1, amp2 = _number(cfg, "f1_amplitude", None), _number(cfg, "f2_amplitude", None)
     inst = build_instance(cfg)
@@ -439,10 +441,7 @@ def cmd_stability(cfg, args, outdir):
         payload.update({"stage": "solve", "failure": str(err), "exit_code": EXIT_SOLVER})
         print(f"stability: failed ({err})")
         return payload, EXIT_SOLVER
-    try:
-        record = stability_compare(run1, run2, q)
-    except InputError as err:
-        raise UsageError(f"stability: {err}") from err
+    record = stability_compare(run1, run2, q)
     mask = inst.extras.get("ample_mask", True)
     payload.update(
         {

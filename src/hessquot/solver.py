@@ -13,9 +13,10 @@ are polynomials of X's packed fields: S_n = det X, S_1 = tr X and, at n = 3,
 S_2 = tr adj X (relative to omega), and A is R's matrix gradient, built from
 adj X with no eigenvalue or eigenvector. Backtracking keeps every accepted
 iterate admissible (X > 0 pointwise, by Sylvester's minors) and strictly
-decreases the sup residual. Potentials live in the Fourier subspace
+decreases the sup residual. Starts and steps live in the Fourier subspace
 complementary to the Hessian's kernel (modes with every axis frequency at 0
-or Nyquist), where the linearized systems are nonsingular. Newton can
+or Nyquist), where the linearized systems are nonsingular; each potential
+is shifted by a constant to sup 0 before it is evaluated. Newton can
 reduce only the residual's part in the Hessian's range; a solve whose
 residual is above tol while that part is within it stops there, at its
 aliasing floor. A continuation solve starts from the secant in t through
@@ -51,6 +52,7 @@ from .pointwise import (
     EquationParams,
     cone_margin,
     packed_adjugate,
+    packed_eigenvalues,
     packed_sym_gradient,
     unpack_hermitian,
 )
@@ -59,6 +61,7 @@ from .torus import (
     DENSITY_CONVENTION_SCALE,
     FormField,
     _field,
+    _flat,
     _inverse_metric,
     _mixed,
     _require_metric,
@@ -70,7 +73,6 @@ from .torus import (
     integrate_density,
     inject,
     prolong,
-    relative_eigenvalues,
     subtorus,
 )
 
@@ -176,7 +178,7 @@ class SolverConfig:
 
 @dataclass(frozen=True)
 class SolverState:
-    """Converged solve; phi is reported with sup phi = 0 on the solve's subtorus.
+    """Converged solve; phi is the potential Newton last evaluated, sup phi = 0.
 
     phi's shape broadcasts against spec's grid: one point on each axis along
     which the data and the starting potentials are constant.
@@ -201,12 +203,13 @@ class Diagnostics(Mapping):
 
     sup_phi and the two counts are set at once. The first read of any other
     key computes the four eigenvalue and gradient diagnostics together from
-    the spec and phi (as reported) on the solve's subtorus, and b, and keeps
-    them, and the eigenvalues they were read from.
+    x, the packed X the solve evaluated at phi on its subtorus, and the
+    pointwise coefficient there, and keeps them and the eigenvalues; x is
+    then dropped.
     """
 
-    def __init__(self, spec, phi, b, newton_iters, krylov_iters):
-        self.spec, self.phi, self.b = spec, phi, b
+    def __init__(self, spec, phi, x, coefficient, newton_iters, krylov_iters):
+        self.spec, self.phi, self._x, self._coefficient = spec, phi, x, coefficient
         self._values = {
             "sup_phi": float(np.max(np.abs(phi))),
             "newton_iters": newton_iters,
@@ -215,8 +218,10 @@ class Diagnostics(Mapping):
 
     @cached_property
     def eigenvalues(self):
-        """Descending eigenvalues of X = background + Hess(phi) relative to omega, on first read."""
-        lam = relative_eigenvalues(self.spec.background, self.spec.omega, self.phi)
+        """Descending eigenvalues of X relative to omega, shape phi.shape + (n,), on first read."""
+        lam = packed_eigenvalues(self._x, _flat(self.spec.omega.packed()))
+        lam = lam.reshape(self.phi.shape + (-1,))
+        self._x = None
         lam.flags.writeable = False
         return lam
 
@@ -224,7 +229,7 @@ class Diagnostics(Mapping):
         if key not in self._values and key in DIAGNOSTIC_KEYS:
             spec = self.spec
             lam = self.eigenvalues
-            coefficient = _params(spec, self.b).coefficient.reshape(spec.grid.shape)
+            coefficient = self._coefficient.reshape(spec.grid.shape)
             self._values.update({
                 "sup_grad": math.sqrt(float(np.max(_gradient_sq(spec, self.phi)))),
                 "sup_w": float(np.max(np.log(elementary_sym(1, lam)))),
@@ -244,18 +249,19 @@ class Diagnostics(Mapping):
 
 
 class _Inadmissible(Exception):
-    """A trial point outside the cone."""
+    """A trial point outside the cone; its one argument is the point's packed X."""
 
 
 def strip_kernel_modes(grid, values, keep_mean=False):
     """Project out the spectral Hessian's kernel modes.
 
     The kernel is exactly the modes whose every axis frequency is 0 or
-    Nyquist: all holomorphic multipliers vanish there. Potentials are kept
-    orthogonal to all of them, the mean included, and the Newton equation
-    rows are projected with keep_mean=True: the mean part is matched by the
-    scalar unknown, while the remaining kernel modes
-    are invisible to the discrete Hessian, so leaving them in the rows makes
+    Nyquist: all holomorphic multipliers vanish there. Starts and steps are
+    kept orthogonal to all of them, the mean included (an evaluated
+    potential only adds the constant that puts its sup at 0), and the
+    Newton equation rows are projected with keep_mean=True: the mean part
+    is matched by the scalar unknown, while the remaining kernel modes are
+    invisible to the discrete Hessian, so leaving them in the rows makes
     the linear systems inconsistent and the Krylov iteration stagnates.
 
     Those modes span the functions of period 2 along every axis, so the
@@ -275,11 +281,6 @@ def strip_kernel_modes(grid, values, keep_mean=False):
     return (blocks - means).reshape(grid.shape)
 
 
-def state_eigenvalues(state):
-    """Descending eigenvalues of X = background + Hess(phi), the ones its diagnostics keep."""
-    return state.diagnostics.eigenvalues
-
-
 @dataclass
 class _Eval:
     resid: np.ndarray       # (P,) inverse-form residual
@@ -287,21 +288,14 @@ class _Eval:
     dresid_db: np.ndarray   # (P,)
     coefficients: Callable  # () -> packed (n, n, P) coefficient matrix A
     grid: object            # the TorusGrid of the fields
+    x: np.ndarray           # packed (n, n, P) X
+    coefficient: np.ndarray  # (P,) pointwise coefficient: c, or e^b g
 
     @cached_property
     def range_resid(self):
         """(P,) residual part in the Hessian's range, all Newton can reduce; on first read."""
         grid = self.grid
         return strip_kernel_modes(grid, self.resid.reshape(grid.shape), keep_mean=True).reshape(-1)
-
-
-def _params(spec, b):
-    """EquationParams of spec at the scalar b, over the flat grid."""
-    coeff = spec.coefficient_field.reshape(-1)
-    source = spec.source_field.reshape(-1)
-    if spec.unknown_mode == "additive":
-        return EquationParams(spec.n, spec.m, coeff, b * source)
-    return EquationParams(spec.n, spec.m, math.exp(b) * coeff, source)
 
 
 def _evaluate(spec, phi, b):
@@ -311,29 +305,33 @@ def _evaluate(spec, phi, b):
     and kappa = coefficient / C(n, m): R = (kappa S_m + f) / S_n - 1 and
     A = (R + 1) adj X / det X - kappa grad S_m / S_n, so that -dR = tr(A dX).
     X's leading principal minors are checked first (Sylvester): a point
-    outside the cone raises _Inadmissible before any division by det X.
+    outside the cone raises _Inadmissible(X) before any division by det X.
     """
     n = spec.n
     x = spec.background.packed(phi).reshape(n, n, -1)
     adj, det = packed_adjugate(x)
     if not min(np.min(x[0, 0]), np.min(adj[-1, -1]), np.min(det)) > 0.0:
-        raise _Inadmissible
+        raise _Inadmissible(x)
+    del adj  # coefficients() rebuilds it from x, so the two are not held at once
     inv_metric, det_metric = _inverse_metric(spec.omega.packed().reshape(n, n, -1))
     s_n = det / det_metric
     s_m, grad = packed_sym_gradient(spec.m, x, inv_metric)
-    params = _params(spec, b)
+    coeff = spec.coefficient_field.reshape(-1)
+    source = spec.source_field.reshape(-1)
+    if spec.unknown_mode == "additive":
+        params = EquationParams(n, spec.m, coeff, b * source)
+    else:
+        params = EquationParams(n, spec.m, math.exp(b) * coeff, source)
     kappa = params.coefficient / params.binom
     ratio = (kappa * s_m + params.source) / s_n
     resid = ratio - 1.0
-    if spec.unknown_mode == "additive":
-        dresid_db = spec.source_field.reshape(-1) / s_n
-    else:
-        dresid_db = kappa * s_m / s_n
+    dresid_db = source / s_n if spec.unknown_mode == "additive" else kappa * s_m / s_n
 
     def coefficients():
-        return ratio / det * adj - kappa / s_n * grad
+        return ratio / det * packed_adjugate(x)[0] - kappa / s_n * grad
 
-    return _Eval(resid, float(np.max(np.abs(resid))), dresid_db, coefficients, spec.grid)
+    rsup = float(np.max(np.abs(resid)))
+    return _Eval(resid, rsup, dresid_db, coefficients, spec.grid, x, params.coefficient)
 
 
 def quadrature_b(spec):
@@ -347,7 +345,8 @@ def quadrature_b(spec):
     source's own points. omega was checked where the spec was built. A
     varying coefficient raises InputError: int kappa S_m(X) omega^n then
     moves with the potential, so no value computed before the solve fixes
-    b. So does a b that is not finite.
+    b. So does a b that is not finite, or negative: b f is the source,
+    which must be nonnegative.
     """
     if spec.unknown_mode != "additive":
         raise InputError("quadrature value of b is an additive-mode notion")
@@ -363,6 +362,8 @@ def quadrature_b(spec):
     b = (_mixed(bg, spec.n, omega) - trail) / integrate_density(spec.source_field, omega)
     if not math.isfinite(b):
         raise InputError(f"the quadrature value of b is not finite: {b!r}")
+    if b < 0.0:
+        raise InputError(f"the quadrature value of b is negative: {b!r}; the source b f must be >= 0")
     return b
 
 
@@ -550,7 +551,9 @@ def newton_solve(spec, init=None, config=None, t=math.nan):
     class integral, by Stokes, which the grid sum of the converged state
     meets up to aliasing; quadrature_b runs before any Newton work, so a
     varying coefficient, which it rejects, raises InputError up front. In
-    multiplicative mode the cold start takes b = 0.
+    multiplicative mode the cold start takes b = 0. Every start and trial
+    is shifted to sup phi = 0 before it is evaluated, so a state's phi is
+    the potential whose X its diagnostics read.
 
     Newton stops with NonconvergenceError, carrying the state, at its
     aliasing floor: the residual is above config.tol while its part in the
@@ -580,15 +583,16 @@ def newton_solve(spec, init=None, config=None, t=math.nan):
         for s in path
     ]
     for phi, b in _predictions(spec, path, config, t):
+        phi = phi - np.max(phi)
         b = b if bq is None else bq
         try:
             ev = _evaluate(spec, phi, b)
             break
-        except _Inadmissible:
-            pass  # this start left the cone: try the next one
+        except _Inadmissible as err:
+            outside = err.args[0]  # this start left the cone: try the next one
     else:
-        # eigenvalues only here, to name the last start's worst point
-        lam = relative_eigenvalues(spec.background, spec.omega, phi)[..., -1]
+        # eigenvalues only here, of the last start's X, to name its worst point
+        lam = packed_eigenvalues(outside, _flat(spec.omega.packed()))[:, -1].reshape(spec.grid.shape)
         where = np.unravel_index(np.argmin(lam), lam.shape)
         count = int(np.sum(lam <= 0.0)) * (full.grid.npoints // lam.size)
         raise ConeViolationError(
@@ -603,9 +607,8 @@ def newton_solve(spec, init=None, config=None, t=math.nan):
 
     def state():
         """The state of full at (phi, b); phi and the diagnostics keep the subtorus."""
-        out = phi - float(np.max(phi))
-        diagnostics = Diagnostics(spec, out, float(b), iters, krylov_total)
-        return SolverState(out, float(b), float(t), ev.rsup, diagnostics, full)
+        diagnostics = Diagnostics(spec, phi, ev.x, ev.coefficient, iters, krylov_total)
+        return SolverState(phi, float(b), float(t), ev.rsup, diagnostics, full)
 
     # a step is accepted only where it lowers the residual, so only a start can be non-finite
     if not math.isfinite(ev.rsup):
@@ -628,6 +631,7 @@ def newton_solve(spec, init=None, config=None, t=math.nan):
         tau = 1.0
         while True:
             cand_phi = phi + tau * dphi
+            cand_phi -= np.max(cand_phi)
             cand_b = b + tau * db
             try:
                 cand = _evaluate(spec, cand_phi, cand_b)
@@ -780,4 +784,4 @@ def volume_lower_bound_check(state, c):
     """min over the grid of S_n(lam(X)) - c^(n/(n-m)) for a converged state, on its subtorus."""
     spec = state.spec
     floor = c ** (spec.n / (spec.n - spec.m))
-    return float(np.min(elementary_sym(spec.n, state_eigenvalues(state))) - floor)
+    return float(np.min(elementary_sym(spec.n, state.diagnostics.eigenvalues)) - floor)

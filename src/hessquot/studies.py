@@ -24,7 +24,6 @@ from .solver import (
     continuation_path,
     newton_solve,
     stability_compare,
-    state_eigenvalues,
     uniqueness_gap,
     volume_lower_bound_check,
 )
@@ -44,7 +43,7 @@ def _source_shapes(grid):
 
 def _sup_w_on(state, mask):
     """sup of w = log S_1(lambda(X)) over the points marked in mask, on their broadcast shape."""
-    w, mask = np.broadcast_arrays(np.log(elementary_sym(1, state_eigenvalues(state))), mask)
+    w, mask = np.broadcast_arrays(np.log(elementary_sym(1, state.diagnostics.eigenvalues)), mask)
     return float(w[mask].max())
 
 

@@ -9,6 +9,7 @@ fixture records the point count of every Hessian and eigenvalue kernel call.
 import numpy as np
 import pytest
 
+import hessquot.solver as solver
 import hessquot.torus as torus
 
 _SCOREBOARD = []
@@ -32,7 +33,7 @@ def criterion():
 
 @pytest.fixture
 def batch_sizes(monkeypatch):
-    """The point count of every packed_hessian and packed_eigenvalues call."""
+    """The point count of every packed_hessian and packed_eigenvalues call, the solver's included."""
     sizes = []
     hessian, eigenvalues = torus.packed_hessian, torus.packed_eigenvalues
 
@@ -45,7 +46,8 @@ def batch_sizes(monkeypatch):
         return eigenvalues(fields, metric)
 
     monkeypatch.setattr(torus, "packed_hessian", packed_hessian)
-    monkeypatch.setattr(torus, "packed_eigenvalues", packed_eigenvalues)
+    for module in (torus, solver):
+        monkeypatch.setattr(module, "packed_eigenvalues", packed_eigenvalues)
     return sizes
 
 

@@ -184,6 +184,21 @@ class TestSolve:
         assert proc.stderr == "InputError: the background's class integrals are not finite: [1e+200, inf]\n"
         assert not (tmp_path / "o" / SUMMARY_NAME).exists()
 
+    def test_negative_b_is_rejected_before_any_solve(self, tmp_path, capsys, monkeypatch):
+        # uniform at eps = -0.5, t = 0.1: b = s^2 - s = -0.24 would make the source b f negative
+        def evaluate(*args):
+            raise AssertionError("Newton work before the check of b")
+
+        monkeypatch.setattr("hessquot.solver._evaluate", evaluate)
+        code, summary, _ = run_cli(
+            tmp_path, "solve", "instance = uniform\ngrid_N = 8\neps = -0.5\nt = 0.1\n"
+        )
+        assert code == EXIT_USAGE
+        assert summary is None
+        assert capsys.readouterr().err == (
+            "InputError: the quadrature value of b is negative: -0.24; the source b f must be >= 0\n"
+        )
+
 
 class TestContinue:
     def test_manufactured_needs_grid_32_at_the_default_tol(self, tmp_path):
@@ -244,6 +259,17 @@ class TestStability:
     def test_two_descriptors_required(self, tmp_path):
         code, _, _ = run_cli(tmp_path, "stability", "instance = uniform\nf1_amplitude = 0.1\n")
         assert code == EXIT_USAGE
+
+    def test_q_at_most_1_is_rejected_before_any_solve(self, tmp_path, capsys, monkeypatch):
+        solves = []
+        monkeypatch.setattr(cli, "newton_solve", lambda *args: solves.append(args))
+        code, summary, _ = run_cli(
+            tmp_path, "stability", "instance = uniform\nq = 1\nf1_amplitude = 0.1\nf2_amplitude = 0.05\n"
+        )
+        assert code == EXIT_USAGE
+        assert summary is None
+        assert solves == []
+        assert capsys.readouterr().err == "usage error: stability: q must exceed 1, got 1.0\n"
 
     def test_amplitude_bound(self, tmp_path):
         code, _, _ = run_cli(

@@ -52,7 +52,6 @@ from hessquot.solver import (
     newton_solve,
     quadrature_b,
     stability_compare,
-    state_eigenvalues,
     strip_kernel_modes,
     uniqueness_gap,
     volume_lower_bound_check,
@@ -69,6 +68,7 @@ from hessquot.torus import (
     normalize_density,
     packed_hessian,
     prolong,
+    relative_eigenvalues,
 )
 from test_pointwise import random_metric
 from test_torus import complex_hessian, grid_eigenvalues, metric_det, pointwise_mixed
@@ -654,7 +654,7 @@ class TestFailureModes:
         assert detail["min_eig"] < 0
         assert len(detail["where"]) == 4
 
-    def test_cold_start_outside_cone_names_worst_point(self, uniform16):
+    def test_cold_start_outside_cone_names_worst_point(self, uniform16, monkeypatch):
         # pinned: the same count, worst eigenvalue and point as the
         # eigenvalue-based admissibility test gave
         grid = uniform16.grid
@@ -666,8 +666,18 @@ class TestFailureModes:
         )
         spec = uniform16.spec(0.5)
         spec = dataclasses.replace(spec, background=FormField(grid, spec.background.const, bad))
+        hessians = []
+
+        def spy(sub, phi):
+            hessians.append(sub.N)
+            return packed_hessian(sub, phi)
+
+        monkeypatch.setattr(torus, "packed_hessian", spy)
         with pytest.raises(ConeViolationError) as err:
             newton_solve(spec)
+        # one Hessian per start tried, the N = 8 solve's cold start and then
+        # this one's: the report reads the rejected start's X
+        assert hessians == [8, 16]
         detail = err.value.detail
         assert detail["count"] == 34784
         assert detail["min_eig"] == pytest.approx(-5.308723080762606, rel=1e-14)
@@ -717,6 +727,18 @@ class TestFailureModes:
 
         monkeypatch.setattr(solver, "_evaluate", evaluate)
         with pytest.raises(InputError, match="quadrature value of b is not finite: -inf"):
+            newton_solve(spec)
+
+    def test_negative_b_is_rejected_before_any_solve(self, monkeypatch):
+        # uniform at eps = -0.5, t = 0.1: s = 0.6 and b = s^2 - s = -0.24 < 0,
+        # so the source b f would be negative
+        spec = uniform_instance(N=8, eps=-0.5).spec(0.1)
+
+        def evaluate(*args):
+            raise AssertionError("Newton work before the check of b")
+
+        monkeypatch.setattr(solver, "_evaluate", evaluate)
+        with pytest.raises(InputError, match=r"quadrature value of b is negative: -0\.24"):
             newton_solve(spec)
 
     def test_aliasing_floor_stops_newton(self, manufactured8):
@@ -1527,7 +1549,7 @@ class TestDiagnosticsReport:
         st = newton_solve(degenerate8.spec(0.25))
         assert st.diagnostics["sup_w"] == pytest.approx(math.log(4.5), abs=1e-8)
         assert np.ptp(st.phi) > 0.0
-        w = np.log(elementary_sym(1, state_eigenvalues(st)))
+        w = np.log(elementary_sym(1, st.diagnostics.eigenvalues))
         assert float(w.max() - w.min()) <= 1e-10
 
 
@@ -1536,13 +1558,15 @@ class TestLazyDiagnostics:
 
     @staticmethod
     def counted(monkeypatch):
-        # every eigenvalue pass and gradient the solver module takes
+        # every Hessian, and every eigenvalue pass and gradient the solver module takes
         calls = Counter()
-        for name in ("relative_eigenvalues", "holomorphic_gradient"):
-            def spy(*args, _name=name, _fn=getattr(solver, name), **kwargs):
+        for module, name in (
+            (torus, "packed_hessian"), (solver, "packed_eigenvalues"), (solver, "holomorphic_gradient"),
+        ):
+            def spy(*args, _name=name, _fn=getattr(module, name), **kwargs):
                 calls[_name] += 1
                 return _fn(*args, **kwargs)
-            monkeypatch.setattr(solver, name, spy)
+            monkeypatch.setattr(module, name, spy)
         return calls
 
     def test_counts_take_no_eigenvalues_then_one_pass(self, manufactured8, monkeypatch):
@@ -1550,13 +1574,39 @@ class TestLazyDiagnostics:
         st = newton_solve(manufactured8.spec(manufactured8.extras["t_star"]))
         d = st.diagnostics
         assert d["newton_iters"] > 0 and d["krylov_iters"] > 0 and d["sup_phi"] > 0.0
-        assert not calls
+        # the solve's own evaluations take Hessians, and nothing else
+        assert set(calls) == {"packed_hessian"}
+        calls.clear()
         assert list(d) == list(DIAGNOSTIC_KEYS) and "min_eig" in d
         assert not calls
         values = dict(d)
         values.update((k, d[k]) for k in DIAGNOSTIC_KEYS)
-        assert calls == {"relative_eigenvalues": 1, "holomorphic_gradient": 1}
+        # the read takes its eigenvalues from the X Newton evaluated: no Hessian
+        assert calls == {"packed_eigenvalues": 1, "holomorphic_gradient": 1}
+        assert calls["packed_hessian"] == 0
         assert all(math.isfinite(v) for v in values.values())
+
+    def test_eigenvalues_are_those_of_the_reported_phi(self, manufactured8, bd16, bd16_path):
+        # phi is the potential Newton evaluated, shifted to sup 0 before the
+        # evaluation, so the kept X is bit for bit the one phi gives: on a
+        # converged state, a 0-step secant continuation state and a stopped one
+        t = SCHEDULE[2]
+        with pytest.raises(NonconvergenceError) as err:
+            newton_solve(manufactured8.spec(0.5), config=SolverConfig(max_newton=1))
+        states = {
+            "converged": newton_solve(manufactured8.spec(manufactured8.extras["t_star"])),
+            "secant": newton_solve(bd16.spec(t), init=bd16_path.states, t=t),
+            "stopped": err.value.state,
+        }
+        assert states["converged"].diagnostics["newton_iters"] > 0
+        assert states["secant"].diagnostics["newton_iters"] == 0
+        assert states["stopped"].diagnostics["newton_iters"] == 1
+        for name, st in states.items():
+            d = st.diagnostics
+            want = relative_eigenvalues(d.spec.background, d.spec.omega, st.phi)
+            assert d.eigenvalues.shape == want.shape, name
+            assert np.array_equal(d.eigenvalues.view(np.uint64), want.view(np.uint64)), name
+            assert np.max(st.phi) == 0.0, name
 
     def test_values_match_eager_computation(self, manufactured16):
         st = newton_solve(manufactured16.spec(manufactured16.extras["t_star"]))

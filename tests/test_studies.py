@@ -6,11 +6,14 @@ on the Hessian and eigenvalue kernels checks that no step of a study or a
 CLI command runs them on more than N^2 points.
 """
 
+from collections import Counter
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 from scipy.spatial import cKDTree
 
-from hessquot import cli, fakeboundary, solver, studies, torus
+from hessquot import cli, solver, studies, torus
 from hessquot.cli import EXIT_BOUNDARY, EXIT_OK, main
 from hessquot.errors import InputError
 from hessquot.studies import SCHEDULE, degenerate_path
@@ -70,31 +73,53 @@ def test_cli_reports_on_n_squared_points(batch_sizes, tmp_path, command, code):
 
 
 @pytest.fixture
-def eigenvalue_passes(monkeypatch):
-    """One entry per relative_eigenvalues call, in every module that imports it."""
-    calls = []
-    original = torus.relative_eigenvalues
+def reads(monkeypatch):
+    """The Hessian and eigenvalue kernel calls made after the solves, by name.
 
-    def spy(*args, **kwargs):
-        calls.append(args[0].grid)
-        return original(*args, **kwargs)
+    cli's newton_solve and studies' continuation_path run uncounted; every
+    packed_hessian and every packed_eigenvalues call, in every module that
+    imports it, is counted from the moment one of them returns.
+    """
+    seen = SimpleNamespace(calls=Counter(), after_solve=False)
 
-    for module in (torus, solver, fakeboundary, cli):
-        monkeypatch.setattr(module, "relative_eigenvalues", spy)
-    return calls
+    def spy(name, fn):
+        def wrapped(*args, **kwargs):
+            if seen.after_solve:
+                seen.calls[name] += 1
+            return fn(*args, **kwargs)
+        return wrapped
+
+    def solve(fn):
+        def wrapped(*args, **kwargs):
+            seen.after_solve = False
+            out = fn(*args, **kwargs)
+            seen.after_solve = True
+            return out
+        return wrapped
+
+    monkeypatch.setattr(torus, "packed_hessian", spy("packed_hessian", torus.packed_hessian))
+    for module in (torus, solver):
+        eigenvalues = spy("packed_eigenvalues", module.packed_eigenvalues)
+        monkeypatch.setattr(module, "packed_eigenvalues", eigenvalues)
+    monkeypatch.setattr(cli, "newton_solve", solve(cli.newton_solve))
+    monkeypatch.setattr(studies, "continuation_path", solve(studies.continuation_path))
+    return seen
 
 
-def test_one_eigenvalue_pass_per_converged_state(eigenvalue_passes, tmp_path):
-    # the diagnostics keep their eigenvalues, and the volume floor and the
-    # away-region sup of w read them
+def test_one_eigenvalue_pass_per_converged_state(reads, tmp_path):
+    # the diagnostics take their eigenvalues from the X the solve evaluated,
+    # with no Hessian, and keep them; the volume floor and the away-region
+    # sup of w read them
     cfg = tmp_path / "run.cfg"
     cfg.write_text("instance = manufactured\ngrid_N = 32\n")
     assert main(["solve", "--out", str(tmp_path / "out"), "--config", str(cfg)]) == EXIT_OK
-    assert len(eigenvalue_passes) == 1
-    eigenvalue_passes.clear()
+    assert reads.calls == {"packed_eigenvalues": 1}
+    assert reads.calls["packed_hessian"] == 0
+    reads.calls.clear()
+    reads.after_solve = False
     study = degenerate_path(16)
     for st in study.path.states:
         dict(st.diagnostics)
-    # two build the instance (tune_to_boundary's c and make_degenerate_big's masks)
     assert len(study.path.states) == len(SCHEDULE)
-    assert len(eigenvalue_passes) == 2 + len(SCHEDULE)
+    assert reads.calls == {"packed_eigenvalues": len(SCHEDULE)}
+    assert reads.calls["packed_hessian"] == 0
