@@ -30,8 +30,6 @@ import os
 import sys
 import time
 
-import numpy as np
-
 from .errors import (
     ConeViolationError,
     ConstructionError,
@@ -39,28 +37,31 @@ from .errors import (
     InputError,
     NonconvergenceError,
 )
-from .fakeboundary import prepare_instance, two_stage_solve
+from .fakeboundary import prepare_instance, two_stage_solve, write_stage_csv
 from .instances import (
     boundary_degenerate_instance,
     boundary_instance,
     degenerate_instance,
     fake_boundary_sample,
     manufactured_instance,
+    perturbed_source,
     uniform_instance,
 )
 from .pointwise import cone_margin
 from .selfcheck import DEFAULT_SEED, run_suites
 from .solver import (
     SolverConfig,
+    check_schedule,
     continuation_path,
     newton_solve,
+    quadrature_b,
     stability_compare,
     uniqueness_gap,
     volume_lower_bound_check,
     write_path_csv,
 )
 from .studies import SCHEDULE
-from .torus import TorusGrid, dump_fields, normalize_density, relative_eigenvalues
+from .torus import TorusGrid, dump_fields, relative_eigenvalues
 
 SUMMARY_SCHEMA = "hessquot-summary/1"
 SUMMARY_NAME = "summary.json"
@@ -216,6 +217,8 @@ _INSTANCES = ("uniform", "boundary", "degenerate", "boundary_degenerate", "manuf
 def build_instance(cfg):
     name = str(cfg.get("instance", "uniform"))
     N, m = _grid_N(cfg), _number(cfg, "m", 1, integer=True)
+    if m not in (0, 1):
+        raise UsageError(f"m must be 0 or 1 for the n = 2 instances, got {m}")
     if name not in _INSTANCES:
         raise UsageError(f"unknown instance {name!r}; have {_INSTANCES}")
     if name != "uniform" and "eps" in cfg:
@@ -358,13 +361,15 @@ def cmd_continue(cfg, args, outdir):
     inst = build_instance(cfg)
     schedule = _parse_schedule(cfg)
     dump = _flag(cfg, "dump_fields")
+    for t in check_schedule(schedule):
+        try:
+            quadrature_b(inst.spec(t))
+        except InputError as err:
+            raise UsageError(f"continue: at t = {t:g}: {err}") from err
     payload = _base_payload("continue", args)
     payload["instance"] = inst.name
     payload["schedule"] = schedule
-    try:
-        result = continuation_path(inst.spec, schedule, config)
-    except InputError as err:
-        raise UsageError(f"continue: {err}") from err
+    result = continuation_path(inst.spec, schedule, config)
     csv_name = "path.csv"
     write_path_csv(os.path.join(outdir, csv_name), result)
     payload["path_csv"] = csv_name
@@ -390,22 +395,6 @@ def cmd_continue(cfg, args, outdir):
     return payload, EXIT_SOLVER
 
 
-_SHAPES = {
-    "cos_x1": lambda coords: np.cos(2.0 * np.pi * coords["x1"]),
-    "cos_y1": lambda coords: np.cos(2.0 * np.pi * coords["y1"]),
-    "sin_x2": lambda coords: np.sin(2.0 * np.pi * coords["x2"]),
-    "sin_y2": lambda coords: np.sin(2.0 * np.pi * coords["y2"]),
-}
-
-
-def _perturbed_density(inst, shape_name, amplitude):
-    if shape_name not in _SHAPES:
-        raise UsageError(f"unknown f shape {shape_name!r}; have {sorted(_SHAPES)}")
-    if not -1.0 < amplitude < 1.0:
-        raise UsageError(f"|f amplitude| must be < 1 to keep f positive, got {amplitude}")
-    return normalize_density(1.0 + amplitude * _SHAPES[shape_name](inst.grid.coords()), inst.omega)
-
-
 def cmd_stability(cfg, args, outdir):
     allowed = {
         "instance", "grid_N", "m", "eps", "t", "tol", "max_newton", "q",
@@ -422,8 +411,8 @@ def cmd_stability(cfg, args, outdir):
     config = _solver_config(cfg, 1e-10)
     amp1, amp2 = _number(cfg, "f1_amplitude", None), _number(cfg, "f2_amplitude", None)
     inst = build_instance(cfg)
-    f1 = _perturbed_density(inst, str(cfg.get("f1_shape", "cos_x1")), amp1)
-    f2 = _perturbed_density(inst, str(cfg.get("f2_shape", "cos_x1")), amp2)
+    f1 = perturbed_source(inst, str(cfg.get("f1_shape", "cos_x1")), amp1)
+    f2 = perturbed_source(inst, str(cfg.get("f2_shape", "cos_x1")), amp2)
     payload = _base_payload("stability", args)
     payload.update(
         {
@@ -489,15 +478,14 @@ def cmd_fake_boundary(cfg, args, outdir):
             "log_rescale": inst.log_rescale,
         }
     )
-    csv_name = "stages.csv"
     try:
-        result = two_stage_solve(
-            inst, config, csv_path=os.path.join(outdir, csv_name), steps=steps
-        )
+        result = two_stage_solve(inst, config, steps=steps)
     except (NonconvergenceError, ConeViolationError, ConstructionError) as err:
         payload.update({"stage": "two-stage", "failure": str(err), "exit_code": EXIT_SOLVER})
         print(f"fake-boundary: failed ({err})")
         return payload, EXIT_SOLVER
+    csv_name = "stages.csv"
+    write_stage_csv(os.path.join(outdir, csv_name), result.records)
     final = result.records[-1]
     # the two-stage state solves the stored (rescaled) equation, so its
     # volume floor uses the stored minimum of g, not the original one

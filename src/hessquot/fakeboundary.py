@@ -271,7 +271,7 @@ def _tagged(err, tag):
     return ConeViolationError(f"{tag}: {err}", detail=err.detail)
 
 
-def two_stage_solve(instance, config=None, csv_path=None, steps=16):
+def two_stage_solve(instance, config=None, steps=16):
     """Bridge from the g2 equation to the g equation along the mixed family.
 
     Stage 1 solves the multiplicative equation with coefficient g2 (scalar
@@ -284,7 +284,8 @@ def two_stage_solve(instance, config=None, csv_path=None, steps=16):
     newton_solve); after a halving the secant spans the unequal spacing.
     Each accepted step must keep b_t negative and the effective coefficient
     e^{b_t} (path field) strictly below g2; Newton stalls halve the step
-    down to a floor. Failures carry the stage and t in the message.
+    down to a floor. Failures carry the stage and t in the message. The
+    records are one per accepted step; write_stage_csv writes them.
 
     Every coefficient, slack and margin is built on the broadcast shape of
     the instance's fields and each solve runs on their subtorus; omega is
@@ -356,9 +357,6 @@ def two_stage_solve(instance, config=None, csv_path=None, steps=16):
         path = [path[-1], cand]
         todo.pop(0)
     state = path[-1]
-
-    if csv_path is not None:
-        write_stage_csv(csv_path, records)
     return TwoStageResult(state.phi, float(state.b + inst.b_prime), float(b_stage1), records, state)
 
 

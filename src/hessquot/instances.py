@@ -60,6 +60,24 @@ def _ones(grid):
     return np.ones((1,) * len(grid.shape))
 
 
+# the one-mode source perturbations, by the names `stability` takes
+SOURCE_SHAPES = {
+    "cos_x1": lambda coords: np.cos(TWO_PI * coords["x1"]),
+    "cos_y1": lambda coords: np.cos(TWO_PI * coords["y1"]),
+    "sin_x2": lambda coords: np.sin(TWO_PI * coords["x2"]),
+    "sin_y2": lambda coords: np.sin(TWO_PI * coords["y2"]),
+}
+
+
+def perturbed_source(inst, shape, amplitude):
+    """The source 1 + amplitude * SOURCE_SHAPES[shape], normalized to inst's volume, broadcastable."""
+    if shape not in SOURCE_SHAPES:
+        raise InputError(f"unknown f shape {shape!r}; have {sorted(SOURCE_SHAPES)}")
+    if not -1.0 < amplitude < 1.0:
+        raise InputError(f"|f amplitude| must be < 1 to keep f positive, got {amplitude}")
+    return normalize_density(1.0 + amplitude * SOURCE_SHAPES[shape](inst.grid.coords()), inst.omega)
+
+
 def _boundary_chi(grid, omega, m):
     """Tune chi = I + a*idd psi, psi = cos(2 pi x1) + cos(2 pi y1), onto the boundary.
 
@@ -89,7 +107,6 @@ def uniform_instance(N=16, eps=0.1, m=1):
         f=_ones(grid),
     )
     inst.extras["expected_b"] = lambda t: (1.0 + t + eps) ** 2 - (1.0 + t + eps)
-    inst.extras["eps"] = eps
     return inst
 
 
@@ -114,7 +131,6 @@ def boundary_instance(N=16, m=1):
         f=_ones(grid),
     )
     inst.extras["amplitude"] = amp
-    inst.extras["b_limit"] = 2.0
     return inst
 
 

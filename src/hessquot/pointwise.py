@@ -22,7 +22,7 @@ import numpy as np
 from .errors import DomainError, InputError
 from .symfunc import elementary_sym, elementary_sym_excluding_each
 
-HERMITIAN_RTOL = 1e-14
+HERMITIAN_RTOL = 1e-12
 HERMITIAN_PACKING = (
     "real n x n block per point: diagonal holds Re A[i,i]; for i<j the entry"
     " [i,j] holds Re A[i,j] and [j,i] holds Im A[i,j]"
@@ -55,16 +55,12 @@ class EquationParams:
         return math.comb(self.n, self.m)
 
 
-def check_hermitian(mat, rtol=HERMITIAN_RTOL):
-    """Raise unless mat equals its conjugate transpose to rtol (relative)."""
-    mat = np.asarray(mat)
-    if mat.ndim < 2 or mat.shape[-1] != mat.shape[-2]:
-        raise InputError(f"expected square matrices, got shape {mat.shape}")
+def check_hermitian(mat):
+    """Raise unless the square mat equals its conjugate transpose to HERMITIAN_RTOL (relative)."""
     defect = np.max(np.abs(mat - np.conj(np.swapaxes(mat, -1, -2))))
     scale = max(1.0, float(np.max(np.abs(mat))))
-    if defect > rtol * scale:
-        raise InputError(f"matrix not Hermitian: defect {defect:.3e} > {rtol:.1e} * {scale:.3e}")
-    return mat
+    if defect > HERMITIAN_RTOL * scale:
+        raise InputError(f"matrix not Hermitian: defect {defect:.3e} > {HERMITIAN_RTOL:.1e} * {scale:.3e}")
 
 
 def _whiten(metric):

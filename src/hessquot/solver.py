@@ -49,7 +49,6 @@ from scipy.sparse.linalg import LinearOperator, lgmres
 
 from .errors import ConeViolationError, InputError, NonconvergenceError
 from .pointwise import (
-    EquationParams,
     cone_margin,
     packed_adjugate,
     packed_eigenvalues,
@@ -58,7 +57,6 @@ from .pointwise import (
 )
 from .symfunc import elementary_sym
 from .torus import (
-    DENSITY_CONVENTION_SCALE,
     FormField,
     _field,
     _flat,
@@ -249,7 +247,7 @@ class Diagnostics(Mapping):
 
 
 class _Inadmissible(Exception):
-    """A trial point outside the cone; its one argument is the point's packed X."""
+    """A trial point outside the cone (or at b < 0 in additive mode); its one argument is its packed X."""
 
 
 def strip_kernel_modes(grid, values, keep_mean=False):
@@ -305,7 +303,8 @@ def _evaluate(spec, phi, b):
     and kappa = coefficient / C(n, m): R = (kappa S_m + f) / S_n - 1 and
     A = (R + 1) adj X / det X - kappa grad S_m / S_n, so that -dR = tr(A dX).
     X's leading principal minors are checked first (Sylvester): a point
-    outside the cone raises _Inadmissible(X) before any division by det X.
+    outside the cone raises _Inadmissible(X) before any division by det X, as
+    does b < 0 in additive mode (b f is the source; the spec checked f's sign).
     """
     n = spec.n
     x = spec.background.packed(phi).reshape(n, n, -1)
@@ -319,11 +318,13 @@ def _evaluate(spec, phi, b):
     coeff = spec.coefficient_field.reshape(-1)
     source = spec.source_field.reshape(-1)
     if spec.unknown_mode == "additive":
-        params = EquationParams(n, spec.m, coeff, b * source)
+        if b < 0.0:
+            raise _Inadmissible(x)
+        coefficient, rhs = coeff, b * source
     else:
-        params = EquationParams(n, spec.m, math.exp(b) * coeff, source)
-    kappa = params.coefficient / params.binom
-    ratio = (kappa * s_m + params.source) / s_n
+        coefficient, rhs = math.exp(b) * coeff, source
+    kappa = coefficient / math.comb(n, spec.m)
+    ratio = (kappa * s_m + rhs) / s_n
     resid = ratio - 1.0
     dresid_db = source / s_n if spec.unknown_mode == "additive" else kappa * s_m / s_n
 
@@ -331,7 +332,7 @@ def _evaluate(spec, phi, b):
         return ratio / det * packed_adjugate(x)[0] - kappa / s_n * grad
 
     rsup = float(np.max(np.abs(resid)))
-    return _Eval(resid, rsup, dresid_db, coefficients, spec.grid, x, params.coefficient)
+    return _Eval(resid, rsup, dresid_db, coefficients, spec.grid, x, coefficient)
 
 
 def quadrature_b(spec):
@@ -683,6 +684,16 @@ class PathResult:
         return self.failed_t is None
 
 
+def check_schedule(schedule):
+    """The schedule as floats; InputError unless nonempty, strictly decreasing and in (0, 1]."""
+    schedule = [float(t) for t in schedule]
+    if not schedule or any(b >= a for a, b in zip(schedule, schedule[1:])):
+        raise InputError("schedule must be strictly decreasing")
+    if not all(0.0 < t <= 1.0 for t in schedule):
+        raise InputError("schedule must lie in (0, 1]")
+    return schedule
+
+
 def continuation_path(spec_family, schedule, config=None):
     """Solves along a decreasing t schedule, each started from the path so far.
 
@@ -692,13 +703,8 @@ def continuation_path(spec_family, schedule, config=None):
     reached so far come back with the failing t and reason recorded, since
     partial paths are exactly what degenerate instances produce.
     """
-    schedule = [float(t) for t in schedule]
-    if not schedule or any(b >= a for a, b in zip(schedule, schedule[1:])):
-        raise InputError("schedule must be strictly decreasing")
-    if not all(0.0 < t <= 1.0 for t in schedule):
-        raise InputError("schedule must lie in (0, 1]")
     states = []
-    for t in schedule:
+    for t in check_schedule(schedule):
         spec = spec_family(t)
         try:
             states.append(newton_solve(spec, init=states, config=config, t=t))
@@ -758,7 +764,7 @@ def stability_compare(run1, run2, q):
     sup_diff = max(float(np.max(p2 - p1)) for p1, p2, _ in slabs())
     # integrate_density's mean over the broadcast shape: the mean of its equal slabs' means
     mean = np.mean([np.mean(np.maximum(p2 - p1, 0.0) ** q_star * det) for p1, p2, det in slabs()])
-    norm = (float(mean) * DENSITY_CONVENTION_SCALE) ** (1.0 / q_star)
+    norm = float(mean) ** (1.0 / q_star)
     c_implied = 0.0 if norm == 0.0 else sup_diff / norm ** (1.0 / (n + 1.0))
     return StabilityRecord(sup_diff, float(norm), float(c_implied), q, q_star)
 
@@ -767,17 +773,19 @@ def uniqueness_gap(phi1, phi2, ample_mask):
     """Sup deviation of phi1 - phi2 from constancy over the marked region.
 
     The potentials and the mask broadcast against each other, and the mean
-    is taken over the marked points of their broadcast shape, by _slabs.
+    is taken over the marked points of their broadcast shape, in one pass of
+    _slabs: fl(x - mean) is monotone in x, so max |d - mean| is max(hi - mean, mean - lo).
     """
     mask = np.asarray(ample_mask, dtype=bool)
     if not mask.any():
         raise InputError("ample mask is empty")
-
-    def diffs():
-        return ((p1 - p2)[marked] for p1, p2, marked in _slabs(phi1, phi2, mask))
-
-    total, count = map(sum, zip(*((float(np.sum(d)), d.size) for d in diffs())))
-    return max(float(np.max(np.abs(d - total / count), initial=0.0)) for d in diffs())
+    total, count, hi, lo = 0.0, 0, -math.inf, math.inf
+    for p1, p2, marked in _slabs(phi1, phi2, mask):
+        d = (p1 - p2)[marked]
+        total, count = total + float(np.sum(d)), count + d.size
+        hi, lo = np.max(d, initial=hi), np.min(d, initial=lo)
+    mean = total / count
+    return float(max(hi - mean, mean - lo))
 
 
 def volume_lower_bound_check(state, c):

@@ -13,10 +13,10 @@ import numpy as np
 
 from .errors import InputError, NonconvergenceError
 from .instances import (
-    TWO_PI,
     Instance,
     boundary_degenerate_instance,
     degenerate_instance,
+    perturbed_source,
     uniform_instance,
 )
 from .solver import (
@@ -28,17 +28,12 @@ from .solver import (
     volume_lower_bound_check,
 )
 from .symfunc import elementary_sym
-from .torus import distance_to_set, normalize_density
+from .torus import distance_to_set
 
 # dyadic t schedule 1, 1/2, ..., 2^-7; also the `continue` subcommand's default
 SCHEDULE = tuple(2.0**-k for k in range(8))
 AMPLITUDES = (0.1, 0.01, 0.001)
-
-
-def _source_shapes(grid):
-    """The two perturbation shapes cos(2 pi x1) and sin(2 pi y2), broadcastable."""
-    coords = grid.coords()
-    return np.cos(TWO_PI * coords["x1"]), np.sin(TWO_PI * coords["y2"])
+SHAPE_PAIR = ("cos_x1", "sin_y2")
 
 
 def _sup_w_on(state, mask):
@@ -83,11 +78,9 @@ def stability_decades(grid_N, t=0.5, q=2.0):
     uniform stability estimate shows as a drift below 10x per decade.
     """
     inst = uniform_instance(N=grid_N)
-    shape1, shape2 = _source_shapes(inst.grid)
     out = []
     for amp in AMPLITUDES:
-        run1 = newton_solve(inst.spec(t, f=normalize_density(1.0 + amp * shape1, inst.omega)))
-        run2 = newton_solve(inst.spec(t, f=normalize_density(1.0 + amp * shape2, inst.omega)))
+        run1, run2 = (newton_solve(inst.spec(t, f=perturbed_source(inst, s, amp))) for s in SHAPE_PAIR)
         out.append((amp, stability_compare(run1, run2, q)))
     return out
 
@@ -102,10 +95,8 @@ def uniqueness_limits(grid_N, amp=0.3):
     """
     inst = degenerate_instance(N=grid_N)
     limits = []
-    for shape in _source_shapes(inst.grid):
-        family = lambda t, s=shape: inst.spec(
-            t, f=normalize_density(1.0 + t * amp * s, inst.omega)
-        )
+    for shape in SHAPE_PAIR:
+        family = lambda t, s=shape: inst.spec(t, f=perturbed_source(inst, s, t * amp))
         path = continuation_path(family, SCHEDULE)
         if not path.complete:
             raise NonconvergenceError(f"path failed at t={path.failed_t}: {path.failure}")

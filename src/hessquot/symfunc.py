@@ -41,19 +41,6 @@ def elementary_sym(k, vals):
     return e[..., k]
 
 
-def elementary_sym_all(vals):
-    """All orders at once: returns shape (..., n+1) with entry k equal to S_k."""
-    vals = _as_spectrum(vals)
-    n = vals.shape[-1]
-    e = np.zeros(vals.shape[:-1] + (n + 1,), dtype=np.float64)
-    e[..., 0] = 1.0
-    for i in range(n):
-        v = vals[..., i]
-        for j in range(i + 1, 0, -1):
-            e[..., j] += v * e[..., j - 1]
-    return e
-
-
 def elementary_sym_excluding_each(k, vals):
     """S_{k;i} for every single index i, shape (..., n). Negative k gives 0."""
     vals = _as_spectrum(vals)

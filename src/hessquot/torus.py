@@ -32,8 +32,7 @@ mixed integral of forms is that of their constant parts (Stokes) and takes
 no grid point.
 
 Density convention: the top form omega^n corresponds to the density
-det(omega_matrix) * dV, with one fixed multiplicative constant shared by
-every integral so that all ratios (c, b_t, theta0) are convention-free.
+det(omega_matrix) dV, so omega = I has volume 1.
 """
 
 from __future__ import annotations
@@ -61,10 +60,6 @@ from .pointwise import (
     unpack_hermitian,
 )
 from .symfunc import elementary_sym
-
-# shared constant of the omega^n <-> det(omega) dV identification; every
-# integral carries it, so ratios must not depend on its value (tested)
-DENSITY_CONVENTION_SCALE = 1.0
 
 FIELD_DUMP_VERSION = 1
 
@@ -358,7 +353,7 @@ class FormField:
             raise InputError(f"constant part must be {self.grid.n} x {self.grid.n}")
         if not np.all(np.isfinite(const)):
             raise InputError("constant part must be finite")
-        check_hermitian(const, rtol=1e-12)
+        check_hermitian(const)
         object.__setattr__(self, "const", const)
         if self.potential is not None:
             pot = _field(self.grid, self.potential, "potential")
@@ -417,16 +412,15 @@ def identity_form(grid):
     return FormField(grid, np.eye(grid.n))
 
 
-def relative_eigenvalues(alpha, omega, phi=None):
-    """Descending eigenvalues of alpha + i d dbar phi relative to omega, on their subtorus.
+def relative_eigenvalues(alpha, omega):
+    """Descending eigenvalues of alpha relative to omega, on their subtorus.
 
-    The full grid's bits at the points of sub = subtorus(grid, [both potentials, phi]),
+    The full grid's bits at the points of sub = subtorus(grid, [both potentials]),
     shape sub.shape + (n,) ((1,)*2n + (n,) for a constant pair): they broadcast
     against any field on the grid.
     """
-    sub = subtorus(alpha.grid, [alpha.potential, omega.potential, phi])
-    fields = alpha.on(sub).packed(None if phi is None else inject(sub, phi))
-    lam = packed_eigenvalues(_flat(fields), _flat(omega.on(sub).packed()))
+    sub = subtorus(alpha.grid, [alpha.potential, omega.potential])
+    lam = packed_eigenvalues(_flat(alpha.on(sub).packed()), _flat(omega.on(sub).packed()))
     return lam.reshape(sub.shape + (sub.n,))
 
 
@@ -474,7 +468,7 @@ def _mixed(alpha, k, omega):
     metric = pack_hermitian(omega.const)
     lam = packed_eigenvalues(pack_hermitian(alpha.const), metric)
     mixed = elementary_sym(k, lam) / math.comb(n, k) * _inverse_metric(metric)[1]
-    return float(mixed) * DENSITY_CONVENTION_SCALE
+    return float(mixed)
 
 
 def integrate_mixed(alpha, k, omega):
@@ -482,8 +476,8 @@ def integrate_mixed(alpha, k, omega):
 
     Both forms are closed, so the integral is that of their classes:
     S_k(lambda)/C(n,k) * det(omega0), with lambda the eigenvalues of alpha's
-    constant part relative to omega's, omega0, times the shared convention
-    constant. No grid point enters but the pointwise metric check.
+    constant part relative to omega's, omega0. No grid point enters but the
+    pointwise metric check.
     """
     _require_metric(omega)
     return _mixed(alpha, k, omega)
@@ -497,11 +491,7 @@ def integrate_density(values, omega):
     """
     det = _inverse_metric(omega.packed())[1]
     integrand = _broadcastable(omega.grid, np.asarray(values, dtype=np.float64)) * det
-    return float(np.mean(integrand)) * DENSITY_CONVENTION_SCALE
-
-
-def total_volume(omega):
-    return integrate_mixed(omega, 0, omega)
+    return float(np.mean(integrand))
 
 
 def compute_c(chi, omega, m):
@@ -608,7 +598,7 @@ def normalize_density(f_raw, omega):
     if np.min(grid_vals) <= 0.0:
         raise DomainError("density must be strictly positive before normalization")
     integral = integrate_density(grid_vals, omega)
-    return grid_vals * (total_volume(omega) / integral)
+    return grid_vals * (integrate_mixed(omega, 0, omega) / integral)
 
 
 def distance_to_set(grid, mask):

@@ -242,6 +242,28 @@ class TestContinue:
         assert summary is None
         assert "schedule must lie in (0, 1]" in capsys.readouterr().err
 
+    def test_negative_b_mid_schedule_is_rejected_before_any_solve(
+        self, tmp_path, capsys, monkeypatch
+    ):
+        # uniform at eps = -0.5: b = s^2 - s with s = 1 + t - 0.5 is 0.75 and 0 at
+        # t = 1 and 1/2, and -0.1875 at t = 1/4, where the source b f turns negative
+        calls = []
+
+        def spy(*args, **kwargs):
+            calls.append(args)
+            raise AssertionError("a solve ran before every t's b was checked")
+
+        monkeypatch.setattr("hessquot.solver.newton_solve", spy)
+        code, summary, outdir = run_cli(
+            tmp_path, "continue", "instance = uniform\ngrid_N = 8\neps = -0.5\n"
+        )
+        assert (code, summary, calls) == (EXIT_USAGE, None, [])
+        assert capsys.readouterr().err == (
+            "usage error: continue: at t = 0.25: the quadrature value of b is negative:"
+            " -0.1875; the source b f must be >= 0\n"
+        )
+        assert sorted(os.listdir(outdir)) == [CONFIG_ECHO_NAME]
+
 
 class TestStability:
     def test_perturbation_pair(self, tmp_path):
@@ -429,6 +451,7 @@ class TestUsageContract:
                 ("continue", "max_newton = many\n"),
                 ("stability", "f1_amplitude = 0.1\nf2_amplitude = small\n"),
                 ("stability", "q = nan\nf1_amplitude = 0.1\nf2_amplitude = 0.05\n"),
+                ("stability", "f1_shape = tan_x1\nf1_amplitude = 0.1\nf2_amplitude = 0.05\n"),
                 ("selftest", "trials = 1.5\n"),
                 ("selftest", "trials = 0\n"),
                 ("selftest", "trials = -5\n"),
@@ -446,6 +469,31 @@ class TestUsageContract:
         code, summary, _ = run_cli(tmp_path, command, cfg)
         assert code == EXIT_USAGE
         assert summary is None
+
+    @pytest.mark.parametrize("m", [2, -1])
+    @pytest.mark.parametrize(
+        ("command", "extra"),
+        [
+            ("check-cone", "instance = boundary\n"),
+            ("solve", "instance = uniform\n"),
+            ("continue", "instance = degenerate\n"),
+            ("stability", "f1_amplitude = 0.1\nf2_amplitude = 0.05\n"),
+        ],
+    )
+    def test_m_outside_0_1_is_rejected_before_any_instance(
+        self, tmp_path, monkeypatch, capsys, command, extra, m
+    ):
+        # the CLI instances have n = 2, so 0 <= m < n leaves m = 0 and 1
+        def no_build(*args, **kwargs):
+            raise AssertionError("an instance was built before m was checked")
+
+        for name in cli._INSTANCES:
+            monkeypatch.setattr(cli, f"{name}_instance", no_build)
+        code, summary, _ = run_cli(tmp_path, command, f"grid_N = 8\nm = {m}\n{extra}")
+        assert (code, summary) == (EXIT_USAGE, None)
+        assert capsys.readouterr().err == (
+            f"usage error: m must be 0 or 1 for the n = 2 instances, got {m}\n"
+        )
 
     def test_grid_beyond_memory_refused(self, tmp_path, monkeypatch, capsys):
         # a machine with room for N = 16 only: N = 32 is refused before any

@@ -525,7 +525,8 @@ class TestTwoStagePath:
 class TestTwoStageMechanics:
     def test_csv_roundtrip(self, inst8, tmp_path):
         out = tmp_path / "stage.csv"
-        res = two_stage_solve(inst8, config=SolverConfig(tol=1e-4), csv_path=out)
+        res = two_stage_solve(inst8, config=SolverConfig(tol=1e-4))
+        write_stage_csv(out, res.records)
         with open(out, newline="") as fh:
             rows = list(csv.reader(fh))
         assert tuple(rows[0]) == STAGE_CSV_COLUMNS

@@ -37,7 +37,6 @@ from hessquot.torus import (
     packed_hessian,
     relative_eigenvalues,
     subtorus,
-    total_volume,
     tune_to_boundary,
     unpack_hermitian,
 )
@@ -661,7 +660,8 @@ class TestVaryingSlab:
                 assert subtorus(sub, [inject(sub, phi)]) == sub
                 # relative_eigenvalues reduces its own inputs to phi's subtorus
                 eye = identity_form(grid)
-                lam = relative_eigenvalues(eye, eye, on_slab(phi, axes))
+                phi_form = FormField(grid, np.zeros((n, n)), on_slab(phi, axes))
+                lam = relative_eigenvalues(eye + phi_form, eye)
                 assert lam.shape == sub.shape + (n,)
                 full = grid_eigenvalues(eye, eye, phi).reshape(grid.shape + (n,))
                 assert np.array_equal(lam, at_points(sub, full))
@@ -915,7 +915,8 @@ class TestFormField:
 class TestIntegration:
     def test_total_volume_identity_metric(self):
         g = TorusGrid(2, 8)
-        assert total_volume(identity_form(g)) == pytest.approx(1.0, abs=1e-15)
+        om = identity_form(g)
+        assert integrate_mixed(om, 0, om) == pytest.approx(1.0, abs=1e-15)
 
     def test_constant_forms_pinned(self):
         g = TorusGrid(2, 8)
@@ -933,7 +934,7 @@ class TestIntegration:
         # eigenvalues rel 2I are (1.5, 2.5); det(omega) = 4
         assert integrate_mixed(alpha, 1, om) == pytest.approx(2.0 * 4.0, rel=1e-14)
         assert integrate_mixed(alpha, 2, om) == pytest.approx(3.75 * 4.0, rel=1e-14)
-        assert total_volume(om) == pytest.approx(4.0, rel=1e-14)
+        assert integrate_mixed(om, 0, om) == pytest.approx(4.0, rel=1e-14)
 
     @staticmethod
     def check_hessian_part_integrates_away(g, om, rng):
@@ -973,22 +974,6 @@ class TestIntegration:
             assert integrate_mixed(alpha, 2, identity_form(g)) == 1.0
         assert abs(vals[0] - vals[1]) < 1e-8 * abs(vals[1])
         assert abs(vals[1] - 1.0) < 1e-8
-
-    def test_convention_scale_cancels_in_ratios(self, monkeypatch):
-        # the density convention constant must scale raw integrals linearly
-        # and drop out of every ratio-type quantity
-        g = TorusGrid(2, 8)
-        om = identity_form(g)
-        pot = trig_poly(g, np.random.default_rng(23), max_mode=2, amplitude=0.001)
-        chi = FormField(g, 2.0 * np.eye(2), pot)
-        raw = integrate_mixed(chi, 2, om)
-        c0 = compute_c(chi, om, 1)
-        f = grid_field(g, 1.5 + np.sin(TWO_PI * g.coords()["x1"]))
-        fn0 = normalize_density(f, om)
-        monkeypatch.setattr(torus, "DENSITY_CONVENTION_SCALE", 2.7)
-        assert integrate_mixed(chi, 2, om) == pytest.approx(2.7 * raw, rel=1e-14)
-        assert compute_c(chi, om, 1) == pytest.approx(c0, rel=1e-14)
-        assert np.allclose(normalize_density(f, om), fn0, rtol=1e-14)
 
     def test_rejects_bad_k_and_bad_metric(self):
         g = TorusGrid(2, 8)
@@ -1138,7 +1123,7 @@ class TestNormalizeDensity:
         om = identity_form(g)
         f = grid_field(g, 2.0 + np.sin(TWO_PI * g.coords()["x1"]))
         fn = normalize_density(f, om)
-        assert integrate_density(fn, om) == pytest.approx(total_volume(om), rel=1e-14)
+        assert integrate_density(fn, om) == pytest.approx(integrate_mixed(om, 0, om), rel=1e-14)
         assert np.min(fn) > 0.0
 
     def test_rejects_nonpositive(self):
