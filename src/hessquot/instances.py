@@ -119,8 +119,8 @@ def boundary_instance(N=16, m=1):
     """
     grid = TorusGrid(2, N)
     omega = identity_form(grid)
-    (amp, c, chi), _ = _boundary_chi(grid, omega, m)
-    inst = Instance(
+    (_, c, chi), _ = _boundary_chi(grid, omega, m)
+    return Instance(
         name="boundary",
         grid=grid,
         m=m,
@@ -130,8 +130,6 @@ def boundary_instance(N=16, m=1):
         c=c,
         f=_ones(grid),
     )
-    inst.extras["amplitude"] = amp
-    return inst
 
 
 def degenerate_instance(N=16, m=1):
@@ -156,7 +154,6 @@ def degenerate_instance(N=16, m=1):
     )
     inst.extras["degenerate_mask"] = degen.degenerate_mask
     inst.extras["ample_mask"] = degen.ample_mask
-    inst.extras["amplitude"] = degen.amplitude
     return inst
 
 
@@ -190,7 +187,6 @@ def boundary_degenerate_instance(N=16, m=1):
         f=_ones(grid),
     )
     amp = degen.amplitude
-    inst.extras["amplitude"] = a
     inst.extras["degenerate_mask"] = degen.degenerate_mask
     inst.extras["ample_mask"] = degen.ample_mask
     inst.extras["expected_b"] = lambda t: (2.0 + t) * (2.0 + t - c)
@@ -223,7 +219,6 @@ def _manufactured(name, grid, phi_star):
         f=normalize_density(f_raw, omega),
     )
     inst.extras["phi_star"] = phi_star - float(np.max(phi_star))
-    inst.extras["b_star"] = float(np.mean(f_raw))
     inst.extras["t_star"] = 0.5
     return inst
 

@@ -296,8 +296,10 @@ class _Eval:
         return strip_kernel_modes(grid, self.resid.reshape(grid.shape), keep_mean=True).reshape(-1)
 
 
-def _evaluate(spec, phi, b):
+def _evaluate(spec, phi, b, metric):
     """Residual, dR/db and the Newton coefficients at (phi, b), from polynomials of X.
+
+    metric is (omega^-1, det omega) of spec's omega, as _omega_metric builds it.
 
     With S_k of X's eigenvalues relative to omega (S_n = det X / det omega)
     and kappa = coefficient / C(n, m): R = (kappa S_m + f) / S_n - 1 and
@@ -312,7 +314,7 @@ def _evaluate(spec, phi, b):
     if not min(np.min(x[0, 0]), np.min(adj[-1, -1]), np.min(det)) > 0.0:
         raise _Inadmissible(x)
     del adj  # coefficients() rebuilds it from x, so the two are not held at once
-    inv_metric, det_metric = _inverse_metric(spec.omega.packed().reshape(n, n, -1))
+    inv_metric, det_metric = metric
     s_n = det / det_metric
     s_m, grad = packed_sym_gradient(spec.m, x, inv_metric)
     coeff = spec.coefficient_field.reshape(-1)
@@ -333,6 +335,11 @@ def _evaluate(spec, phi, b):
 
     rsup = float(np.max(np.abs(resid)))
     return _Eval(resid, rsup, dresid_db, coefficients, spec.grid, x, coefficient)
+
+
+def _omega_metric(spec):
+    """(omega^-1, det omega) of spec's omega, packed on a flat batch axis, for _evaluate."""
+    return _inverse_metric(spec.omega.packed().reshape(spec.n, spec.n, -1))
 
 
 def quadrature_b(spec):
@@ -383,21 +390,22 @@ def _gmres_cycle(op, rhs, rtol):
     if beta == 0.0:
         return np.zeros_like(rhs), True
     target = rtol * beta
-    m = KRYLOV_INNER
+    eps = float(np.finfo(np.float64).eps)
     basis = [rhs / beta]
-    hess = np.zeros((m + 1, m))
+    # the Hessenberg columns, the rotations and g as Python floats, the same
+    # IEEE doubles as numpy's scalars without their per-operation cost
+    columns = []
     rotations = []
-    g = np.zeros(m + 1)
-    g[0] = beta
-    for j in range(m):
+    g = [beta]
+    for j in range(KRYLOV_INNER):
         w = op.matvec(basis[j])
-        w_norm = np.linalg.norm(w)
-        h = hess[:, j]
-        for i, v in enumerate(basis):
-            h[i] = v @ w
-            w -= h[i] * v
-        h[j + 1] = np.linalg.norm(w)
-        breakdown = not h[j + 1] > np.finfo(np.float64).eps * w_norm
+        w_norm = float(np.linalg.norm(w))
+        h = []
+        for v in basis:
+            h.append(float(v @ w))
+            w -= h[-1] * v
+        h.append(float(np.linalg.norm(w)))
+        breakdown = not h[j + 1] > eps * w_norm
         if not breakdown:
             w /= h[j + 1]
             basis.append(w)
@@ -408,12 +416,17 @@ def _gmres_cycle(op, rhs, rtol):
         c, s = (h[j] / r, h[j + 1] / r) if r > 0.0 else (0.0, 1.0)
         rotations.append((c, s))
         h[j], h[j + 1] = r, 0.0
-        g[j], g[j + 1] = c * g[j], -s * g[j]
+        columns.append(h)
+        g.append(-s * g[j])
+        g[j] *= c
         if abs(g[j + 1]) <= target or breakdown:
             break
     k = len(rotations)
+    upper = np.zeros((k, k))
+    for j, h in enumerate(columns):
+        upper[: j + 1, j] = h[: j + 1]
     # triangular; lstsq, as in LGMRES, also copes with a zero pivot
-    coef = np.linalg.lstsq(hess[:k, :k], g[:k])[0]
+    coef = np.linalg.lstsq(upper, g[:k])[0]
     y = basis[0]
     y *= coef[0]
     for v, a in zip(basis[1:k], coef[1:]):
@@ -456,7 +469,7 @@ def _linear_step(spec, ev, config, rsup_prev):
         nonlocal products
         products += 1
         y = y.reshape(grid.shape)
-        db = float(np.mean(y)) / col_mean
+        db = float(np.add.reduce(y, axis=None) / y.size) / col_mean
         trace = hessian_trace(grid, weights, y - db * col, symbol)
         return strip_kernel_modes(grid, col * db - trace, keep_mean=True).reshape(-1)
 
@@ -583,11 +596,12 @@ def newton_solve(spec, init=None, config=None, t=math.nan):
         SimpleNamespace(phi=inject(grid, s.phi), b=s.b, t=getattr(s, "t", math.nan))
         for s in path
     ]
+    metric = _omega_metric(spec)
     for phi, b in _predictions(spec, path, config, t):
         phi = phi - np.max(phi)
         b = b if bq is None else bq
         try:
-            ev = _evaluate(spec, phi, b)
+            ev = _evaluate(spec, phi, b, metric)
             break
         except _Inadmissible as err:
             outside = err.args[0]  # this start left the cone: try the next one
@@ -635,7 +649,7 @@ def newton_solve(spec, init=None, config=None, t=math.nan):
             cand_phi -= np.max(cand_phi)
             cand_b = b + tau * db
             try:
-                cand = _evaluate(spec, cand_phi, cand_b)
+                cand = _evaluate(spec, cand_phi, cand_b, metric)
             except (_Inadmissible, InputError):
                 cand = None
             if cand is not None and cand.rsup < ev.rsup:
@@ -668,7 +682,7 @@ def _gradient_sq(spec, phi):
     """
     n = spec.n
     grad = holomorphic_gradient(spec.grid, phi).reshape(-1, n)
-    ginv = _inverse_metric(spec.omega.packed().reshape(n, n, -1))[0]
+    ginv = _omega_metric(spec)[0]
     ginv = unpack_hermitian(np.moveaxis(ginv, (0, 1), (-2, -1)))
     return np.einsum("...kj,...j,...k->...", ginv, grad, np.conj(grad)).real
 

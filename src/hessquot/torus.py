@@ -3,11 +3,18 @@
 The torus is [0,1)^{2n} with complex coordinates z_j = x_j + i y_j and N
 grid points per real axis, axis order (x1, y1, x2, y2, ...). Differentiation
 is spectral (exact for band-limited fields, Nyquist dropped from first-order
-multipliers) and runs on real FFTs: every operator is a real field times a
-real symbol cached per grid in rfftn layout. The product spectra of one
-field that are not identically zero are inverse transformed together, in
-one call pair; a zero one is not transformed (a potential of z1 alone has
-one nonzero Hessian field).
+multipliers): every operator is a real field times a real symbol in rfftn
+layout, cached per grid with the grid's transform plan. Along an axis of
+one point a transform is the identity, so the plan transforms only the
+varying axes: by rfftn, or, with the last axis at one point, by complex
+transforms of the field's complex values, whose inverse takes the real
+part in place of irfft. One varying leading axis takes the 1-D call. Each
+field keeps the bits of rfftn and irfftn. A Hessian row whose symbol is
+identically zero on the grid is dead: it is never multiplied, tested or
+transformed. That is exact for a finite spectrum; one that overflowed to
+inf gets a zero field there, not NaN. The live product spectra of one
+field that are not identically zero are inverse transformed together; a
+zero one is not transformed (a potential of z1 alone has one).
 Every field on a grid has a broadcastable shape: one point on each real
 axis along which it is constant, grid's points on the others, as
 grid.coords() returns them. A field's shape, as it was built, is its
@@ -43,6 +50,7 @@ import json
 import math
 import os
 from dataclasses import dataclass, replace
+from typing import NamedTuple
 
 import numpy as np
 import scipy.fft
@@ -145,9 +153,20 @@ def _trusted_replace(obj, **changes):
     return out
 
 
+class _Plan(NamedTuple):
+    """A grid's symbols in rfftn layout and the transforms its fields take; see _symbols."""
+
+    kx: list            # angular wavenumbers along x_j, broadcastable
+    ky: list            # and along y_j
+    hess: np.ndarray    # packed Hessian symbols, shape (n, n) + spectrum shape
+    rows: np.ndarray    # flat (j, k) indices of the hess rows not identically zero
+    live: np.ndarray    # those rows, stacked on one leading axis
+    axes: tuple         # the grid's varying axes, as negative indices
+
+
 @functools.lru_cache(maxsize=4)
 def _symbols(grid):
-    """Per-grid wavenumbers (kx, ky) and packed Hessian symbols, rfftn layout.
+    """Per-grid wavenumbers, packed Hessian symbols and transform plan, rfftn layout.
 
     rfftn keeps the nonnegative half of the last axis, whose Nyquist entry
     wavenumber() zeroes like every other, so that axis is cut to N/2 + 1
@@ -156,6 +175,8 @@ def _symbols(grid):
     -(ky_j ky_k + kx_j kx_k)/4 and the imaginary part
     -(kx_j ky_k - ky_j kx_k)/4, both even in k: each packed entry of the
     Hessian of a real field is the inverse real FFT of one real symbol.
+    A packed entry whose symbol has a constant axis' wavenumber in every
+    term is identically zero on the grid, and only the other rows are live.
     """
     n = grid.n
     half = grid.shape[-1] // 2 + 1
@@ -168,21 +189,55 @@ def _symbols(grid):
         for j in range(i + 1, n):
             hess[i, j] = -0.25 * (ky[i] * ky[j] + kx[i] * kx[j])
             hess[j, i] = -0.25 * (kx[i] * ky[j] - ky[i] * kx[j])
-    for arr in (*kx, *ky, hess):
+    flat = hess.reshape((n * n,) + hess.shape[2:])
+    rows = np.flatnonzero(flat.reshape(n * n, -1).any(axis=1))
+    live = flat if rows.size == n * n else flat[rows]
+    for arr in (*kx, *ky, hess, rows, live):
         arr.flags.writeable = False
-    return kx, ky, hess
+    axes = tuple(axis - 2 * n for axis, size in enumerate(grid.shape) if size > 1)
+    return _Plan(kx, ky, hess, rows, live, axes)
+
+
+def _complex_transform(one, many, spectrum, axes):
+    """spectrum transformed in place along axes by scipy.fft's one (1-D) or many (n-D); none for no axes."""
+    if len(axes) == 1:
+        return one(spectrum, axis=axes[0], overwrite_x=True)
+    return many(spectrum, axes=axes, overwrite_x=True) if axes else spectrum
+
+
+def _rfftn(grid, values):
+    """The spectrum of a field on grid in rfftn layout, transformed along grid's varying axes only.
+
+    Along an axis of one point a transform is the identity. With the last
+    axis varying this is rfftn over the varying axes; with it at one point,
+    the complex transform of the field's complex values over the varying
+    leading axes, or those values themselves when no axis varies. The field
+    is made complex first because scipy's fftn of a real array runs a real
+    transform along one axis, which rounds differently from the complex
+    transforms rfftn runs along the leading axes.
+    """
+    axes = _symbols(grid).axes
+    if grid.shape[-1] > 1:
+        return scipy.fft.rfftn(values, axes=axes)
+    spectrum = values.astype(np.complex128)
+    return _complex_transform(scipy.fft.fft, scipy.fft.fftn, spectrum, axes)
 
 
 def _irfftn(grid, spectrum):
     """The real fields of rfftn-layout spectra stacked on any leading axes; spectrum may be overwritten.
 
-    Complex transforms over the grid's leading axes, in place, then one
-    inverse real transform along the last: the 1-D transforms scipy's
-    irfftn runs, in the same order, so each field is bit-identical to its
-    irfftn. irfftn does not use overwrite_x, so it would copy the stack.
+    Complex transforms over the grid's varying leading axes, in place, then
+    one inverse real transform along the last axis, or its real part when
+    that axis has one point: the 1-D transforms scipy's irfftn runs, in the
+    same order, but for the identities along one-point axes, so each field
+    is bit-identical to its irfftn. irfftn does not use overwrite_x, so it
+    would copy the stack.
     """
-    spectrum = scipy.fft.ifftn(spectrum, axes=range(-2 * grid.n, -1), overwrite_x=True)
-    return scipy.fft.irfft(spectrum, n=grid.shape[-1], axis=-1)
+    axes = _symbols(grid).axes
+    last = grid.shape[-1]
+    leading = axes[:-1] if last > 1 else axes
+    spectrum = _complex_transform(scipy.fft.ifft, scipy.fft.ifftn, spectrum, leading)
+    return scipy.fft.irfft(spectrum, n=last, axis=-1) if last > 1 else spectrum.real
 
 
 def _inverse_products(grid, spectrum, symbols):
@@ -200,12 +255,6 @@ def _inverse_products(grid, spectrum, symbols):
     return rows, _irfftn(grid, products if rows.size == len(products) else products[rows])
 
 
-def _hessian_symbols(grid):
-    """The n^2 packed Hessian symbols of _symbols, stacked on one leading axis."""
-    hess = _symbols(grid)[2]
-    return hess.reshape((-1,) + hess.shape[2:])
-
-
 def _check_scalar(grid, values):
     values = np.asarray(values, dtype=np.float64)
     if values.shape != grid.shape:
@@ -219,14 +268,17 @@ def packed_hessian(grid, phi):
     """Spectral complex Hessian as n*n real fields, shape (n, n) + grid.shape.
 
     The leading axes hold HERMITIAN_PACKING: [i, i] is H_ii and, for i < j,
-    [i, j] is Re H_ij and [j, i] is Im H_ij. One rfftn, then one inverse
-    transform of every packed field whose spectrum is not identically zero
-    at once; the others are written as exact zeros.
+    [i, j] is Re H_ij and [j, i] is Im H_ij. One forward transform, then
+    one inverse transform of every live packed field whose spectrum is not
+    identically zero at once; the others are written as exact zeros, with
+    no transform at all when no row is live.
     """
-    spectrum = scipy.fft.rfftn(_check_scalar(grid, phi))
-    rows, fields = _inverse_products(grid, spectrum, _hessian_symbols(grid))
+    phi = _check_scalar(grid, phi)
+    plan = _symbols(grid)
     out = np.zeros((grid.n**2,) + grid.shape)
-    out[rows] = fields
+    if plan.rows.size:
+        rows, fields = _inverse_products(grid, _rfftn(grid, phi), plan.live)
+        out[plan.rows[rows]] = fields
     return out.reshape((grid.n, grid.n) + grid.shape)
 
 
@@ -235,18 +287,21 @@ def hessian_trace(grid, weights, values, symbol):
 
     weights holds real fields packed like packed_hessian's, shape (n, n, P),
     and symbol is a frozen_symbol; the trace has grid.shape. The division is
-    done on the one spectrum, the packed fields whose spectrum is not
+    done on the one spectrum, the live packed fields whose spectrum is not
     identically zero are inverse transformed at once, and each is weighted
     and added into the trace in row-major (j, k) order. A zero field is
-    neither transformed nor weighted.
+    neither transformed nor weighted, and no row live means no transform.
     """
-    spectrum = scipy.fft.rfftn(_check_scalar(grid, values))
-    spectrum /= symbol
-    rows, fields = _inverse_products(grid, spectrum, _hessian_symbols(grid))
-    weights = weights.reshape((-1,) + grid.shape)
+    values = _check_scalar(grid, values)
+    plan = _symbols(grid)
     trace = np.zeros(grid.shape)
-    for row, field in zip(rows, fields):
-        trace += np.multiply(field, weights[row], out=field)
+    if plan.rows.size:
+        spectrum = _rfftn(grid, values)
+        spectrum /= symbol
+        rows, fields = _inverse_products(grid, spectrum, plan.live)
+        weights = weights.reshape((-1,) + grid.shape)
+        for row, field in zip(plan.rows[rows], fields):
+            trace += np.multiply(field, weights[row], out=field)
     return trace
 
 
@@ -257,9 +312,9 @@ def holomorphic_gradient(grid, phi):
     real fields with symbols i kx_j / 2 and -i ky_j / 2, inverse transformed
     at once but for a part whose spectrum is identically zero.
     """
-    kx, ky, _ = _symbols(grid)
-    symbols = np.stack(np.broadcast_arrays(*[0.5j * k for k in kx], *[-0.5j * k for k in ky]))
-    rows, fields = _inverse_products(grid, scipy.fft.rfftn(_check_scalar(grid, phi)), symbols)
+    plan = _symbols(grid)
+    symbols = np.stack(np.broadcast_arrays(*[0.5j * k for k in plan.kx], *[-0.5j * k for k in plan.ky]))
+    rows, fields = _inverse_products(grid, _rfftn(grid, _check_scalar(grid, phi)), symbols)
     parts = np.zeros((2 * grid.n,) + grid.shape)
     parts[rows] = fields
     return np.moveaxis(parts[: grid.n] + 1j * parts[grid.n :], 0, -1)
@@ -314,7 +369,7 @@ def prolong(grid, values):
     # rfftn is unnormalized and irfftn divides by the point count, which is
     # 2 times larger on the fine grid for each transformed axis
     scale = 2.0 ** sum(size > 1 for size in grid.shape)
-    spectrum[np.ix_(*dst)] = scipy.fft.rfftn(values)[np.ix_(*src)] * scale
+    spectrum[np.ix_(*dst)] = _rfftn(grid, values)[np.ix_(*src)] * scale
     return _irfftn(fine, spectrum)
 
 
@@ -324,14 +379,14 @@ def frozen_symbol(grid, weights):
     With every w_j > 0 it vanishes exactly on the modes whose every axis
     frequency is 0 or Nyquist; inf there makes divide_by_symbol drop them.
     """
-    hess = _symbols(grid)[2]
+    hess = _symbols(grid).hess
     symbol = -sum(w * hess[j, j] for j, w in enumerate(weights))
     return np.where(symbol > 0.0, symbol, np.inf)
 
 
 def divide_by_symbol(grid, symbol, values):
     """The real field whose spectrum is values' divided by a frozen_symbol."""
-    return _irfftn(grid, scipy.fft.rfftn(np.asarray(values, dtype=np.float64)) / symbol)
+    return _irfftn(grid, _rfftn(grid, np.asarray(values, dtype=np.float64)) / symbol)
 
 
 @dataclass(frozen=True, eq=False)
@@ -368,8 +423,9 @@ class FormField:
 
         Shape (n, n) + the broadcast shape of the potential and phi, in
         HERMITIAN_PACKING, built on each call from one Hessian, of the
-        potential plus phi, on their subtorus, with the packed constant
-        added; a constant form with phi None gives its packed (n, n) constant.
+        potential plus phi, on their subtorus (the grid itself when their
+        shape is the grid's), with the packed constant added; a constant form
+        with phi None gives its packed (n, n) constant.
         """
         pot = self.potential
         if phi is not None:
@@ -377,7 +433,8 @@ class FormField:
         const = pack_hermitian(self.const)
         if pot is None:
             return const
-        fields = packed_hessian(subtorus(self.grid, [pot]), pot)
+        grid = self.grid if pot.shape == self.grid.shape else subtorus(self.grid, [pot])
+        fields = packed_hessian(grid, pot)
         fields += const.reshape(const.shape + (1,) * (2 * self.grid.n))
         return fields
 

@@ -86,6 +86,11 @@ def checkerboard(grid):
     return grid_field(grid, (-1.0) ** idx)
 
 
+def evaluate_at(spec, phi, b):
+    """solver._evaluate with the omega metric newton_solve builds once per solve."""
+    return solver._evaluate(spec, phi, b, solver._omega_metric(spec))
+
+
 @pytest.fixture(scope="module")
 def uniform16():
     return uniform_instance(N=16)
@@ -345,8 +350,8 @@ class TestBackgroundCancellation:
     def test_degenerate_instance_closed_form(self):
         inst = degenerate_instance(N=16)
         st = newton_solve(inst.spec(0.25))
-        x1 = inst.grid.coords()["x1"]
-        want = grid_field(inst.grid, -inst.extras["amplitude"] * np.cos(TWO_PI * x1))
+        # chitilde's potential is amp cos(2 pi x1)
+        want = grid_field(inst.grid, -inst.chitilde.potential)
         want -= want.max()
         assert np.abs(st.phi - want).max() <= 1e-9
         assert st.b == pytest.approx(2.25 * 1.25, abs=1e-9)
@@ -356,12 +361,8 @@ class TestBackgroundCancellation:
     def test_boundary_instance_closed_form(self):
         inst = boundary_instance(N=16)
         st = newton_solve(inst.spec(1.0))
-        c = inst.grid.coords()
-        amp = inst.extras["amplitude"]
-        want = grid_field(
-            inst.grid,
-            -2.0 * amp * (np.cos(TWO_PI * c["x1"]) + np.cos(TWO_PI * c["y1"])),
-        )
+        # chi's potential is amp (cos(2 pi x1) + cos(2 pi y1))
+        want = grid_field(inst.grid, -2.0 * inst.chi.potential)
         want -= want.max()
         assert np.abs(st.phi - want).max() <= 1e-10
         assert st.b == pytest.approx(6.0, abs=1e-12)
@@ -370,7 +371,8 @@ class TestBackgroundCancellation:
 
     def test_boundary_degenerate_instance_closed_form(self):
         inst = boundary_degenerate_instance(N=16)
-        assert inst.extras["amplitude"] == pytest.approx(1.0 / (4.0 * np.pi**2), rel=1e-12)
+        # chi's potential is amp (cos(2 pi x1) + cos(2 pi y1)), 2 amp at the origin
+        assert inst.chi.potential.flat[0] / 2.0 == pytest.approx(1.0 / (4.0 * np.pi**2), rel=1e-12)
         for t in (1.0, 2.0**-7):
             st = newton_solve(inst.spec(t))
             want = inst.extras["potential_exact"](t)
@@ -387,8 +389,9 @@ class TestManufactured:
         st = manufactured16_state
         want = manufactured16.extras["phi_star"]
         assert np.abs(st.phi - want).max() <= 1e-9
-        assert st.b == pytest.approx(manufactured16.extras["b_star"], abs=1e-9)
-        assert manufactured16.extras["b_star"] == pytest.approx(6.0, abs=1e-12)
+        b_star = quadrature_b(st.spec)
+        assert st.b == pytest.approx(b_star, abs=1e-9)
+        assert b_star == pytest.approx(6.0, abs=1e-12)
         assert st.residual_sup <= 1e-10
 
     def test_warm_start_is_noop(self, manufactured16, manufactured16_state):
@@ -589,7 +592,7 @@ class TestPolynomialKernel:
         vecs = white_h @ u
         for m in range(n):
             spec = EquationSpec(n, m, background, omega, g, f, unknown_mode=mode)
-            ev = solver._evaluate(spec, phi, b)
+            ev = evaluate_at(spec, phi, b)
             if mode == "additive":
                 params = EquationParams(n, m, g.reshape(-1), b * f.reshape(-1))
                 dresid_db = f.reshape(-1) * elementary_sym(n, 1.0 / lam)
@@ -755,7 +758,7 @@ class TestFailureModes:
         assert st.residual_sup > 1e-5
         # the solve's own spec, on the subtorus where phi lives
         sub = st.diagnostics.spec
-        ev = solver._evaluate(sub, st.phi, st.b)
+        ev = evaluate_at(sub, st.phi, st.b)
         assert ev.rsup == pytest.approx(st.residual_sup, rel=1e-12)
         assert np.max(np.abs(ev.range_resid)) <= 1e-10
         # the range part is the Krylov rhs, up to its sign
@@ -807,7 +810,7 @@ class TestNewtonStep:
     @staticmethod
     def check_step(spec, phi, b, ratio, bound):
         grid = spec.grid
-        ev = solver._evaluate(spec, phi, b)
+        ev = evaluate_at(spec, phi, b)
         dphi, db, _, info = solver._linear_step(spec, ev, SolverConfig(), ratio * ev.rsup)
         assert info == 0
 
@@ -815,7 +818,7 @@ class TestNewtonStep:
             return strip_kernel_modes(grid, r.reshape(grid.shape), keep_mean=True)
 
         eps = 1e-6
-        moved = solver._evaluate(spec, phi + eps * dphi, b + eps * db).resid
+        moved = evaluate_at(spec, phi + eps * dphi, b + eps * db).resid
         lin = proj((moved - ev.resid) / eps) + proj(ev.resid)
         assert np.linalg.norm(lin) <= bound * np.linalg.norm(proj(ev.resid))
         assert abs(np.mean(dphi)) <= 1e-14
@@ -855,10 +858,10 @@ class TestNewtonStep:
             n=2, m=inst.m, background=inst.chi, omega=inst.omega,
             coefficient_field=inst.g2, source_field=0.0, unknown_mode="multiplicative",
         ).on(inst.grid)
-        ev = solver._evaluate(spec, np.zeros(spec.grid.shape), 0.0)
+        ev = evaluate_at(spec, np.zeros(spec.grid.shape), 0.0)
         phi, b, _, _ = solver._linear_step(spec, ev, SolverConfig(), math.inf)
         # the full step is newton_solve's first iterate: it lowers the residual
-        assert solver._evaluate(spec, phi, b).rsup < ev.rsup
+        assert evaluate_at(spec, phi, b).rsup < ev.rsup
         x = spec.background.packed(phi)
         assert np.all(x[0, 1] == 0.0) and np.all(x[1, 0] == 0.0)
         assert np.any(x[0, 0] > x[1, 1])
@@ -874,7 +877,7 @@ class TestNewtonStep:
         bump = grid_field(spec.grid, np.cos(TWO_PI * c["x1"]) * np.cos(TWO_PI * c["y1"]))
         phi = inst.extras["phi_star"] + 1e-5 * bump
         b = quadrature_b(spec)
-        assert 5e-5 < solver._evaluate(spec.on(spec.grid), phi, b).rsup < 7e-5
+        assert 5e-5 < evaluate_at(spec.on(spec.grid), phi, b).rsup < 7e-5
         start = solver.SolverState(phi, b, 0.5, math.nan, {}, spec)
         state = newton_solve(spec, init=start, config=SolverConfig(tol=1e-8))
         assert state.diagnostics["newton_iters"] == 1
@@ -1444,7 +1447,6 @@ class TestGenericInstance:
         # criterion 7's bounds
         assert mean_free_sup(st.phi - inst.extras["phi_star"]) <= 1e-6
         assert abs(st.b - quadrature_b(spec)) <= 1e-9
-        assert abs(st.b - inst.extras["b_star"]) <= 1e-9
 
 
 class TestMetricCheck:

@@ -417,7 +417,9 @@ class TestRealFFTLayer:
     @pytest.mark.parametrize("n", [2, 3])
     def test_one_transform_pair_per_spectrum(self, n, monkeypatch):
         # one forward transform, and one inverse pair for every nonzero
-        # field at once or none when all are zero, however many fields
+        # field at once or none when all are zero, however many fields; on
+        # a grid with one varying axis each is a single 1-D call, and on the
+        # grid of one point no Hessian row is live, so no call is made
         grid = TorusGrid(n, 4)
         rng = np.random.default_rng(7)
         calls = []
@@ -450,6 +452,32 @@ class TestRealFFTLayer:
                 assert calls == ["rfftn"] + (["ifftn", "irfft"] if nonzero else [])
             fields = packed_hessian(grid, phi).reshape(n * n, -1)
             assert np.count_nonzero(np.any(fields, axis=1)) == nonzero
+        # one varying axis: a leading one takes fft and ifft, the last one
+        # rfftn and irfft, and a nonconstant field has one live Hessian row
+        for axis, pair in [(0, ["fft", "ifft"]), (2 * n - 1, ["rfftn", "irfft"])]:
+            line = dataclasses.replace(grid, constant_axes=tuple(a for a in range(2 * n) if a != axis))
+            symbol = frozen_symbol(line, np.ones(n))
+            weights = rng.normal(size=(n, n, line.npoints))
+            for phi, nonzero in [(np.full(line.shape, 2.0), False), (rng.normal(size=line.shape), True)]:
+                for op in (
+                    lambda: packed_hessian(line, phi),
+                    lambda: hessian_trace(line, weights, phi, symbol),
+                    lambda: holomorphic_gradient(line, phi),
+                ):
+                    calls.clear()
+                    op()
+                    assert calls == pair[:1 + nonzero]
+                fields = packed_hessian(line, phi).reshape(n * n, -1)
+                assert np.count_nonzero(np.any(fields, axis=1)) == nonzero
+        # every axis at one point: exact zeros, with no transform
+        point = dataclasses.replace(grid, constant_axes=tuple(range(2 * n)))
+        phi = np.full(point.shape, 2.0)
+        calls.clear()
+        hess = packed_hessian(point, phi)
+        trace = hessian_trace(point, rng.normal(size=(n, n, 1)), phi, frozen_symbol(point, np.ones(n)))
+        assert calls == []
+        assert hess.shape == (n, n) + point.shape and not np.any(hess)
+        assert trace.shape == point.shape and not np.any(trace)
 
     @pytest.mark.parametrize(("n", "N"), GRIDS + [pytest.param(2, 4, id="n2-N4")])
     def test_projection_kernel_is_the_parity_classes(self, n, N):
@@ -535,7 +563,7 @@ def full_trace(grid, weights, values, symbol):
 
 
 def full_gradient(grid, phi):
-    kx, ky, _ = torus._symbols(grid)
+    kx, ky = torus._symbols(grid)[:2]
     symbols = [0.5j * k for k in kx] + [-0.5j * k for k in ky]
     parts = np.stack(list(full_fields(grid, scipy.fft.rfftn(phi), symbols)))
     return np.moveaxis(parts[: grid.n] + 1j * parts[grid.n :], 0, -1)
@@ -700,16 +728,20 @@ class TestVaryingSlab:
             assert_bits(got, full_divide(grid, symbol, phi))
 
     def test_forward_transforms_run_on_the_slab(self, monkeypatch):
+        # every forward entry point is spied: a slab whose last axis holds
+        # one point takes a complex transform
         grid = TorusGrid(2, 8)
         rng = np.random.default_rng(37)
         shapes = []
 
-        def spy(x, *args, **kwargs):
-            shapes.append(np.shape(x))
-            return rfftn(x, *args, **kwargs)
+        def spied(fn):
+            def spy(x, *args, **kwargs):
+                shapes.append(np.shape(x))
+                return fn(x, *args, **kwargs)
+            return spy
 
-        rfftn = scipy.fft.rfftn
-        monkeypatch.setattr(scipy.fft, "rfftn", spy)
+        for name in ("rfftn", "rfft", "fftn", "fft"):
+            monkeypatch.setattr(scipy.fft, name, spied(getattr(scipy.fft, name)))
         z1, random = on_slab(z1_potential(grid, rng), (2, 3)), rng.normal(size=grid.shape)
         for phi, want in ((z1, (8, 8, 1, 1)), (random, grid.shape)):
             sub = subtorus(grid, [phi])
