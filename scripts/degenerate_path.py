@@ -30,10 +30,8 @@ def main():
     away, result = study.away, study.path
     print(f"c={study.instance.c:.12f} away region {int(away.sum())}/{away.size} points")
     print(f"{'t':>10} {'b':>12} {'sup_phi':>10} {'sup_w':>10} {'away_w':>10} {'min_eig':>10}")
-    sups = []
     for st, away_w in zip(result.states, study.away_w):
         d = st.diagnostics
-        sups.append(d["sup_phi"])
         print(
             f"{st.t:10.6f} {st.b:12.6f} {d['sup_phi']:10.6f} {d['sup_w']:10.6f} "
             f"{away_w:10.6f} {d['min_eig']:10.3e}"
@@ -42,8 +40,7 @@ def main():
         print(f"path FAILED at t={result.failed_t}: {result.failure}")
         return
 
-    half = len(sups) // 2
-    print(f"sup|phi| late/early ratio {max(sups[half:]) / max(sups[:half]):.4f}")
+    print(f"sup|phi| ratio {study.sup_phi_ratio:.4f}, away w ratio {study.away_w_ratio:.4f}")
     print(f"volume floor slack at t={SCHEDULE[-1]:g}: {study.volume_slack:.3e}")
 
 

@@ -17,6 +17,7 @@ import argparse
 import csv
 import os
 
+from hessquot.errors import InputError
 from hessquot.studies import stability_decades
 
 
@@ -28,10 +29,11 @@ def main():
     ap.add_argument("--out", help="optional CSV path")
     args = ap.parse_args()
 
-    rows = [
-        (amp, rec.sup_diff, rec.positive_part_norm, rec.c_implied)
-        for amp, rec in stability_decades(args.grid_N, args.t, args.q)
-    ]
+    try:
+        decades = stability_decades(args.grid_N, args.t, args.q)
+    except InputError as err:
+        ap.error(str(err))
+    rows = [(amp, rec.sup_diff, rec.positive_part_norm, rec.c_implied) for amp, rec in decades]
     print(f"{'A':>8} {'sup_diff':>12} {'pos_norm_q*':>12} {'C_implied':>12} {'ratio':>8}")
     prev = None
     worst = 0.0

@@ -14,6 +14,7 @@ import argparse
 
 import numpy as np
 
+from hessquot.errors import InputError
 from hessquot.studies import uniqueness_limits
 
 
@@ -23,7 +24,10 @@ def main():
     ap.add_argument("--amp", type=float, default=0.3)
     args = ap.parse_args()
 
-    limits, gap = uniqueness_limits(args.grid_N, args.amp)
+    try:
+        limits, gap = uniqueness_limits(args.grid_N, args.amp)
+    except InputError as err:
+        ap.error(str(err))
     for i, st in enumerate(limits, 1):
         print(
             f"limit {i}: b={st.b:.12f} residual={st.residual_sup:.3e} "

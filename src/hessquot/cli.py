@@ -48,7 +48,7 @@ from .instances import (
     uniform_instance,
 )
 from .pointwise import cone_margin
-from .selfcheck import DEFAULT_SEED, run_suites
+from .selfcheck import DEFAULT_SEED, DEFAULT_TRIALS, QUICK_TRIALS, run_suites
 from .solver import (
     SolverConfig,
     check_schedule,
@@ -296,6 +296,12 @@ def cmd_check_cone(cfg, args, outdir):
     return payload, code
 
 
+def _volume_floor(state, c):
+    """The slack min S_n - F at state, F = c^(n/(n-m)), and whether it is >= -1e-6 F."""
+    slack = volume_lower_bound_check(state, c)
+    return slack, bool(slack >= -1e-6 * c ** (state.spec.n / (state.spec.n - state.spec.m)))
+
+
 def cmd_solve(cfg, args, outdir):
     _require(
         cfg,
@@ -316,8 +322,7 @@ def cmd_solve(cfg, args, outdir):
         print(f"solve: failed ({err})")
         return payload, EXIT_SOLVER
     diag = state.diagnostics
-    volume_slack = volume_lower_bound_check(state, inst.c)
-    floor = inst.c ** (inst.grid.n / (inst.grid.n - inst.m))
+    volume_slack, volume_floor = _volume_floor(state, inst.c)
     payload.update(
         {
             "b": state.b,
@@ -329,7 +334,7 @@ def cmd_solve(cfg, args, outdir):
             "volume_bound_slack": volume_slack,
             "assertions": {
                 "residual_within_tol": bool(state.residual_sup <= config.tol),
-                "volume_floor": bool(volume_slack >= -1e-6 * floor),
+                "volume_floor": volume_floor,
             },
             "exit_code": EXIT_OK,
         }
@@ -489,9 +494,7 @@ def cmd_fake_boundary(cfg, args, outdir):
     final = result.records[-1]
     # the two-stage state solves the stored (rescaled) equation, so its
     # volume floor uses the stored minimum of g, not the original one
-    effective_c = math.exp(result.b) * inst.g_min
-    n, m = inst.grid.n, inst.m
-    volume_slack = volume_lower_bound_check(result.final_state, effective_c * (1.0 - 1e-6) ** ((n - m) / n))
+    _, volume_floor = _volume_floor(result.final_state, math.exp(result.b) * inst.g_min)
     payload.update(
         {
             "stage_csv": csv_name,
@@ -506,7 +509,7 @@ def cmd_fake_boundary(cfg, args, outdir):
                 "b_negative": bool(result.b < 0.0),
                 "b_le_b_prime": bool(result.b <= inst.b_prime),
                 "band_positive": bool(all(rec["min_band_slack"] > 0.0 for rec in result.records)),
-                "volume_floor": bool(volume_slack >= 0.0),
+                "volume_floor": volume_floor,
             },
             "exit_code": EXIT_OK,
         }
@@ -526,14 +529,13 @@ def cmd_selftest(cfg, args, outdir):
     names = None
     if "suites" in cfg:
         names = [tok.strip() for tok in str(cfg["suites"]).split(",") if tok.strip()]
-    kwargs = {"seed": args.seed, "quick": bool(args.quick)}
-    trials = _number(cfg, "trials", None, integer=True) if "trials" in cfg else None
-    if trials is not None and trials < 1:
+    if "trials" in cfg and args.quick:
+        raise UsageError("trials and --quick both set the trial count; give one of them")
+    trials = _number(cfg, "trials", QUICK_TRIALS if args.quick else DEFAULT_TRIALS, integer=True)
+    if trials < 1:
         raise UsageError(f"trials must be >= 1, got {trials}")
-    if trials is not None and not args.quick:
-        kwargs["trials"] = trials
     try:
-        reports = run_suites(names=names, **kwargs)
+        reports = run_suites(seed=args.seed, trials=trials, names=names)
     except KeyError as err:
         raise UsageError(str(err)) from err
     payload = _base_payload("selftest", args)

@@ -3,9 +3,13 @@
 Each builder returns an Instance bundling the geometric data (chi, chitilde,
 omega), the constants, the normalized source density, and any closed-form
 facts (expected b along the family, a manufactured potential) that make the
-instance checkable. Every field is built from grid.coords() in the shape
-that broadcasts against the grid, with one point on each real axis it is
-constant along, so no builder touches the full grid but the generic one.
+instance checkable. Every builder states only its own chi, chitilde and
+closed forms and assembles them through one recipe, _instance: omega is
+the identity, c comes from chi's class and the source is the flat density
+unless the builder knows better. Every field is built from grid.coords()
+in the shape that broadcasts against the grid, with one point on each real
+axis it is constant along, so no builder touches the full grid but the
+generic one.
 """
 
 from __future__ import annotations
@@ -55,11 +59,6 @@ class Instance:
         )
 
 
-def _ones(grid):
-    """The flat density 1, one point on every axis."""
-    return np.ones((1,) * len(grid.shape))
-
-
 # the one-mode source perturbations, by the names `stability` takes
 SOURCE_SHAPES = {
     "cos_x1": lambda coords: np.cos(TWO_PI * coords["x1"]),
@@ -78,14 +77,43 @@ def perturbed_source(inst, shape, amplitude):
     return normalize_density(1.0 + amplitude * SOURCE_SHAPES[shape](inst.grid.coords()), inst.omega)
 
 
-def _boundary_chi(grid, omega, m):
+def _instance(name, grid, m, chi, chitilde, c=None, f=None, **extras):
+    """An Instance on the flat metric omega = I.
+
+    c comes from chi's class unless the builder knows it, and the source is
+    the flat density 1, one point on every axis, unless it passes one.
+    """
+    omega = identity_form(grid)
+    return Instance(
+        name=name,
+        grid=grid,
+        m=m,
+        chi=chi,
+        chitilde=chitilde,
+        omega=omega,
+        c=compute_c(chi, omega, m) if c is None else c,
+        f=np.ones((1,) * len(grid.shape)) if f is None else f,
+        extras=extras,
+    )
+
+
+def _boundary_chi(grid, m):
     """Tune chi = I + a*idd psi, psi = cos(2 pi x1) + cos(2 pi y1), onto the boundary.
 
     Returns (amplitude, c, chi) and psi.
     """
     coords = grid.coords()
     psi = np.cos(TWO_PI * coords["x1"]) + np.cos(TWO_PI * coords["y1"])
-    return tune_to_boundary(grid, np.eye(2), psi, omega, m, (0.0, 0.05)), psi
+    return tune_to_boundary(grid, np.eye(2), psi, identity_form(grid), m, (0.0, 0.05)), psi
+
+
+def _degenerate_chitilde(grid):
+    """chitilde = I + amp*idd cos(2 pi x1), its smallest eigenvalue zero on the slab x1 = 0.
+
+    Returns chitilde and its extras: the masks where it is degenerate and ample.
+    """
+    degen = make_degenerate_big(grid, np.eye(2), np.cos(TWO_PI * grid.coords()["x1"]))
+    return degen.form, {"degenerate_mask": degen.degenerate_mask, "ample_mask": degen.ample_mask}
 
 
 def uniform_instance(N=16, eps=0.1, m=1):
@@ -95,19 +123,10 @@ def uniform_instance(N=16, eps=0.1, m=1):
     with s = 1 + t + eps, c = 1, and b(t) = s^2 - s at n = 2, m = 1.
     """
     grid = TorusGrid(2, N)
-    omega = identity_form(grid)
-    inst = Instance(
-        name="uniform",
-        grid=grid,
-        m=m,
-        chi=identity_form(grid),
-        chitilde=FormField(grid, eps * np.eye(2)),
-        omega=omega,
-        c=compute_c(identity_form(grid), omega, m),
-        f=_ones(grid),
+    return _instance(
+        "uniform", grid, m, identity_form(grid), FormField(grid, eps * np.eye(2)),
+        expected_b=lambda t: (1.0 + t + eps) ** 2 - (1.0 + t + eps),
     )
-    inst.extras["expected_b"] = lambda t: (1.0 + t + eps) ** 2 - (1.0 + t + eps)
-    return inst
 
 
 def boundary_instance(N=16, m=1):
@@ -118,18 +137,8 @@ def boundary_instance(N=16, m=1):
     the t -> 0 limit constant is b0 = 2.
     """
     grid = TorusGrid(2, N)
-    omega = identity_form(grid)
-    (_, c, chi), _ = _boundary_chi(grid, omega, m)
-    return Instance(
-        name="boundary",
-        grid=grid,
-        m=m,
-        chi=chi,
-        chitilde=omega,
-        omega=omega,
-        c=c,
-        f=_ones(grid),
-    )
+    (_, c, chi), _ = _boundary_chi(grid, m)
+    return _instance("boundary", grid, m, chi, identity_form(grid), c=c)
 
 
 def degenerate_instance(N=16, m=1):
@@ -139,22 +148,8 @@ def degenerate_instance(N=16, m=1):
     degeneracy lives in chitilde = I + (1/pi^2) idd cos(2 pi x1).
     """
     grid = TorusGrid(2, N)
-    omega = identity_form(grid)
-    shape = np.cos(TWO_PI * grid.coords()["x1"])
-    degen = make_degenerate_big(grid, np.eye(2), shape)
-    inst = Instance(
-        name="degenerate",
-        grid=grid,
-        m=m,
-        chi=identity_form(grid),
-        chitilde=degen.form,
-        omega=omega,
-        c=compute_c(identity_form(grid), omega, m),
-        f=_ones(grid),
-    )
-    inst.extras["degenerate_mask"] = degen.degenerate_mask
-    inst.extras["ample_mask"] = degen.ample_mask
-    return inst
+    chitilde, masks = _degenerate_chitilde(grid)
+    return _instance("degenerate", grid, m, identity_form(grid), chitilde, **masks)
 
 
 def boundary_degenerate_instance(N=16, m=1):
@@ -172,26 +167,13 @@ def boundary_degenerate_instance(N=16, m=1):
     boundary-case chi and a genuinely degenerate chitilde at once.
     """
     grid = TorusGrid(2, N)
-    omega = identity_form(grid)
-    (a, c, chi), psi = _boundary_chi(grid, omega, m)
-    shape = np.cos(TWO_PI * grid.coords()["x1"])
-    degen = make_degenerate_big(grid, np.eye(2), shape)
-    inst = Instance(
-        name="boundary_degenerate",
-        grid=grid,
-        m=m,
-        chi=chi,
-        chitilde=degen.form,
-        omega=omega,
-        c=c,
-        f=_ones(grid),
+    (a, c, chi), psi = _boundary_chi(grid, m)
+    chitilde, masks = _degenerate_chitilde(grid)
+    return _instance(
+        "boundary_degenerate", grid, m, chi, chitilde, c=c, **masks,
+        expected_b=lambda t: (2.0 + t) * (2.0 + t - c),
+        potential_exact=lambda t: -((1.0 + t) * a * psi + chitilde.potential),
     )
-    amp = degen.amplitude
-    inst.extras["degenerate_mask"] = degen.degenerate_mask
-    inst.extras["ample_mask"] = degen.ample_mask
-    inst.extras["expected_b"] = lambda t: (2.0 + t) * (2.0 + t - c)
-    inst.extras["potential_exact"] = lambda t: -((1.0 + t) * a * psi + amp * shape)
-    return inst
 
 
 def _manufactured(name, grid, phi_star):
@@ -202,25 +184,16 @@ def _manufactured(name, grid, phi_star):
     strictly positive, and dividing it by its mean b* gives a normalized
     density. phi* and b* are then exact discrete solutions.
     """
-    omega = identity_form(grid)
     (x11, re), (im, x22) = FormField(grid, 3.0 * np.eye(2), phi_star).packed()
     # c = 1 for chi = omega; S_2 = det, S_1 = trace relative to the identity
     f_raw = (x11 * x22 - re * re - im * im) - 0.5 * (x11 + x22)
     if np.min(f_raw) <= 0.0:
         raise InputError("manufactured defect lost positivity; background too small")
-    inst = Instance(
-        name=name,
-        grid=grid,
-        m=1,
-        chi=identity_form(grid),
-        chitilde=FormField(grid, 1.5 * np.eye(2)),
-        omega=omega,
-        c=1.0,
-        f=normalize_density(f_raw, omega),
+    return _instance(
+        name, grid, 1, identity_form(grid), FormField(grid, 1.5 * np.eye(2)),
+        c=1.0, f=normalize_density(f_raw, identity_form(grid)),
+        phi_star=phi_star - float(np.max(phi_star)), t_star=0.5,
     )
-    inst.extras["phi_star"] = phi_star - float(np.max(phi_star))
-    inst.extras["t_star"] = 0.5
-    return inst
 
 
 def manufactured_instance(N=32):
@@ -263,14 +236,5 @@ def fake_boundary_sample(N=16):
     spectral accuracy) stays resolved at N = 16.
     """
     grid = TorusGrid(2, N)
-    omega = identity_form(grid)
     g = 1.0 + 0.125 * (1.0 - np.cos(TWO_PI * grid.coords()["x1"]))
-    return {
-        "grid": grid,
-        "m": 1,
-        "chi": identity_form(grid),
-        "omega": omega,
-        "g": g,
-        "c": 1.0,
-        "Lambda": 1.25,
-    }
+    return {"grid": grid, "m": 1, "chi": identity_form(grid), "omega": identity_form(grid), "g": g}

@@ -384,10 +384,8 @@ ALL_SUITES = (
 )
 
 
-def run_suites(seed=DEFAULT_SEED, trials=DEFAULT_TRIALS, quick=False, names=None):
+def run_suites(seed=DEFAULT_SEED, trials=DEFAULT_TRIALS, names=None):
     """Run the named suites (all by default) and return their reports."""
-    if quick:
-        trials = QUICK_TRIALS
     table = dict(ALL_SUITES)
     if names is None:
         names = [name for name, _ in ALL_SUITES]

@@ -85,8 +85,9 @@ class EquationSpec:
     multiplicative mode: exp(b) multiplies coefficient_field (e^b * g).
     Both fields broadcast against the grid (a scalar is one point) and keep
     the shape they are given. Building the spec also checks, once per spec,
-    that omega is positive definite and that the background's class
-    integrals are finite.
+    that omega is positive definite, that the background's class integrals
+    are finite and, in multiplicative mode, that the coefficient is not
+    zero at every point.
     """
 
     n: int
@@ -125,6 +126,9 @@ class EquationSpec:
                 raise InputError(
                     f"additive mode needs a normalized source density: got {total} vs volume {vol}"
                 )
+        elif not np.any(self.coefficient_field):
+            # dR/db = kappa S_m / S_n vanishes with g, so b would drop out of the equation
+            raise InputError("multiplicative mode needs a coefficient_field that is nonzero somewhere")
 
     @property
     def grid(self):

@@ -1,8 +1,10 @@
 """The boundary-case studies behind acceptance criteria 8, 9 and 12.
 
 Each study builds its instance, runs the solves and returns what it
-measured; the acceptance gate checks the results against the criteria and
-the scripts in scripts/ print them.
+measured, down to the figures a criterion gates (such as the degenerate
+path's growth ratios); the acceptance gate checks those figures and the
+scripts in scripts/ print the same ones, so no script re-derives a
+criterion's number.
 """
 
 from __future__ import annotations
@@ -42,6 +44,15 @@ def _sup_w_on(state, mask):
     return float(w[mask].max())
 
 
+def _growth(values):
+    """max(values) over the max of their first half (at least one value); nan for no values.
+
+    How far a path's positive sup outgrows its start: criterion 8 gates it at 1.5.
+    """
+    half = max(1, len(values) // 2)
+    return max(values) / max(values[:half]) if values else float("nan")
+
+
 @dataclass(frozen=True)
 class DegeneratePath:
     instance: Instance
@@ -49,6 +60,14 @@ class DegeneratePath:
     path: PathResult
     away_w: list                # sup of w over the away region, one per state
     volume_slack: float | None  # min S_n - c^(n/(n-m)) at the last t; None if incomplete
+
+    @property
+    def sup_phi_ratio(self):
+        return _growth([st.diagnostics["sup_phi"] for st in self.path.states])
+
+    @property
+    def away_w_ratio(self):
+        return _growth(self.away_w)
 
 
 def degenerate_path(grid_N, away=0.2):

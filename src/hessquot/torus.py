@@ -578,19 +578,23 @@ def make_degenerate_big(grid, base, psi_shape):
     The minimum over the grid of the smallest (plain) eigenvalue of the form
     is concave in a, so bisection on the bracket [0, a_hi] is sound. It runs
     on psi's subtorus, whose points carry every value of the grid's. Returns
-    the form, the amplitude, and the degenerate/ample masks, which broadcast
-    against the grid; a point is degenerate where its smallest eigenvalue is
-    below 1e-6.
+    the form, the amplitude, and the degenerate/ample masks, read off the
+    root's own eigenvalues on psi's subtorus, so they broadcast against the
+    grid; a point is degenerate where its smallest eigenvalue is below 1e-6.
     """
     psi = _field(grid, psi_shape, "potential shape")
-    hess = _flat(packed_hessian(subtorus(grid, [psi]), psi))
+    sub = subtorus(grid, [psi])
+    hess = _flat(packed_hessian(sub, psi))
     if np.max(np.abs(hess)) < 1e-13 * (1.0 + float(np.max(np.abs(psi)))):
         raise ConstructionError("potential shape has (numerically) zero complex Hessian")
     packed_base = pack_hermitian(np.asarray(base, dtype=np.complex128))[..., None]
     eye = np.eye(grid.n)
 
+    def smallest(a):
+        return packed_eigenvalues(packed_base + a * hess, eye)[:, -1]
+
     def min_eig(a):
-        return float(np.min(packed_eigenvalues(packed_base + a * hess, eye)[:, -1]))
+        return float(np.min(smallest(a)))
 
     if min_eig(0.0) <= 0.0:
         raise InputError("base must be positive definite")
@@ -600,12 +604,12 @@ def make_degenerate_big(grid, base, psi_shape):
         if hi > 2.0**40:
             raise ConstructionError("no amplitude degenerates the form on this grid")
     amp = brentq(min_eig, 0.0, hi, xtol=1e-15, rtol=8.9e-16)
-    val = min_eig(amp)
+    lam = smallest(amp)
+    val = float(np.min(lam))
     if abs(val) > 1e-10:
         raise ConstructionError(f"bisection stalled: min eigenvalue {val:.3e} at amplitude {amp}")
-    form = FormField(grid, base, amp * psi)
-    degenerate = relative_eigenvalues(form, identity_form(grid))[..., -1] < 1e-6
-    return DegenerateBig(form, amp, degenerate, ~degenerate)
+    degenerate = lam.reshape(sub.shape) < 1e-6
+    return DegenerateBig(FormField(grid, base, amp * psi), amp, degenerate, ~degenerate)
 
 
 def tune_to_boundary(grid, base, psi_shape, omega, m, bracket):

@@ -412,9 +412,9 @@ class TestSelftest:
 
 class TestUsageContract:
     @pytest.mark.parametrize(
-        ("command", "cfg"),
+        ("command", "cfg", "flags"),
         [
-            pytest.param("check-cone", cfg, id=cfg)
+            pytest.param("check-cone", cfg, (), id=cfg)
             for cfg in (
                 "instance = nope\n",
                 "bogus_key = 1\n",
@@ -435,7 +435,7 @@ class TestUsageContract:
             )
         ]
         + [
-            pytest.param(command, cfg, id=f"{command} {cfg}")
+            pytest.param(command, cfg, (), id=f"{command} {cfg}")
             for command, cfg in (
                 ("fake-boundary", "grid_N = 2\n"),
                 ("fake-boundary", "steps = many\n"),
@@ -463,10 +463,12 @@ class TestUsageContract:
                 ("fake-boundary", "dump_fields = no\n"),
                 ("fake-boundary", "dump_fields = 1\n"),
             )
-        ],
+        ]
+        # two settings for one trial count
+        + [pytest.param("selftest", "trials = 5\n", ("--quick",), id="selftest --quick trials = 5\n")],
     )
-    def test_bad_configs(self, tmp_path, command, cfg):
-        code, summary, _ = run_cli(tmp_path, command, cfg)
+    def test_bad_configs(self, tmp_path, command, cfg, flags):
+        code, summary, _ = run_cli(tmp_path, command, cfg, flags)
         assert code == EXIT_USAGE
         assert summary is None
 

@@ -52,10 +52,15 @@ from test_torus import complex_hessian
 TWO_PI = 2.0 * np.pi
 
 
+def gap_ends(sample):
+    """The sample's cone constant c and max g, from its own fields."""
+    return compute_c(sample["chi"], sample["omega"], sample["m"]), float(np.max(sample["g"]))
+
+
 def superlevel_mass(sample):
     """Independent grid count of the half-gap superlevel set."""
-    g = np.asarray(sample["g"])
-    return float(np.mean(g >= 0.5 * (sample["Lambda"] + sample["c"])))
+    c, g_max = gap_ends(sample)
+    return float(np.mean(np.asarray(sample["g"]) >= 0.5 * (g_max + c)))
 
 
 def closed_form_scalar_bound(theta0):
@@ -97,12 +102,11 @@ def const_inst8(sample8):
 
 class TestComputeTheta0:
     def test_sample_matches_independent_count(self, sample8):
-        theta = compute_theta0(
-            sample8["g"], sample8["chi"], sample8["omega"],
-            sample8["c"], sample8["Lambda"], sample8["m"],
-        )
+        c, g_max = gap_ends(sample8)
+        theta = compute_theta0(sample8["g"], sample8["chi"], sample8["omega"], c, g_max, sample8["m"])
         # c = 1 and unit mixed integral leave only the gap times the mass
-        assert theta == 0.5 * (sample8["Lambda"] - sample8["c"]) * superlevel_mass(sample8)
+        assert (c, g_max) == (1.0, 1.25)
+        assert theta == 0.5 * (g_max - c) * superlevel_mass(sample8)
 
     def test_constant_coefficient_closed_form(self):
         grid = TorusGrid(2, 8)

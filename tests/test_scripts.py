@@ -46,10 +46,21 @@ def test_stability_decades_ratio_under_10():
     assert last.endswith("(< 10)")
 
 
-def test_degenerate_path_rejects_an_empty_away_region():
-    # the study raises before its continuation; the script reports it as a usage error
-    proc = run("degenerate_path.py", "--away", "0.6")
+@pytest.mark.parametrize(
+    ("name", "args", "message"),
+    [
+        pytest.param(name, args, message, id=f"{name} {' '.join(args)}")
+        for name, args, message in (
+            ("degenerate_path.py", ("--away", "0.6"), "no grid point lies farther than away=0.6"),
+            ("stability_decades.py", ("--q", "1"), "q must exceed 1"),
+            ("uniqueness_limits.py", ("--amp", "1.5"), "|f amplitude| must be < 1"),
+        )
+    ],
+)
+def test_rejected_input_is_a_usage_error(name, args, message):
+    # the library's InputError becomes argparse's usage error: one stderr message, exit 2
+    proc = run(name, *args)
     assert proc.returncode == 2
     assert proc.stdout == ""
-    assert "no grid point lies farther than away=0.6" in proc.stderr
+    assert message in proc.stderr
     assert "Traceback" not in proc.stderr

@@ -89,8 +89,8 @@ class TestReports:
 
 
 class TestRunSuites:
-    def test_quick_overrides_trials(self):
-        reports = run_suites(quick=True, names=["degiorgi"])
+    def test_quick_trial_count_passes(self):
+        reports = run_suites(trials=QUICK_TRIALS, names=["degiorgi"])
         assert reports[0].trials == QUICK_TRIALS
         assert reports[0].passed
 

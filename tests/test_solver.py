@@ -158,6 +158,16 @@ class TestEquationSpec:
         )
         assert spec.source_field[0, 0, 0, 0] == 2.0
 
+    @pytest.mark.parametrize("source", [1.0, 3.0])
+    def test_multiplicative_zero_coefficient_rejected(self, source):
+        # dR/db vanishes everywhere, so b would drop out of the Newton system
+        grid = TorusGrid(2, 8)
+        with pytest.raises(InputError, match="coefficient_field that is nonzero"):
+            EquationSpec(
+                n=2, m=1, background=FormField(grid, 2.0 * np.eye(2)), omega=identity_form(grid),
+                coefficient_field=0.0, source_field=source, unknown_mode="multiplicative",
+            )
+
     def test_mode_checked(self):
         grid = TorusGrid(2, 8)
         with pytest.raises(InputError, match="unknown_mode"):

@@ -1082,6 +1082,18 @@ class TestDegenerate:
         want = brentq(min_eig, 0.0, 1.0, xtol=1e-15, rtol=8.9e-16)
         assert make_degenerate_big(g, np.eye(2), shape).amplitude == want
 
+    def test_masks_come_from_the_root_eigenvalues(self, monkeypatch):
+        # one Hessian of psi serves the bisection and the masks: no second pass over the form
+        g = TorusGrid(2, 16)
+        hessians = []
+        hessian = torus.packed_hessian
+        monkeypatch.setattr(torus, "packed_hessian", lambda grid, phi: hessians.append(1) or hessian(grid, phi))
+        monkeypatch.setattr(torus, "relative_eigenvalues", lambda *a: pytest.fail("second eigenvalue pass"))
+        res = make_degenerate_big(g, np.eye(2), np.cos(TWO_PI * g.coords()["x1"]))
+        assert len(hessians) == 1
+        assert res.degenerate_mask.shape == (16, 1, 1, 1)
+        assert res.degenerate_mask.sum() == 1
+
     def test_rejects_indefinite_base(self):
         g = TorusGrid(2, 8)
         shape = grid_field(g, np.cos(TWO_PI * g.coords()["x1"]))
