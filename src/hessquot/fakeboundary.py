@@ -26,7 +26,6 @@ scalar for the original field can be recovered.
 
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass, field
 
@@ -41,7 +40,7 @@ from .errors import (
     NonconvergenceError,
 )
 from .pointwise import cone_margin
-from .solver import EquationSpec, SolverConfig, SolverState, newton_solve
+from .solver import EquationSpec, SolverConfig, SolverState, _write_csv, newton_solve
 from .symfunc import elementary_sym
 from .torus import (
     FormField,
@@ -127,9 +126,11 @@ def g1_field(chi, omega, m):
 def g2_field(g, g1, b_prime, delta1):
     """Strictly solvable stand-in coefficient just above the required floor.
 
-    Returns softmax_kappa(e^{b'} g, g1) + delta1/2, escalating the sharpness
-    kappa until the output lies strictly inside the band
-    (max{e^{b'} g, g1}, max{e^{b'} g, g1} + delta1) at every grid point.
+    Returns softmax_kappa(e^{b'} g, g1) + delta1/2, doubling the sharpness
+    kappa from 1/delta1 until the output lies strictly inside the band
+    (max{e^{b'} g, g1}, max{e^{b'} g, g1} + delta1) at every grid point;
+    it stops at 64 tries or where kappa overflows, as there the smooth max
+    would be inf / inf.
     g and g1 broadcast against each other, and g2 has their broadcast shape.
     """
     g = np.asarray(g, dtype=np.float64)
@@ -141,18 +142,16 @@ def g2_field(g, g1, b_prime, delta1):
     u = math.exp(b_prime) * g
     floor = np.maximum(u, g1)
     kappa = 1.0 / delta1
-    g2 = None
     for _ in range(64):
+        if not math.isfinite(kappa):
+            break
         cand = np.logaddexp(kappa * u, kappa * g1) / kappa + 0.5 * delta1
         if np.all(cand > floor) and np.all(cand < floor + delta1):
-            g2 = cand
-            break
+            return cand
         kappa *= 2.0
-    if g2 is None:
-        raise ConstructionError(
-            f"no sharpness in [{1.0 / delta1:g}, {kappa:g}] puts the smooth max in its band"
-        )
-    return g2
+    raise ConstructionError(
+        f"no sharpness in [{1.0 / delta1:g}, {kappa:g}] puts the smooth max in its band"
+    )
 
 
 @dataclass(frozen=True)
@@ -361,8 +360,4 @@ def two_stage_solve(instance, config=None, steps=16):
 
 
 def write_stage_csv(path, records):
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(STAGE_CSV_COLUMNS)
-        for rec in records:
-            writer.writerow([f"{rec[k]:.17g}" for k in STAGE_CSV_COLUMNS])
+    _write_csv(path, STAGE_CSV_COLUMNS, ([rec[k] for k in STAGE_CSV_COLUMNS] for rec in records))

@@ -9,7 +9,10 @@ the identity, c comes from chi's class and the source is the flat density
 unless the builder knows better. Every field is built from grid.coords()
 in the shape that broadcasts against the grid, with one point on each real
 axis it is constant along, so no builder touches the full grid but the
-generic one.
+generic one. The boundary chi and the degenerate chitilde are tuned here:
+each is I + a*idd psi for a fixed psi, and a brentq over a finds its a
+from the eigenvalues that _eigenvalues_along gives for one Hessian of psi,
+taken on psi's subtorus.
 """
 
 from __future__ import annotations
@@ -17,17 +20,20 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
+from scipy.optimize import brentq
 
-from .errors import InputError
+from .errors import ConstructionError, DomainError, InputError
+from .pointwise import cone_margin, packed_eigenvalues
 from .solver import EquationSpec
 from .torus import (
     FormField,
     TorusGrid,
+    _require_positive,
     compute_c,
     identity_form,
-    make_degenerate_big,
     normalize_density,
-    tune_to_boundary,
+    packed_hessian,
+    subtorus,
 )
 
 TWO_PI = 2.0 * np.pi
@@ -97,23 +103,71 @@ def _instance(name, grid, m, chi, chitilde, c=None, f=None, **extras):
     )
 
 
+def _eigenvalues_along(grid, psi):
+    """a -> the eigenvalues of I + a*idd psi relative to omega = I, shaped psi.shape + (2,).
+
+    The family is linear in a, so psi's packed Hessian is taken once, on
+    psi's subtorus, and each call is one eigenvalue pass there. Packed, the
+    identity is the identity matrix.
+    """
+    hess = packed_hessian(subtorus(grid, [psi]), psi).reshape(2, 2, -1)
+    eye = np.eye(2)
+    return lambda a: packed_eigenvalues(eye[..., None] + a * hess, eye).reshape(psi.shape + (2,))
+
+
 def _boundary_chi(grid, m):
     """Tune chi = I + a*idd psi, psi = cos(2 pi x1) + cos(2 pi y1), onto the boundary.
 
-    Returns (amplitude, c, chi) and psi.
+    chi stays in the class of omega = I, where every mixed integral is 1, so
+    c = 1 at every m. brentq puts the minimum cone margin at zero on
+    (0, 0.05); a margin still positive at 0.05, as at m = 0, raises
+    DomainError, and so does a tuned chi that is not positive definite.
+    Returns a, c, chi and psi.
     """
     coords = grid.coords()
     psi = np.cos(TWO_PI * coords["x1"]) + np.cos(TWO_PI * coords["y1"])
-    return tune_to_boundary(grid, np.eye(2), psi, identity_form(grid), m, (0.0, 0.05)), psi
+    eigenvalues = _eigenvalues_along(grid, psi)
+    c = 1.0
+
+    def margin(a):
+        return float(np.min(cone_margin(eigenvalues(a), c, m)))
+
+    top = margin(0.05)
+    if top > 0.0:
+        raise DomainError(f"cone condition strict at amplitude 0.05 (margin {top:.3e})")
+    a = float(brentq(margin, 0.0, 0.05, xtol=1e-14, rtol=8.9e-16))
+    chi = FormField(grid, np.eye(2), a * psi)
+    mu = eigenvalues(a)
+    _require_positive(mu[..., -1], chi, "chi")
+    low = float(np.min(cone_margin(mu, c, m)))
+    if abs(low) > 1e-8:
+        raise ConstructionError(f"margin bisection stalled at {low:.3e}")
+    return a, c, chi, psi
 
 
 def _degenerate_chitilde(grid):
     """chitilde = I + amp*idd cos(2 pi x1), its smallest eigenvalue zero on the slab x1 = 0.
 
-    Returns chitilde and its extras: the masks where it is degenerate and ample.
+    That eigenvalue is min(1, 1 - amp*pi^2 cos(2 pi x1)) at a point; its
+    minimum over the grid is 1 at amp = 0 and 1 - pi^2 < 0 at amp = 1, since
+    x1 = 0 is a grid point, so brentq finds amp on [0, 1]. Returns chitilde and its
+    extras: the masks where it is degenerate (smallest eigenvalue below
+    1e-6) and ample, read off the root's own eigenvalues in psi's shape.
     """
-    degen = make_degenerate_big(grid, np.eye(2), np.cos(TWO_PI * grid.coords()["x1"]))
-    return degen.form, {"degenerate_mask": degen.degenerate_mask, "ample_mask": degen.ample_mask}
+    psi = np.cos(TWO_PI * grid.coords()["x1"])
+    eigenvalues = _eigenvalues_along(grid, psi)
+
+    def min_eig(a):
+        return float(np.min(eigenvalues(a)[..., -1]))
+
+    amp = brentq(min_eig, 0.0, 1.0, xtol=1e-15, rtol=8.9e-16)
+    lam = eigenvalues(amp)[..., -1]
+    low = float(np.min(lam))
+    if abs(low) > 1e-10:
+        raise ConstructionError(f"bisection stalled: min eigenvalue {low:.3e} at amplitude {amp}")
+    degenerate = lam < 1e-6
+    chitilde = FormField(grid, np.eye(2), amp * psi)
+    return chitilde, {"degenerate_mask": degenerate, "ample_mask": ~degenerate}
 
 
 def uniform_instance(N=16, eps=0.1, m=1):
@@ -137,7 +191,7 @@ def boundary_instance(N=16, m=1):
     the t -> 0 limit constant is b0 = 2.
     """
     grid = TorusGrid(2, N)
-    (_, c, chi), _ = _boundary_chi(grid, m)
+    _, c, chi, _ = _boundary_chi(grid, m)
     return _instance("boundary", grid, m, chi, identity_form(grid), c=c)
 
 
@@ -167,7 +221,7 @@ def boundary_degenerate_instance(N=16, m=1):
     boundary-case chi and a genuinely degenerate chitilde at once.
     """
     grid = TorusGrid(2, N)
-    (a, c, chi), psi = _boundary_chi(grid, m)
+    a, c, chi, psi = _boundary_chi(grid, m)
     chitilde, masks = _degenerate_chitilde(grid)
     return _instance(
         "boundary_degenerate", grid, m, chi, chitilde, c=c, **masks,

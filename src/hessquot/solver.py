@@ -737,16 +737,20 @@ PATH_CSV_COLUMNS = (
 )
 
 
-def write_path_csv(path, result):
+def _write_csv(path, columns, rows):
+    """A header of columns, then one line per row: floats at .17g, anything else by str."""
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
-        writer.writerow(PATH_CSV_COLUMNS)
-        for st in result.states:
-            d = st.diagnostics
-            row = [st.t, st.b, st.residual_sup] + [
-                d[k] for k in PATH_CSV_COLUMNS[3:]
-            ]
+        writer.writerow(columns)
+        for row in rows:
             writer.writerow([f"{v:.17g}" if isinstance(v, float) else str(v) for v in row])
+
+
+def write_path_csv(path, result):
+    _write_csv(path, PATH_CSV_COLUMNS, (
+        [st.t, st.b, st.residual_sup] + [st.diagnostics[k] for k in PATH_CSV_COLUMNS[3:]]
+        for st in result.states
+    ))
 
 
 @dataclass(frozen=True)

@@ -95,11 +95,16 @@ def stability_decades(grid_N, t=0.5, q=2.0):
     Returns (A, StabilityRecord) for each A in AMPLITUDES. The implied
     constant scales like A^(n/(n+1)) under the linearized response, so a
     uniform stability estimate shows as a drift below 10x per decade.
+    Raises InputError for q <= 1 before any solve.
     """
+    if q <= 1.0:
+        raise InputError(f"q must exceed 1, got {q}")
     inst = uniform_instance(N=grid_N)
     out = []
     for amp in AMPLITUDES:
-        run1, run2 = (newton_solve(inst.spec(t, f=perturbed_source(inst, s, amp))) for s in SHAPE_PAIR)
+        run1, run2 = (
+            newton_solve(inst.spec(t, f=perturbed_source(inst, s, amp)), t=t) for s in SHAPE_PAIR
+        )
         out.append((amp, stability_compare(run1, run2, q)))
     return out
 
@@ -119,5 +124,5 @@ def uniqueness_limits(grid_N, amp=0.3):
         path = continuation_path(family, SCHEDULE)
         if not path.complete:
             raise NonconvergenceError(f"path failed at t={path.failed_t}: {path.failure}")
-        limits.append(newton_solve(inst.spec(SCHEDULE[-1]), init=path.states[-1]))
+        limits.append(newton_solve(inst.spec(SCHEDULE[-1]), init=path.states[-1], t=SCHEDULE[-1]))
     return limits, uniqueness_gap(limits[0].phi, limits[1].phi, inst.extras["ample_mask"])

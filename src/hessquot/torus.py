@@ -54,14 +54,12 @@ from typing import NamedTuple
 
 import numpy as np
 import scipy.fft
-from scipy.optimize import brentq
 from scipy.spatial import cKDTree
 
-from .errors import ConstructionError, DomainError, InputError
+from .errors import DomainError, InputError
 from .pointwise import (
     HERMITIAN_PACKING,
     check_hermitian,
-    cone_margin,
     pack_hermitian,
     packed_adjugate,
     packed_eigenvalues,
@@ -560,97 +558,6 @@ def compute_c(chi, omega, m):
     _require_metric(omega)
     _require_positive(relative_eigenvalues(chi, omega)[..., -1], chi, "chi")
     return _mixed(chi, chi.grid.n, omega) / _mixed(chi, m, omega)
-
-
-@dataclass
-class DegenerateBig:
-    """A semipositive form with eigenvalue kissing zero, plus where it happens."""
-
-    form: FormField
-    amplitude: float
-    degenerate_mask: np.ndarray
-    ample_mask: np.ndarray
-
-
-def make_degenerate_big(grid, base, psi_shape):
-    """Scale a potential until base + a * i d dbar psi has min eigenvalue 0.
-
-    The minimum over the grid of the smallest (plain) eigenvalue of the form
-    is concave in a, so bisection on the bracket [0, a_hi] is sound. It runs
-    on psi's subtorus, whose points carry every value of the grid's. Returns
-    the form, the amplitude, and the degenerate/ample masks, read off the
-    root's own eigenvalues on psi's subtorus, so they broadcast against the
-    grid; a point is degenerate where its smallest eigenvalue is below 1e-6.
-    """
-    psi = _field(grid, psi_shape, "potential shape")
-    sub = subtorus(grid, [psi])
-    hess = _flat(packed_hessian(sub, psi))
-    if np.max(np.abs(hess)) < 1e-13 * (1.0 + float(np.max(np.abs(psi)))):
-        raise ConstructionError("potential shape has (numerically) zero complex Hessian")
-    packed_base = pack_hermitian(np.asarray(base, dtype=np.complex128))[..., None]
-    eye = np.eye(grid.n)
-
-    def smallest(a):
-        return packed_eigenvalues(packed_base + a * hess, eye)[:, -1]
-
-    def min_eig(a):
-        return float(np.min(smallest(a)))
-
-    if min_eig(0.0) <= 0.0:
-        raise InputError("base must be positive definite")
-    hi = 1.0
-    while min_eig(hi) > 0.0:
-        hi *= 2.0
-        if hi > 2.0**40:
-            raise ConstructionError("no amplitude degenerates the form on this grid")
-    amp = brentq(min_eig, 0.0, hi, xtol=1e-15, rtol=8.9e-16)
-    lam = smallest(amp)
-    val = float(np.min(lam))
-    if abs(val) > 1e-10:
-        raise ConstructionError(f"bisection stalled: min eigenvalue {val:.3e} at amplitude {amp}")
-    degenerate = lam.reshape(sub.shape) < 1e-6
-    return DegenerateBig(FormField(grid, base, amp * psi), amp, degenerate, ~degenerate)
-
-
-def tune_to_boundary(grid, base, psi_shape, omega, m, bracket):
-    """Find the amplitude a putting the minimum cone margin of base + a i d dbar psi at zero.
-
-    The family stays in the class of base, so its constant c is one number,
-    and its packed fields are linear in a: psi's Hessian is built once and
-    each iterate, and the final checks, take one eigenvalue pass and the cone
-    margin on the subtorus of psi and omega. Returns
-    (amplitude, c, chi); raises DomainError when the margin keeps one sign
-    on the bracket, naming the diagnosis (strict or violated) and the
-    margin, or when the tuned chi is not positive definite.
-    """
-    c = compute_c(FormField(grid, base), omega, m)
-    psi = _field(grid, psi_shape, "potential shape")
-    sub = subtorus(grid, [psi, omega.potential])
-    hess = _flat(packed_hessian(sub, inject(sub, psi)))
-    metric = _flat(omega.on(sub).packed())
-    packed_base = pack_hermitian(np.asarray(base, dtype=np.complex128))[..., None]
-
-    def eigenvalues(a):
-        return packed_eigenvalues(packed_base + a * hess, metric)
-
-    def margin(a):
-        return float(np.min(cone_margin(eigenvalues(a), c, m)))
-
-    lo, hi = bracket
-    mlo = margin(lo)
-    if mlo < 0.0:
-        raise DomainError(f"cone condition violated at amplitude {lo} (margin {mlo:.3e})")
-    mhi = margin(hi)
-    if mhi > 0.0:
-        raise DomainError(f"cone condition strict at amplitude {hi} (margin {mhi:.3e})")
-    amp = float(brentq(margin, lo, hi, xtol=1e-14, rtol=8.9e-16))
-    chi = FormField(grid, base, amp * psi)
-    mu = eigenvalues(amp)
-    _require_positive(mu[:, -1].reshape(sub.shape), chi, "chi")
-    mval = float(np.min(cone_margin(mu, c, m)))
-    if abs(mval) > 1e-8:
-        raise ConstructionError(f"margin bisection stalled at {mval:.3e}")
-    return amp, c, chi
 
 
 def normalize_density(f_raw, omega):

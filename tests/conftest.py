@@ -9,6 +9,7 @@ fixture records the point count of every Hessian and eigenvalue kernel call.
 import numpy as np
 import pytest
 
+import hessquot.instances as instances
 import hessquot.solver as solver
 import hessquot.torus as torus
 
@@ -33,7 +34,10 @@ def criterion():
 
 @pytest.fixture
 def batch_sizes(monkeypatch):
-    """The point count of every packed_hessian and packed_eigenvalues call, the solver's included."""
+    """The point count of every packed_hessian and packed_eigenvalues call.
+
+    The solver's calls and the instance tunings' are counted too.
+    """
     sizes = []
     hessian, eigenvalues = torus.packed_hessian, torus.packed_eigenvalues
 
@@ -45,8 +49,9 @@ def batch_sizes(monkeypatch):
         sizes.append(int(np.prod(fields.shape[2:])))
         return eigenvalues(fields, metric)
 
-    monkeypatch.setattr(torus, "packed_hessian", packed_hessian)
-    for module in (torus, solver):
+    for module in (torus, instances):
+        monkeypatch.setattr(module, "packed_hessian", packed_hessian)
+    for module in (torus, solver, instances):
         monkeypatch.setattr(module, "packed_eigenvalues", packed_eigenvalues)
     return sizes
 

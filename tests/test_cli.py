@@ -330,6 +330,19 @@ class TestFakeBoundary:
         code, _, _ = run_cli(tmp_path, "fake-boundary", "grid_N = 8\ndelta1 = 5.0\n")
         assert code == EXIT_USAGE
 
+    def test_tiny_delta1_is_one_usage_line(self, tmp_path):
+        # the sharpness 1/delta1 overflows while it doubles; no numpy warning joins the usage error
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("grid_N = 16\ndelta1 = 1e-300\n")
+        proc = subprocess.run(
+            [sys.executable, "-m", "hessquot", "fake-boundary", "--out", str(tmp_path / "o"),
+             "--config", str(cfg)],
+            capture_output=True, text=True,
+        )
+        assert proc.returncode == EXIT_USAGE
+        assert len(proc.stderr.splitlines()) == 1
+        assert proc.stderr.startswith("usage error: ")
+
 
 SMALLEST_GRID_RUNS = (
     [("check-cone", "uniform", EXIT_OK, None), ("check-cone", "boundary", EXIT_BOUNDARY, None)]

@@ -13,10 +13,10 @@ import numpy as np
 import pytest
 from scipy.spatial import cKDTree
 
-from hessquot import cli, solver, studies, torus
+from hessquot import cli, instances, solver, studies, torus
 from hessquot.cli import EXIT_BOUNDARY, EXIT_OK, main
 from hessquot.errors import InputError
-from hessquot.studies import SCHEDULE, degenerate_path
+from hessquot.studies import SCHEDULE, degenerate_path, stability_decades, uniqueness_limits
 from hessquot.symfunc import elementary_sym
 from test_torus import grid_eigenvalues
 
@@ -97,8 +97,9 @@ def reads(monkeypatch):
             return out
         return wrapped
 
-    monkeypatch.setattr(torus, "packed_hessian", spy("packed_hessian", torus.packed_hessian))
-    for module in (torus, solver):
+    for module in (torus, instances):
+        monkeypatch.setattr(module, "packed_hessian", spy("packed_hessian", module.packed_hessian))
+    for module in (torus, solver, instances):
         eigenvalues = spy("packed_eigenvalues", module.packed_eigenvalues)
         monkeypatch.setattr(module, "packed_eigenvalues", eigenvalues)
     monkeypatch.setattr(cli, "newton_solve", solve(cli.newton_solve))
@@ -123,3 +124,27 @@ def test_one_eigenvalue_pass_per_converged_state(reads, tmp_path):
     assert len(study.path.states) == len(SCHEDULE)
     assert reads.calls == {"packed_eigenvalues": len(SCHEDULE)}
     assert reads.calls["packed_hessian"] == 0
+
+
+def test_stability_decades_rejects_q_before_any_solve(monkeypatch):
+    solves = []
+    monkeypatch.setattr(studies, "newton_solve", lambda *args, **kwargs: solves.append(args))
+    with pytest.raises(InputError, match="q must exceed 1"):
+        stability_decades(16, q=1.0)
+    assert solves == []
+
+
+def test_study_states_carry_their_t(monkeypatch):
+    # the states of stability_decades' solves and uniqueness_limits' limit solves
+    states = []
+    solve = studies.newton_solve
+
+    def kept(*args, **kwargs):
+        states.append(solve(*args, **kwargs))
+        return states[-1]
+
+    monkeypatch.setattr(studies, "newton_solve", kept)
+    stability_decades(8, t=0.25)
+    assert len(states) == 6 and all(st.t == 0.25 for st in states)
+    limits, _ = uniqueness_limits(8)
+    assert [st.t for st in limits] == [SCHEDULE[-1]] * 2

@@ -1,4 +1,4 @@
-"""Torus discretization tests: spectral derivatives, quadrature, instance tuning."""
+"""Torus discretization tests: spectral derivatives, quadrature, and the instances tuned on it."""
 
 import dataclasses
 import functools
@@ -10,9 +10,10 @@ import pytest
 import scipy.fft
 from scipy.optimize import brentq
 
+import hessquot.instances as instances
 import hessquot.torus as torus
-from hessquot.errors import ConstructionError, DomainError, InputError
-from hessquot.instances import boundary_degenerate_instance, manufactured_instance
+from hessquot.errors import DomainError, InputError
+from hessquot.instances import boundary_degenerate_instance, boundary_instance, manufactured_instance
 from hessquot.pointwise import cone_margin, packed_eigenvalues
 from hessquot.solver import EquationSpec, strip_kernel_modes
 from hessquot.symfunc import elementary_sym
@@ -31,13 +32,11 @@ from hessquot.torus import (
     integrate_density,
     integrate_mixed,
     load_fields,
-    make_degenerate_big,
     normalize_density,
     pack_hermitian,
     packed_hessian,
     relative_eigenvalues,
     subtorus,
-    tune_to_boundary,
     unpack_hermitian,
 )
 
@@ -1052,21 +1051,31 @@ class TestComputeCB:
         assert compute_c(chi, om, 0) == pytest.approx(6.0, rel=1e-14)
 
 
+def counted_hessians(monkeypatch):
+    """The Hessians instances.py takes, one entry each; any relative_eigenvalues call fails."""
+    hessians = []
+    hessian = instances.packed_hessian
+    monkeypatch.setattr(instances, "packed_hessian", lambda *args: hessians.append(1) or hessian(*args))
+    monkeypatch.setattr(torus, "relative_eigenvalues", lambda *a: pytest.fail("second eigenvalue pass"))
+    return hessians
+
+
 class TestDegenerate:
+    """The degenerate chitilde = I + amp*idd cos(2 pi x1) that instances.py tunes."""
+
     def test_cosine_slab_pinned(self):
-        # base I, shape cos(2 pi x1): min eig 1 - a pi^2 hits 0 at a = 1/pi^2,
-        # degeneracy exactly on the slab {x1 = 0}
+        # min eig 1 - amp pi^2 hits 0 at amp = 1/pi^2, degeneracy exactly on the slab {x1 = 0}
         g = TorusGrid(2, 16)
-        shape = np.cos(TWO_PI * g.coords()["x1"])
-        res = make_degenerate_big(g, np.eye(2), shape)
-        assert res.amplitude == pytest.approx(1.0 / np.pi**2, rel=1e-12)
-        min_eig = np.broadcast_to(relative_eigenvalues(res.form, identity_form(g))[..., -1], g.shape)
+        chitilde, masks = instances._degenerate_chitilde(g)
+        # cos(2 pi x1) is 1 at x1 = 0, so the potential there is amp itself
+        assert chitilde.potential.flat[0] == pytest.approx(1.0 / np.pi**2, rel=1e-12)
+        min_eig = np.broadcast_to(relative_eigenvalues(chitilde, identity_form(g))[..., -1], g.shape)
         assert abs(np.min(min_eig)) <= 1e-10
         # the masks hold the 16 points along x1 and broadcast over the grid
         want_mask = np.abs(g.coords()["x1"]) < 0.5 / g.N
-        assert np.array_equal(res.degenerate_mask, want_mask)
-        assert np.array_equal(res.ample_mask, ~want_mask)
-        assert np.min(min_eig[np.broadcast_to(res.ample_mask, g.shape)]) > 1e-6
+        assert np.array_equal(masks["degenerate_mask"], want_mask)
+        assert np.array_equal(masks["ample_mask"], ~want_mask)
+        assert np.min(min_eig[np.broadcast_to(masks["ample_mask"], g.shape)]) > 1e-6
 
     def test_slab_bisection_matches_the_full_grid(self):
         # cos(2 pi x1) is constant along three axes; bisecting on its slab
@@ -1080,85 +1089,58 @@ class TestDegenerate:
             return float(np.min(packed_eigenvalues(base + a * hess, np.eye(2))[:, -1]))
 
         want = brentq(min_eig, 0.0, 1.0, xtol=1e-15, rtol=8.9e-16)
-        assert make_degenerate_big(g, np.eye(2), shape).amplitude == want
+        assert instances._degenerate_chitilde(g)[0].potential.flat[0] == want
 
     def test_masks_come_from_the_root_eigenvalues(self, monkeypatch):
         # one Hessian of psi serves the bisection and the masks: no second pass over the form
         g = TorusGrid(2, 16)
-        hessians = []
-        hessian = torus.packed_hessian
-        monkeypatch.setattr(torus, "packed_hessian", lambda grid, phi: hessians.append(1) or hessian(grid, phi))
-        monkeypatch.setattr(torus, "relative_eigenvalues", lambda *a: pytest.fail("second eigenvalue pass"))
-        res = make_degenerate_big(g, np.eye(2), np.cos(TWO_PI * g.coords()["x1"]))
+        hessians = counted_hessians(monkeypatch)
+        _, masks = instances._degenerate_chitilde(g)
         assert len(hessians) == 1
-        assert res.degenerate_mask.shape == (16, 1, 1, 1)
-        assert res.degenerate_mask.sum() == 1
-
-    def test_rejects_indefinite_base(self):
-        g = TorusGrid(2, 8)
-        shape = grid_field(g, np.cos(TWO_PI * g.coords()["x1"]))
-        with pytest.raises(InputError):
-            make_degenerate_big(g, np.diag([1.0, -1.0]), shape)
-
-    def test_rejects_flat_shape(self):
-        g = TorusGrid(2, 8)
-        with pytest.raises(ConstructionError):
-            make_degenerate_big(g, np.eye(2), np.full(g.shape, 3.0))
+        assert masks["degenerate_mask"].shape == (16, 1, 1, 1)
+        assert masks["degenerate_mask"].sum() == 1
 
 
 class TestTuneToBoundary:
-    @staticmethod
-    def psi(g):
-        """cos(2 pi x1) + cos(2 pi y1), in the broadcastable shape (N, N, 1, 1)."""
-        c = g.coords()
-        return np.cos(TWO_PI * c["x1"]) + np.cos(TWO_PI * c["y1"])
+    """The boundary chi = I + a*idd psi, psi = cos(2 pi x1) + cos(2 pi y1), that instances.py tunes."""
 
     def test_boundary_amplitude_pinned(self):
         # margin(a) = 1/2 - 2 pi^2 a for I + a idd psi, root at 1/(4 pi^2)
         g = TorusGrid(2, 16)
         om = identity_form(g)
-        psi = self.psi(g)
-        amplitude, c, chi = tune_to_boundary(g, np.eye(2), psi, om, 1, (0.0, 0.05))
+        amplitude, c, chi, psi = instances._boundary_chi(g, 1)
         assert amplitude == pytest.approx(1.0 / (4.0 * np.pi**2), rel=1e-10)
-        assert c == pytest.approx(1.0, rel=1e-12)
+        assert c == 1.0
         assert np.array_equal(chi.const, np.eye(2))
-        assert chi.potential.shape == (16, 16, 1, 1)
+        assert chi.potential.shape == psi.shape == (16, 16, 1, 1)
         assert np.array_equal(chi.potential, amplitude * psi)
         margin = cone_margin(relative_eigenvalues(chi, om), c, 1)
         assert abs(float(np.min(margin))) <= 1e-8
 
-    @pytest.mark.parametrize("metric", ["constant", "varying"])
-    def test_slab_tuning_matches_the_full_grid(self, metric):
-        # psi is constant along x2 and y2, so with a constant omega the
-        # bisection runs on its slab; an omega varying in x2 takes every point
+    def test_slab_tuning_matches_the_full_grid(self):
+        # psi is constant along x2 and y2, so the bisection runs on its slab
+        # and finds the amplitude bisecting on every point finds
         g = TorusGrid(2, 8)
-        om = identity_form(g)
-        if metric == "varying":
-            om = FormField(g, np.eye(2), grid_field(g, 0.002 * np.cos(TWO_PI * g.coords()["x2"])))
-        psi = self.psi(g)
-        amplitude, c, _ = tune_to_boundary(g, np.eye(2), psi, om, 1, (0.0, 0.05))
+        amplitude, c, _, psi = instances._boundary_chi(g, 1)
         hess = packed_hessian(g, grid_field(g, psi)).reshape(2, 2, -1)
         base = pack_hermitian(np.eye(2))[..., None]
 
-        metric = full_packed(om)
-        metric = metric if om.is_constant else metric.reshape(2, 2, -1)
-
         def margin(a):
-            lam = packed_eigenvalues(base + a * hess, metric)
+            lam = packed_eigenvalues(base + a * hess, np.eye(2))
             return float(np.min(cone_margin(lam, c, 1)))
 
         assert amplitude == brentq(margin, 0.0, 0.05, xtol=1e-14, rtol=8.9e-16)
 
-    def test_strict_diagnosis(self):
-        g = TorusGrid(2, 16)
-        with pytest.raises(DomainError, match=r"strict .*margin [0-9]"):
-            tune_to_boundary(g, np.eye(2), self.psi(g), identity_form(g), 1, (0.0, 0.01))
+    def test_one_hessian_and_no_eigenvalue_pass(self, monkeypatch):
+        counted = counted_hessians(monkeypatch)
+        instances._boundary_chi(TorusGrid(2, 16), 1)
+        assert len(counted) == 1
 
-    def test_violated_diagnosis(self):
-        # the family shifted by 0.04 on (0, 0.05) is the family on (0.04, 0.09)
-        g = TorusGrid(2, 16)
-        with pytest.raises(DomainError, match=r"violated .*margin -[0-9]"):
-            tune_to_boundary(g, np.eye(2), self.psi(g), identity_form(g), 1, (0.04, 0.09))
+    def test_strict_diagnosis(self):
+        # at m = 0 the margin is the smallest eigenvalue, 1 - 2 pi^2 a, still positive at a = 0.05
+        with pytest.raises(DomainError) as err:
+            boundary_instance(N=16, m=0)
+        assert str(err.value) == "cone condition strict at amplitude 0.05 (margin 1.304e-02)"
 
 
 class TestNormalizeDensity:
