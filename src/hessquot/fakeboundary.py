@@ -16,8 +16,9 @@ module makes that quantitative and constructive:
     sitting just above both e^{b'} g and the background's own quotient
     density,
   * two_stage_solve solves the g2 equation and then continues along the
-    interpolated family e^{t b'} g^t g2^(1-t), t: 0 -> 1, landing on the
-    g equation with scalar b = b_1 + b'.
+    interpolated family e^{t b'} g^t g2^(1-t), t: 0 -> 1, in steps it
+    lengthens while the solves stay easy, landing on the g equation with
+    scalar b = b_1 + b'.
 
 Coefficients with min g strictly above c are rescaled down to the touching
 normalization first; the log of the factor is kept on the instance so the
@@ -264,6 +265,10 @@ class TwoStageResult:
     final_state: SolverState = field(repr=False)
 
 
+# a stage-2 solve of at most this many Newton steps doubles the next t-step
+EASY_NEWTON_STEPS = 2
+
+
 def _tagged(err, tag):
     if isinstance(err, NonconvergenceError):
         return NonconvergenceError(f"{tag}: {err}", state=err.state)
@@ -275,16 +280,18 @@ def two_stage_solve(instance, config=None, steps=16):
 
     Stage 1 solves the multiplicative equation with coefficient g2 (scalar
     b_tilde < 0 since g2 strictly dominates the background density g1).
-    Stage 2 walks t upward through coefficient e^{t b'} g^t g2^(1-t) on a
-    uniform grid of `steps` steps; the fixed part t b' is folded into the
-    coefficient so the solver's scalar is b_t itself. Each solve gets the
-    last two accepted states, so it starts from their secant prediction in
-    t (a warm start from the stage-1 state on the first step; see
-    newton_solve); after a halving the secant spans the unequal spacing.
-    Each accepted step must keep b_t negative and the effective coefficient
-    e^{b_t} (path field) strictly below g2; Newton stalls halve the step
-    down to a floor. Failures carry the stage and t in the message. The
-    records are one per accepted step; write_stage_csv writes them.
+    Stage 2 takes t upward through coefficient e^{t b'} g^t g2^(1-t); the
+    fixed part t b' is folded into the coefficient so the solver's scalar
+    is b_t itself. Only the t = 1 solve is the answer, so the first step
+    is 1/steps, a solve of at most EASY_NEWTON_STEPS Newton steps doubles
+    the next, and a stall or a start outside the cone halves the step down
+    to the floor 1/(64 steps); every t is a multiple of the floor, the last
+    is 1. Each solve gets the last two accepted states, so it starts from
+    their secant prediction in t (a warm start from the stage-1 state on
+    the first step; see newton_solve). Each accepted step must keep b_t
+    negative and the effective coefficient e^{b_t} (path field) strictly
+    below g2. Failures carry the stage and t in the message. The
+    records are one per accepted t; write_stage_csv writes them.
 
     Every coefficient, slack and margin is built on the broadcast shape of
     the instance's fields and each solve runs on their subtorus; omega is
@@ -339,22 +346,25 @@ def two_stage_solve(instance, config=None, steps=16):
     b_stage1 = state.b
     path = [state]  # the last two accepted states, enough for the secant
 
-    todo = [k / steps for k in range(1, steps + 1)]
-    min_step = 1.0 / (steps * 64.0)
-    while todo:
-        t = todo[0]
+    # t = k / ticks on the grid of the step floor, so every t is exact and
+    # the last step lands on t = 1; h is the step in ticks
+    ticks = 64 * steps
+    k, h = 0, 64
+    while k < ticks:
+        h = min(h, ticks - k)
+        t = (k + h) / ticks
         try:
             cand, slack, margin = solve_at(t, path)
-        except ConeViolationError as err:
-            raise _tagged(err, f"stage 2 (t={t:g})") from err
-        except NonconvergenceError as err:
-            if t - path[-1].t <= min_step:
+        except (NonconvergenceError, ConeViolationError) as err:
+            if h == 1:
                 raise _tagged(err, f"stage 2 (t={t:g})") from err
-            todo.insert(0, 0.5 * (path[-1].t + t))
+            h //= 2
             continue
         accept(t, cand, slack, margin, f"stage 2 (t={t:g})")
         path = [path[-1], cand]
-        todo.pop(0)
+        k += h
+        if cand.diagnostics["newton_iters"] <= EASY_NEWTON_STEPS:
+            h *= 2
     state = path[-1]
     return TwoStageResult(state.phi, float(state.b + inst.b_prime), float(b_stage1), records, state)
 

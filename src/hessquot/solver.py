@@ -274,12 +274,13 @@ def strip_kernel_modes(grid, values, keep_mean=False):
     blocks = np.reshape(values, sum(pairs, ()))
     means = blocks
     # one axis at a time (contiguous sums), the bits of .mean per axis; an
-    # axis of one block is its own mean
+    # axis of one block is its own mean. add.reduce / size is np.mean's
+    # result without its Python wrapper, which dominates at 16 points
     for axis, size in enumerate(blocks.shape):
         if axis % 2 == 0 and size > 1:
             means = np.add.reduce(means, axis=axis, keepdims=True) / size
     if keep_mean:
-        means = means - means.mean()
+        means = means - np.add.reduce(means, axis=None) / means.size
     return (blocks - means).reshape(grid.shape)
 
 
@@ -462,10 +463,10 @@ def _linear_step(spec, ev, config, rsup_prev):
     weights = ev.coefficients()
     weights *= (2.0 - np.eye(n))[..., None]
     col = ev.dresid_db.reshape(grid.shape)
-    col_mean = float(np.mean(col))
+    col_mean = float(np.add.reduce(col, axis=None) / col.size)
     # constant-coefficient symbol: sum_j abar_j |p_j|^2 diagonalizes the
     # frozen operator in Fourier space; kernel modes share the Hessian's
-    abar = [max(float(np.mean(weights[j, j])), 1e-300) for j in range(n)]
+    abar = [max(float(np.add.reduce(weights[j, j]) / P), 1e-300) for j in range(n)]
     symbol = frozen_symbol(grid, abar)
     products = 0
 
@@ -496,7 +497,7 @@ def _linear_step(spec, ev, config, rsup_prev):
             op, rhs, x0=y, rtol=eta, atol=0.0, inner_m=KRYLOV_INNER, maxiter=KRYLOV_MAXITER,
         )
     y = y.reshape(grid.shape)
-    db = float(np.mean(y)) / col_mean
+    db = float(np.add.reduce(y, axis=None) / y.size) / col_mean
     dphi = strip_kernel_modes(grid, divide_by_symbol(grid, symbol, y - db * col))
     return dphi, db, products, info
 

@@ -21,6 +21,7 @@ from hypothesis import strategies as st
 
 from hessquot import fakeboundary, solver
 from hessquot.errors import (
+    ConeViolationError,
     ConstructionError,
     DomainError,
     InputError,
@@ -47,6 +48,7 @@ from hessquot.torus import (
     identity_form,
     relative_eigenvalues,
 )
+from test_solver import mean_free_sup
 from test_torus import complex_hessian
 
 TWO_PI = 2.0 * np.pi
@@ -454,9 +456,10 @@ class TestInstanceInvariants:
 
 
 class TestTwoStagePath:
-    def test_path_completes_with_uniform_steps(self, path16):
-        assert len(path16.records) == 17
-        assert [r["t"] for r in path16.records] == [k / 16.0 for k in range(17)]
+    def test_path_completes_with_doubling_steps(self, path16):
+        # every solve takes at most two Newton steps, so each t-step doubles
+        # the one before it, from 1/16 until the last lands on t = 1
+        assert [r["t"] for r in path16.records] == [0.0, 1 / 16, 3 / 16, 7 / 16, 15 / 16, 1.0]
 
     def test_scalar_bound_holds(self, inst16, path16):
         assert path16.b_stage1 < 0.0
@@ -491,10 +494,11 @@ class TestTwoStagePath:
         slack = volume_lower_bound_check(path16.final_state, level)
         assert slack >= -1e-6 * level**2
 
-    def test_each_solve_takes_at_most_one_n16_step(self, inst16, monkeypatch):
+    def test_each_solve_takes_at_most_two_n16_steps(self, inst16, monkeypatch):
         # the solves at t = 0 and 1/16 start from their N = 8 solve, which
         # stops at its aliasing floor, far above tol, and hands that state
-        # over; every later one starts from the secant through the last two
+        # over; every later one starts from the secant through the last two,
+        # which over a doubled step leaves at most two Newton steps
         fine = []
         solve = fakeboundary.newton_solve
 
@@ -505,8 +509,8 @@ class TestTwoStagePath:
 
         monkeypatch.setattr(fakeboundary, "newton_solve", counted)
         res = two_stage_solve(inst16)
-        assert len(fine) == len(res.records) == 17
-        assert max(fine) <= 1
+        assert len(fine) == len(res.records) == 6
+        assert max(fine) <= fakeboundary.EASY_NEWTON_STEPS
 
     def test_only_cold_and_warm_starts_solve_at_n8(self, inst16, monkeypatch):
         # stage 1 starts cold and t = 1/16 warm; every later step has a secant
@@ -520,10 +524,50 @@ class TestTwoStagePath:
 
             monkeypatch.setattr(module, "newton_solve", counted)
         res = two_stage_solve(inst16)
-        assert len(res.records) == 17
-        assert len(calls) == 19
+        assert len(res.records) == 6
+        assert len(calls) == 8
         assert [(N, t) for N, t in calls if N == 8] == [(8, 0.0), (8, 1 / 16)]
         assert [t for N, t in calls if N == 16] == [r["t"] for r in res.records]
+
+
+class TestTheAnswerIsTheGEquations:
+    """Only the t = 1 solve is the answer: the path that starts it does not move it.
+
+    Each comparison holds to the solver's tolerance, in b and in the
+    mean-free potential.
+    """
+
+    CONFIG = SolverConfig(tol=1e-8)
+
+    @staticmethod
+    def instance(N, delta1=None):
+        sample = fake_boundary_sample(N)
+        return prepare_instance(sample["g"], sample["chi"], sample["omega"], sample["m"], delta1)
+
+    def assert_same_answer(self, b1, phi1, b2, phi2):
+        assert abs(b1 - b2) <= self.CONFIG.tol
+        assert mean_free_sup(phi1 - phi2) <= self.CONFIG.tol
+
+    @pytest.mark.parametrize("N", [16, 32, 64])
+    def test_matches_a_cold_solve_of_the_g_equation(self, N):
+        # coefficient e^{b'} g, so b' is added back to the direct scalar
+        inst = self.instance(N)
+        res = two_stage_solve(inst, self.CONFIG)
+        spec = solver.EquationSpec(
+            inst.grid.n, inst.m, inst.chi, inst.omega, math.exp(inst.b_prime) * inst.g, 0.0,
+            unknown_mode="multiplicative",
+        )
+        direct = solver.newton_solve(spec, config=self.CONFIG)
+        self.assert_same_answer(res.b, res.phi, direct.b + inst.b_prime, direct.phi)
+
+    def test_first_step_does_not_move_it(self, inst16):
+        one, sixteen = (two_stage_solve(inst16, self.CONFIG, steps=s) for s in (1, 16))
+        assert [r["t"] for r in one.records] == [0.0, 1.0]
+        self.assert_same_answer(one.b, one.phi, sixteen.b, sixteen.phi)
+
+    def test_band_width_does_not_move_it(self):
+        wide, narrow = (two_stage_solve(self.instance(64, d1), self.CONFIG) for d1 in (2**-2, 2**-4))
+        self.assert_same_answer(wide.b, wide.phi, narrow.b, narrow.phi)
 
 
 class TestTwoStageMechanics:
@@ -567,9 +611,9 @@ class TestTwoStageMechanics:
 
         monkeypatch.setattr(fakeboundary, "newton_solve", flaky)
         res = two_stage_solve(inst8, config=SolverConfig(tol=1e-4))
-        ts = [r["t"] for r in res.records]
-        assert 1.0 / 32.0 in ts and 1.0 / 16.0 in ts
-        assert len(res.records) == 18
+        # the stalled 1/16 is retried at 1/32, and that easy solve doubles the step again
+        assert [r["t"] for r in res.records][:3] == [0.0, 1.0 / 32.0, 3.0 / 32.0]
+        assert res.records[-1]["t"] == 1.0
 
     def test_each_solve_starts_from_the_last_two_accepted_states(self, inst8, monkeypatch):
         real = fakeboundary.newton_solve
@@ -590,10 +634,10 @@ class TestTwoStageMechanics:
         assert calls[0][:2] == (0.0, None)
         for _, got, last_two in calls[1:]:
             assert got == last_two
-        # the stall at 1/16 halves the step, so the solve at 1/8 extrapolates
-        # over the unequal spacing 1/32 -> 1/16 -> 1/8
-        at_eighth = [got for t, got, _ in calls if t == 1.0 / 8.0]
-        assert [[t for t, _ in got] for got in at_eighth] == [[1.0 / 32.0, 1.0 / 16.0]]
+        # the stall at 1/16 halves the step, so the solve at 3/32 extrapolates
+        # from 0 and 1/32 over the doubled step
+        after = [got for t, got, _ in calls if t == 3.0 / 32.0]
+        assert [[t for t, _ in got] for got in after] == [[0.0, 1.0 / 32.0]]
 
     def test_persistent_stall_propagates_with_tag(self, inst8, monkeypatch):
         real = fakeboundary.newton_solve
@@ -607,15 +651,47 @@ class TestTwoStageMechanics:
         with pytest.raises(NonconvergenceError, match=r"stage 2 \(t="):
             two_stage_solve(inst8, config=SolverConfig(tol=1e-4))
 
+    def test_cone_violation_halves_a_long_step(self, inst8, monkeypatch):
+        # a start that leaves the cone on a step longer than 1/8 is retried
+        # at half the step, so the path goes on in steps of 1/8; the last
+        # step, cut to the 3/16 left, is halved to 3/32
+        real = fakeboundary.newton_solve
+
+        def long_step_leaves(spec, init=None, config=None, t=math.nan):
+            if init is not None and t - init[-1].t > 1.0 / 8.0:
+                raise ConeViolationError("synthetic violation", detail={})
+            return real(spec, init=init, config=config, t=t)
+
+        monkeypatch.setattr(fakeboundary, "newton_solve", long_step_leaves)
+        res = two_stage_solve(inst8, config=SolverConfig(tol=1e-4))
+        ts = [r["t"] for r in res.records]
+        assert ts == [0.0, 1.0 / 16.0] + [k / 16.0 for k in range(3, 14, 2)] + [29.0 / 32.0, 1.0]
+
+    def test_persistent_cone_violation_propagates_with_tag(self, inst8, monkeypatch):
+        # only at the floor of 1/(64 steps) does a violation end the path
+        real = fakeboundary.newton_solve
+        tried = []
+
+        def leaves(spec, init=None, config=None, t=math.nan):
+            if t > 0.0:
+                tried.append(t)
+                raise ConeViolationError("synthetic violation", detail={})
+            return real(spec, init=init, config=config, t=t)
+
+        monkeypatch.setattr(fakeboundary, "newton_solve", leaves)
+        with pytest.raises(ConeViolationError, match=r"stage 2 \(t=0.000976562\): synthetic"):
+            two_stage_solve(inst8, config=SolverConfig(tol=1e-4))
+        assert tried == [2.0**-k for k in range(4, 11)]
+
     def test_positive_scalar_rejected(self, inst8, monkeypatch):
         real = fakeboundary.newton_solve
 
         def lifted(spec, init=None, config=None, t=math.nan):
             state = real(spec, init=init, config=config, t=t)
-            return dataclasses.replace(state, b=0.5) if t == 0.5 else state
+            return dataclasses.replace(state, b=0.5) if t == 7.0 / 16.0 else state
 
         monkeypatch.setattr(fakeboundary, "newton_solve", lifted)
-        with pytest.raises(ConstructionError, match="stay negative"):
+        with pytest.raises(ConstructionError, match=r"stage 2 \(t=0.4375\): .*stay negative"):
             two_stage_solve(inst8, config=SolverConfig(tol=1e-4))
 
     def test_band_slack_violation_rejected(self, const_inst8, monkeypatch):

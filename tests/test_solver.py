@@ -1489,7 +1489,7 @@ class TestMetricCheck:
         inst = fake_boundary_instance(16)
         calls = self.counted(monkeypatch)
         result = two_stage_solve(inst)
-        assert len(result.records) == 17
+        assert len(result.records) == 6
         assert calls == [inst.grid]
 
 
