@@ -18,7 +18,10 @@ module makes that quantitative and constructive:
   * two_stage_solve solves the g2 equation and then continues along the
     interpolated family e^{t b'} g^t g2^(1-t), t: 0 -> 1, in steps it
     lengthens while the solves stay easy, landing on the g equation with
-    scalar b = b_1 + b'.
+    scalar b = b_1 + b'. Only that t = 1 solve is held to the caller's
+    tol; every solve before it only starts the next one and stops at the
+    looser PATH_TOL (Allgower & Georg, Introduction to Numerical
+    Continuation Methods, SIAM 2003, ch. 2 and 6).
 
 Coefficients with min g strictly above c are rescaled down to the touching
 normalization first; the log of the factor is kept on the instance so the
@@ -267,6 +270,9 @@ class TwoStageResult:
 
 # a stage-2 solve of at most this many Newton steps doubles the next t-step
 EASY_NEWTON_STEPS = 2
+# sup residual of every solve before t = 1, which only starts the next one;
+# a looser config.tol takes its place
+PATH_TOL = 1e-4
 
 
 def _tagged(err, tag):
@@ -293,6 +299,13 @@ def two_stage_solve(instance, config=None, steps=16):
     below g2. Failures carry the stage and t in the message. The
     records are one per accepted t; write_stage_csv writes them.
 
+    Only the t = 1 solve runs with config; stage 1 and every stage-2 solve
+    before it stop at the path tolerance max(config.tol, PATH_TOL), with
+    config's max_newton. So b_stage1, the records before t = 1 and the
+    invariants checked on them (b_t < 0, band slack > 0, the degenerate
+    budget) are read off states solved to the path tolerance: they start
+    the answer, they are not answers themselves.
+
     Every coefficient, slack and margin is built on the broadcast shape of
     the instance's fields and each solve runs on their subtorus; omega is
     checked once, where the t = 0 spec is built, and the specs of the other
@@ -305,6 +318,7 @@ def two_stage_solve(instance, config=None, steps=16):
     # default tolerance sits above the collocation floor of smoothed-corner
     # coefficients at moderate N; tighten only with the resolution to match
     config = config or SolverConfig(tol=1e-8)
+    path_config = SolverConfig(tol=max(config.tol, PATH_TOL), max_newton=config.max_newton)
     mu_chi = relative_eigenvalues(inst.chi, inst.omega)
     stage1 = EquationSpec(
         inst.grid.n, inst.m, inst.chi, inst.omega, inst.g2, 0.0, unknown_mode="multiplicative",
@@ -314,7 +328,7 @@ def two_stage_solve(instance, config=None, steps=16):
         # positive and finite, as g and g2 are
         coeff = np.exp(t * inst.b_prime) * inst.g**t * inst.g2 ** (1.0 - t)
         spec = _trusted_replace(stage1, coefficient_field=coeff)
-        state = newton_solve(spec, init=init, config=config, t=t)
+        state = newton_solve(spec, init=init, config=config if t == 1.0 else path_config, t=t)
         effective = math.exp(state.b) * spec.coefficient_field
         slack = float(np.min(inst.g2 - effective))
         margin = float(np.min(cone_margin(mu_chi, effective, inst.m)))

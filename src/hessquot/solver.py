@@ -87,7 +87,9 @@ class EquationSpec:
     the shape they are given. Building the spec also checks, once per spec,
     that omega is positive definite, that the background's class integrals
     are finite and, in multiplicative mode, that the coefficient is not
-    zero at every point.
+    zero at every point. The spec keeps the integrals those checks compute
+    for quadrature_b: the background's classes and, in additive mode, the
+    volume and the source's total.
     """
 
     n: int
@@ -97,6 +99,11 @@ class EquationSpec:
     coefficient_field: np.ndarray
     source_field: np.ndarray
     unknown_mode: str = "additive"
+    # [int bg^m wedge omega^(n-m), int bg^n]; then, in additive mode only,
+    # int omega^n and int f omega^n (None in multiplicative mode)
+    _classes: list = field(init=False, repr=False, compare=False, default=None)
+    _volume: float = field(init=False, repr=False, compare=False, default=None)
+    _source_total: float = field(init=False, repr=False, compare=False, default=None)
 
     def __post_init__(self):
         grid = self.background.grid
@@ -119,6 +126,7 @@ class EquationSpec:
             classes = [_mixed(self.background, k, self.omega) for k in (self.m, self.n)]
         if not all(map(math.isfinite, classes)):
             raise InputError(f"the background's class integrals are not finite: {classes}")
+        object.__setattr__(self, "_classes", classes)
         if self.unknown_mode == "additive":
             vol = _mixed(self.omega, 0, self.omega)
             total = integrate_density(self.source_field, self.omega)
@@ -126,6 +134,8 @@ class EquationSpec:
                 raise InputError(
                     f"additive mode needs a normalized source density: got {total} vs volume {vol}"
                 )
+            object.__setattr__(self, "_volume", vol)
+            object.__setattr__(self, "_source_total", total)
         elif not np.any(self.coefficient_field):
             # dR/db = kappa S_m / S_n vanishes with g, so b would drop out of the equation
             raise InputError("multiplicative mode needs a coefficient_field that is nonzero somewhere")
@@ -138,8 +148,10 @@ class EquationSpec:
         """This spec on grid, a sub-lattice of its own grid: every field injected at grid's shape.
 
         In additive mode the injected source is renormalized to the volume,
-        since its mean moves on a coarser grid. The checks the spec passed
-        where it was built carry over. This spec itself comes back when
+        since its mean moves on a coarser grid, and the new spec keeps that
+        source's own total. The checks the spec passed where it was built
+        carry over, and so do its class integrals and volume, which read
+        only the forms' constant parts. This spec itself comes back when
         every field already has grid's shape.
         """
         fields = (
@@ -150,11 +162,14 @@ class EquationSpec:
             return self
         omega = self.omega.on(grid)
         source = inject(grid, self.source_field)
+        total = None
         if self.unknown_mode == "additive":
-            source = source * (_mixed(omega, 0, omega) / integrate_density(source, omega))
+            source = source * (self._volume / integrate_density(source, omega))
+            total = integrate_density(source, omega)
         return _trusted_replace(
             self, background=self.background.on(grid), omega=omega,
             coefficient_field=inject(grid, self.coefficient_field), source_field=source,
+            _source_total=total,
         )
 
 
@@ -353,13 +368,13 @@ def quadrature_b(spec):
     Integrating S_n(X) = kappa S_m(X) + b f against omega^n over the torus
     gives b. With a constant coefficient both X terms are class integrals,
     the same for X as for the closed background (Stokes), so b is
-    (int bg^n - c int bg^m wedge omega^(n-m)) / int f omega^n with no
-    transform and no eigenvalue, and the density integral runs on the
-    source's own points. omega was checked where the spec was built. A
-    varying coefficient raises InputError: int kappa S_m(X) omega^n then
-    moves with the potential, so no value computed before the solve fixes
-    b. So does a b that is not finite, or negative: b f is the source,
-    which must be nonnegative.
+    (int bg^n - c int bg^m wedge omega^(n-m)) / int f omega^n, read off
+    the integrals the spec computed in its own checks (see EquationSpec):
+    no transform, no eigenvalue and no grid sum. A varying coefficient
+    raises InputError: int kappa S_m(X) omega^n then moves with the
+    potential, so no value computed before the solve fixes b. So does a b
+    that is not finite, or negative: b f is the source, which must be
+    nonnegative.
     """
     if spec.unknown_mode != "additive":
         raise InputError("quadrature value of b is an additive-mode notion")
@@ -370,9 +385,8 @@ def quadrature_b(spec):
             "additive mode needs a constant coefficient: with a varying one the"
             " integral of its S_m term moves with the potential, so b has no quadrature value"
         )
-    bg, omega = spec.background, spec.omega
-    trail = float(c) * _mixed(bg, spec.m, omega)
-    b = (_mixed(bg, spec.n, omega) - trail) / integrate_density(spec.source_field, omega)
+    mixed_m, mixed_n = spec._classes
+    b = (mixed_n - float(c) * mixed_m) / spec._source_total
     if not math.isfinite(b):
         raise InputError(f"the quadrature value of b is not finite: {b!r}")
     if b < 0.0:

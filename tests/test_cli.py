@@ -320,8 +320,9 @@ class TestFakeBoundary:
 
     def test_golden_n16(self, tmp_path):
         # N = 8 stalls at its aliasing floor (2e-5), where the normalized
-        # summary moves with one-ulp changes to the operators; at N = 16 and
-        # the default tol every stage converges and six digits are stable
+        # summary moves with one-ulp changes to the operators; at N = 16 the
+        # t = 1 solve meets the default tol and the earlier ones the path
+        # tolerance, and six digits are stable
         code, summary, _ = run_cli(tmp_path, "fake-boundary", "grid_N = 16\n")
         assert code == EXIT_OK
         check_golden("fake_boundary16", summary)

@@ -548,10 +548,16 @@ class TestTheAnswerIsTheGEquations:
         assert abs(b1 - b2) <= self.CONFIG.tol
         assert mean_free_sup(phi1 - phi2) <= self.CONFIG.tol
 
-    @pytest.mark.parametrize("N", [16, 32, 64])
-    def test_matches_a_cold_solve_of_the_g_equation(self, N):
+    @staticmethod
+    def wide_instance(N):
+        # g = 1 + (1 - cos 2 pi x1)/2 in [1, 2]: stage 1's g2 corner sits
+        # above tol at N = 32, the g equation does not
+        sample = fake_boundary_sample(N)
+        g = 1.0 + 0.5 * (1.0 - np.cos(TWO_PI * sample["grid"].coords()["x1"]))
+        return prepare_instance(g, sample["chi"], sample["omega"], sample["m"])
+
+    def assert_matches_a_cold_solve(self, inst):
         # coefficient e^{b'} g, so b' is added back to the direct scalar
-        inst = self.instance(N)
         res = two_stage_solve(inst, self.CONFIG)
         spec = solver.EquationSpec(
             inst.grid.n, inst.m, inst.chi, inst.omega, math.exp(inst.b_prime) * inst.g, 0.0,
@@ -559,6 +565,19 @@ class TestTheAnswerIsTheGEquations:
         )
         direct = solver.newton_solve(spec, config=self.CONFIG)
         self.assert_same_answer(res.b, res.phi, direct.b + inst.b_prime, direct.phi)
+
+    @pytest.mark.parametrize("N", [16, 32, 64])
+    def test_matches_a_cold_solve_of_the_g_equation(self, N):
+        self.assert_matches_a_cold_solve(self.instance(N))
+
+    def test_wide_coefficient_matches_a_cold_solve_at_n32(self):
+        self.assert_matches_a_cold_solve(self.wide_instance(32))
+
+    def test_wide_coefficient_stops_at_the_g_equations_floor_at_n16(self):
+        # the path gets through; the t = 1 solve stops at the floor where a
+        # direct solve of the g equation stops too
+        with pytest.raises(NonconvergenceError, match=r"^stage 2 \(t=1\): aliasing floor"):
+            two_stage_solve(self.wide_instance(16), self.CONFIG)
 
     def test_first_step_does_not_move_it(self, inst16):
         one, sixteen = (two_stage_solve(inst16, self.CONFIG, steps=s) for s in (1, 16))
@@ -568,6 +587,38 @@ class TestTheAnswerIsTheGEquations:
     def test_band_width_does_not_move_it(self):
         wide, narrow = (two_stage_solve(self.instance(64, d1), self.CONFIG) for d1 in (2**-2, 2**-4))
         self.assert_same_answer(wide.b, wide.phi, narrow.b, narrow.phi)
+
+
+class TestPathTolerance:
+    """Only the t = 1 solve meets config.tol; every earlier one stops at the path tolerance."""
+
+    CONFIG = SolverConfig(tol=1e-8)
+
+    def test_records_meet_their_tolerances(self, path16):
+        *path, last = path16.records
+        assert last["t"] == 1.0
+        assert last["residual_sup"] <= self.CONFIG.tol
+        assert all(r["residual_sup"] <= fakeboundary.PATH_TOL for r in path)
+
+    @pytest.mark.parametrize("tol, path_tol", [
+        (1e-8, fakeboundary.PATH_TOL),
+        (1e-3, 1e-3),  # a config.tol looser than PATH_TOL governs every solve
+    ])
+    def test_only_the_last_solve_gets_the_callers_config(self, inst16, tol, path_tol, monkeypatch):
+        seen = []
+        real = fakeboundary.newton_solve
+
+        def recording(spec, init=None, config=None, t=math.nan):
+            seen.append((t, config))
+            return real(spec, init=init, config=config, t=t)
+
+        monkeypatch.setattr(fakeboundary, "newton_solve", recording)
+        config = SolverConfig(tol=tol, max_newton=30)
+        res = two_stage_solve(inst16, config)
+        assert [t for t, _ in seen] == [r["t"] for r in res.records]
+        path = SolverConfig(tol=path_tol, max_newton=30)
+        assert len(seen) > 2
+        assert [cfg for _, cfg in seen] == [path] * (len(seen) - 1) + [config]
 
 
 class TestTwoStageMechanics:
@@ -590,10 +641,12 @@ class TestTwoStageMechanics:
         assert np.array_equal(first.phi, second.phi)
 
     def test_constant_coefficient_limit(self, const_inst8):
+        # stage 1 solves e^b g2 = 1 (phi = 0) to the path tolerance r, so
+        # e^(b - b*) lies in [1 - r, 1 + r] and |b - b*| <= -log(1 - r)
         res = two_stage_solve(const_inst8)
         assert abs(res.b) <= 1e-6
         expected = -math.log(float(const_inst8.g2[0, 0, 0, 0]))
-        assert res.b_stage1 == pytest.approx(expected, rel=1e-9)
+        assert abs(res.b_stage1 - expected) <= -math.log1p(-fakeboundary.PATH_TOL)
 
     def test_stage1_failure_tagged(self, inst8):
         with pytest.raises(NonconvergenceError, match="stage 1:"):

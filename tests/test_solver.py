@@ -288,9 +288,10 @@ class TestQuadratureB:
         assert abs(st.b - quadrature_b(spec)) <= 0.01 * budget
 
     def test_constant_coefficient_takes_no_grid_transform(self, monkeypatch):
+        # quadrature_b reads the integrals the spec's own checks computed, so
+        # the spec is built inside the spy window: building it and reading b
+        # together take one-point eigenvalues only and no transform
         inst = boundary_degenerate_instance(N=16)
-        spec = inst.spec(2.0**-7)
-        assert not spec.background.is_constant
         calls = Counter()
 
         def spy(name, fn):
@@ -310,6 +311,8 @@ class TestQuadratureB:
             return packed_eigenvalues(fields, metric)
 
         monkeypatch.setattr(torus, "packed_eigenvalues", eigenvalues)
+        spec = inst.spec(2.0**-7)
+        assert not spec.background.is_constant
         assert quadrature_b(spec) == pytest.approx(inst.extras["expected_b"](2.0**-7), rel=1e-15)
         assert not calls
         assert points and set(points) == {1}
