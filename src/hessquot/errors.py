@@ -1,4 +1,5 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package; an AliasingFloorError's state
+is as far as its grid goes, so a caller may hand it on as a start."""
 
 
 class InputError(ValueError):
@@ -19,6 +20,10 @@ class NonconvergenceError(RuntimeError):
     def __init__(self, message, state=None):
         super().__init__(message)
         self.state = state
+
+
+class AliasingFloorError(NonconvergenceError):
+    """Newton stopped where what is left of the residual is outside the Hessian's range."""
 
 
 class ConeViolationError(RuntimeError):

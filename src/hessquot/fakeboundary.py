@@ -15,13 +15,14 @@ module makes that quantitative and constructive:
   * g1_field / g2_field build a strictly solvable stand-in coefficient g2
     sitting just above both e^{b'} g and the background's own quotient
     density,
-  * two_stage_solve solves the g2 equation and then continues along the
-    interpolated family e^{t b'} g^t g2^(1-t), t: 0 -> 1, in steps it
-    lengthens while the solves stay easy, landing on the g equation with
-    scalar b = b_1 + b'. Only that t = 1 solve is held to the caller's
-    tol; every solve before it only starts the next one and stops at the
-    looser PATH_TOL (Allgower & Georg, Introduction to Numerical
-    Continuation Methods, SIAM 2003, ch. 2 and 6).
+  * two_stage_solve walks the interpolated family e^{t b'} g^t g2^(1-t)
+    in one loop from the g2 equation at t = 0 to the g equation at t = 1,
+    with scalar b = b_1 + b', doubling the step after each accepted solve
+    and halving it after a failed one. Only that t = 1 solve is held to
+    the caller's tol; every solve before it only starts the next one and
+    stops at the looser PATH_TOL, or at its aliasing floor where that lies
+    above it (Allgower & Georg, Introduction to Numerical Continuation
+    Methods, SIAM 2003, ch. 2 and 6).
 
 Coefficients with min g strictly above c are rescaled down to the touching
 normalization first; the log of the factor is kept on the instance so the
@@ -37,6 +38,7 @@ import numpy as np
 from scipy.optimize import bisect
 
 from .errors import (
+    AliasingFloorError,
     ConeViolationError,
     ConstructionError,
     DomainError,
@@ -268,8 +270,6 @@ class TwoStageResult:
     final_state: SolverState = field(repr=False)
 
 
-# a stage-2 solve of at most this many Newton steps doubles the next t-step
-EASY_NEWTON_STEPS = 2
 # sup residual of every solve before t = 1, which only starts the next one;
 # a looser config.tol takes its place
 PATH_TOL = 1e-4
@@ -277,34 +277,37 @@ PATH_TOL = 1e-4
 
 def _tagged(err, tag):
     if isinstance(err, NonconvergenceError):
-        return NonconvergenceError(f"{tag}: {err}", state=err.state)
+        return type(err)(f"{tag}: {err}", state=err.state)
     return ConeViolationError(f"{tag}: {err}", detail=err.detail)
 
 
 def two_stage_solve(instance, config=None, steps=16):
     """Bridge from the g2 equation to the g equation along the mixed family.
 
-    Stage 1 solves the multiplicative equation with coefficient g2 (scalar
-    b_tilde < 0 since g2 strictly dominates the background density g1).
-    Stage 2 takes t upward through coefficient e^{t b'} g^t g2^(1-t); the
-    fixed part t b' is folded into the coefficient so the solver's scalar
-    is b_t itself. Only the t = 1 solve is the answer, so the first step
-    is 1/steps, a solve of at most EASY_NEWTON_STEPS Newton steps doubles
-    the next, and a stall or a start outside the cone halves the step down
-    to the floor 1/(64 steps); every t is a multiple of the floor, the last
-    is 1. Each solve gets the last two accepted states, so it starts from
-    their secant prediction in t (a warm start from the stage-1 state on
-    the first step; see newton_solve). Each accepted step must keep b_t
+    One loop takes t from 0 to 1 through coefficient e^{t b'} g^t g2^(1-t);
+    the fixed part t b' is folded into the coefficient so the solver's
+    scalar is b_t itself. Its t = 0 step, stage 1, solves the equation with
+    coefficient g2 (scalar b_tilde < 0 since g2 strictly dominates the
+    background density g1); its later steps are stage 2. Only the t = 1
+    solve is the answer, so the first step is 1/steps, every accepted step
+    doubles the next, and a stall or a start outside the cone halves it,
+    down to the floor 1/(64 steps); every t is a multiple of the floor, the
+    last is 1. Each solve gets the last two accepted states, so it starts
+    from their secant prediction in t (a warm start from the stage-1 state
+    on the first step; see newton_solve). Each accepted state must keep b_t
     negative and the effective coefficient e^{b_t} (path field) strictly
-    below g2. Failures carry the stage and t in the message. The
-    records are one per accepted t; write_stage_csv writes them.
+    below g2. Failures carry the stage and t in the message and keep the
+    error's class. The records are one per accepted t; write_stage_csv
+    writes them.
 
-    Only the t = 1 solve runs with config; stage 1 and every stage-2 solve
-    before it stop at the path tolerance max(config.tol, PATH_TOL), with
-    config's max_newton. So b_stage1, the records before t = 1 and the
-    invariants checked on them (b_t < 0, band slack > 0, the degenerate
-    budget) are read off states solved to the path tolerance: they start
-    the answer, they are not answers themselves.
+    Only the t = 1 solve runs with config; every solve before it stops at
+    the path tolerance max(config.tol, PATH_TOL), with config's max_newton,
+    or, where its aliasing floor lies above that, at the floor, whose state
+    it hands on; a floor at t = 1 is the g equation's own and raises at
+    once. So b_stage1, the records before t = 1 and the invariants checked
+    on them (b_t < 0, band slack > 0, the degenerate budget) are read off
+    states within the path tolerance or at their floor: they start the
+    answer, they are not answers themselves.
 
     Every coefficient, slack and margin is built on the broadcast shape of
     the instance's fields and each solve runs on their subtorus; omega is
@@ -323,64 +326,52 @@ def two_stage_solve(instance, config=None, steps=16):
     stage1 = EquationSpec(
         inst.grid.n, inst.m, inst.chi, inst.omega, inst.g2, 0.0, unknown_mode="multiplicative",
     )
-
-    def solve_at(t, init):
+    records = []
+    path = []  # the last two accepted states, enough for the secant
+    # t = (k + h) / ticks on the grid of the step floor, so every t is exact
+    # and the last step lands on t = 1; h is the step in ticks: 0 for stage
+    # 1, then 64 (1/steps), doubled after each accepted step
+    ticks = 64 * steps
+    k, h = 0, 0
+    while k < ticks or not records:
+        t = (k + h) / ticks
+        tag = f"stage 2 (t={t:g})" if t > 0.0 else "stage 1"
         # positive and finite, as g and g2 are
         coeff = np.exp(t * inst.b_prime) * inst.g**t * inst.g2 ** (1.0 - t)
         spec = _trusted_replace(stage1, coefficient_field=coeff)
-        state = newton_solve(spec, init=init, config=config if t == 1.0 else path_config, t=t)
-        effective = math.exp(state.b) * spec.coefficient_field
-        slack = float(np.min(inst.g2 - effective))
-        margin = float(np.min(cone_margin(mu_chi, effective, inst.m)))
-        return state, slack, margin
-
-    records = []
-
-    def accept(t, state, slack, margin, tag):
+        try:
+            state = newton_solve(
+                spec, init=path or None, config=config if t == 1.0 else path_config, t=t,
+            )
+        except AliasingFloorError as err:
+            if t == 1.0:
+                raise _tagged(err, tag) from err
+            state = err.state  # no step lowers what is left; it starts the next solve
+        except (NonconvergenceError, ConeViolationError) as err:
+            if h <= 1:
+                raise _tagged(err, tag) from err
+            h //= 2
+            continue
         if inst.theta0 > 0.0:
             if state.b >= 0.0:
                 raise ConstructionError(f"{tag}: scalar must stay negative, got {state.b!r}")
         elif state.b > 100.0 * config.tol:
             # constant-coefficient degeneration: b_t -> 0 at t = 1 is legitimate
             raise ConstructionError(f"{tag}: scalar {state.b!r} above the degenerate budget")
+        effective = math.exp(state.b) * coeff
+        slack = float(np.min(inst.g2 - effective))
         if slack <= 0.0:
             raise ConstructionError(
                 f"{tag}: path coefficient not strictly below g2 (slack {slack:.3e})"
             )
         records.append({
-            "t": t, "b_t": state.b, "residual_sup": state.residual_sup,
-            "min_band_slack": slack, "min_cone_margin": margin,
+            "t": t, "b_t": state.b, "residual_sup": state.residual_sup, "min_band_slack": slack,
+            "min_cone_margin": float(np.min(cone_margin(mu_chi, effective, inst.m))),
         })
-
-    try:
-        state, slack, margin = solve_at(0.0, None)
-    except (NonconvergenceError, ConeViolationError) as err:
-        raise _tagged(err, "stage 1") from err
-    accept(0.0, state, slack, margin, "stage 1")
-    b_stage1 = state.b
-    path = [state]  # the last two accepted states, enough for the secant
-
-    # t = k / ticks on the grid of the step floor, so every t is exact and
-    # the last step lands on t = 1; h is the step in ticks
-    ticks = 64 * steps
-    k, h = 0, 64
-    while k < ticks:
-        h = min(h, ticks - k)
-        t = (k + h) / ticks
-        try:
-            cand, slack, margin = solve_at(t, path)
-        except (NonconvergenceError, ConeViolationError) as err:
-            if h == 1:
-                raise _tagged(err, f"stage 2 (t={t:g})") from err
-            h //= 2
-            continue
-        accept(t, cand, slack, margin, f"stage 2 (t={t:g})")
-        path = [path[-1], cand]
+        path = [*path[-1:], state]
         k += h
-        if cand.diagnostics["newton_iters"] <= EASY_NEWTON_STEPS:
-            h *= 2
-    state = path[-1]
-    return TwoStageResult(state.phi, float(state.b + inst.b_prime), float(b_stage1), records, state)
+        h = min(2 * h or 64, ticks - k)
+    return TwoStageResult(state.phi, float(state.b + inst.b_prime), records[0]["b_t"], records, state)
 
 
 def write_stage_csv(path, records):

@@ -19,11 +19,12 @@ or Nyquist), where the linearized systems are nonsingular; each potential
 is shifted by a constant to sup 0 before it is evaluated. Newton can
 reduce only the residual's part in the Hessian's range; a solve whose
 residual is above tol while that part is within it stops there, at its
-aliasing floor. A continuation solve starts from the secant in t through
-the last two path states. Above COARSEST_N points per axis, a solve without
-that start, or whose secant start leaves the cone, starts from the solve of
-the same problem on the grid with half the points per axis (nested
-iteration), which hands over its state even when it stopped at its floor.
+aliasing floor, with AliasingFloorError. A continuation solve starts from
+the secant in t through the last two path states. Above COARSEST_N points
+per axis, a solve without that start, or whose secant start leaves the
+cone, starts from the solve of the same problem on the grid with half the
+points per axis (nested iteration), which hands over its state even when
+it stopped at its floor.
 A spec's fields broadcast against its grid in the shape they were built
 in, and the spec checks omega once, where it is built; so the invariant
 subtorus of the data and the starting potentials is the grid of their
@@ -47,7 +48,7 @@ from types import SimpleNamespace
 import numpy as np
 from scipy.sparse.linalg import LinearOperator, lgmres
 
-from .errors import ConeViolationError, InputError, NonconvergenceError
+from .errors import AliasingFloorError, ConeViolationError, InputError, NonconvergenceError
 from .pointwise import (
     cone_margin,
     packed_adjugate,
@@ -588,11 +589,12 @@ def newton_solve(spec, init=None, config=None, t=math.nan):
     is shifted to sup phi = 0 before it is evaluated, so a state's phi is
     the potential whose X its diagnostics read.
 
-    Newton stops with NonconvergenceError, carrying the state, at its
-    aliasing floor: the residual is above config.tol while its part in the
-    Hessian's range (kernel modes but the mean stripped), all a step can
-    lower, is within it. It does so too after config.max_newton steps, at
-    the damping floor, or when the start's residual is not finite.
+    Newton stops with AliasingFloorError, a NonconvergenceError carrying
+    the state, at its aliasing floor: the residual is above config.tol while
+    its part in the Hessian's range (kernel modes but the mean stripped),
+    all a step can lower, is within it. It stops with NonconvergenceError
+    after config.max_newton steps, at the damping floor, or when the start's
+    residual is not finite.
 
     The solve, nested iteration included, runs on the subtorus of the data
     and of the last two path states' phi (all a start reads), the grid of
@@ -650,7 +652,7 @@ def newton_solve(spec, init=None, config=None, t=math.nan):
     while ev.rsup > config.tol:
         range_sup = float(np.max(np.abs(ev.range_resid)))
         if range_sup <= config.tol:
-            raise NonconvergenceError(
+            raise AliasingFloorError(
                 f"aliasing floor reached at residual {ev.rsup:.3e}: its part in the"
                 f" Hessian's range, all Newton can reduce, is {range_sup:.3e}",
                 state=state(),
