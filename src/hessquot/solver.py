@@ -404,9 +404,11 @@ def _gmres_cycle(op, rhs, rtol):
     after every step without another product (Saad & Schultz, SIAM J. Sci.
     Stat. Comput. 7, 1986). The cycle stops once that norm is at most
     rtol |rhs|, the test LGMRES's inner loop applies, or when the basis
-    breaks down; y is summed in place from the basis.
+    breaks down; y is summed in place from the basis. A norm is
+    sqrt(v @ v), numpy's own formula for a real vector's 2-norm, without
+    np.linalg.norm's dispatch.
     """
-    beta = float(np.linalg.norm(rhs))
+    beta = math.sqrt(float(rhs @ rhs))
     if beta == 0.0:
         return np.zeros_like(rhs), True
     target = rtol * beta
@@ -419,12 +421,12 @@ def _gmres_cycle(op, rhs, rtol):
     g = [beta]
     for j in range(KRYLOV_INNER):
         w = op.matvec(basis[j])
-        w_norm = float(np.linalg.norm(w))
+        w_norm = math.sqrt(float(w @ w))
         h = []
         for v in basis:
             h.append(float(v @ w))
             w -= h[-1] * v
-        h.append(float(np.linalg.norm(w)))
+        h.append(math.sqrt(float(w @ w)))
         breakdown = not h[j + 1] > eps * w_norm
         if not breakdown:
             w /= h[j + 1]

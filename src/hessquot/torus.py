@@ -4,12 +4,14 @@ The torus is [0,1)^{2n} with complex coordinates z_j = x_j + i y_j and N
 grid points per real axis, axis order (x1, y1, x2, y2, ...). Differentiation
 is spectral (exact for band-limited fields, Nyquist dropped from first-order
 multipliers): every operator is a real field times a real symbol in rfftn
-layout, cached per grid with the grid's transform plan. Along an axis of
-one point a transform is the identity, so the plan transforms only the
-varying axes: by rfftn, or, with the last axis at one point, by complex
-transforms of the field's complex values, whose inverse takes the real
-part in place of irfft. One varying leading axis takes the 1-D call. Each
-field keeps the bits of rfftn and irfftn. A Hessian row whose symbol is
+layout, cached per grid with the grid's transform plan. The plan fixes
+each transform once, so a call runs the pocketfft kernel scipy.fft
+dispatches to (r2c, c2c, c2r) with no dispatch or argument checks. Along
+an axis of one point a transform is the identity, so the plan transforms
+only the varying axes: by r2c, or, with the last axis at one point, by
+complex transforms of the field's complex values, whose inverse takes the
+real part in place of c2r. Each field keeps the bits of scipy.fft's rfftn
+and irfftn. A Hessian row whose symbol is
 identically zero on the grid is dead: it is never multiplied, tested or
 transformed. That is exact for a finite spectrum; one that overflowed to
 inf gets a zero field there, not NaN. The live product spectra of one
@@ -53,7 +55,7 @@ from dataclasses import dataclass, replace
 from typing import NamedTuple
 
 import numpy as np
-import scipy.fft
+from scipy.fft._pocketfft.pypocketfft import c2c, c2r, r2c
 from scipy.spatial import cKDTree
 
 from .errors import DomainError, InputError
@@ -160,6 +162,7 @@ class _Plan(NamedTuple):
     rows: np.ndarray    # flat (j, k) indices of the hess rows not identically zero
     live: np.ndarray    # those rows, stacked on one leading axis
     axes: tuple         # the grid's varying axes, as negative indices
+    leading: tuple      # those of them that take complex transforms: all but a varying last axis
 
 
 @functools.lru_cache(maxsize=4)
@@ -193,49 +196,46 @@ def _symbols(grid):
     for arr in (*kx, *ky, hess, rows, live):
         arr.flags.writeable = False
     axes = tuple(axis - 2 * n for axis, size in enumerate(grid.shape) if size > 1)
-    return _Plan(kx, ky, hess, rows, live, axes)
+    leading = axes[:-1] if grid.shape[-1] > 1 else axes
+    return _Plan(kx, ky, hess, rows, live, axes, leading)
 
 
-def _complex_transform(one, many, spectrum, axes):
-    """spectrum transformed in place along axes by scipy.fft's one (1-D) or many (n-D); none for no axes."""
-    if len(axes) == 1:
-        return one(spectrum, axis=axes[0], overwrite_x=True)
-    return many(spectrum, axes=axes, overwrite_x=True) if axes else spectrum
+def _complex_transform(spectrum, axes, forward):
+    """spectrum transformed in place along axes by pocketfft's c2c, as by fftn or ifftn; none for no axes."""
+    return c2c(spectrum, axes, forward, 0 if forward else 2, spectrum, 1) if axes else spectrum
 
 
 def _rfftn(grid, values):
-    """The spectrum of a field on grid in rfftn layout, transformed along grid's varying axes only.
+    """The spectrum of a float64 field on grid in rfftn layout, transformed along grid's varying axes only.
 
     Along an axis of one point a transform is the identity. With the last
-    axis varying this is rfftn over the varying axes; with it at one point,
-    the complex transform of the field's complex values over the varying
-    leading axes, or those values themselves when no axis varies. The field
-    is made complex first because scipy's fftn of a real array runs a real
-    transform along one axis, which rounds differently from the complex
-    transforms rfftn runs along the leading axes.
+    axis varying this is pocketfft's r2c over the varying axes, the call
+    scipy.fft.rfftn makes; with it at one point, the complex transform of
+    the field's complex values over the varying leading axes, or those
+    values themselves when no axis varies. The field is made complex first
+    because c2c of a real array runs a real transform along one axis, which
+    rounds differently from the complex transforms r2c runs along the
+    leading axes.
     """
-    axes = _symbols(grid).axes
+    plan = _symbols(grid)
     if grid.shape[-1] > 1:
-        return scipy.fft.rfftn(values, axes=axes)
-    spectrum = values.astype(np.complex128)
-    return _complex_transform(scipy.fft.fft, scipy.fft.fftn, spectrum, axes)
+        return r2c(values, plan.axes, True, 0, None, 1)
+    return _complex_transform(values.astype(np.complex128), plan.leading, True)
 
 
 def _irfftn(grid, spectrum):
     """The real fields of rfftn-layout spectra stacked on any leading axes; spectrum may be overwritten.
 
     Complex transforms over the grid's varying leading axes, in place, then
-    one inverse real transform along the last axis, or its real part when
-    that axis has one point: the 1-D transforms scipy's irfftn runs, in the
-    same order, but for the identities along one-point axes, so each field
-    is bit-identical to its irfftn. irfftn does not use overwrite_x, so it
-    would copy the stack.
+    pocketfft's c2r along the last axis, or its real part when that axis has
+    one point: the 1-D transforms scipy.fft.irfftn runs, in the same order,
+    but for the identities along one-point axes, so each field is
+    bit-identical to its irfftn. irfftn would copy the stack, as it does not
+    use overwrite_x.
     """
-    axes = _symbols(grid).axes
     last = grid.shape[-1]
-    leading = axes[:-1] if last > 1 else axes
-    spectrum = _complex_transform(scipy.fft.ifft, scipy.fft.ifftn, spectrum, leading)
-    return scipy.fft.irfft(spectrum, n=last, axis=-1) if last > 1 else spectrum.real
+    spectrum = _complex_transform(spectrum, _symbols(grid).leading, False)
+    return c2r(spectrum, (-1,), last, False, 2, None, 1) if last > 1 else spectrum.real
 
 
 def _inverse_products(grid, spectrum, symbols):
@@ -347,6 +347,24 @@ def inject(grid, values):
     return np.ascontiguousarray(picked)
 
 
+@functools.lru_cache(maxsize=4)
+def _padding(grid):
+    """prolong's fixed parts on grid: (fine grid, source and target np.ix_ maps, fine spectrum shape, scale)."""
+    N = grid.N
+    axes = [(np.r_[0 : N // 2, N // 2 + 1 : N], np.r_[0 : N // 2, 3 * N // 2 + 1 : 2 * N], 2 * N)]
+    axes = axes * (2 * grid.n - 1) + [(np.arange(N // 2), np.arange(N // 2), N + 1)]
+    src, dst, shape = zip(*[
+        ([0], [0], 1) if size == 1 else axis for size, axis in zip(grid.shape, axes)
+    ])
+    src, dst = np.ix_(*src), np.ix_(*dst)
+    for index in (*src, *dst):
+        index.flags.writeable = False
+    # rfftn is unnormalized and irfftn divides by the point count, which is
+    # 2 times larger on the fine grid for each transformed axis
+    scale = 2.0 ** sum(size > 1 for size in grid.shape)
+    return replace(grid, N=2 * N), src, dst, shape, scale
+
+
 def prolong(grid, values):
     """Spectral interpolation of a field on grid onto the grid with 2N points per axis.
 
@@ -354,20 +372,12 @@ def prolong(grid, values):
     reproduces a field band-limited below that frequency exactly and
     injecting prolong(grid, v) back onto grid returns any v without Nyquist
     content. A constant axis of grid keeps its one point and its one DC mode.
+    The index maps and the scale are built once per grid.
     """
     values = _check_scalar(grid, values)
-    N = grid.N
-    fine = replace(grid, N=2 * N)
-    axes = [(np.r_[0 : N // 2, N // 2 + 1 : N], np.r_[0 : N // 2, 3 * N // 2 + 1 : 2 * N], 2 * N)]
-    axes = axes * (2 * grid.n - 1) + [(np.arange(N // 2), np.arange(N // 2), N + 1)]
-    src, dst, shape = zip(*[
-        ([0], [0], 1) if size == 1 else axis for size, axis in zip(grid.shape, axes)
-    ])
+    fine, src, dst, shape, scale = _padding(grid)
     spectrum = np.zeros(shape, dtype=np.complex128)
-    # rfftn is unnormalized and irfftn divides by the point count, which is
-    # 2 times larger on the fine grid for each transformed axis
-    scale = 2.0 ** sum(size > 1 for size in grid.shape)
-    spectrum[np.ix_(*dst)] = _rfftn(grid, values)[np.ix_(*src)] * scale
+    spectrum[dst] = _rfftn(grid, values)[src] * scale
     return _irfftn(fine, spectrum)
 
 
@@ -416,6 +426,13 @@ class FormField:
     def is_constant(self):
         return self.potential is None
 
+    @functools.cached_property
+    def _packed_const(self):
+        """The constant part in HERMITIAN_PACKING, read-only: packed on first use, then shared."""
+        const = pack_hermitian(self.const)
+        const.flags.writeable = False
+        return const
+
     def packed(self, phi=None):
         """This form plus i d dbar phi as real fields packed on the leading (n, n) axes.
 
@@ -423,12 +440,13 @@ class FormField:
         HERMITIAN_PACKING, built on each call from one Hessian, of the
         potential plus phi, on their subtorus (the grid itself when their
         shape is the grid's), with the packed constant added; a constant form
-        with phi None gives its packed (n, n) constant.
+        with phi None gives its packed (n, n) constant, read-only and the same
+        array on every call.
         """
         pot = self.potential
         if phi is not None:
             pot = phi if pot is None else pot + phi
-        const = pack_hermitian(self.const)
+        const = self._packed_const
         if pot is None:
             return const
         grid = self.grid if pot.shape == self.grid.shape else subtorus(self.grid, [pot])
@@ -520,8 +538,8 @@ def _mixed(alpha, k, omega):
     if not 0 <= k <= n:
         raise InputError(f"wedge power k={k} outside 0..{n}")
     # the classes, which fix the integral: the constant parts, packed
-    metric = pack_hermitian(omega.const)
-    lam = packed_eigenvalues(pack_hermitian(alpha.const), metric)
+    metric = omega._packed_const
+    lam = packed_eigenvalues(alpha._packed_const, metric)
     mixed = elementary_sym(k, lam) / math.comb(n, k) * _inverse_metric(metric)[1]
     return float(mixed)
 
