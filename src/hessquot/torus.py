@@ -347,24 +347,6 @@ def inject(grid, values):
     return np.ascontiguousarray(picked)
 
 
-@functools.lru_cache(maxsize=4)
-def _padding(grid):
-    """prolong's fixed parts on grid: (fine grid, source and target np.ix_ maps, fine spectrum shape, scale)."""
-    N = grid.N
-    axes = [(np.r_[0 : N // 2, N // 2 + 1 : N], np.r_[0 : N // 2, 3 * N // 2 + 1 : 2 * N], 2 * N)]
-    axes = axes * (2 * grid.n - 1) + [(np.arange(N // 2), np.arange(N // 2), N + 1)]
-    src, dst, shape = zip(*[
-        ([0], [0], 1) if size == 1 else axis for size, axis in zip(grid.shape, axes)
-    ])
-    src, dst = np.ix_(*src), np.ix_(*dst)
-    for index in (*src, *dst):
-        index.flags.writeable = False
-    # rfftn is unnormalized and irfftn divides by the point count, which is
-    # 2 times larger on the fine grid for each transformed axis
-    scale = 2.0 ** sum(size > 1 for size in grid.shape)
-    return replace(grid, N=2 * N), src, dst, shape, scale
-
-
 def prolong(grid, values):
     """Spectral interpolation of a field on grid onto the grid with 2N points per axis.
 
@@ -372,12 +354,20 @@ def prolong(grid, values):
     reproduces a field band-limited below that frequency exactly and
     injecting prolong(grid, v) back onto grid returns any v without Nyquist
     content. A constant axis of grid keeps its one point and its one DC mode.
-    The index maps and the scale are built once per grid.
     """
     values = _check_scalar(grid, values)
-    fine, src, dst, shape, scale = _padding(grid)
+    N = grid.N
+    fine = replace(grid, N=2 * N)
+    axes = [(np.r_[0 : N // 2, N // 2 + 1 : N], np.r_[0 : N // 2, 3 * N // 2 + 1 : 2 * N], 2 * N)]
+    axes = axes * (2 * grid.n - 1) + [(np.arange(N // 2), np.arange(N // 2), N + 1)]
+    src, dst, shape = zip(*[
+        ([0], [0], 1) if size == 1 else axis for size, axis in zip(grid.shape, axes)
+    ])
     spectrum = np.zeros(shape, dtype=np.complex128)
-    spectrum[dst] = _rfftn(grid, values)[src] * scale
+    # rfftn is unnormalized and irfftn divides by the point count, which is
+    # 2 times larger on the fine grid for each transformed axis
+    scale = 2.0 ** sum(size > 1 for size in grid.shape)
+    spectrum[np.ix_(*dst)] = _rfftn(grid, values)[np.ix_(*src)] * scale
     return _irfftn(fine, spectrum)
 
 

@@ -443,7 +443,8 @@ class TestRealFFTLayer:
 
         def spied(name, fn):
             def spy(*args, **kwargs):
-                calls.append(name)
+                # c2c runs both ways: its third argument is the direction
+                calls.append(name + ("+" if args[2] else "-") if name == "c2c" else name)
                 return fn(*args, **kwargs)
             return spy
 
@@ -466,12 +467,13 @@ class TestRealFFTLayer:
             ):
                 calls.clear()
                 op()
-                assert calls == ["r2c"] + (["c2c", "c2r"] if nonzero else [])
+                assert calls == ["r2c"] + (["c2c-", "c2r"] if nonzero else [])
             fields = packed_hessian(grid, phi).reshape(n * n, -1)
             assert np.count_nonzero(np.any(fields, axis=1)) == nonzero
-        # one varying axis: a leading one takes c2c both ways, the last one
-        # r2c and c2r, and a nonconstant field has one live Hessian row
-        for axis, pair in [(0, ["c2c", "c2c"]), (2 * n - 1, ["r2c", "c2r"])]:
+        # one varying axis: a leading one takes a forward and an inverse
+        # c2c, the last one r2c and c2r, and a nonconstant field has one
+        # live Hessian row
+        for axis, pair in [(0, ["c2c+", "c2c-"]), (2 * n - 1, ["r2c", "c2r"])]:
             line = dataclasses.replace(grid, constant_axes=tuple(a for a in range(2 * n) if a != axis))
             symbol = frozen_symbol(line, np.ones(n))
             weights = rng.normal(size=(n, n, line.npoints))
